@@ -10,11 +10,20 @@
 //! with a random token embedding and random edges at the same level.
 //!
 //! One [`ContinuousAdapter`] serves one stream: it owns the stream's score
-//! tracker, embedding buffer, optimizer, and drift state, and operates on
-//! the stream's [`Session`] through a shared [`Engine`] — all its updates
-//! land in the session's private table fork and KG copies, so concurrent
-//! streams adapt in full isolation. The legacy single-tenant entry points
+//! tracker, embedding buffer, and drift state, and operates on the stream's
+//! [`Session`] through a shared [`Engine`] — all its updates land in the
+//! session's private table and KG copies, so concurrent streams adapt in
+//! full isolation. The legacy single-tenant entry points
 //! (`&mut MissionSystem`) remain as thin wrappers.
+//!
+//! A token update's work scales with the KGs and the distinct buffered
+//! frames, not with the table: SGD runs on one compact `[r, dim]` leaf of
+//! the `r` token rows the session's KGs reference
+//! ([`TableRows`](crate::tokenize::TableRows)). Each SGD epoch builds every
+//! KG's node rows once from that leaf and runs each distinct buffered frame
+//! through the GNNs once; the pseudo-labelled windows share those per-frame
+//! embeddings. The trained rows are written back into the session table,
+//! dense or overlay, through the same path.
 
 use crate::engine::{Engine, Session};
 use crate::loss::decision_loss_smoothed;
@@ -23,7 +32,6 @@ use akg_eval::MeanShiftTracker;
 use akg_kg::modify::{create_node, repair_connectivity, CreateConfig};
 use akg_kg::NodeId;
 use akg_tensor::optim::{Optimizer, Sgd};
-use akg_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -355,13 +363,8 @@ impl ContinuousAdapter {
     /// Panics if no frame has been ingested yet.
     pub fn fill_window_refs<'a>(&'a self, engine: &Engine, out: &mut Vec<&'a [f32]>) {
         assert!(!self.buffer.is_empty(), "fill_window_refs: no frame ingested");
-        let window_len = engine.model.config().window;
-        let end = self.buffer.len() - 1;
-        let start = end.saturating_sub(window_len - 1);
         out.clear();
-        let oldest = self.buffer[start].as_slice();
-        out.resize(window_len - (end - start + 1), oldest);
-        out.extend((start..=end).map(|i| self.buffer[i].as_slice()));
+        out.extend(window_span(engine, self.buffer.len() - 1).map(|i| self.buffer[i].as_slice()));
     }
 
     fn push_embedding(&mut self, engine: &Engine, embedding: Vec<f32>) -> Vec<Vec<f32>> {
@@ -394,17 +397,9 @@ impl ContinuousAdapter {
     }
 
     /// Rolling window (length = model window) ending at buffer index `end`,
-    /// front-padded by repeating the oldest in-window frame — built
-    /// front-to-back (no `insert(0, …)` shifting).
+    /// front-padded by repeating the oldest in-window frame.
     fn current_window(&self, engine: &Engine, end: usize) -> Vec<Vec<f32>> {
-        let window_len = engine.model.config().window;
-        let start = end.saturating_sub(window_len - 1);
-        let mut out: Vec<Vec<f32>> = Vec::with_capacity(window_len);
-        for _ in (end - start + 1)..window_len {
-            out.push(self.buffer[start].clone());
-        }
-        out.extend((start..=end).map(|i| self.buffer[i].clone()));
-        out
+        window_span(engine, end).map(|i| self.buffer[i].clone()).collect()
     }
 
     /// Runs one adaptation check immediately: computes `K = |Δm| · N`,
@@ -449,34 +444,23 @@ impl ContinuousAdapter {
         // positive selections otherwise inflate normal scores in lockstep.
         let normals: Vec<usize> = order.iter().rev().copied().take(2 * anomalies.len()).collect();
 
-        // Train against a transient dense scratch fork of the session table:
-        // overlay and dense sessions share one update path (so their results
-        // are bit-identical by construction — clip_grad_norm sees the same
-        // full-capacity gradient layout either way), and overlays never need
-        // a parameter tensor of their own. Plain SGD, deliberately:
-        // scale-free optimizers (Adam family) move noise coordinates exactly
-        // as fast as signal coordinates, so contaminated pseudo-labels would
-        // drift the tokens as strongly as true anomaly signal. With SGD the
-        // update magnitude is proportional to gradient consistency and
-        // selection noise self-cancels. Momentum is zero, so a fresh
-        // optimizer per trigger carries no lost state.
-        let scratch = session.table.fork();
-        let mut optimizer = Sgd::new(vec![scratch.param()], self.cfg.lr);
-
-        let mut logit_rows: Vec<Tensor> = Vec::with_capacity(2 * k);
-        let mut targets: Vec<usize> = Vec::with_capacity(2 * k);
-        let mut windows: Vec<Vec<Vec<f32>>> = Vec::with_capacity(2 * k);
+        // Each selected window as positions into `frames`, the distinct
+        // buffered frames the windows draw on (keyed by buffer index), so
+        // every frame runs through the GNNs once per epoch however many
+        // windows share it.
+        let mut slot_of: Vec<Option<usize>> = vec![None; self.buffer.len()];
+        let mut frames: Vec<&[f32]> = Vec::new();
+        let mut windows: Vec<Vec<usize>> = Vec::with_capacity(3 * anomalies.len());
+        let mut targets: Vec<usize> = Vec::with_capacity(3 * anomalies.len());
         for &idx in anomalies.iter().chain(&normals) {
             let Some(buf_idx) = idx.checked_add(offset) else { continue };
             if buf_idx >= self.buffer.len() {
                 continue;
             }
-            let window = self.current_window(engine, buf_idx);
             // pseudo-label: anomalies get the mission class with the highest
             // current conditional probability; normals class 0
-            let is_anomaly = anomalies.contains(&idx);
-            let target = if is_anomaly {
-                let probs = engine.predict_window(session, &window);
+            let target = if anomalies.contains(&idx) {
+                let probs = engine.predict_window(session, &self.current_window(engine, buf_idx));
                 1 + probs[1..]
                     .iter()
                     .enumerate()
@@ -486,27 +470,45 @@ impl ContinuousAdapter {
             } else {
                 0
             };
-            logit_rows.push(engine.window_logits_with_table(session, &scratch, &window));
-            targets.push(target);
+            let window = window_span(engine, buf_idx)
+                .map(|b| {
+                    *slot_of[b].get_or_insert_with(|| {
+                        frames.push(&self.buffer[b]);
+                        frames.len() - 1
+                    })
+                })
+                .collect();
             windows.push(window);
+            targets.push(target);
         }
-        if logit_rows.is_empty() {
+        if windows.is_empty() {
             return 0.0;
         }
-        // First pass uses the logits already computed during selection;
-        // later epochs re-run the forward pass against the updated table.
+
+        // SGD on one compact leaf of the rows the session's KGs reference,
+        // loaded from (and written back to) the session table — overlay and
+        // dense sessions share this path, so their results are bit-identical
+        // by construction. Untouched rows would only contribute exact zeros,
+        // so clipping the compact gradient (summed in ascending row order)
+        // equals clipping the full-capacity one. Plain SGD, deliberately:
+        // scale-free optimizers (Adam family) move noise coordinates exactly
+        // as fast as signal coordinates, so contaminated pseudo-labels would
+        // drift the tokens as strongly as true anomaly signal. With SGD the
+        // update magnitude is proportional to gradient consistency and
+        // selection noise self-cancels. Momentum is zero, so a fresh
+        // optimizer per trigger carries no lost state.
+        let rows = session.table.leaf_rows(session.referenced_rows());
+        let mut optimizer = Sgd::new(vec![rows.values().clone()], self.cfg.lr);
         let mut last_loss = 0.0;
         let model_cfg = *engine.model.config();
-        for epoch in 0..self.cfg.epochs_per_trigger.max(1) {
-            let logits = if epoch == 0 {
-                Tensor::concat_rows(&logit_rows)
-            } else {
-                let rows: Vec<Tensor> = windows
-                    .iter()
-                    .map(|w| engine.window_logits_with_table(session, &scratch, w))
-                    .collect();
-                Tensor::concat_rows(&rows)
-            };
+        for _ in 0..self.cfg.epochs_per_trigger.max(1) {
+            let logits = engine.model.windows_logits(
+                &session.kgs,
+                &session.layouts,
+                &rows,
+                &frames,
+                &windows,
+            );
             let loss = decision_loss_smoothed(
                 &logits,
                 &targets,
@@ -516,13 +518,11 @@ impl ContinuousAdapter {
             );
             optimizer.zero_grad();
             loss.backward();
-            scratch.param().clip_grad_norm(self.cfg.max_grad_norm);
+            rows.values().clip_grad_norm(self.cfg.max_grad_norm);
             optimizer.step();
             last_loss = loss.item();
         }
-        // Fold the trained rows back: dense sessions copy the matrix,
-        // overlays materialize exactly the rows whose bits changed.
-        session.table.absorb_scratch(&scratch);
+        session.table.write_rows(&rows);
         last_loss
     }
 
@@ -556,8 +556,9 @@ impl ContinuousAdapter {
         }
         // Replace at most one node per adaptation cycle (the most divergent
         // one): mass replacements would destroy the KG's learned reasoning
-        // in a single step.
-        to_replace.sort_by_key(|&(_, _, streak)| std::cmp::Reverse(streak));
+        // in a single step. Ties go to the lowest (kg, node id), never to
+        // the hash order the candidates were collected in.
+        to_replace.sort_unstable_by_key(|&(ki, id, streak)| (std::cmp::Reverse(streak), ki, id));
         if let Some(&(ki, id, _)) = to_replace.first() {
             if self.replacements < self.cfg.max_replacements && session.table.spare_remaining() > 0
             {
@@ -698,6 +699,14 @@ impl ContinuousAdapter {
         adapter.adapted_node_counter = snapshot.adapted_node_counter;
         adapter
     }
+}
+
+/// Buffer indices of the rolling window (length = model window) ending at
+/// buffer index `end`, front-padded by repeating the oldest in-window frame.
+fn window_span(engine: &Engine, end: usize) -> impl Iterator<Item = usize> {
+    let window_len = engine.model.config().window;
+    let start = end.saturating_sub(window_len - 1);
+    std::iter::repeat_n(start, window_len - (end - start + 1)).chain(start..=end)
 }
 
 fn l2(a: &[f32], b: &[f32]) -> f32 {
@@ -842,6 +851,55 @@ mod tests {
         let errors = sys.session.kgs[0].kg.validate();
         assert!(errors.is_empty(), "{errors:?}");
         assert!(adapter.events().iter().any(|e| matches!(e, AdaptEvent::NodeReplaced { .. })));
+    }
+
+    #[test]
+    fn tied_streaks_prune_the_lowest_node_id() {
+        let (mut sys, _) = setup();
+        let cfg = AdaptConfig { divergence_patience: 1, ..small_cfg() };
+        let mut adapter = ContinuousAdapter::new(&mut sys, cfg);
+        let tkg = &sys.session.kgs[0];
+        let mut row_users: HashMap<usize, usize> = HashMap::new();
+        for rows in tkg.node_tokens.values() {
+            for &r in rows {
+                *row_users.entry(r).or_default() += 1;
+            }
+        }
+        // Prunable candidates whose token rows no other node reads, in the
+        // map's iteration order (the order the streaks are collected in).
+        let candidates: Vec<NodeId> = tkg
+            .node_tokens
+            .iter()
+            .filter(|(id, rows)| {
+                let level = tkg.kg.node(**id).unwrap().level;
+                tkg.kg.node_ids_at_level(level).len() >= 2 && rows.iter().all(|r| row_users[r] == 1)
+            })
+            .map(|(id, _)| *id)
+            .collect();
+        assert!(candidates.len() >= 2, "need two prunable nodes with private rows");
+        // Prefer a pair the iteration order visits higher id first, so a
+        // hash-order tie-break would prune the wrong one.
+        let (first, second) = candidates
+            .windows(2)
+            .find(|w| w[0] > w[1])
+            .map_or((candidates[0], candidates[1]), |w| (w[0], w[1]));
+        let dim = sys.session.table.dim();
+        let bumped: Vec<usize> = [first, second]
+            .iter()
+            .flat_map(|id| sys.session.kgs[0].tokens_of(*id).unwrap().to_vec())
+            .collect();
+        sys.session.table.param().update_data(|data| {
+            for &r in &bumped {
+                for v in &mut data[r * dim..(r + 1) * dim] {
+                    *v += 0.5;
+                }
+            }
+        });
+        adapter.update_drift_and_restructure(&mut sys.session);
+        assert_eq!(adapter.replacements(), 1);
+        let (low, high) = (first.min(second), first.max(second));
+        assert!(sys.session.kgs[0].kg.node(low).is_none(), "lower id {low} not pruned");
+        assert!(sys.session.kgs[0].kg.node(high).is_some(), "higher id {high} pruned");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::config::ModelConfig;
 use crate::model::{DecisionModel, InferWindowItem, KgLayout};
 use crate::pipeline::{SystemConfig, FRAME_NOISE_STD};
-use crate::tokenize::{TokenTable, TokenizedKg};
+use crate::tokenize::{TableRows, TokenTable, TokenizedKg};
 use akg_data::Frame;
 use akg_embed::{BpeTokenizer, JointSpace, JointSpaceBuilder};
 use akg_kg::{generate_kg, AnomalyClass, Ontology, SyntheticOracle};
@@ -163,6 +163,12 @@ impl Session {
     /// Rebuilds the execution layout of KG `i` after structural change.
     pub fn rebuild_layout(&mut self, i: usize) {
         self.layouts[i] = KgLayout::new(&self.kgs[i]);
+    }
+
+    /// The sorted, de-duplicated token-table rows the session's KGs
+    /// reference (see [`TableRows::referenced`]).
+    pub fn referenced_rows(&self) -> Vec<usize> {
+        TableRows::referenced(self.kgs.iter().zip(self.layouts.iter()))
     }
 
     /// Reseeds the frame-embedding RNG (aligning a session with a replayed
@@ -401,30 +407,15 @@ impl Engine {
         out
     }
 
-    /// Differentiable logits for one window (training and adaptation run
-    /// through this; gradients reach the session's table fork).
+    /// Differentiable logits `[1, n + 1]` for one window (training runs
+    /// through this; gradients reach the session's table while it is
+    /// unfrozen). Builds its node blocks with the same
+    /// [`DecisionModel::windows_logits`] that adaptation trains through.
     pub fn window_logits(&self, session: &Session, window: &[Vec<f32>]) -> akg_tensor::Tensor {
-        self.window_logits_with_table(session, &session.table, window)
-    }
-
-    /// [`Engine::window_logits`] against an explicit table — adaptation
-    /// trains a transient dense scratch fork through this (the session's own
-    /// table may be a non-differentiable overlay), then absorbs the trained
-    /// rows back.
-    pub fn window_logits_with_table(
-        &self,
-        session: &Session,
-        table: &TokenTable,
-        window: &[Vec<f32>],
-    ) -> akg_tensor::Tensor {
-        let kgs: Vec<&TokenizedKg> = session.kgs.iter().collect();
-        let layouts: Vec<&KgLayout> = session.layouts.iter().collect();
-        let embeddings: Vec<akg_tensor::Tensor> = window
-            .iter()
-            .map(|f| self.model.reasoning_embedding(&kgs, &layouts, table, f))
-            .collect();
-        let temporal = self.model.temporal_embedding(&embeddings);
-        self.model.logits(&temporal)
+        let rows = session.table.view_rows(session.referenced_rows());
+        let frames: Vec<&[f32]> = window.iter().map(Vec::as_slice).collect();
+        let positions: Vec<usize> = (0..frames.len()).collect();
+        self.model.windows_logits(&session.kgs, &session.layouts, &rows, &frames, &[positions])
     }
 
     /// Scores a cross-stream batch — `(session, window)` pairs from up to

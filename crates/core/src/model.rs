@@ -4,7 +4,7 @@
 //! (Eq. 5).
 
 use crate::config::ModelConfig;
-use crate::tokenize::{TokenTable, TokenizedKg};
+use crate::tokenize::{TableRows, TokenTable, TokenizedKg};
 use akg_kg::{NodeId, NodeKind};
 use akg_tensor::inference as inf;
 use akg_tensor::nn::attention::TransformerEncoder;
@@ -596,34 +596,70 @@ impl DecisionModel {
         &self.config
     }
 
-    /// Builds the `[|V|, embed_dim]` node-feature matrix for one KG: the
-    /// sensor row carries the frame embedding, reasoning rows the (mean)
-    /// token embeddings, and the embedding-node row zeros.
-    pub fn node_features(
-        &self,
-        tkg: &TokenizedKg,
-        layout: &KgLayout,
-        table: &TokenTable,
-        frame_embedding: &[f32],
-    ) -> Tensor {
+    /// The frame-independent rows of one KG's `[|V|, embed_dim]` node-feature
+    /// matrix: reasoning rows as the mean of their token rows in `rows`, the
+    /// embedding-node row as the mission embedding. Built once per table
+    /// state and shared by every frame ([`NodeBlock::with_frame`] supplies
+    /// the sensor row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layout row refers to a dead node or `rows` lacks a
+    /// reasoning node's token row.
+    pub fn node_block(&self, tkg: &TokenizedKg, layout: &KgLayout, rows: &TableRows) -> NodeBlock {
         let dim = self.config.embed_dim;
-        let mut rows: Vec<Tensor> = Vec::with_capacity(layout.node_count());
+        let mut parts: Vec<Option<Tensor>> = Vec::with_capacity(3);
+        let mut run: Vec<Tensor> = Vec::with_capacity(layout.node_count());
         for &id in &layout.rows {
             let node = tkg.kg.node(id).expect("layout row refers to live node");
             match node.kind {
                 NodeKind::Sensor => {
-                    rows.push(Tensor::from_vec(frame_embedding.to_vec(), &[1, dim]));
+                    if !run.is_empty() {
+                        parts.push(Some(Tensor::concat_rows(&run)));
+                        run.clear();
+                    }
+                    parts.push(None);
                 }
                 NodeKind::Embedding => {
-                    rows.push(Tensor::from_vec(tkg.mission_embedding.clone(), &[1, dim]));
+                    run.push(Tensor::from_vec(tkg.mission_embedding.clone(), &[1, dim]));
                 }
                 NodeKind::Reasoning => {
-                    let tokens = tkg.tokens_of(id).expect("reasoning node tokenized");
-                    rows.push(table.node_embedding(tokens));
+                    run.push(rows.mean_of(tkg.tokens_of(id).expect("reasoning node tokenized")));
                 }
             }
         }
-        Tensor::concat_rows(&rows)
+        if !run.is_empty() {
+            parts.push(Some(Tensor::concat_rows(&run)));
+        }
+        NodeBlock { parts }
+    }
+
+    /// Every KG's [`NodeBlock`] over one table state, in mission order.
+    fn node_blocks<'a>(
+        &self,
+        kgs: impl IntoIterator<Item = (&'a TokenizedKg, &'a KgLayout)>,
+        rows: &TableRows,
+    ) -> Vec<NodeBlock> {
+        kgs.into_iter().map(|(tkg, layout)| self.node_block(tkg, layout, rows)).collect()
+    }
+
+    /// The per-frame reasoning embedding `f_t` `[D]` from prebuilt node
+    /// blocks: each KG's GNN over its block with the frame in the sensor row,
+    /// outputs concatenated in mission order.
+    fn frame_reasoning(
+        &self,
+        blocks: &[NodeBlock],
+        layouts: &[&KgLayout],
+        frame: &[f32],
+    ) -> Tensor {
+        let parts: Vec<Tensor> = self
+            .gnns
+            .iter()
+            .zip(blocks)
+            .zip(layouts)
+            .map(|((gnn, block), layout)| gnn.forward(layout, &block.with_frame(frame)))
+            .collect();
+        Tensor::concat_vecs(&parts)
     }
 
     /// Computes the per-frame reasoning embedding `f_t` (concatenation of
@@ -639,14 +675,61 @@ impl DecisionModel {
         table: &TokenTable,
         frame_embedding: &[f32],
     ) -> Tensor {
+        self.window_reasoning(kgs, layouts, table, &[frame_embedding]).remove(0)
+    }
+
+    /// [`DecisionModel::reasoning_embedding`] for every frame of a window,
+    /// over one table view and one node block per KG.
+    fn window_reasoning(
+        &self,
+        kgs: &[&TokenizedKg],
+        layouts: &[&KgLayout],
+        table: &TokenTable,
+        frames: &[&[f32]],
+    ) -> Vec<Tensor> {
         assert_eq!(kgs.len(), self.gnns.len(), "KG count mismatch");
         assert_eq!(layouts.len(), self.gnns.len(), "layout count mismatch");
-        let mut parts = Vec::with_capacity(self.gnns.len());
-        for i in 0..self.gnns.len() {
-            let x0 = self.node_features(kgs[i], layouts[i], table, frame_embedding);
-            parts.push(self.gnns[i].forward(layouts[i], &x0));
-        }
-        Tensor::concat_vecs(&parts)
+        let pairs = || kgs.iter().copied().zip(layouts.iter().copied());
+        let rows = table.view_rows(TableRows::referenced(pairs()));
+        let blocks = self.node_blocks(pairs(), &rows);
+        frames.iter().map(|f| self.frame_reasoning(&blocks, layouts, f)).collect()
+    }
+
+    /// Differentiable decision logits `[windows.len(), n + 1]` for windows
+    /// drawn from a pool of distinct frames: each KG's node block is built
+    /// once from `rows`, each frame of `frames` runs through the GNNs once,
+    /// and window `w` runs the temporal model and head over the reasoning
+    /// embeddings of the frames `windows[w]` indexes (oldest first). Row `w`
+    /// is bit-identical to [`DecisionModel::logits`] over that window alone;
+    /// the gradient of a frame shared by several windows is summed before it
+    /// flows back through the GNNs once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is empty, a window is empty or indexes past
+    /// `frames`, or the KG/layout counts mismatch the model.
+    pub fn windows_logits(
+        &self,
+        kgs: &[TokenizedKg],
+        layouts: &[KgLayout],
+        rows: &TableRows,
+        frames: &[&[f32]],
+        windows: &[Vec<usize>],
+    ) -> Tensor {
+        assert_eq!(kgs.len(), self.gnns.len(), "KG count mismatch");
+        assert_eq!(layouts.len(), self.gnns.len(), "layout count mismatch");
+        let blocks = self.node_blocks(kgs.iter().zip(layouts), rows);
+        let layouts: Vec<&KgLayout> = layouts.iter().collect();
+        let reasoning: Vec<Tensor> =
+            frames.iter().map(|f| self.frame_reasoning(&blocks, &layouts, f)).collect();
+        let logits: Vec<Tensor> = windows
+            .iter()
+            .map(|w| {
+                let seq: Vec<Tensor> = w.iter().map(|&i| reasoning[i].clone()).collect();
+                self.logits(&self.temporal_embedding(&seq))
+            })
+            .collect();
+        Tensor::concat_rows(&logits)
     }
 
     /// Applies the temporal model to a window of per-frame reasoning
@@ -679,8 +762,8 @@ impl DecisionModel {
         table: &TokenTable,
         frame_window: &[Vec<f32>],
     ) -> Vec<f32> {
-        let embeddings: Vec<Tensor> =
-            frame_window.iter().map(|f| self.reasoning_embedding(kgs, layouts, table, f)).collect();
+        let frames: Vec<&[f32]> = frame_window.iter().map(Vec::as_slice).collect();
+        let embeddings = self.window_reasoning(kgs, layouts, table, &frames);
         let temporal = self.temporal_embedding(&embeddings);
         self.logits(&temporal).softmax_rows().to_vec()
     }
@@ -703,7 +786,7 @@ impl DecisionModel {
     /// Stacked node features for `frames.len()` replicas of one KG:
     /// `[F·|V|, embed_dim]`, replica `t` in rows `t·|V| .. (t+1)·|V|`. Row
     /// values are computed with the same arithmetic as
-    /// [`DecisionModel::node_features`] (the reasoning rows via the ordered
+    /// [`DecisionModel::node_block`] (the reasoning rows via the ordered
     /// token-mean of [`TokenTable::node_embedding_mean`]), so the stacked
     /// matrix is the bit-exact concatenation of the per-frame matrices.
     ///
@@ -1051,6 +1134,31 @@ impl DecisionModel {
     ) {
         let items = [InferWindowItem { kgs, layouts, table, window }];
         self.predict_probs_batch_infer(&items, ws, out);
+    }
+}
+
+/// The frame-independent rows of one KG's node-feature matrix (see
+/// [`DecisionModel::node_block`]): maximal runs of non-sensor rows in layout
+/// order, split at the sensor row.
+#[derive(Debug, Clone)]
+pub struct NodeBlock {
+    /// Row runs in layout order; `None` marks the sensor row.
+    parts: Vec<Option<Tensor>>,
+}
+
+impl NodeBlock {
+    /// The `[|V|, embed_dim]` node-feature matrix `x0` for one frame: the
+    /// shared rows with the frame embedding in the sensor row.
+    pub fn with_frame(&self, frame: &[f32]) -> Tensor {
+        let parts: Vec<Tensor> = self
+            .parts
+            .iter()
+            .map(|part| match part {
+                Some(rows) => rows.clone(),
+                None => Tensor::from_vec(frame.to_vec(), &[1, frame.len()]),
+            })
+            .collect();
+        Tensor::concat_rows(&parts)
     }
 }
 

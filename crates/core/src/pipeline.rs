@@ -110,8 +110,7 @@ impl MissionSystem {
         self.engine.predict_window(&self.session, window)
     }
 
-    /// Differentiable logits for one window (used by training and
-    /// adaptation).
+    /// Differentiable logits for one window (used by training).
     pub fn window_logits(&self, window: &[Vec<f32>]) -> akg_tensor::Tensor {
         self.engine.window_logits(&self.session, window)
     }

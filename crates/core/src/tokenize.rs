@@ -7,14 +7,21 @@
 //! would invalidate optimizer state).
 //!
 //! A table comes in two storage flavours behind one type: **dense** (a full
-//! trainable [`Embedding`] — the engine template, single-tenant systems, and
-//! the transient adaptation scratch) and **overlay** (a sparse copy-on-write
-//! map of adapted rows over a shared `Arc`'d base — the per-session form,
-//! whose resident size is proportional to the rows adaptation actually
-//! touched, not the vocabulary). Every read path resolves base-or-overlay per
-//! row with arithmetic bit-identical to the dense path, which is what lets
-//! the overlay ≡ dense-fork equivalence contract hold bit-for-bit.
+//! trainable [`Embedding`] — the engine template and single-tenant systems)
+//! and **overlay** (a sparse copy-on-write map of adapted rows over a shared
+//! `Arc`'d base — the per-session form, whose resident size is proportional
+//! to the rows adaptation actually touched, not the vocabulary). Every read
+//! path resolves base-or-overlay per row with arithmetic bit-identical to the
+//! dense path, which is what lets the overlay ≡ dense-fork equivalence
+//! contract hold bit-for-bit.
+//!
+//! Forward passes and adaptation never differentiate the full table: they
+//! read a [`TableRows`] — the sorted, de-duplicated rows a session's KGs
+//! reference, as one `[r, dim]` tensor. Adaptation trains such a compact
+//! leaf and writes it back with [`TokenTable::write_rows`], through the same
+//! code for both storage flavours.
 
+use crate::model::KgLayout;
 use akg_embed::{BpeTokenizer, JointSpace};
 use akg_kg::{KnowledgeGraph, NodeId, NodeKind};
 use akg_tensor::nn::{Embedding, Module};
@@ -68,8 +75,7 @@ impl TokenTable {
     /// Deep-copies the table into an independent *dense* twin: fresh tensor
     /// storage (no shared autograd state with `self`), same resolved weights,
     /// same spare-row cursor. Works from either storage flavour — forking an
-    /// overlay densifies it. This is also how adaptation obtains its
-    /// transient trainable scratch.
+    /// overlay densifies it.
     pub fn fork(&self) -> TokenTable {
         let weights = self.to_dense_vec();
         TokenTable {
@@ -229,8 +235,8 @@ impl TokenTable {
     /// Differentiable mean embedding of the given rows, shape `[1, dim]`.
     ///
     /// On an overlay table the result is a *constant* tensor (gradients never
-    /// flow into an overlay — adaptation trains against a dense scratch fork
-    /// and absorbs the result), built with the same summed-in-order,
+    /// flow into an overlay — adaptation trains a compact [`TableRows`] leaf
+    /// and writes it back), built with the same summed-in-order,
     /// reciprocal-scaled arithmetic so forward values stay bit-identical to
     /// the dense path.
     pub fn node_embedding(&self, rows: &[usize]) -> Tensor {
@@ -247,14 +253,13 @@ impl TokenTable {
         let dim = self.dim;
         let mut out = vec![0.0f32; dim];
         match &self.storage {
-            Storage::Dense(emb) => {
-                let w = emb.weight().to_vec();
+            Storage::Dense(emb) => emb.weight().with_data(|w| {
                 for &r in rows {
                     for c in 0..dim {
                         out[c] += w[r * dim + c];
                     }
                 }
-            }
+            }),
             Storage::Overlay { base, rows: adapted } => {
                 for &r in rows {
                     let row = resolve_row(base, adapted, dim, r);
@@ -275,8 +280,7 @@ impl TokenTable {
         let dim = self.dim;
         match &self.storage {
             Storage::Dense(emb) => {
-                let w = emb.weight().to_vec();
-                w[row * dim..(row + 1) * dim].to_vec()
+                emb.weight().with_data(|w| w[row * dim..(row + 1) * dim].to_vec())
             }
             Storage::Overlay { base, rows } => resolve_row(base, rows, dim, row).to_vec(),
         }
@@ -286,8 +290,9 @@ impl TokenTable {
     ///
     /// # Panics
     ///
-    /// Panics on an overlay table — overlays have no parameter tensor; fork
-    /// a dense scratch with [`TokenTable::fork`] to train against.
+    /// Panics on an overlay table — overlays have no parameter tensor (no
+    /// path differentiates one: adaptation trains a compact leaf from
+    /// [`TokenTable::leaf_rows`]).
     pub fn param(&self) -> Tensor {
         match &self.storage {
             Storage::Dense(emb) => emb.weight().clone(),
@@ -342,38 +347,85 @@ impl TokenTable {
         }
     }
 
-    /// Folds a trained dense `scratch` fork back into this table. Dense
-    /// tables copy the whole weight matrix; overlays materialize exactly the
-    /// rows whose bits differ from the base (and refresh rows already
-    /// materialized), so an absorbed overlay resolves bit-identically to the
-    /// scratch while staying sparse.
+    /// A forward view of the given rows (sorted, de-duplicated, e.g. from
+    /// [`TableRows::referenced`]). On a dense table it is a differentiable
+    /// gather, so gradients reach the table while it is unfrozen; on an
+    /// overlay it is a constant of the resolved rows.
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` is not dense or its geometry differs.
-    pub fn absorb_scratch(&mut self, scratch: &TokenTable) {
-        assert!(!scratch.is_overlay(), "absorb_scratch: scratch must be dense");
-        assert_eq!(scratch.capacity, self.capacity, "absorb_scratch: capacity mismatch");
-        assert_eq!(scratch.dim, self.dim, "absorb_scratch: dim mismatch");
-        let values = scratch.to_dense_vec();
+    /// Panics if `ids` is not strictly ascending or a row is out of bounds.
+    pub fn view_rows(&self, ids: Vec<usize>) -> TableRows {
+        let values = match &self.storage {
+            Storage::Dense(emb) => emb.weight().index_select_rows(&ids),
+            Storage::Overlay { .. } => self.gather_rows(&ids),
+        };
+        TableRows::new(ids, values)
+    }
+
+    /// A trainable copy of the given rows: a fresh `[r, dim]` autograd leaf
+    /// holding the resolved values, sharing no storage with the table. Write
+    /// it back with [`TokenTable::write_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` is not strictly ascending or a row is out of bounds.
+    pub fn leaf_rows(&self, ids: Vec<usize>) -> TableRows {
+        let values = self.gather_rows(&ids).requires_grad(true);
+        TableRows::new(ids, values)
+    }
+
+    /// The resolved rows as a constant `[ids.len(), dim]` tensor.
+    fn gather_rows(&self, ids: &[usize]) -> Tensor {
         let dim = self.dim;
-        match &mut self.storage {
-            Storage::Dense(emb) => emb.weight().set_data(&values),
+        let mut data = Vec::with_capacity(ids.len() * dim);
+        match &self.storage {
+            Storage::Dense(emb) => emb.weight().with_data(|w| {
+                for &r in ids {
+                    data.extend_from_slice(&w[r * dim..(r + 1) * dim]);
+                }
+            }),
             Storage::Overlay { base, rows } => {
-                for r in 0..self.capacity {
-                    let fresh = &values[r * dim..(r + 1) * dim];
-                    if let Some(existing) = rows.get_mut(&r) {
+                for &r in ids {
+                    data.extend_from_slice(resolve_row(base, rows, dim, r));
+                }
+            }
+        }
+        Tensor::from_vec(data, &[ids.len(), dim])
+    }
+
+    /// Writes a compact row set back into the table. Dense tables copy the
+    /// rows; overlays refresh rows already materialized and materialize the
+    /// others only where their bits differ from the base, so an overlay
+    /// stays sparse and resolves bit-identically to a dense table given the
+    /// same write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows' width differs from the table's or a row is out of
+    /// bounds.
+    pub fn write_rows(&mut self, rows: &TableRows) {
+        let dim = self.dim;
+        assert_eq!(rows.values.shape()[1], dim, "write_rows: dim mismatch");
+        rows.values.with_data(|values| match &mut self.storage {
+            Storage::Dense(emb) => emb.weight().update_data(|w| {
+                for (&r, fresh) in rows.ids.iter().zip(values.chunks_exact(dim)) {
+                    w[r * dim..(r + 1) * dim].copy_from_slice(fresh);
+                }
+            }),
+            Storage::Overlay { base, rows: adapted } => {
+                for (&r, fresh) in rows.ids.iter().zip(values.chunks_exact(dim)) {
+                    if let Some(existing) = adapted.get_mut(&r) {
                         existing.copy_from_slice(fresh);
                     } else {
                         let b = &base[r * dim..(r + 1) * dim];
                         if fresh.iter().zip(b).any(|(f, b)| f.to_bits() != b.to_bits()) {
-                            rows.insert(r, fresh.to_vec());
+                            adapted.insert(r, fresh.to_vec());
                         }
                     }
                 }
             }
-        }
-        self.next_spare = scratch.next_spare;
+        });
     }
 
     /// The overlay's materialized rows as a sorted `(row, values)` delta —
@@ -437,6 +489,66 @@ fn resolve_row<'a>(
     match rows.get(&r) {
         Some(v) => v,
         None => &base[r * dim..(r + 1) * dim],
+    }
+}
+
+/// The token-table rows a set of KGs reads, as one compact `[r, dim]` tensor:
+/// row `i` of [`TableRows::values`] is table row [`TableRows::ids`]`[i]`, ids
+/// ascending and unique. Built by [`TokenTable::view_rows`] (a forward view)
+/// or [`TokenTable::leaf_rows`] (a trainable leaf).
+#[derive(Debug, Clone)]
+pub struct TableRows {
+    ids: Vec<usize>,
+    values: Tensor,
+}
+
+impl TableRows {
+    /// `mean_of` looks rows up by binary search and `write_rows` writes each
+    /// row once, so the ids must be strictly ascending.
+    fn new(ids: Vec<usize>, values: Tensor) -> Self {
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "TableRows: ids must be strictly ascending");
+        TableRows { ids, values }
+    }
+
+    /// The sorted, de-duplicated table rows the KGs' reasoning nodes
+    /// reference, collected in each layout's row order.
+    pub fn referenced<'a>(
+        kgs: impl IntoIterator<Item = (&'a TokenizedKg, &'a KgLayout)>,
+    ) -> Vec<usize> {
+        let mut ids: Vec<usize> = Vec::new();
+        for (tkg, layout) in kgs {
+            for &id in &layout.rows {
+                ids.extend(tkg.tokens_of(id).unwrap_or(&[]));
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// The table rows held, ascending.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+
+    /// The `[r, dim]` row values.
+    pub fn values(&self) -> &Tensor {
+        &self.values
+    }
+
+    /// Differentiable mean of the given *table* rows, `[1, dim]`: the same
+    /// gather-then-mean arithmetic as [`TokenTable::node_embedding`], so the
+    /// forward values are bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or names a row this set does not hold.
+    pub fn mean_of(&self, rows: &[usize]) -> Tensor {
+        let local: Vec<usize> = rows
+            .iter()
+            .map(|r| self.ids.binary_search(r).expect("TableRows::mean_of: row not held"))
+            .collect();
+        self.values.mean_rows(&local)
     }
 }
 
@@ -618,26 +730,45 @@ mod tests {
     }
 
     #[test]
-    fn absorb_scratch_materializes_only_changed_rows() {
+    fn write_rows_materializes_only_changed_rows() {
         let (tok, space, _) = fixture();
-        let dense = TokenTable::new(&tok, &space, 2);
+        let mut dense = TokenTable::new(&tok, &space, 2);
         let base = Arc::new(dense.to_dense_vec());
         let mut overlay = dense.fork_overlay(&base);
-        let scratch = overlay.fork();
-        let dim = scratch.dim();
-        scratch.param().update_data(|d| {
-            for v in &mut d[3 * dim..4 * dim] {
+        let dim = dense.dim();
+        let rows = overlay.leaf_rows(vec![3, 5]);
+        assert_eq!(rows.values().to_vec(), dense.leaf_rows(vec![3, 5]).values().to_vec());
+        rows.values().update_data(|d| {
+            for v in &mut d[..dim] {
                 *v += 1.0;
             }
         });
-        overlay.absorb_scratch(&scratch);
-        assert_eq!(overlay.overlay_rows(), 1);
-        assert_eq!(overlay.to_dense_vec(), scratch.to_dense_vec());
+        overlay.write_rows(&rows);
+        dense.write_rows(&rows);
+        assert_eq!(overlay.overlay_rows(), 1, "unchanged row 5 was materialized");
+        assert_eq!(overlay.to_dense_vec(), dense.to_dense_vec());
         let delta = overlay.overlay_delta();
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].0, 3);
         let mut restored = dense.fork_overlay(&base);
         restored.apply_overlay_delta(&delta);
         assert_eq!(restored.to_dense_vec(), overlay.to_dense_vec());
+    }
+
+    #[test]
+    fn table_rows_mean_matches_node_embedding() {
+        let (tok, space, kg) = fixture();
+        let table = TokenTable::new(&tok, &space, 0);
+        let tkg = TokenizedKg::new(kg, &tok, space.embed_text("stealing"));
+        let layout = KgLayout::new(&tkg);
+        let ids = TableRows::referenced([(&tkg, &layout)]);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not sorted and unique");
+        let view = table.view_rows(ids.clone());
+        let leaf = table.leaf_rows(ids);
+        for tokens in tkg.node_tokens.values() {
+            let want = table.node_embedding(tokens).to_vec();
+            assert_eq!(view.mean_of(tokens).to_vec(), want);
+            assert_eq!(leaf.mean_of(tokens).to_vec(), want);
+        }
     }
 }

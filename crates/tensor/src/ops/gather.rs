@@ -21,12 +21,13 @@ impl Tensor {
         let s = self.shape();
         assert_eq!(s.len(), 2, "index_select_rows: expected 2-D tensor");
         let (m, n) = (s[0], s[1]);
-        let a = self.to_vec();
-        let mut data = vec![0.0f32; indices.len() * n];
-        for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < m, "index_select_rows: index {idx} out of bounds for {m} rows");
-            data[i * n..(i + 1) * n].copy_from_slice(&a[idx * n..(idx + 1) * n]);
-        }
+        let mut data = Vec::with_capacity(indices.len() * n);
+        self.with_data(|a| {
+            for &idx in indices {
+                assert!(idx < m, "index_select_rows: index {idx} out of bounds for {m} rows");
+                data.extend_from_slice(&a[idx * n..(idx + 1) * n]);
+            }
+        });
         let idx = indices.to_vec();
         let k = indices.len();
         Tensor::from_op(
