@@ -66,8 +66,12 @@ fn main() {
         classes: dims_like.classes,
     };
     let adapt_cfg = AdaptConfig::default();
-    let batch = 3 * adapt_cfg.max_k; // anomalies + 2x normals per trigger
-    let flops_per_day = dims.adaptation_step_flops(batch, dims_like.token_table_entries);
+    // One trigger: K pseudo-anomaly + 2K pseudo-normal windows over the
+    // buffer, each distinct buffered frame through the GNNs once per epoch.
+    let windows = 3 * adapt_cfg.max_k;
+    let frames = (windows * dims.window).min(adapt_cfg.n_window);
+    let flops_per_day = adapt_cfg.epochs_per_trigger as u64
+        * dims.adaptation_step_flops(frames, windows, dims_like.adapted_token_entries);
 
     // --- measured: wall-clock of one adaptation loop ------------------------
     // Engineer a genuine trigger: anchor the score reference on the trained

@@ -20,10 +20,13 @@
 //! frames, not with the table: SGD runs on one compact `[r, dim]` leaf of
 //! the `r` token rows the session's KGs reference
 //! ([`TableRows`](crate::tokenize::TableRows)). Each SGD epoch builds every
-//! KG's node rows once from that leaf and runs each distinct buffered frame
-//! through the GNNs once; the pseudo-labelled windows share those per-frame
-//! embeddings. The trained rows are written back into the session table,
-//! dense or overlay, through the same path.
+//! KG's node rows once from that leaf and runs all distinct buffered frames
+//! through each KG's GNN in one stacked pass (one matmul per layer); the
+//! pseudo-labelled windows share those per-frame embeddings and run through
+//! the temporal model and head in one pass
+//! ([`DecisionModel::windows_logits`](crate::model::DecisionModel::windows_logits)).
+//! The trained rows are written back into the session table, dense or
+//! overlay, through the same path.
 
 use crate::engine::{Engine, Session};
 use crate::loss::decision_loss_smoothed;

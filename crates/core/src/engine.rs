@@ -407,15 +407,28 @@ impl Engine {
         out
     }
 
-    /// Differentiable logits `[1, n + 1]` for one window (training runs
-    /// through this; gradients reach the session's table while it is
-    /// unfrozen). Builds its node blocks with the same
+    /// Differentiable logits `[windows.len(), n + 1]` for equal-length
+    /// windows, one row per window, in one stacked forward (a training step
+    /// runs through this; gradients reach the model while it is trainable
+    /// and the session's table while it is unfrozen). It is the same
     /// [`DecisionModel::windows_logits`] that adaptation trains through.
-    pub fn window_logits(&self, session: &Session, window: &[Vec<f32>]) -> akg_tensor::Tensor {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is empty or the windows differ in length.
+    pub fn windows_logits(&self, session: &Session, windows: &[&[Vec<f32>]]) -> akg_tensor::Tensor {
         let rows = session.table.view_rows(session.referenced_rows());
-        let frames: Vec<&[f32]> = window.iter().map(Vec::as_slice).collect();
-        let positions: Vec<usize> = (0..frames.len()).collect();
-        self.model.windows_logits(&session.kgs, &session.layouts, &rows, &frames, &[positions])
+        let frames: Vec<&[f32]> =
+            windows.iter().flat_map(|w| w.iter().map(Vec::as_slice)).collect();
+        let mut next = 0;
+        let positions: Vec<Vec<usize>> = windows
+            .iter()
+            .map(|w| {
+                next += w.len();
+                (next - w.len()..next).collect()
+            })
+            .collect();
+        self.model.windows_logits(&session.kgs, &session.layouts, &rows, &frames, &positions)
     }
 
     /// Scores a cross-stream batch — `(session, window)` pairs from up to

@@ -55,7 +55,7 @@ pub use experiment::{
     run_retrieval_drift, run_trend_shift, RetrievalDriftParams, RetrievalDriftResult,
     TrendShiftCurve, TrendShiftParams, TrendShiftResult,
 };
-pub use model::{DecisionModel, HierarchicalGnn, KgLayout, WindowBatchItem};
+pub use model::{DecisionModel, HierarchicalGnn, KgLayout};
 pub use persist::{
     checkpoint_session, load_state, load_state_json, restore_session, save_state, save_state_json,
     SessionCheckpoint, SystemState,

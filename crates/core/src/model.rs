@@ -263,8 +263,13 @@ impl HierarchicalGnn {
     /// agree — always true for sessions of one engine, since structural
     /// adaptation replaces nodes one-for-one.
     ///
-    /// This is an inference path: the result is detached from the autograd
-    /// graph (adaptation gradients flow through the single-window path).
+    /// Differentiable: adaptation and training run through this
+    /// ([`DecisionModel::windows_logits`] stacks every distinct frame of an
+    /// SGD epoch or training step), and gradients reach `x0` and the layer
+    /// parameters. Per replica they equal the single-graph path's up to
+    /// summation order. [`HierarchicalGnn::forward`] stays the per-graph
+    /// oracle; [`HierarchicalGnn::forward_batch_infer`] is the serving
+    /// form.
     ///
     /// # Panics
     ///
@@ -599,67 +604,34 @@ impl DecisionModel {
     /// The frame-independent rows of one KG's `[|V|, embed_dim]` node-feature
     /// matrix: reasoning rows as the mean of their token rows in `rows`, the
     /// embedding-node row as the mission embedding. Built once per table
-    /// state and shared by every frame ([`NodeBlock::with_frame`] supplies
-    /// the sensor row).
+    /// state and shared by every frame ([`NodeBlock::stacked`] supplies the
+    /// sensor rows).
     ///
     /// # Panics
     ///
-    /// Panics if a layout row refers to a dead node or `rows` lacks a
-    /// reasoning node's token row.
+    /// Panics if a layout row refers to a dead node, the KG has a second
+    /// sensor node, or `rows` lacks a reasoning node's token row.
     pub fn node_block(&self, tkg: &TokenizedKg, layout: &KgLayout, rows: &TableRows) -> NodeBlock {
         let dim = self.config.embed_dim;
-        let mut parts: Vec<Option<Tensor>> = Vec::with_capacity(3);
-        let mut run: Vec<Tensor> = Vec::with_capacity(layout.node_count());
-        for &id in &layout.rows {
-            let node = tkg.kg.node(id).expect("layout row refers to live node");
-            match node.kind {
-                NodeKind::Sensor => {
-                    if !run.is_empty() {
-                        parts.push(Some(Tensor::concat_rows(&run)));
-                        run.clear();
-                    }
-                    parts.push(None);
-                }
-                NodeKind::Embedding => {
-                    run.push(Tensor::from_vec(tkg.mission_embedding.clone(), &[1, dim]));
-                }
-                NodeKind::Reasoning => {
-                    run.push(rows.mean_of(tkg.tokens_of(id).expect("reasoning node tokenized")));
-                }
-            }
-        }
-        if !run.is_empty() {
-            parts.push(Some(Tensor::concat_rows(&run)));
-        }
-        NodeBlock { parts }
-    }
-
-    /// Every KG's [`NodeBlock`] over one table state, in mission order.
-    fn node_blocks<'a>(
-        &self,
-        kgs: impl IntoIterator<Item = (&'a TokenizedKg, &'a KgLayout)>,
-        rows: &TableRows,
-    ) -> Vec<NodeBlock> {
-        kgs.into_iter().map(|(tkg, layout)| self.node_block(tkg, layout, rows)).collect()
-    }
-
-    /// The per-frame reasoning embedding `f_t` `[D]` from prebuilt node
-    /// blocks: each KG's GNN over its block with the frame in the sensor row,
-    /// outputs concatenated in mission order.
-    fn frame_reasoning(
-        &self,
-        blocks: &[NodeBlock],
-        layouts: &[&KgLayout],
-        frame: &[f32],
-    ) -> Tensor {
-        let parts: Vec<Tensor> = self
-            .gnns
+        let shared: Vec<Tensor> = layout
+            .rows
             .iter()
-            .zip(blocks)
-            .zip(layouts)
-            .map(|((gnn, block), layout)| gnn.forward(layout, &block.with_frame(frame)))
+            .enumerate()
+            .filter(|&(r, _)| r != layout.sensor_row)
+            .map(|(_, &id)| {
+                let node = tkg.kg.node(id).expect("layout row refers to live node");
+                match node.kind {
+                    NodeKind::Sensor => panic!("node_block: KG has more than one sensor node"),
+                    NodeKind::Embedding => {
+                        Tensor::from_vec(tkg.mission_embedding.clone(), &[1, dim])
+                    }
+                    NodeKind::Reasoning => {
+                        rows.mean_of(tkg.tokens_of(id).expect("reasoning node tokenized"))
+                    }
+                }
+            })
             .collect();
-        Tensor::concat_vecs(&parts)
+        NodeBlock { shared: Tensor::concat_rows(&shared), sensor_row: layout.sensor_row }
     }
 
     /// Computes the per-frame reasoning embedding `f_t` (concatenation of
@@ -679,7 +651,9 @@ impl DecisionModel {
     }
 
     /// [`DecisionModel::reasoning_embedding`] for every frame of a window,
-    /// over one table view and one node block per KG.
+    /// over one table view and one node block per KG: each KG's GNN runs
+    /// once per frame with the frame in the sensor row, outputs concatenated
+    /// in mission order.
     fn window_reasoning(
         &self,
         kgs: &[&TokenizedKg],
@@ -691,45 +665,21 @@ impl DecisionModel {
         assert_eq!(layouts.len(), self.gnns.len(), "layout count mismatch");
         let pairs = || kgs.iter().copied().zip(layouts.iter().copied());
         let rows = table.view_rows(TableRows::referenced(pairs()));
-        let blocks = self.node_blocks(pairs(), &rows);
-        frames.iter().map(|f| self.frame_reasoning(&blocks, layouts, f)).collect()
-    }
-
-    /// Differentiable decision logits `[windows.len(), n + 1]` for windows
-    /// drawn from a pool of distinct frames: each KG's node block is built
-    /// once from `rows`, each frame of `frames` runs through the GNNs once,
-    /// and window `w` runs the temporal model and head over the reasoning
-    /// embeddings of the frames `windows[w]` indexes (oldest first). Row `w`
-    /// is bit-identical to [`DecisionModel::logits`] over that window alone;
-    /// the gradient of a frame shared by several windows is summed before it
-    /// flows back through the GNNs once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `windows` is empty, a window is empty or indexes past
-    /// `frames`, or the KG/layout counts mismatch the model.
-    pub fn windows_logits(
-        &self,
-        kgs: &[TokenizedKg],
-        layouts: &[KgLayout],
-        rows: &TableRows,
-        frames: &[&[f32]],
-        windows: &[Vec<usize>],
-    ) -> Tensor {
-        assert_eq!(kgs.len(), self.gnns.len(), "KG count mismatch");
-        assert_eq!(layouts.len(), self.gnns.len(), "layout count mismatch");
-        let blocks = self.node_blocks(kgs.iter().zip(layouts), rows);
-        let layouts: Vec<&KgLayout> = layouts.iter().collect();
-        let reasoning: Vec<Tensor> =
-            frames.iter().map(|f| self.frame_reasoning(&blocks, &layouts, f)).collect();
-        let logits: Vec<Tensor> = windows
+        let blocks: Vec<NodeBlock> =
+            pairs().map(|(tkg, layout)| self.node_block(tkg, layout, &rows)).collect();
+        frames
             .iter()
-            .map(|w| {
-                let seq: Vec<Tensor> = w.iter().map(|&i| reasoning[i].clone()).collect();
-                self.logits(&self.temporal_embedding(&seq))
+            .map(|f| {
+                let parts: Vec<Tensor> = self
+                    .gnns
+                    .iter()
+                    .zip(&blocks)
+                    .zip(layouts)
+                    .map(|((gnn, block), layout)| gnn.forward(layout, &block.with_frame(f)))
+                    .collect();
+                Tensor::concat_vecs(&parts)
             })
-            .collect();
-        Tensor::concat_rows(&logits)
+            .collect()
     }
 
     /// Applies the temporal model to a window of per-frame reasoning
@@ -780,152 +730,64 @@ impl DecisionModel {
     }
 
     // ----------------------------------------------------------------
-    // Batched serving path: B windows through one forward per GNN layer
+    // Stacked autograd path: adaptation and training. Every window of an
+    // SGD epoch or a training step runs through one forward per layer —
+    // one stacked GNN pass per KG over the distinct frames, one temporal
+    // pass over all windows — and each logits row is bit-identical to the
+    // per-frame, per-window composition above (`reasoning_embedding` →
+    // `temporal_embedding` → `logits`, the oracle of
+    // tests/adapt_gradient.rs). Only gradient summation order differs.
     // ----------------------------------------------------------------
 
-    /// Stacked node features for `frames.len()` replicas of one KG:
-    /// `[F·|V|, embed_dim]`, replica `t` in rows `t·|V| .. (t+1)·|V|`. Row
-    /// values are computed with the same arithmetic as
-    /// [`DecisionModel::node_block`] (the reasoning rows via the ordered
-    /// token-mean of [`TokenTable::node_embedding_mean`]), so the stacked
-    /// matrix is the bit-exact concatenation of the per-frame matrices.
+    /// Differentiable decision logits `[windows.len(), n + 1]` for windows
+    /// drawn from a pool of distinct frames. Each KG's node block is built
+    /// once from `rows` and stacked under all `frames` as one
+    /// `[F·|V|, embed_dim]` matrix ([`NodeBlock::stacked`]), which runs
+    /// through [`HierarchicalGnn::forward_batch`] once; the per-frame
+    /// reasoning embeddings are gathered into the windows `windows[w]`
+    /// indexes (oldest first) and the temporal model and head run once over
+    /// all of them ([`TransformerEncoder::forward_last_grouped`]).
+    ///
+    /// Row `w` is bit-identical to [`DecisionModel::logits`] over that
+    /// window's [`DecisionModel::reasoning_embedding`]s alone. A frame
+    /// shared by several windows runs through the GNNs once, and its
+    /// gradient is summed before it flows back.
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is empty or a layout row refers to a dead node.
-    pub fn node_features_batch(
+    /// Panics if `windows` is empty, the windows are empty or of unequal
+    /// length, a window indexes past `frames`, a frame is not `embed_dim`
+    /// wide, or the KG/layout counts mismatch the model.
+    pub fn windows_logits(
         &self,
-        tkg: &TokenizedKg,
-        layout: &KgLayout,
-        table: &TokenTable,
+        kgs: &[TokenizedKg],
+        layouts: &[KgLayout],
+        rows: &TableRows,
         frames: &[&[f32]],
+        windows: &[Vec<usize>],
     ) -> Tensor {
-        assert!(!frames.is_empty(), "node_features_batch: no frames");
+        assert_eq!(kgs.len(), self.gnns.len(), "KG count mismatch");
+        assert_eq!(layouts.len(), self.gnns.len(), "layout count mismatch");
+        assert!(!windows.is_empty(), "windows_logits: no windows");
+        let t = windows[0].len();
+        assert!(t > 0, "windows_logits: empty window");
+        assert!(windows.iter().all(|w| w.len() == t), "windows_logits: unequal window lengths");
         let dim = self.config.embed_dim;
-        let v = layout.node_count();
-        let mut data = vec![0.0f32; frames.len() * v * dim];
-        // Non-sensor rows are frame-independent: compute each once, then
-        // copy into every replica (`None` marks the sensor row, which takes
-        // the replica's frame embedding).
-        let template: Vec<Option<Vec<f32>>> = layout
-            .rows
+        assert!(frames.iter().all(|f| f.len() == dim), "windows_logits: frame dim mismatch");
+        let frame_matrix = Tensor::from_vec(frames.concat(), &[frames.len(), dim]);
+        let per_kg: Vec<Tensor> = self
+            .gnns
             .iter()
-            .map(|&id| {
-                let node = tkg.kg.node(id).expect("layout row refers to live node");
-                match node.kind {
-                    NodeKind::Sensor => None,
-                    NodeKind::Embedding => Some(tkg.mission_embedding.clone()),
-                    NodeKind::Reasoning => {
-                        let tokens = tkg.tokens_of(id).expect("reasoning node tokenized");
-                        Some(table.node_embedding_mean(tokens))
-                    }
-                }
+            .zip(kgs.iter().zip(layouts))
+            .map(|(gnn, (tkg, layout))| {
+                let x0 = self.node_block(tkg, layout, rows).stacked(&frame_matrix);
+                gnn.forward_batch(&vec![layout; frames.len()], &x0)
             })
             .collect();
-        for (t, frame) in frames.iter().enumerate() {
-            assert_eq!(frame.len(), dim, "node_features_batch: frame dim mismatch");
-            let block = &mut data[t * v * dim..(t + 1) * v * dim];
-            for (r, row) in template.iter().enumerate() {
-                let out = &mut block[r * dim..(r + 1) * dim];
-                out.copy_from_slice(row.as_deref().unwrap_or(frame));
-            }
-        }
-        Tensor::from_vec(data, &[frames.len() * v, dim])
-    }
-
-    /// Per-item reasoning-embedding sequences for a cross-stream batch: each
-    /// returned tensor is the item's `[window, D]` sequence of per-frame
-    /// reasoning embeddings, computed with **one** stacked
-    /// [`HierarchicalGnn::forward_batch`] per mission KG across all items
-    /// and frames (one matmul per GNN layer instead of `B·window`).
-    ///
-    /// Bit-identical per item to mapping
-    /// [`DecisionModel::reasoning_embedding`] over its frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty, an item's KG/layout counts mismatch the
-    /// model, or an item's window is empty.
-    pub fn reasoning_embeddings_batch(&self, items: &[WindowBatchItem<'_>]) -> Vec<Tensor> {
-        assert!(!items.is_empty(), "reasoning_embeddings_batch: empty batch");
-        for item in items {
-            assert_eq!(item.kgs.len(), self.gnns.len(), "KG count mismatch");
-            assert_eq!(item.layouts.len(), self.gnns.len(), "layout count mismatch");
-            assert!(!item.window.is_empty(), "reasoning_embeddings_batch: empty window");
-        }
-        let mut per_kg: Vec<Tensor> = Vec::with_capacity(self.gnns.len());
-        for i in 0..self.gnns.len() {
-            let mut parts: Vec<Tensor> = Vec::with_capacity(items.len());
-            let mut layout_refs: Vec<&KgLayout> = Vec::new();
-            for item in items {
-                let frames: Vec<&[f32]> = item.window.iter().map(Vec::as_slice).collect();
-                parts.push(self.node_features_batch(
-                    &item.kgs[i],
-                    &item.layouts[i],
-                    item.table,
-                    &frames,
-                ));
-                layout_refs.extend(std::iter::repeat_n(&item.layouts[i], item.window.len()));
-            }
-            let x0 = Tensor::concat_rows(&parts);
-            per_kg.push(self.gnns[i].forward_batch(&layout_refs, &x0));
-        }
-        let joined = Tensor::concat_cols(&per_kg); // [Σ windows, D]
-        let mut out = Vec::with_capacity(items.len());
-        let mut offset = 0usize;
-        for item in items {
-            out.push(joined.slice_rows(offset, offset + item.window.len()));
-            offset += item.window.len();
-        }
-        out
-    }
-
-    /// Stacks per-item temporal embeddings into `[B, D]`: applies the
-    /// temporal model to each `[window, D]` sequence (attention stays
-    /// per-sequence — frames of different streams must never attend to each
-    /// other) and concatenates the last-frame outputs row-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seqs` is empty.
-    pub fn temporal_embedding_batch(&self, seqs: &[Tensor]) -> Tensor {
-        assert!(!seqs.is_empty(), "temporal_embedding_batch: empty batch");
-        let d = self.reasoning_dim();
-        let rows: Vec<Tensor> =
-            seqs.iter().map(|s| self.temporal.forward_last(s).reshape(&[1, d])).collect();
-        Tensor::concat_rows(&rows)
-    }
-
-    /// Decision logits `[B, n + 1]` for a `[B, D]` stack of temporal
-    /// embeddings — one head matmul for the whole batch. Each row is
-    /// bit-identical to [`DecisionModel::logits`] on that row alone (row
-    /// results of the matmul kernels are independent of the other rows).
-    pub fn logits_batch(&self, temporal_embeddings: &Tensor) -> Tensor {
-        self.head.forward(temporal_embeddings)
-    }
-
-    /// Batched full forward: per-item class probabilities for the last frame
-    /// of each window. Bit-identical per item to [`DecisionModel::predict`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty or shapes mismatch the model.
-    pub fn predict_batch(&self, items: &[WindowBatchItem<'_>]) -> Vec<Vec<f32>> {
-        let seqs = self.reasoning_embeddings_batch(items);
-        let temporal = self.temporal_embedding_batch(&seqs);
-        let probs = self.logits_batch(&temporal).softmax_rows().to_vec();
-        let c = self.n_classes();
-        probs.chunks(c).map(<[f32]>::to_vec).collect()
-    }
-
-    /// Batched anomaly scores `p_A = 1 − p_N`, one per item. Bit-identical
-    /// per item to [`DecisionModel::anomaly_score`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty or shapes mismatch the model.
-    pub fn anomaly_scores_batch(&self, items: &[WindowBatchItem<'_>]) -> Vec<f32> {
-        self.predict_batch(items).iter().map(|p| 1.0 - p[0]).collect()
+        let reasoning = Tensor::concat_cols(&per_kg); // [F, D]
+        let positions: Vec<usize> = windows.iter().flatten().copied().collect();
+        let seq = reasoning.index_select_rows(&positions); // [W·T, D]
+        self.head.forward(&self.temporal.forward_last_grouped(&seq, windows.len()))
     }
 
     // ----------------------------------------------------------------
@@ -935,12 +797,13 @@ impl DecisionModel {
     // the equivalence oracle (tests/infer_equivalence.rs).
     // ----------------------------------------------------------------
 
-    /// Inference-plane form of [`DecisionModel::node_features_batch`]:
-    /// stacked `[F·|V|, embed_dim]` node features for `frames.len()`
-    /// replicas of one KG, written into `out`. Frame-independent rows are
-    /// computed once into a workspace-leased template (reasoning rows via
+    /// Inference-plane form of [`NodeBlock::stacked`]: stacked
+    /// `[F·|V|, embed_dim]` node features for `frames.len()` replicas of one
+    /// KG, written into `out`. Frame-independent rows are computed once into
+    /// a workspace-leased template (reasoning rows via
     /// [`TokenTable::node_embedding_mean_into`] — the same arithmetic as the
-    /// autograd path) and copied per replica.
+    /// autograd path's [`DecisionModel::node_block`]) and copied per
+    /// replica.
     ///
     /// # Panics
     ///
@@ -987,11 +850,11 @@ impl DecisionModel {
 
     /// Inference-plane batched full forward: class probabilities for the
     /// last frame of each item's window, flattened `[B · (n + 1)]` into
-    /// `out` (cleared first). Mirrors [`DecisionModel::predict_batch`]
-    /// stage-for-stage — stacked GNN forward per mission KG, per-sequence
-    /// temporal model, one head matmul, fused row softmax — and is
-    /// **bit-identical per backend** to it (and therefore, via the PR 3
-    /// batched-equals-single contract, to [`DecisionModel::predict`]).
+    /// `out` (cleared first): a stacked GNN forward per mission KG
+    /// ([`HierarchicalGnn::forward_batch_infer`]), the temporal model per
+    /// sequence, one head matmul, a fused row softmax. Each item's row is
+    /// **bit-identical per backend** to [`DecisionModel::predict`] on that
+    /// window alone.
     ///
     /// # Panics
     ///
@@ -1057,7 +920,7 @@ impl DecisionModel {
             row0 += w;
         }
         // Head + softmax: one matmul over the whole batch, fused row
-        // softmax (scale 1, no mask) — exactly `logits_batch` +
+        // softmax (scale 1, no mask) — exactly the head's `forward` +
         // `softmax_rows`.
         let c = self.n_classes();
         let mut logits = ws.lease(b * c);
@@ -1073,7 +936,7 @@ impl DecisionModel {
     /// Inference-plane batched anomaly scores `p_A = 1 − p_N` into `out`
     /// (cleared first), one per item — the serving entry point behind
     /// `Engine::score_windows_batch`. Bit-identical per backend to
-    /// [`DecisionModel::anomaly_scores_batch`].
+    /// [`DecisionModel::anomaly_score`] on each window alone.
     ///
     /// # Panics
     ///
@@ -1095,8 +958,7 @@ impl DecisionModel {
 
     /// Inference-plane single-window anomaly score — a batch of one through
     /// [`DecisionModel::anomaly_scores_batch_infer`]. Bit-identical per
-    /// backend to [`DecisionModel::anomaly_score`] (single and batched
-    /// autograd paths agree bitwise by the PR 3 contract).
+    /// backend to [`DecisionModel::anomaly_score`].
     ///
     /// # Panics
     ///
@@ -1138,34 +1000,48 @@ impl DecisionModel {
 }
 
 /// The frame-independent rows of one KG's node-feature matrix (see
-/// [`DecisionModel::node_block`]): maximal runs of non-sensor rows in layout
-/// order, split at the sensor row.
+/// [`DecisionModel::node_block`]): every row but the sensor row, in layout
+/// order.
 #[derive(Debug, Clone)]
 pub struct NodeBlock {
-    /// Row runs in layout order; `None` marks the sensor row.
-    parts: Vec<Option<Tensor>>,
+    /// The non-sensor rows `[|V| − 1, embed_dim]`, in layout order.
+    shared: Tensor,
+    /// Where the frame goes in each replica.
+    sensor_row: usize,
 }
 
 impl NodeBlock {
     /// The `[|V|, embed_dim]` node-feature matrix `x0` for one frame: the
     /// shared rows with the frame embedding in the sensor row.
     pub fn with_frame(&self, frame: &[f32]) -> Tensor {
-        let parts: Vec<Tensor> = self
-            .parts
-            .iter()
-            .map(|part| match part {
-                Some(rows) => rows.clone(),
-                None => Tensor::from_vec(frame.to_vec(), &[1, frame.len()]),
+        self.stacked(&Tensor::from_vec(frame.to_vec(), &[1, frame.len()]))
+    }
+
+    /// The stacked `[F·|V|, embed_dim]` node features of `F` replicas, one
+    /// per row of the `[F, embed_dim]` frame matrix (replica `f` in rows
+    /// `f·|V| .. (f+1)·|V|`): one row gather over the shared rows and the
+    /// frames, so gradients reach both through a single op.
+    pub fn stacked(&self, frames: &Tensor) -> Tensor {
+        let s = self.shared.shape()[0];
+        let sensor = self.sensor_row;
+        let index: Vec<usize> = (0..frames.shape()[0])
+            .flat_map(|f| {
+                (0..=s).map(move |r| match r.cmp(&sensor) {
+                    std::cmp::Ordering::Less => r,
+                    std::cmp::Ordering::Equal => s + f,
+                    std::cmp::Ordering::Greater => r - 1,
+                })
             })
             .collect();
-        Tensor::concat_rows(&parts)
+        Tensor::concat_rows(&[self.shared.clone(), frames.clone()]).index_select_rows(&index)
     }
 }
 
-/// One window of a cross-stream *inference-plane* serving batch: the same
-/// adaptive state as [`WindowBatchItem`], but with the window as borrowed
-/// frame slices so callers (rolling windows, pre-pad paths) never clone
-/// embedding buffers just to score them.
+/// One window of a cross-stream *inference-plane* serving batch: the
+/// stream's adaptive state (its KGs, layouts, and token table — typically a
+/// session's) plus the window as borrowed frame slices, so callers (rolling
+/// windows, pre-pad paths) never clone embedding buffers just to score
+/// them.
 #[derive(Debug, Clone, Copy)]
 pub struct InferWindowItem<'a> {
     /// The stream's tokenized mission KGs.
@@ -1176,21 +1052,6 @@ pub struct InferWindowItem<'a> {
     pub table: &'a TokenTable,
     /// The window of frame embeddings, oldest first.
     pub window: &'a [&'a [f32]],
-}
-
-/// One window of a cross-stream serving batch: the stream's adaptive state
-/// (its KGs, layouts, and token table — typically a session's) plus the
-/// window of frame embeddings to score.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowBatchItem<'a> {
-    /// The stream's tokenized mission KGs.
-    pub kgs: &'a [TokenizedKg],
-    /// The stream's execution layouts (aligned with `kgs`).
-    pub layouts: &'a [KgLayout],
-    /// The stream's token-embedding table.
-    pub table: &'a TokenTable,
-    /// The window of frame embeddings, oldest first.
-    pub window: &'a [Vec<f32>],
 }
 
 impl Module for DecisionModel {

@@ -110,9 +110,10 @@ impl MissionSystem {
         self.engine.predict_window(&self.session, window)
     }
 
-    /// Differentiable logits for one window (used by training).
-    pub fn window_logits(&self, window: &[Vec<f32>]) -> akg_tensor::Tensor {
-        self.engine.window_logits(&self.session, window)
+    /// Differentiable logits, one row per equal-length window, in one
+    /// stacked forward (used by training; see [`Engine::windows_logits`]).
+    pub fn windows_logits(&self, windows: &[&[Vec<f32>]]) -> akg_tensor::Tensor {
+        self.engine.windows_logits(&self.session, windows)
     }
 
     /// Rebuilds the execution layout of KG `i` after structural change.
@@ -165,7 +166,7 @@ impl MissionSystem {
             heads: config.heads,
             temporal_layers: config.temporal_layers,
             classes: self.engine.model.n_classes(),
-            token_table_entries: self.session.table.vocab_len() * self.session.table.dim(),
+            adapted_token_entries: self.session.referenced_rows().len() * self.session.table.dim(),
         }
     }
 }
@@ -198,8 +199,9 @@ pub mod akg_cost_dims {
         pub temporal_layers: usize,
         /// Decision classes.
         pub classes: usize,
-        /// Token-table entries (rows × dim).
-        pub token_table_entries: usize,
+        /// Token-table entries one token update trains: the rows the KGs
+        /// reference × dim.
+        pub adapted_token_entries: usize,
     }
 }
 
@@ -284,6 +286,6 @@ mod tests {
         assert!(dims.nodes > 0);
         assert!(dims.edges > 0);
         assert_eq!(dims.kgs, 1);
-        assert!(dims.token_table_entries > 0);
+        assert!(dims.adapted_token_entries > 0);
     }
 }

@@ -10,7 +10,6 @@ use akg_data::Video;
 use akg_kg::AnomalyClass;
 use akg_tensor::nn::Module;
 use akg_tensor::optim::{AdamW, AdamWConfig, Optimizer};
-use akg_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -101,13 +100,10 @@ pub fn train_decision_model(
             relabel_weakly(sys, &mut batch, threshold, &missions);
         }
 
-        let mut logit_rows = Vec::with_capacity(batch.len());
-        let mut targets = Vec::with_capacity(batch.len());
-        for sample in &batch {
-            logit_rows.push(sys.window_logits(&sample.embeddings));
-            targets.push(sample.target);
-        }
-        let logits = Tensor::concat_rows(&logit_rows);
+        // One stacked forward for the whole step.
+        let windows: Vec<&[Vec<f32>]> = batch.iter().map(|s| s.embeddings.as_slice()).collect();
+        let targets: Vec<usize> = batch.iter().map(|s| s.target).collect();
+        let logits = sys.windows_logits(&windows);
         let loss = decision_loss_smoothed(&logits, &targets, smoothing, lambda_spa, lambda_smt);
         opt.zero_grad();
         loss.backward();

@@ -1,19 +1,24 @@
-//! The gradient oracle for the token update: the deduplicated node-block
-//! forward adaptation trains through (`DecisionModel::windows_logits` over a
-//! compact `TableRows` leaf, each distinct frame through the GNNs once) must
-//! give logits **bitwise** equal to stacking `Engine::window_logits` per
-//! window, and a table gradient equal to that per-window oracle's — row by
-//! row within 1e-5 relative on the rows the KGs reference, exactly zero on
-//! every other row — under Scalar and Simd.
+//! The gradient oracle for the token update: the stacked forward adaptation
+//! and training run through (`DecisionModel::windows_logits` over a compact
+//! `TableRows` leaf — one stacked GNN pass per KG over the distinct frames,
+//! one temporal pass over all windows) must give logits **bitwise** equal to
+//! the per-frame composed path (`DecisionModel::reasoning_embedding` per
+//! frame, then `temporal_embedding` and `logits` per window, over the
+//! unfrozen session table), and a table gradient equal to that oracle's —
+//! row by row within 1e-5 relative on the rows the KGs reference, exactly
+//! zero on every other row — under Scalar and Simd.
 //!
 //! Tests here flip the process-wide compute backend, so they follow the
 //! `BACKEND_LOCK` discipline of `tensor/tests/proptest_kernels.rs`.
 
 use akg_core::loss::decision_loss_smoothed;
+use akg_core::model::KgLayout;
 use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::tokenize::TokenizedKg;
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_tensor::backend::{backend, set_backend, Backend};
+use akg_tensor::ops::kernels::BLOCKED_DISPATCH_THRESHOLD;
 use akg_tensor::Tensor;
 use std::sync::{Mutex, MutexGuard};
 
@@ -40,7 +45,7 @@ const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Simd];
 /// Overlapping windows over a pool of 10 frames, oldest first: front-padded
 /// partial windows, shared frames, and one window selected twice (as an
 /// anomaly and as a normal can be).
-fn windows() -> Vec<Vec<usize>> {
+fn overlapping_windows() -> Vec<Vec<usize>> {
     vec![
         vec![0, 0, 1, 2],
         vec![0, 1, 2, 3],
@@ -51,51 +56,71 @@ fn windows() -> Vec<Vec<usize>> {
     ]
 }
 
-fn targets() -> Vec<usize> {
-    vec![1, 1, 0, 0, 1, 0]
+/// Enough distinct frames that the stacked input layer's matmul
+/// (`F·|V| × embed_dim × gnn_dim` flops) reaches the blocked-kernel
+/// dispatch threshold, so the blocked ≡ in-order kernel claim is exercised
+/// through autograd; one window per run of `window` frames, plus windows
+/// that straddle two runs.
+fn threshold_crossing_windows(sys: &MissionSystem) -> Vec<Vec<usize>> {
+    let cfg = sys.engine.model.config();
+    let v = sys.session.layouts[0].node_count();
+    let frames = BLOCKED_DISPATCH_THRESHOLD.div_ceil(v * cfg.embed_dim * cfg.gnn_dim);
+    let t = cfg.window;
+    let runs = frames.div_ceil(t);
+    assert!(runs * t * v * cfg.embed_dim * cfg.gnn_dim >= BLOCKED_DISPATCH_THRESHOLD);
+    let mut windows: Vec<Vec<usize>> = (0..runs).map(|r| (r * t..(r + 1) * t).collect()).collect();
+    windows.extend((0..runs - 1).step_by(7).map(|r| (r * t + t / 2..r * t + t / 2 + t).collect()));
+    windows
+}
+
+fn targets(n: usize) -> Vec<usize> {
+    (0..n).map(|i| [1, 1, 0, 0, 1, 0][i % 6]).collect()
 }
 
 fn loss(logits: &Tensor, sys: &MissionSystem) -> Tensor {
     let cfg = sys.engine.model.config();
-    decision_loss_smoothed(logits, &targets(), cfg.label_smoothing, cfg.lambda_spa, cfg.lambda_smt)
+    let targets = targets(logits.shape()[0]);
+    decision_loss_smoothed(logits, &targets, cfg.label_smoothing, cfg.lambda_spa, cfg.lambda_smt)
 }
 
-fn check(b: Backend) {
-    let mut sys = MissionSystem::build(
-        &[AnomalyClass::Stealing],
-        &SystemConfig { seed: 5, backend: b, ..Default::default() },
-    );
-    sys.set_adaptation_mode(true);
-    let ds = SyntheticUcfCrime::generate(
-        DatasetConfig::scaled(0.015)
-            .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
-            .with_seed(77),
-    );
-    let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 3);
-    let pool: Vec<Vec<f32>> = (0..10).map(|_| sys.embed_frame(&stream.next_frame().0)).collect();
-    let frames: Vec<&[f32]> = pool.iter().map(Vec::as_slice).collect();
-    let windows = windows();
-
-    // the oracle: one window at a time, gradients into the full table
-    let per_window: Vec<Tensor> = windows
+/// The per-frame composed path: every frame of every window through the
+/// GNNs on its own (gradients into the full session table), then the
+/// temporal model and head per window.
+fn oracle_logits(sys: &MissionSystem, pool: &[Vec<f32>], windows: &[Vec<usize>]) -> Tensor {
+    let session = &sys.session;
+    let model = &sys.engine.model;
+    let kgs: Vec<&TokenizedKg> = session.kgs.iter().collect();
+    let layouts: Vec<&KgLayout> = session.layouts.iter().collect();
+    let rows: Vec<Tensor> = windows
         .iter()
         .map(|w| {
-            let window: Vec<Vec<f32>> = w.iter().map(|&i| pool[i].clone()).collect();
-            sys.window_logits(&window)
+            let seq: Vec<Tensor> = w
+                .iter()
+                .map(|&i| model.reasoning_embedding(&kgs, &layouts, &session.table, &pool[i]))
+                .collect();
+            model.logits(&model.temporal_embedding(&seq))
         })
         .collect();
-    let oracle_logits = Tensor::concat_rows(&per_window);
-    loss(&oracle_logits, &sys).backward();
-    let oracle_grad = sys.session.table.param().grad().expect("oracle table got no gradient");
+    Tensor::concat_rows(&rows)
+}
+
+fn check(b: Backend, sys: &MissionSystem, pool: &[Vec<f32>], windows: &[Vec<usize>]) {
+    let table = sys.session.table.param();
+    table.zero_grad();
+    let oracle = oracle_logits(sys, pool, windows);
+    loss(&oracle, sys).backward();
+    let oracle_grad = table.grad().expect("oracle table got no gradient");
 
     // the token update's path: one compact leaf, each frame once
     let session = &sys.session;
     let rows = session.table.leaf_rows(session.referenced_rows());
+    let used = windows.iter().flatten().max().map_or(0, |&i| i + 1);
+    let frames: Vec<&[f32]> = pool[..used].iter().map(Vec::as_slice).collect();
     let logits =
-        sys.engine.model.windows_logits(&session.kgs, &session.layouts, &rows, &frames, &windows);
+        sys.engine.model.windows_logits(&session.kgs, &session.layouts, &rows, &frames, windows);
     let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&logits), bits(&oracle_logits), "{b:?}: logits not bitwise equal");
-    loss(&logits, &sys).backward();
+    assert_eq!(bits(&logits), bits(&oracle), "{b:?}: logits not bitwise equal");
+    loss(&logits, sys).backward();
     let grad = rows.values().grad().expect("compact leaf got no gradient");
 
     let dim = session.table.dim();
@@ -127,7 +152,25 @@ fn check(b: Backend) {
 #[test]
 fn deduplicated_node_block_forward_matches_per_window_oracle() {
     let _guard = lock_backend();
+    let ds = SyntheticUcfCrime::generate(
+        DatasetConfig::scaled(0.015)
+            .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
+            .with_seed(77),
+    );
     for b in BACKENDS {
-        with_backend(b, || check(b));
+        with_backend(b, || {
+            let mut sys = MissionSystem::build(
+                &[AnomalyClass::Stealing],
+                &SystemConfig { seed: 5, backend: b, ..Default::default() },
+            );
+            sys.set_adaptation_mode(true);
+            let large = threshold_crossing_windows(&sys);
+            let pool_len = large.iter().flatten().max().unwrap() + 1;
+            let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 3);
+            let pool: Vec<Vec<f32>> =
+                (0..pool_len).map(|_| sys.embed_frame(&stream.next_frame().0)).collect();
+            check(b, &sys, &pool, &overlapping_windows());
+            check(b, &sys, &pool, &large);
+        });
     }
 }

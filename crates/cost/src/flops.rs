@@ -115,14 +115,24 @@ impl ModelDims {
         self.gnn_forward_flops() + self.temporal_forward_flops() + self.decision_flops()
     }
 
-    /// FLOPs of one adaptation step over `batch` pseudo-labelled frames:
-    /// forward + backward (≈ 2× forward) + the token-embedding update
-    /// (only the KG token table is touched, so the optimizer cost is the
-    /// table size, not the model size).
-    pub fn adaptation_step_flops(&self, batch: usize, token_table_entries: usize) -> u64 {
-        let fw = self.inference_flops() * batch as u64;
+    /// FLOPs of one token-update SGD step (one epoch of a trigger) as the
+    /// adapter runs it. The stacked forward runs each of the
+    /// `distinct_frames` buffered frames through the GNNs once, and the
+    /// temporal model and head once per pseudo-labelled window; the
+    /// backward costs ≈ 2× the forward. The update is plain SGD with
+    /// gradient-norm clipping on the `sgd_entries` (= `r × dim`) entries of
+    /// the `r` token rows the KGs reference; no other table row is touched.
+    pub fn adaptation_step_flops(
+        &self,
+        distinct_frames: usize,
+        windows: usize,
+        sgd_entries: usize,
+    ) -> u64 {
+        let fw = self.gnn_forward_flops() * distinct_frames as u64
+            + (self.temporal_forward_flops() + self.decision_flops()) * windows as u64;
         let bw = 2 * fw;
-        let update = 10 * token_table_entries as u64; // AdamW per-entry ops
+        // clip: square + accumulate + rescale; SGD: scale + subtract
+        let update = 5 * sgd_entries as u64;
         fw + bw + update
     }
 
@@ -178,8 +188,23 @@ mod tests {
     #[test]
     fn adaptation_dominated_by_backward() {
         let d = dims();
-        let step = d.adaptation_step_flops(4, 1000);
-        assert!(step >= 3 * d.inference_flops() * 4);
+        let forward =
+            10 * d.gnn_forward_flops() + 4 * (d.temporal_forward_flops() + d.decision_flops());
+        assert!(d.adaptation_step_flops(10, 4, 96) >= 3 * forward);
+    }
+
+    #[test]
+    fn adaptation_terms_scale_with_their_own_input() {
+        let d = dims();
+        let base = d.adaptation_step_flops(10, 4, 96);
+        // GNN work per distinct frame, temporal + head per window, SGD per
+        // referenced entry — each forward term paid once more by backward
+        assert_eq!(d.adaptation_step_flops(11, 4, 96) - base, 3 * d.gnn_forward_flops());
+        assert_eq!(
+            d.adaptation_step_flops(10, 5, 96) - base,
+            3 * (d.temporal_forward_flops() + d.decision_flops())
+        );
+        assert_eq!(d.adaptation_step_flops(10, 4, 97) - base, 5);
     }
 
     #[test]
@@ -187,7 +212,7 @@ mod tests {
         // the headline claim: daily edge adaptation ~1e9 FLOPs, i.e. far
         // below one cloud KG regeneration at 1e15
         let d = dims();
-        let daily = d.adaptation_step_flops(16, 2000);
+        let daily = 2 * d.adaptation_step_flops(64, 18, 12 * 64);
         assert!(daily < 1_000_000_000_000, "daily adaptation {daily} FLOPs");
     }
 

@@ -58,26 +58,64 @@ impl MultiHeadAttention {
     ///
     /// Panics if the input is not 2-D.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.forward_grouped(x, 1)
+    }
+
+    /// Self-attention over `windows` equal-length sequences stacked into one
+    /// `[windows · T, D]` matrix (sequence `w` in rows `w·T .. (w+1)·T`).
+    /// The Q/K/V and output projections each run once over all rows;
+    /// attention runs per sequence, so rows of different sequences never
+    /// attend to each other. Each sequence's rows are bit-identical to
+    /// [`MultiHeadAttention::forward`] on that sequence alone (projection
+    /// rows are independent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 2-D or its rows do not split into
+    /// `windows` sequences.
+    pub fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 2, "MultiHeadAttention: expected [T, D] input");
-        let t = s[0];
-        let dk = self.inner_dim / self.heads;
+        assert!(
+            windows > 0 && s[0].is_multiple_of(windows),
+            "MultiHeadAttention: {} rows do not split into {windows} sequences",
+            s[0]
+        );
+        let t = s[0] / windows;
         let q = self.wq.forward(x);
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
-        let scale = 1.0 / (dk as f32).sqrt();
         let mask = if self.causal { Some(causal_mask(t)) } else { None };
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let (lo, hi) = (h * dk, (h + 1) * dk);
-            let qh = q.slice_cols(lo, hi);
-            let kh = k.slice_cols(lo, hi);
-            let vh = v.slice_cols(lo, hi);
-            let attn = qh.matmul_t(&kh).softmax_rows_scaled_masked(scale, mask.as_deref());
-            head_outputs.push(attn.matmul(&vh));
-        }
-        let joined = Tensor::concat_cols(&head_outputs);
-        self.wo.forward(&joined)
+        let parts: Vec<Tensor> = (0..windows)
+            .map(|w| {
+                let (lo, hi) = (w * t, (w + 1) * t);
+                self.attend(
+                    &q.slice_rows(lo, hi),
+                    &k.slice_rows(lo, hi),
+                    &v.slice_rows(lo, hi),
+                    mask.as_deref(),
+                )
+            })
+            .collect();
+        self.wo.forward(&Tensor::concat_rows(&parts))
+    }
+
+    /// Multi-head attention of one sequence's projected `[T, inner]`
+    /// queries, keys and values; heads joined column-wise.
+    fn attend(&self, q: &Tensor, k: &Tensor, v: &Tensor, mask: Option<&[f32]>) -> Tensor {
+        let dk = self.inner_dim / self.heads;
+        let scale = 1.0 / (dk as f32).sqrt();
+        let head_outputs: Vec<Tensor> = (0..self.heads)
+            .map(|h| {
+                let (lo, hi) = (h * dk, (h + 1) * dk);
+                let attn = q
+                    .slice_cols(lo, hi)
+                    .matmul_t(&k.slice_cols(lo, hi))
+                    .softmax_rows_scaled_masked(scale, mask);
+                attn.matmul(&v.slice_cols(lo, hi))
+            })
+            .collect();
+        Tensor::concat_cols(&head_outputs)
     }
 
     /// Inference-plane forward: self-attention over the raw `[t, d_model]`
@@ -221,7 +259,16 @@ impl TransformerEncoderLayer {
 
     /// Applies the layer to `[T, D]`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let h = x.add(&self.attn.forward(&self.ln1.forward(x)));
+        self.forward_grouped(x, 1)
+    }
+
+    /// Applies the layer to `windows` equal-length sequences stacked into
+    /// `[windows · T, D]`: the layer norms, projections and feed-forward run
+    /// once over all rows, attention per sequence
+    /// ([`MultiHeadAttention::forward_grouped`]). Bit-identical per sequence
+    /// to [`TransformerEncoderLayer::forward`].
+    pub fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
+        let h = x.add(&self.attn.forward_grouped(&self.ln1.forward(x), windows));
         h.add(&self.ffn.forward(&self.ln2.forward(&h)))
     }
 
@@ -304,17 +351,44 @@ impl TransformerEncoder {
 
     /// Full sequence output `[T, D]`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.forward_grouped(x, 1)
+    }
+
+    /// Full output for `windows` equal-length sequences stacked into
+    /// `[windows · T, D]` (see [`TransformerEncoderLayer::forward_grouped`]).
+    fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
         let mut h = x.clone();
         for layer in &self.layers {
-            h = layer.forward(&h);
+            h = layer.forward_grouped(&h, windows);
         }
         h
     }
 
     /// The last time step's output as a 1-D `[D]` vector.
     pub fn forward_last(&self, x: &Tensor) -> Tensor {
-        let t = x.shape()[0];
-        self.forward(x).slice_rows(t - 1, t).flatten()
+        self.forward_last_grouped(x, 1).flatten()
+    }
+
+    /// The last time step of each of `windows` equal-length sequences
+    /// stacked into `[windows · T, D]`, as a `[windows, D]` matrix. Row `w`
+    /// is bit-identical to [`TransformerEncoder::forward_last`] on sequence
+    /// `w` alone: every row-wise op runs once over all `windows · T` rows,
+    /// attention per sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not 2-D, is empty, or its rows do not split into
+    /// `windows` sequences.
+    pub fn forward_last_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
+        let rows = x.shape()[0];
+        assert!(rows > 0, "TransformerEncoder: empty sequence");
+        assert!(
+            windows > 0 && rows.is_multiple_of(windows),
+            "TransformerEncoder: {rows} rows do not split into {windows} sequences"
+        );
+        let t = rows / windows;
+        let last: Vec<usize> = (1..=windows).map(|w| w * t - 1).collect();
+        self.forward_grouped(x, windows).index_select_rows(&last)
     }
 
     /// Inference-plane form of [`TransformerEncoder::forward_last`]: runs
@@ -471,6 +545,22 @@ mod tests {
         let mut out = vec![0.0f32; t * d];
         mha.forward_infer(&data, t, &mut out, &mut ws);
         assert_eq!(out, reference, "inference attention diverged from the autograd attention");
+    }
+
+    #[test]
+    fn grouped_encoder_matches_per_sequence_bitwise() {
+        let _guard = crate::backend::test_lock();
+        let mut rng = StdRng::seed_from_u64(7);
+        let (w, t, d) = (3, 4, 8);
+        let enc = TransformerEncoder::new(d, 16, 4, 2, &mut rng);
+        let data: Vec<f32> = (0..w * t * d).map(|i| ((i * 11 % 29) as f32 - 14.0) * 0.05).collect();
+        let grouped = enc.forward_last_grouped(&Tensor::from_vec(data.clone(), &[w * t, d]), w);
+        assert_eq!(grouped.shape(), vec![w, d]);
+        let grouped = grouped.to_vec();
+        for (i, seq) in data.chunks_exact(t * d).enumerate() {
+            let solo = enc.forward_last(&Tensor::from_vec(seq.to_vec(), &[t, d])).to_vec();
+            assert_eq!(&grouped[i * d..(i + 1) * d], &solo[..], "sequence {i} diverged");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! and [`LayerNorm`] (the temporal transformer's normalizer).
 
 use crate::nn::Module;
+use crate::ops::simd;
 use crate::tensor::Tensor;
 
 /// Batch normalization over the rows of an `[m, n]` input (per-feature
@@ -112,19 +113,25 @@ impl BatchNorm1d {
         centered.mul_bias(&inv_std).mul_bias(&self.gamma).add_bias(&self.beta)
     }
 
-    /// Grouped instance normalization for batched serving: the input is
-    /// `groups` independent row-blocks of equal height stacked into one
-    /// `[groups * rows, features]` matrix (e.g. one KG's node rows replicated
-    /// per frame of a serving batch), and each block is normalized with *its
-    /// own* batch statistics.
+    /// Grouped instance normalization: the input is `groups` independent
+    /// row-blocks of equal height stacked into one `[groups * rows,
+    /// features]` matrix (one KG's node rows replicated per frame of a
+    /// batch), and each block is normalized with *its own* batch
+    /// statistics.
     ///
     /// Bit-identical per block to calling [`BatchNorm1d::forward_instance`]
-    /// on that block alone: the mean, variance, and normalization are
-    /// evaluated with the same operations in the same accumulation order
-    /// (rows ascending, `sum * (1/m)`, `1 / sqrt(var + eps)`), so a batched
-    /// forward produces exactly the per-stream numbers the unbatched path
-    /// produces. The result is a detached tensor — this is an inference path
-    /// and records no gradients.
+    /// on that block alone: the forward is the shared raw body
+    /// ([`instance_norm_grouped_into`](crate::inference::instance_norm_grouped_into))
+    /// the inference plane also runs, which evaluates mean, variance and
+    /// normalization with the same operations in the same accumulation
+    /// order (rows ascending, `sum * (1/m)`, `1 / sqrt(var + eps)`).
+    ///
+    /// Differentiable: when `x`, `gamma` or `beta` is tracked the op records
+    /// one fused analytic backward (per block, the batch-norm Jacobian over
+    /// that block's rows; `gamma`/`beta` gradients summed over all blocks),
+    /// capturing only the input. Untracked calls capture nothing.
+    /// [`BatchNorm1d::forward_instance`] stays the composed single-block
+    /// oracle: per block the gradients agree up to summation order.
     ///
     /// # Panics
     ///
@@ -158,7 +165,18 @@ impl BatchNorm1d {
                 &mut inv_std,
             )
         });
-        Tensor::from_vec(out, &s)
+        if !(x.is_tracked() || self.gamma.is_tracked() || self.beta.is_tracked()) {
+            return Tensor::from_vec(out, &s);
+        }
+        let input = x.to_vec();
+        let gamma = self.gamma.to_vec();
+        let eps = self.eps;
+        Tensor::from_op(
+            out,
+            &s,
+            vec![x.clone(), self.gamma.clone(), self.beta.clone()],
+            Box::new(move |g| grouped_instance_norm_backward(g, &input, groups, n, &gamma, eps)),
+        )
     }
 
     /// Inference-plane grouped instance normalization: the shared raw body
@@ -240,6 +258,64 @@ impl Module for BatchNorm1d {
     fn set_train(&mut self, train: bool) {
         self.training = train;
     }
+}
+
+/// The fused backward of [`BatchNorm1d::forward_instance_grouped`]: for
+/// each block of `m` rows, with `x̂` the block normalized to zero mean and
+/// unit variance and `s_g = Σ_r g`, `s_gx = Σ_r g·x̂` per feature,
+/// `dx = γ/σ · (g − s_g/m − x̂·s_gx/m)`; `dγ = Σ s_gx` and `dβ = Σ s_g` over
+/// all blocks. `x̂` and `1/σ` come from the shared forward body with unit
+/// scale and zero shift, so the statistics are the forward's own.
+fn grouped_instance_norm_backward(
+    g: &[f32],
+    x: &[f32],
+    groups: usize,
+    n: usize,
+    gamma: &[f32],
+    eps: f32,
+) -> Vec<Vec<f32>> {
+    let m = x.len() / (groups * n);
+    let inv_m = 1.0 / m as f32;
+    let (ones, zeros) = (vec![1.0f32; n], vec![0.0f32; n]);
+    let (mut mean, mut var, mut inv_std) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
+    let mut xhat = vec![0.0f32; m * n];
+    let mut dx = vec![0.0f32; x.len()];
+    let mut dgamma = vec![0.0f32; n];
+    let mut dbeta = vec![0.0f32; n];
+    let (mut sg, mut sgx) = (vec![0.0f32; n], vec![0.0f32; n]);
+    for b in 0..groups {
+        let block = b * m * n..(b + 1) * m * n;
+        crate::inference::instance_norm_grouped_into(
+            &mut xhat,
+            &x[block.clone()],
+            1,
+            n,
+            &ones,
+            &zeros,
+            eps,
+            &mut mean,
+            &mut var,
+            &mut inv_std,
+        );
+        let gb = &g[block.clone()];
+        sg.fill(0.0);
+        sgx.fill(0.0);
+        for (gr, xr) in gb.chunks_exact(n).zip(xhat.chunks_exact(n)) {
+            simd::vadd_assign(&mut sg, gr);
+            simd::add_prod_assign(&mut sgx, gr, xr);
+        }
+        simd::vadd_assign(&mut dbeta, &sg);
+        simd::vadd_assign(&mut dgamma, &sgx);
+        for ((dr, gr), xr) in
+            dx[block].chunks_exact_mut(n).zip(gb.chunks_exact(n)).zip(xhat.chunks_exact(n))
+        {
+            for c in 0..n {
+                let centered = gr[c] - sg[c] * inv_m - xr[c] * sgx[c] * inv_m;
+                dr[c] = gamma[c] * inv_std[c] * centered;
+            }
+        }
+    }
+    vec![dx, dgamma, dbeta]
 }
 
 /// Layer normalization across the columns of each row of an `[m, n]` input.
@@ -389,6 +465,110 @@ mod tests {
             let solo = bn.forward_instance(&block).to_vec();
             assert_eq!(&grouped[g * 12..(g + 1) * 12], &solo[..], "group {g} not bit-identical");
         }
+    }
+
+    /// A layer with non-trivial `gamma`/`beta`, so their gradients and the
+    /// `gamma` factor of `dx` are exercised.
+    fn scaled_norm(features: usize) -> BatchNorm1d {
+        let bn = BatchNorm1d::new(features);
+        let params = bn.params();
+        params[0]
+            .update_data(|g| g.iter_mut().enumerate().for_each(|(c, v)| *v = 1.3 - 0.4 * c as f32));
+        params[1]
+            .update_data(|b| b.iter_mut().enumerate().for_each(|(c, v)| *v = 0.2 * c as f32 - 0.1));
+        bn
+    }
+
+    /// Stacked `groups × 4` rows of 3 features, every block at its own
+    /// scale and offset.
+    fn grouped_input(groups: usize) -> Vec<f32> {
+        (0..groups * 12)
+            .map(|i| {
+                let block = (i / 12) as f32;
+                (i as f32 * 0.61).sin() * (1.0 + block) + 3.0 * block
+            })
+            .collect()
+    }
+
+    /// An upstream gradient that is not constant per column (a plain
+    /// `sum_all` would give `dx = 0` through a normalization).
+    fn weighted_loss(y: &Tensor) -> Tensor {
+        let w: Vec<f32> = (0..y.numel()).map(|i| (i as f32 * 0.37).cos()).collect();
+        y.mul(&Tensor::from_vec(w, &y.shape())).square().sum_all()
+    }
+
+    #[test]
+    fn grouped_backward_matches_finite_differences() {
+        use crate::gradcheck::gradcheck;
+        for groups in [1, 3] {
+            let bn = scaled_norm(3);
+            let x = Tensor::from_vec(grouped_input(groups), &[groups * 4, 3]).requires_grad(true);
+            let params = bn.params();
+            let report = gradcheck(
+                &[x, params[0].clone(), params[1].clone()],
+                |ls| weighted_loss(&bn.forward_instance_grouped(&ls[0], groups)),
+                1e-2,
+            );
+            assert!(report.passes(2e-2), "groups {groups}: max rel error {}", report.max_rel_error);
+        }
+    }
+
+    /// `‖a − b‖ ≤ 1e-5 · ‖b‖`.
+    fn assert_close(a: &[f32], b: &[f32], what: &str) {
+        let diff = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>().sqrt();
+        let norm = b.iter().map(|v| v * v).sum::<f32>().sqrt();
+        assert!(diff <= 1e-5 * norm, "{what}: off by {diff} (norm {norm})");
+    }
+
+    #[test]
+    fn grouped_backward_matches_composed_per_block() {
+        use crate::backend::{backend, set_backend, Backend};
+        let _guard = crate::backend::test_lock();
+        let prev = backend();
+        let groups = 3;
+        let data = grouped_input(groups);
+        for b in [Backend::Scalar, Backend::Simd] {
+            set_backend(b);
+            // fused: one op over the stacked blocks
+            let fused_bn = scaled_norm(3);
+            let x = Tensor::from_vec(data.clone(), &[groups * 4, 3]).requires_grad(true);
+            weighted_loss(&fused_bn.forward_instance_grouped(&x, groups)).backward();
+            // composed: each block through `forward_instance`, rejoined so
+            // the loss sees the same upstream weights
+            let composed_bn = scaled_norm(3);
+            let blocks: Vec<Tensor> = data
+                .chunks_exact(12)
+                .map(|blk| Tensor::from_vec(blk.to_vec(), &[4, 3]).requires_grad(true))
+                .collect();
+            let outs: Vec<Tensor> =
+                blocks.iter().map(|blk| composed_bn.forward_instance(blk)).collect();
+            weighted_loss(&Tensor::concat_rows(&outs)).backward();
+
+            let dx = x.grad().expect("stacked input got no gradient");
+            for (g, blk) in blocks.iter().enumerate() {
+                let want = blk.grad().expect("block got no gradient");
+                assert_close(&dx[g * 12..(g + 1) * 12], &want, &format!("{b:?} dx block {g}"));
+            }
+            for (fused, composed) in fused_bn.params().iter().zip(composed_bn.params()) {
+                assert_close(
+                    &fused.grad().unwrap(),
+                    &composed.grad().unwrap(),
+                    &format!("{b:?} dparam"),
+                );
+            }
+        }
+        set_backend(prev);
+    }
+
+    #[test]
+    fn grouped_untracked_input_records_no_backward() {
+        let bn = BatchNorm1d::new(3);
+        bn.set_frozen(true);
+        let y = bn.forward_instance_grouped(&Tensor::from_vec(grouped_input(2), &[8, 3]), 2);
+        assert!(!y.is_tracked());
+        // a tracked input is enough to record the op, even with frozen params
+        let x = Tensor::from_vec(grouped_input(2), &[8, 3]).requires_grad(true);
+        assert!(bn.forward_instance_grouped(&x, 2).is_tracked());
     }
 
     #[test]

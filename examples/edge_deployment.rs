@@ -80,9 +80,17 @@ fn main() {
     println!("  inference: {} FLOPs per frame window", dims.inference_flops());
 
     let adapt = AdaptConfig::default();
-    let batch = 3 * adapt.max_k;
-    let per_day = dims.adaptation_step_flops(batch, d.token_table_entries);
-    println!("  one daily adaptation loop: {per_day} FLOPs (batch {batch})");
+    // One trigger: K pseudo-anomaly + 2K pseudo-normal windows over the
+    // buffer, each distinct buffered frame through the GNNs once per epoch.
+    let windows = 3 * adapt.max_k;
+    let frames = (windows * dims.window).min(adapt.n_window);
+    let per_day = adapt.epochs_per_trigger as u64
+        * dims.adaptation_step_flops(frames, windows, d.adapted_token_entries);
+    println!(
+        "  one daily adaptation loop: {per_day} FLOPs ({} epochs over {windows} windows, \
+         {frames} frames, {} token entries)",
+        adapt.epochs_per_trigger, d.adapted_token_entries
+    );
 
     let device = EdgeDevice::default();
     println!(
