@@ -1,13 +1,10 @@
-//! The perf trajectory harness: times the `akg-tensor` hot-path kernels, an
-//! end-to-end adaptation stream, and the multi-stream serving runtime, then
-//! emits `BENCH_tensor.json` and `BENCH_serve.json` — the machine-readable
-//! records every PR's numbers are compared against (see
-//! `docs/PERFORMANCE.md` for how to read them).
+//! The kernel perf harness: times the `akg-tensor` hot-path kernels (the
+//! matmul family, the int8 matmul, fused softmax/layernorm, and the GNN
+//! gather/scatter ops) and emits `BENCH_tensor.json`, the op-level record
+//! (see `docs/PERFORMANCE.md` for how to read it). End-to-end serving is
+//! measured by `perfbench/`, the benchmark of record.
 //!
-//! Usage: `perf [--smoke] [--threads N] [--backend B] [--precision P]
-//! [--streams N] [--shards N] [--sessions N] [--alloc-stats]
-//! [--load PATTERN] [--faults] [--slo-out PATH] [--out PATH]
-//! [--serve-out PATH]`
+//! Usage: `perf [--smoke] [--threads N] [--backend B] [--out PATH]`
 //!
 //! - `--smoke`: tiny sizes and iteration counts (seconds, for CI) instead of
 //!   the full measurement sizes. Smoke output is for validating the harness
@@ -15,141 +12,20 @@
 //! - `--threads N`: pin the kernel thread pool (default: auto).
 //! - `--backend B`: `scalar`, `simd`, or `auto` (default) — the kernel
 //!   compute backend. The resolved backend and the host's detected CPU
-//!   features are recorded in both JSON reports, so trajectory diffs always
-//!   say which instruction set produced them.
-//! - `--precision P`: `f32` (default) or `int8` — the serving-plane weight
-//!   precision every benched engine is built at. `int8` pre-quantizes the
-//!   decision-model weight matrices (per-row-scaled symmetric int8) and
-//!   serves through the integer matmul kernels; training and adaptation
-//!   stay f32 either way. On SIMD hosts the int8 256-cubed matmul must beat
-//!   the f32 blocked kernel — the harness exits non-zero otherwise (the CI
-//!   quantization speed gate; both sizes are measured even in smoke mode).
-//! - `--streams N`: cap on the serving-bench stream counts (default 16; the
-//!   bench measures 1, 4, and 16 streams up to this cap).
-//! - `--shards N`: cap on the sharded-scaling sweep (default 4; the bench
-//!   measures shard counts 1, 2, 4, and 8 up to this cap, all serving the
-//!   same 16-stream deployment). Each point lands in the schema v4
-//!   `scaling` array; `speedup_vs_one_shard` only exceeds 1 on multi-core
-//!   hosts — the recorded `cores` field says what the host had.
-//! - `--alloc-stats`: measure steady-state serving allocations through the
-//!   process-wide counting allocator and record them in `BENCH_serve.json`
-//!   (`alloc` object). Exits non-zero if the scoring data plane exceeds
-//!   [`ALLOC_BUDGET_PER_FRAME`] allocations per frame — the CI regression
-//!   gate for the allocation-free inference path.
-//! - `--load PATTERN`: restrict the loaded-latency sweep to one arrival
-//!   pattern (`poisson`, `bursty`, or `ramp`). By default the sweep runs
-//!   `poisson` and `bursty`; each pattern is measured at 1 shard
-//!   (single-node) and 2 shards, and every cell lands in the schema v5
-//!   `latency` array of `BENCH_serve.json`. Two hard gates run on every
-//!   cell regardless of mode: the frame ledger must balance exactly (no
-//!   silently dropped frame) and the wait-tick histogram must be populated
-//!   — either failure exits non-zero, the CI regression gate for the
-//!   latency-SLO harness.
-//! - `--faults`: run the recovery cell — a seeded chaos plan (worker
-//!   crashes + frame corruption, plus one scripted crash so the cell is
-//!   never vacuous) drives a 2-shard loaded deployment through the
-//!   supervisor's checkpoint/replay recovery path. The measured recovery
-//!   metrics land in the schema v7 `recovery` object of
-//!   `BENCH_serve.json`: recovery count and replay volume,
-//!   checkpoint-restore vs genesis-replay split, total recovery wall time,
-//!   and the per-stream checkpoint payload size. Two hard gates run: the
-//!   frame ledger must balance exactly (zero silent loss — the `rejected`
-//!   term covers corrupted frames) and at least one recovery must actually
-//!   fire. Either failure exits non-zero — the CI regression gate for
-//!   fault-tolerant serving.
-//! - `--sessions N`: run the session-tier cell — register `N` lazy sessions
-//!   over one shared engine in a [`SessionTier`] with a small resident cap,
-//!   then serve a rotating active window so cold starts, evictions, and
-//!   rehydrations all fire. Records the schema v8 `sessions` object of
-//!   `BENCH_serve.json`: bytes/session for the copy-on-write overlay vs a
-//!   dense fork, per-session checkpoint size, tier counters, and
-//!   resume-latency (rehydration) percentiles. Two hard gates run: every
-//!   rehydration must validate (zero `rehydration_failures`) and the
-//!   overlay must actually be smaller than the dense fork. Either failure
-//!   exits non-zero — the CI regression gate for bounded-RAM serving.
-//! - `--slo-out PATH`: also dump the raw non-zero histogram buckets
-//!   (wait-ticks and wall-clock nanoseconds) of every latency cell to
-//!   `PATH` — the full-distribution record behind the percentile summary.
-//! - `--out PATH`: where to write the tensor JSON (default
-//!   `BENCH_tensor.json`).
-//! - `--serve-out PATH`: where to write the serving JSON (default
-//!   `BENCH_serve.json`).
+//!   features are recorded in the report, so trajectory diffs always say
+//!   which instruction set produced them. On SIMD hosts the int8 256-cubed
+//!   matmul must beat the f32 blocked kernel — the harness exits non-zero
+//!   otherwise (the quantization speed gate; both sizes are measured even
+//!   in smoke mode).
+//! - `--out PATH`: where to write the JSON (default `BENCH_tensor.json`).
 
-use akg_core::adapt::{AdaptConfig, ContinuousAdapter};
-use akg_core::engine::{Engine, Session};
-use akg_core::pipeline::{MissionSystem, SystemConfig};
-use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
-use akg_kg::AnomalyClass;
-use akg_runtime::{
-    ArrivalPattern, ChaosConfig, EngineSpec, FaultPlan, LatencySummary, LoadConfig, LoadCounters,
-    LoadedRuntime, MultiStreamRuntime, OwnedShardedRuntime, OwnedStreamRuntime, RecoveryStats,
-    RuntimeConfig, ScriptedFault, SessionTier, ShardedConfig, ShardedRuntime, TierConfig,
-    TierCounters,
-};
 use akg_tensor::backend::{cpu_features, effective_backend, set_backend, Backend};
-use akg_tensor::nn::Module;
 use akg_tensor::ops::kernels::{matmul_blocked, matmul_ikj, matmul_naive, matmul_nt};
 use akg_tensor::par::{effective_threads, set_parallelism, Parallelism};
-use akg_tensor::{Precision, QuantizedMatrix, Tensor, Workspace};
+use akg_tensor::{QuantizedMatrix, Tensor};
 use serde::Serialize;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
-
-/// A counting global allocator: every `alloc`/`alloc_zeroed`/`realloc` bumps
-/// two relaxed atomics and delegates to the system allocator. Installed
-/// unconditionally (the overhead is two uncontended atomic adds per
-/// allocation — invisible next to the allocation itself); read only when
-/// `--alloc-stats` asks for the serving allocation measurement.
-struct CountingAllocator;
-
-static ALLOC_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static ALLOC_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-// SAFETY: delegates every operation verbatim to `std::alloc::System`; the
-// counter updates have no safety implications.
-unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        use std::sync::atomic::Ordering::Relaxed;
-        ALLOC_COUNT.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
-        std::alloc::System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        use std::sync::atomic::Ordering::Relaxed;
-        ALLOC_COUNT.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
-        std::alloc::System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        std::alloc::System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        use std::sync::atomic::Ordering::Relaxed;
-        ALLOC_COUNT.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
-        std::alloc::System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL_ALLOC: CountingAllocator = CountingAllocator;
-
-fn alloc_snapshot() -> (u64, u64) {
-    use std::sync::atomic::Ordering::Relaxed;
-    (ALLOC_COUNT.load(Relaxed), ALLOC_BYTES.load(Relaxed))
-}
-
-/// The alloc-regression budget: steady-state allocations per scored frame on
-/// the batched inference data plane (`Engine::score_windows_batch_refs` over
-/// pre-ingested windows). The plane itself allocates nothing once the
-/// workspace is warm; the budget leaves headroom for the per-dispatch batch
-/// assembly (one `Vec` of item descriptors per batch). Documented in
-/// `docs/PERFORMANCE.md`; enforced by `--alloc-stats`.
-const ALLOC_BUDGET_PER_FRAME: f64 = 2.0;
 
 /// One op-level measurement: median wall time per call.
 #[derive(Debug, Serialize)]
@@ -160,23 +36,6 @@ struct OpResult {
     ns_per_op: f64,
     /// Calls measured (median over this many).
     reps: usize,
-}
-
-/// End-to-end timings through the deployed system.
-#[derive(Debug, Serialize)]
-struct EndToEnd {
-    /// `MissionSystem::build` wall time (tokenizer + joint space + token
-    /// table + KG generation + model init), milliseconds.
-    build_ms: f64,
-    /// Frames scored in eval mode.
-    score_frames: usize,
-    /// Eval-mode scoring throughput (frames per second).
-    score_frames_per_sec: f64,
-    /// Frames pushed through the continuous-adaptation loop across a trend
-    /// shift (includes trigger checks and token-table backprop).
-    adapt_frames: usize,
-    /// Adaptation-loop throughput (frames per second).
-    adapt_frames_per_sec: f64,
 }
 
 /// Headline ratios pulled out of `ops` so trajectory diffs are one-liners.
@@ -194,24 +53,6 @@ struct Derived {
     q8_256_speedup_vs_blocked: f64,
 }
 
-/// The decision model's dense-weight footprint at both precisions (schema
-/// v6): what the engine actually holds (`current_bytes` at `precision`) and
-/// the two representations' sizes for the shrink headline.
-#[derive(Debug, Clone, Serialize)]
-struct ModelBytes {
-    /// The precision the benched engines serve at (`"f32"` or `"int8"`).
-    precision: String,
-    /// Bytes the engine's weight matrices occupy at that precision.
-    current_bytes: usize,
-    /// The same matrices held as f32.
-    f32_bytes: usize,
-    /// The same matrices held as per-row-scaled int8 (codes + f32 scales).
-    int8_bytes: usize,
-    /// `f32_bytes / int8_bytes` — bounded below 4x by the per-row scale
-    /// overhead on the paper model's width-8 layers.
-    shrink: f64,
-}
-
 /// The full `BENCH_tensor.json` document.
 #[derive(Debug, Serialize)]
 struct Report {
@@ -226,748 +67,10 @@ struct Report {
     backend: String,
     /// SIMD-relevant CPU features the host reported at startup.
     cpu_features: String,
-    /// Serving-plane weight precision the end-to-end rows ran at (`"f32"`
-    /// or `"int8"`). Op rows always include both the f32 and the int8
-    /// matmul kernels regardless.
-    precision: String,
-    /// Decision-model weight footprint at both precisions.
-    model_bytes: ModelBytes,
     /// Op-level medians.
     ops: Vec<OpResult>,
-    /// End-to-end system timings.
-    end_to_end: EndToEnd,
     /// Headline ratios.
     derived: Derived,
-}
-
-/// One stream-count measurement of the serving bench: aggregate frames/s
-/// with cross-stream batching vs the per-frame baseline, same engine, same
-/// feeds, same seeds (the two modes are bit-identical in output — only the
-/// dispatch shape differs).
-#[derive(Debug, Serialize)]
-struct ServePoint {
-    /// Concurrent streams served.
-    streams: usize,
-    /// Scheduler ticks measured (frames = streams × ticks).
-    ticks: usize,
-    /// Aggregate throughput with batched dispatch.
-    batched_frames_per_sec: f64,
-    /// Aggregate throughput scoring one window at a time.
-    per_frame_frames_per_sec: f64,
-    /// `batched / per_frame` at this stream count.
-    batching_speedup: f64,
-}
-
-/// One shard-count measurement of the sharded-scaling sweep (schema v4):
-/// aggregate frames/s serving the same fixed deployment through
-/// `ShardedRuntime` at this worker count.
-#[derive(Debug, Serialize)]
-struct ScalingPoint {
-    /// Shard worker threads.
-    shards: usize,
-    /// Concurrent streams served (fixed across the sweep).
-    streams: usize,
-    /// Scheduler ticks measured (frames = streams × ticks).
-    ticks: usize,
-    /// Aggregate throughput at this shard count.
-    frames_per_sec: f64,
-    /// `frames_per_sec / frames_per_sec(shards = 1)` — above 1 only when
-    /// the host actually has cores to scale onto (see `ServeReport::cores`).
-    speedup_vs_one_shard: f64,
-}
-
-/// Steady-state serving allocation counters (schema v3, `--alloc-stats`).
-#[derive(Debug, Serialize)]
-struct AllocStats {
-    /// Frames scored in the measured region (after warmup).
-    frames: usize,
-    /// Allocations per frame on the pure scoring data plane: repeated
-    /// `Engine::score_windows_batch_refs` over pre-ingested windows with a
-    /// warm workspace. This is the gated number (see
-    /// `ALLOC_BUDGET_PER_FRAME`).
-    allocs_per_frame: f64,
-    /// Bytes allocated per frame on the pure scoring data plane.
-    bytes_per_frame: f64,
-    /// Allocations per frame across full runtime ticks (ingest + frame
-    /// embedding + scoring + adaptation bookkeeping) — context, not gated:
-    /// frame embedding and triggered autograd adaptation legitimately
-    /// allocate.
-    tick_allocs_per_frame: f64,
-    /// Bytes per frame across full runtime ticks.
-    tick_bytes_per_frame: f64,
-    /// The documented scoring-plane budget the gate enforces.
-    budget_allocs_per_frame: f64,
-}
-
-/// One (arrival pattern × shard count) cell of the loaded-latency sweep
-/// (schema v5 `latency` array): a seeded load generator drives the full
-/// backpressure path — bounded ingest queues, the deterministic degrade
-/// ladder, frame shedding — and every drained frame's queueing delay lands
-/// in a fixed-bucket log-scale histogram (no hot-path allocation).
-#[derive(Debug, Serialize)]
-struct LatencyCell {
-    /// Arrival pattern name (`"poisson"`, `"bursty"`, `"ramp"`).
-    pattern: String,
-    /// 1 = single-node `MultiStreamRuntime`, ≥ 2 = `ShardedRuntime`.
-    shards: usize,
-    /// Concurrent streams served.
-    streams: usize,
-    /// Load-harness ticks run.
-    ticks: usize,
-    /// The exact frame ledger: offered = served_full + served_degraded +
-    /// coalesced + shed + overflow_dropped + queued, plus per-rung tick
-    /// counts. The harness exits non-zero if this ever fails to balance.
-    counters: LoadCounters,
-    /// Queueing delay percentiles in deterministic scheduler ticks — the
-    /// unit the SLO is stated in (bit-reproducible across hosts).
-    wait_ticks: LatencySummary,
-    /// Wall-clock enqueue→drain latency percentiles in nanoseconds — the
-    /// host-dependent twin of `wait_ticks` (p999 needs ≥ 10k frames to
-    /// resolve; see `docs/PERFORMANCE.md`).
-    latency_ns: LatencySummary,
-}
-
-/// The `--faults` recovery cell (schema v7 `recovery` object): one seeded
-/// chaos run through a 2-shard loaded deployment, with every crash healed
-/// by the supervisor's checkpoint/replay recovery and every corrupted
-/// frame rejected at ingest admission. The deterministic `stats` fields
-/// replay bit-identically on any host; the wall-clock fields are
-/// operator-facing context only.
-#[derive(Debug, Serialize)]
-struct RecoveryReport {
-    /// Shard workers in the recovery cell (fixed at 2).
-    shards: usize,
-    /// Concurrent streams served.
-    streams: usize,
-    /// Load-harness ticks run.
-    ticks: usize,
-    /// Arrival pattern driving the cell.
-    pattern: String,
-    /// Chaos per-shard-per-tick crash probability.
-    crash_rate: f64,
-    /// Chaos per-stream-per-tick frame-corruption probability.
-    corrupt_rate: f64,
-    /// Worker self-checkpoint cadence, in worker-local ticks.
-    checkpoint_interval: usize,
-    /// The deterministic recovery metrics (recoveries, replay volume,
-    /// checkpoint-restore vs genesis split) plus total recovery wall time.
-    stats: RecoveryStats,
-    /// Total wall-clock milliseconds spent inside recovery (respawn
-    /// through replay drain) — `stats.recovery_wall_nanos`, readable.
-    recovery_wall_ms: f64,
-    /// Mean serialized size of one stream's checkpointed session state
-    /// (JSON bytes), measured from the newest retained checkpoints — the
-    /// per-stream memory cost of the checkpoint ring.
-    checkpoint_bytes_per_stream: f64,
-    /// Frames rejected at ingest admission (corrupted by the chaos plan).
-    rejected_frames: usize,
-    /// `offered` minus every terminal state — hard-gated to exactly 0:
-    /// crashes and corruption must never lose a frame silently.
-    silent_loss: i64,
-    /// The cell's full frame ledger.
-    counters: LoadCounters,
-}
-
-/// One non-zero histogram bucket: `upper` is the bucket's inclusive upper
-/// bound in the histogram's unit, `count` the samples that landed in it.
-#[derive(Debug, Serialize)]
-struct BucketEntry {
-    upper: u64,
-    count: u64,
-}
-
-/// Raw distribution dump of one latency cell (`--slo-out`).
-#[derive(Debug, Serialize)]
-struct SloCellDump {
-    pattern: String,
-    shards: usize,
-    wait_tick_buckets: Vec<BucketEntry>,
-    latency_ns_buckets: Vec<BucketEntry>,
-}
-
-/// The `--slo-out` document: the full non-zero bucket contents behind every
-/// `latency` percentile summary in `BENCH_serve.json`.
-#[derive(Debug, Serialize)]
-struct SloReport {
-    schema_version: u32,
-    mode: String,
-    backend: String,
-    cells: Vec<SloCellDump>,
-}
-
-/// The `--sessions` cell: RAM and resume-latency economics of serving far
-/// more registered sessions than fit resident, via the copy-on-write
-/// session tier (schema v8).
-#[derive(Debug, Serialize)]
-struct SessionsReport {
-    /// Sessions registered in the tier (lazy — most never materialize).
-    registered: usize,
-    /// Resident working-set cap the tier was run at.
-    max_resident: usize,
-    /// Frames served through the rotating active window.
-    frames_served: usize,
-    /// Private heap bytes of a dense-fork session of the same engine — the
-    /// pre-overlay per-session cost this PR replaces.
-    dense_bytes_per_session: usize,
-    /// Mean private heap bytes per resident overlay session after serving.
-    overlay_bytes_per_session: f64,
-    /// `dense_bytes_per_session / overlay_bytes_per_session` — the headline
-    /// RAM reduction (gated ≥ 10× in CI via the `sessions` schema check).
-    bytes_shrink: f64,
-    /// Mean serialized checkpoint size of the sessions the tier spooled —
-    /// the adapted-row delta, not the full table.
-    checkpoint_bytes_per_session: f64,
-    /// Tier lifetime counters; `rehydration_failures` must be zero.
-    counters: TierCounters,
-    /// Wall-clock spool-read → validate → restore latency per rehydration.
-    resume_latency_ns: LatencySummary,
-}
-
-/// The `BENCH_serve.json` document.
-#[derive(Debug, Serialize)]
-struct ServeReport {
-    /// Schema version of this document.
-    schema_version: u32,
-    /// `"full"` or `"smoke"` — smoke numbers validate the harness only.
-    mode: String,
-    /// Worker threads the kernels used.
-    threads: usize,
-    /// The resolved compute backend the kernels ran (`"scalar"` or
-    /// `"simd"`).
-    backend: String,
-    /// Serving-plane weight precision every benched engine was built at.
-    precision: String,
-    /// Decision-model weight footprint at both precisions.
-    model_bytes: ModelBytes,
-    /// Largest cross-stream batch the scheduler may form.
-    max_batch: usize,
-    /// CPU cores the host exposed (`available_parallelism`) — the context
-    /// for reading `scaling`: a 1-core host cannot show a multi-shard
-    /// speedup no matter how good the runtime is.
-    cores: usize,
-    /// Per-stream-count measurements.
-    points: Vec<ServePoint>,
-    /// Frames/s vs shard count through `ShardedRuntime` (schema v4).
-    scaling: Vec<ScalingPoint>,
-    /// Per-frame latency percentiles under seeded load, per arrival pattern
-    /// × shard count (schema v5).
-    latency: Vec<LatencyCell>,
-    /// Headline: batched aggregate fps at the largest stream count divided
-    /// by the per-frame fps at 1 stream. (PR 3's ≥ 2 gate was judged against
-    /// the autograd per-frame baseline; since PR 5 both modes ride the
-    /// inference data plane, so this ratio is small by design — compare
-    /// absolute f/s across recordings, not ratios.)
-    batched_aggregate_vs_single_per_frame: f64,
-    /// Steady-state allocation counters (`--alloc-stats` only; `null`
-    /// otherwise).
-    alloc: Option<AllocStats>,
-    /// The fault-injection recovery cell (`--faults` only; `null`
-    /// otherwise) — schema v7.
-    recovery: Option<RecoveryReport>,
-    /// The session-tier cell (`--sessions` only; `null` otherwise) —
-    /// schema v8.
-    sessions: Option<SessionsReport>,
-}
-
-fn serve_runtime(
-    ds: &Arc<SyntheticUcfCrime>,
-    streams: usize,
-    batched: bool,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> OwnedStreamRuntime {
-    // Fresh engine per mode/count: deterministic build, so every
-    // measurement serves identical weights and identical feeds (the CLI
-    // thread and backend policies ride in, since `build` re-applies its
-    // config's settings process-wide).
-    let config = SystemConfig { parallelism, backend, precision, ..SystemConfig::default() };
-    let engine = Engine::build(&[AnomalyClass::Stealing], &config);
-    let mut rt = MultiStreamRuntime::new(engine, RuntimeConfig { max_batch: 16, batched });
-    for s in 0..streams {
-        let source =
-            AdaptationStream::owned(Arc::clone(ds), AnomalyClass::Stealing, 0.3, 900 + s as u64);
-        rt.add_stream(source, 0x5EED ^ s as u64, AdaptConfig::default());
-    }
-    rt
-}
-
-/// Builds a sharded runtime over the same deployment shape (same dataset,
-/// seeds, and feeds) as [`serve_runtime`] in batched mode — so `scaling`
-/// and `points` measure the same work, differing only in worker topology.
-fn sharded_serve_runtime(
-    ds: &Arc<SyntheticUcfCrime>,
-    streams: usize,
-    shards: usize,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> OwnedShardedRuntime {
-    let config = SystemConfig { parallelism, backend, precision, ..SystemConfig::default() };
-    let spec = EngineSpec::new(&[AnomalyClass::Stealing], config);
-    let mut rt = ShardedRuntime::new(
-        spec,
-        ShardedConfig { shards, max_batch: 16, queue_depth: 2, ..ShardedConfig::default() },
-    );
-    for s in 0..streams {
-        let source =
-            AdaptationStream::owned(Arc::clone(ds), AnomalyClass::Stealing, 0.3, 900 + s as u64);
-        rt.add_stream(source, 0x5EED ^ s as u64, AdaptConfig::default());
-    }
-    rt
-}
-
-/// The frames/s-vs-shards sweep: shard counts {1, 2, 4, 8} up to
-/// `max_shards`, all serving the same `streams`-stream deployment.
-fn bench_scaling(
-    smoke: bool,
-    ds: &Arc<SyntheticUcfCrime>,
-    streams: usize,
-    max_shards: usize,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> Vec<ScalingPoint> {
-    let ticks = if smoke { 12 } else { 96 };
-    let mut points: Vec<ScalingPoint> = Vec::new();
-    for &shards in &[1usize, 2, 4, 8] {
-        if shards > max_shards {
-            continue;
-        }
-        let mut rt = sharded_serve_runtime(ds, streams, shards, parallelism, backend, precision);
-        // warm-up tick: worker engine builds, caches, stream buffers
-        let _ = rt.tick();
-        let t0 = Instant::now();
-        black_box(rt.run(ticks));
-        let secs = t0.elapsed().as_secs_f64();
-        let fps = (streams * ticks) as f64 / secs.max(1e-9);
-        let base = points.first().map(|p: &ScalingPoint| p.frames_per_sec).unwrap_or(fps);
-        points.push(ScalingPoint {
-            shards,
-            streams,
-            ticks,
-            frames_per_sec: fps,
-            speedup_vs_one_shard: fps / base.max(1e-9),
-        });
-    }
-    points
-}
-
-/// Runs one loaded-latency cell: a seeded `LoadGenerator` drives `streams`
-/// streams through the degrade ladder for `ticks` ticks, then the cell's
-/// two hard gates run — exact frame accounting (no silent drops) and a
-/// populated wait histogram. Either failure exits the process non-zero.
-#[allow(clippy::too_many_arguments)]
-fn run_latency_cell(
-    ds: &Arc<SyntheticUcfCrime>,
-    pattern: ArrivalPattern,
-    shards: usize,
-    streams: usize,
-    ticks: usize,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> (LatencyCell, SloCellDump) {
-    let config = SystemConfig { parallelism, backend, precision, ..SystemConfig::default() };
-    let spec = EngineSpec::new(&[AnomalyClass::Stealing], config);
-    let cfg = LoadConfig { pattern, ..LoadConfig::default() };
-    let mut rt: LoadedRuntime<akg_data::OwnedAdaptationStream> = if shards == 1 {
-        LoadedRuntime::new(spec, cfg)
-    } else {
-        LoadedRuntime::sharded(spec, cfg, shards)
-    };
-    for s in 0..streams {
-        let source =
-            AdaptationStream::owned(Arc::clone(ds), AnomalyClass::Stealing, 0.3, 900 + s as u64);
-        rt.add_stream(source, 0x5EED ^ s as u64, AdaptConfig::default(), (s % 3) as u8);
-    }
-    black_box(rt.run(ticks));
-
-    let counters = rt.counters();
-    if !counters.balanced() {
-        eprintln!(
-            "perf: SILENT DROP — {} x{shards} frame ledger does not balance: {counters:?}",
-            pattern.name()
-        );
-        std::process::exit(1);
-    }
-    if rt.wait_ticks().is_empty() {
-        eprintln!(
-            "perf: EMPTY HISTOGRAM — {} x{shards} drained no frames in {ticks} ticks",
-            pattern.name()
-        );
-        std::process::exit(1);
-    }
-    let dump = SloCellDump {
-        pattern: pattern.name().to_string(),
-        shards,
-        wait_tick_buckets: rt
-            .wait_ticks()
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(upper, count)| BucketEntry { upper, count })
-            .collect(),
-        latency_ns_buckets: rt
-            .latency_nanos()
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(upper, count)| BucketEntry { upper, count })
-            .collect(),
-    };
-    let cell = LatencyCell {
-        pattern: pattern.name().to_string(),
-        shards,
-        streams,
-        ticks,
-        counters,
-        wait_ticks: LatencySummary::of(rt.wait_ticks()),
-        latency_ns: LatencySummary::of(rt.latency_nanos()),
-    };
-    (cell, dump)
-}
-
-/// The loaded-latency sweep: every requested arrival pattern × shard counts
-/// {1, 2}. Full mode runs 1024 ticks × up to 16 streams per cell so the
-/// drained-frame count clears the ~10k samples p999 needs to resolve;
-/// smoke mode (60 ticks) validates the harness and the gates only.
-#[allow(clippy::too_many_arguments)]
-fn bench_latency(
-    smoke: bool,
-    ds: &Arc<SyntheticUcfCrime>,
-    patterns: &[ArrivalPattern],
-    max_streams: usize,
-    max_shards: usize,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> (Vec<LatencyCell>, Vec<SloCellDump>) {
-    let ticks = if smoke { 60 } else { 1024 };
-    let streams = if smoke { max_streams.clamp(1, 4) } else { max_streams.clamp(1, 16) };
-    let mut cells = Vec::new();
-    let mut dumps = Vec::new();
-    for &pattern in patterns {
-        for &shards in &[1usize, 2] {
-            if shards > max_shards.max(1) {
-                continue;
-            }
-            let (cell, dump) = run_latency_cell(
-                ds,
-                pattern,
-                shards,
-                streams,
-                ticks,
-                parallelism,
-                backend,
-                precision,
-            );
-            cells.push(cell);
-            dumps.push(dump);
-        }
-    }
-    (cells, dumps)
-}
-
-/// The `--faults` recovery cell: a seeded chaos plan (plus one scripted
-/// crash so even short smoke runs recover at least once) drives a 2-shard
-/// loaded deployment; the supervisor heals every worker loss through
-/// checkpoint/replay and the front-end rejects every corrupted frame. Two
-/// hard gates: the frame ledger must balance exactly (zero silent loss)
-/// and at least one recovery must fire — either failure exits non-zero.
-fn bench_recovery(
-    smoke: bool,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> RecoveryReport {
-    let scale = if smoke { 0.004 } else { 0.02 };
-    let ds = Arc::new(SyntheticUcfCrime::generate(
-        DatasetConfig::scaled(scale)
-            .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
-            .with_seed(7),
-    ));
-    let shards = 2usize;
-    let streams = if smoke { 3 } else { 8 };
-    let ticks = if smoke { 160 } else { 520 };
-    let chaos = ChaosConfig { crash_rate: 0.01, corrupt_rate: 0.005, ..ChaosConfig::default() };
-    // The scripted crash guarantees the cell is never vacuous: even if the
-    // chaos draws happen to spare every worker in a short smoke run, shard
-    // 1 still dies on its 9th tick and must recover.
-    let faults =
-        FaultPlan::chaos(0xFA_017, chaos).with(ScriptedFault::WorkerCrash { shard: 1, tick: 9 });
-    let config = SystemConfig { parallelism, backend, precision, ..SystemConfig::default() };
-    let spec = EngineSpec::new(&[AnomalyClass::Stealing], config);
-    let cfg = LoadConfig::default();
-    let pattern = cfg.pattern.name().to_string();
-    let mut rt: LoadedRuntime<akg_data::OwnedAdaptationStream> =
-        LoadedRuntime::sharded_with_faults(spec, cfg, shards, faults);
-    for s in 0..streams {
-        let source =
-            AdaptationStream::owned(Arc::clone(&ds), AnomalyClass::Stealing, 0.3, 900 + s as u64);
-        rt.add_stream(source, 0x5EED ^ s as u64, AdaptConfig::default(), (s % 3) as u8);
-    }
-    black_box(rt.run(ticks));
-
-    let counters = rt.counters();
-    let accounted = counters.served_full
-        + counters.served_degraded
-        + counters.coalesced
-        + counters.shed
-        + counters.overflow_dropped
-        + counters.queued
-        + counters.rejected;
-    let silent_loss = counters.offered as i64 - accounted as i64;
-    if silent_loss != 0 || !counters.balanced() {
-        eprintln!("perf: SILENT LOSS UNDER FAULTS — ledger off by {silent_loss}: {counters:?}");
-        std::process::exit(1);
-    }
-    let stats = rt.recovery_stats();
-    if stats.recoveries == 0 {
-        eprintln!("perf: VACUOUS FAULT CELL — the fault plan fired no recovery in {ticks} ticks");
-        std::process::exit(1);
-    }
-    // Checkpoint payload cost: mean serialized size of one stream's session
-    // state across the newest retained checkpoint of every shard.
-    let mut cp_bytes = 0usize;
-    let mut cp_streams = 0usize;
-    for cp in rt.latest_checkpoints().into_iter().flatten() {
-        for stream in &cp.streams {
-            cp_bytes += serde_json::to_string(&stream.session).map(|j| j.len()).unwrap_or_default();
-            cp_streams += 1;
-        }
-    }
-    RecoveryReport {
-        shards,
-        streams,
-        ticks,
-        pattern,
-        crash_rate: chaos.crash_rate,
-        corrupt_rate: chaos.corrupt_rate,
-        checkpoint_interval: ShardedConfig::with_shards(shards).checkpoint_interval,
-        stats,
-        recovery_wall_ms: stats.recovery_wall_nanos as f64 / 1e6,
-        checkpoint_bytes_per_stream: cp_bytes as f64 / cp_streams.max(1) as f64,
-        rejected_frames: counters.rejected,
-        silent_loss,
-        counters,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bench_serving(
-    smoke: bool,
-    max_streams: usize,
-    max_shards: usize,
-    patterns: &[ArrivalPattern],
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-    model_bytes: ModelBytes,
-) -> (ServeReport, Vec<SloCellDump>) {
-    let scale = if smoke { 0.004 } else { 0.02 };
-    let ds = Arc::new(SyntheticUcfCrime::generate(
-        DatasetConfig::scaled(scale)
-            .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
-            .with_seed(7),
-    ));
-    let ticks = if smoke { 12 } else { 96 };
-    let mut points = Vec::new();
-    for &streams in &[1usize, 4, 16] {
-        if streams > max_streams {
-            continue;
-        }
-        let mut fps = [0.0f64; 2];
-        for (slot, batched) in [(0usize, true), (1usize, false)] {
-            let mut rt = serve_runtime(&ds, streams, batched, parallelism, backend, precision);
-            // warm-up tick: engine caches, allocator, stream buffers
-            let _ = rt.tick();
-            let t0 = Instant::now();
-            black_box(rt.run(ticks));
-            let secs = t0.elapsed().as_secs_f64();
-            fps[slot] = (streams * ticks) as f64 / secs.max(1e-9);
-        }
-        points.push(ServePoint {
-            streams,
-            ticks,
-            batched_frames_per_sec: fps[0],
-            per_frame_frames_per_sec: fps[1],
-            batching_speedup: fps[0] / fps[1].max(1e-9),
-        });
-    }
-    let scaling_streams = 16usize.min(max_streams.max(1));
-    let scaling =
-        bench_scaling(smoke, &ds, scaling_streams, max_shards, parallelism, backend, precision);
-    let (latency, dumps) = bench_latency(
-        smoke,
-        &ds,
-        patterns,
-        max_streams,
-        max_shards,
-        parallelism,
-        backend,
-        precision,
-    );
-    let single_per_frame = points.first().map(|p| p.per_frame_frames_per_sec).unwrap_or(f64::NAN);
-    let largest_batched = points.last().map(|p| p.batched_frames_per_sec).unwrap_or(f64::NAN);
-    let report = ServeReport {
-        schema_version: 8,
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        threads: effective_threads(),
-        backend: backend_name(),
-        precision: precision.name().to_string(),
-        model_bytes,
-        max_batch: 16,
-        cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        points,
-        scaling,
-        latency,
-        batched_aggregate_vs_single_per_frame: largest_batched / single_per_frame.max(1e-9),
-        alloc: None,
-        recovery: None,
-        sessions: None,
-    };
-    (report, dumps)
-}
-
-/// The session-tier cell: registers `registered` lazy sessions over one
-/// shared engine, then serves a rotating active window twice as wide as the
-/// resident cap — first pass cold-starts and evicts, second pass rehydrates
-/// from the spool — plus the highest-numbered session, so the registry's
-/// full width is exercised. Every measurement is per-session economics, not
-/// throughput: the tier's serve path is the same `observe_stream` the other
-/// cells time.
-fn bench_sessions(
-    smoke: bool,
-    registered: usize,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> SessionsReport {
-    let config = SystemConfig { parallelism, backend, precision, ..SystemConfig::default() };
-    let engine = Engine::build(&[AnomalyClass::Stealing], &config);
-    let dense_bytes_per_session = engine.new_session_dense(0x5EED).state_bytes();
-    let max_resident = if smoke { 16 } else { 64 };
-    let mut cfg = TierConfig::bounded(max_resident);
-    cfg.spool_dir = cfg.spool_dir.join("bench");
-    let mut tier = SessionTier::new(engine, cfg);
-    for s in 0..registered {
-        let adapt = AdaptConfig { seed: s as u64, ..AdaptConfig::default() };
-        tier.register(0x5EED ^ s as u64, adapt);
-    }
-    let ds = Arc::new(SyntheticUcfCrime::generate(
-        DatasetConfig::scaled(if smoke { 0.004 } else { 0.02 })
-            .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
-            .with_seed(7),
-    ));
-    let mut source = AdaptationStream::owned(Arc::clone(&ds), AnomalyClass::Stealing, 0.3, 900);
-    let active = (2 * max_resident).min(registered);
-    let mut frames_served = 0usize;
-    let mut serve = |tier: &mut SessionTier, id: usize, source: &mut AdaptationStream| {
-        let (frame, _) = source.next_frame();
-        tier.serve_frame(id, &frame).expect("tier serve");
-        frames_served += 1;
-    };
-    for pass in 0..2 {
-        let frames_each = if pass == 0 { 2 } else { 1 };
-        for id in 0..active {
-            for _ in 0..frames_each {
-                serve(&mut tier, id, &mut source);
-            }
-        }
-    }
-    // touch the far end of the registry: a lazy slot at index N-1 must be
-    // servable without anything below it ever materializing
-    serve(&mut tier, registered - 1, &mut source);
-
-    // per-session economics of what the run left behind
-    let overlay_bytes_per_session =
-        tier.resident_bytes() as f64 / tier.resident_count().max(1) as f64;
-    let spooled: Vec<usize> = (0..active).filter_map(|id| tier.checkpoint_bytes(id)).collect();
-    let checkpoint_bytes_per_session =
-        spooled.iter().sum::<usize>() as f64 / spooled.len().max(1) as f64;
-    let report = SessionsReport {
-        registered,
-        max_resident,
-        frames_served,
-        dense_bytes_per_session,
-        overlay_bytes_per_session,
-        bytes_shrink: dense_bytes_per_session as f64 / overlay_bytes_per_session.max(1.0),
-        checkpoint_bytes_per_session,
-        counters: tier.counters(),
-        resume_latency_ns: LatencySummary::of(tier.resume_latency()),
-    };
-    tier.clear_spool();
-    report
-}
-
-/// Measures steady-state serving allocations through the counting
-/// allocator: (a) the pure scoring data plane — repeated batched dispatches
-/// over pre-ingested windows with a warm workspace (the gated number) — and
-/// (b) full runtime ticks for context.
-fn measure_alloc_stats(
-    smoke: bool,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> AllocStats {
-    let streams = 16usize;
-    let config = SystemConfig { parallelism, backend, precision, ..SystemConfig::default() };
-    let engine = Engine::build(&[AnomalyClass::Stealing], &config);
-    let window_len = engine.model.config().window;
-    let dim = engine.model.config().embed_dim;
-    let sessions: Vec<Session> = (0..streams).map(|s| engine.new_session(s as u64)).collect();
-    // Fixed pre-built windows: the measurement isolates the scoring plane
-    // from frame ingest (which legitimately allocates one embedding per
-    // frame).
-    let frames: Vec<Vec<f32>> = (0..streams * window_len)
-        .map(|i| (0..dim).map(|c| ((i * 31 + c * 7) % 17) as f32 * 0.04 - 0.3).collect())
-        .collect();
-    let windows: Vec<Vec<&[f32]>> = (0..streams)
-        .map(|s| (0..window_len).map(|t| frames[s * window_len + t].as_slice()).collect())
-        .collect();
-    let batch: Vec<(&Session, &[&[f32]])> =
-        sessions.iter().zip(&windows).map(|(s, w)| (s, w.as_slice())).collect();
-    let mut ws = Workspace::new();
-    let mut scores = Vec::new();
-    // Warm the workspace pools (first pass allocates every shape once).
-    for _ in 0..3 {
-        engine.score_windows_batch_refs(&batch, &mut ws, &mut scores);
-    }
-    let iters = if smoke { 25 } else { 200 };
-    let (a0, b0) = alloc_snapshot();
-    for _ in 0..iters {
-        engine.score_windows_batch_refs(&batch, &mut ws, &mut scores);
-        black_box(scores.first().copied());
-    }
-    let (a1, b1) = alloc_snapshot();
-    let score_frames = streams * iters;
-
-    // Full-tick context: ingest + score + adaptation bookkeeping.
-    let ds = Arc::new(SyntheticUcfCrime::generate(
-        DatasetConfig::scaled(if smoke { 0.004 } else { 0.02 })
-            .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
-            .with_seed(7),
-    ));
-    let mut rt = serve_runtime(&ds, streams, true, parallelism, backend, precision);
-    let warm_ticks = if smoke { 4 } else { 40 };
-    let ticks = if smoke { 12 } else { 96 };
-    for _ in 0..warm_ticks {
-        let _ = rt.tick();
-    }
-    let (ta0, tb0) = alloc_snapshot();
-    for _ in 0..ticks {
-        black_box(rt.tick());
-    }
-    let (ta1, tb1) = alloc_snapshot();
-    let tick_frames = streams * ticks;
-
-    AllocStats {
-        frames: score_frames,
-        allocs_per_frame: (a1 - a0) as f64 / score_frames as f64,
-        bytes_per_frame: (b1 - b0) as f64 / score_frames as f64,
-        tick_allocs_per_frame: (ta1 - ta0) as f64 / tick_frames as f64,
-        tick_bytes_per_frame: (tb1 - tb0) as f64 / tick_frames as f64,
-        budget_allocs_per_frame: ALLOC_BUDGET_PER_FRAME,
-    }
 }
 
 fn flag(args: &[String], name: &str) -> bool {
@@ -1124,89 +227,10 @@ fn bench_fused(rows: usize, cols: usize, reps: usize, ops: &mut Vec<OpResult>) {
     });
 }
 
-fn bench_end_to_end(
-    smoke: bool,
-    parallelism: Parallelism,
-    backend: Backend,
-    precision: Precision,
-) -> EndToEnd {
-    let scale = if smoke { 0.004 } else { 0.02 };
-    let ds = SyntheticUcfCrime::generate(
-        DatasetConfig::scaled(scale)
-            .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
-            .with_seed(42),
-    );
-
-    // Carry the CLI thread and backend policies into the system build:
-    // `build` applies its config's settings process-wide, so defaulting here
-    // would silently undo `--threads` / `--backend`.
-    let config = SystemConfig { parallelism, backend, precision, ..SystemConfig::default() };
-    let t0 = Instant::now();
-    let mut sys = MissionSystem::build(&[AnomalyClass::Stealing], &config);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    sys.engine.model.set_train(false);
-
-    // Eval-mode scoring throughput over the test subset.
-    let subset = ds.test_subset(AnomalyClass::Stealing);
-    let score_frames: usize = subset.iter().map(|v| v.len()).sum();
-    let t0 = Instant::now();
-    for v in &subset {
-        black_box(sys.score_video(v));
-    }
-    let score_secs = t0.elapsed().as_secs_f64();
-
-    // Adaptation-loop throughput across a trend shift: frames stream through
-    // `ContinuousAdapter::observe` (embed + score + trigger checks + any
-    // token-table backprop), shifting Stealing → Robbery halfway.
-    let mut adapter = ContinuousAdapter::new(&mut sys, AdaptConfig::default());
-    let adapt_frames = if smoke { 60 } else { 600 };
-    let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.3, 42);
-    let t0 = Instant::now();
-    for i in 0..adapt_frames {
-        if i == adapt_frames / 2 {
-            stream.shift_to(AnomalyClass::Robbery);
-        }
-        let (frame, _) = stream.next_frame();
-        black_box(adapter.observe(&mut sys, &frame));
-    }
-    let adapt_secs = t0.elapsed().as_secs_f64();
-
-    EndToEnd {
-        build_ms,
-        score_frames,
-        score_frames_per_sec: score_frames as f64 / score_secs.max(1e-9),
-        adapt_frames,
-        adapt_frames_per_sec: adapt_frames as f64 / adapt_secs.max(1e-9),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = flag(&args, "--smoke");
-    let alloc_stats = flag(&args, "--alloc-stats");
-    let faults = flag(&args, "--faults");
     let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_tensor.json".to_string());
-    let serve_out =
-        flag_value(&args, "--serve-out").unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let max_streams =
-        flag_value(&args, "--streams").and_then(|v| v.parse::<usize>().ok()).unwrap_or(16);
-    let max_shards =
-        flag_value(&args, "--shards").and_then(|v| v.parse::<usize>().ok()).unwrap_or(4);
-    let sessions_count = flag_value(&args, "--sessions").and_then(|v| v.parse::<usize>().ok());
-    let slo_out = flag_value(&args, "--slo-out");
-    let patterns: Vec<ArrivalPattern> = match flag_value(&args, "--load") {
-        Some(name) => match ArrivalPattern::preset(&name) {
-            Some(p) => vec![p],
-            None => {
-                eprintln!("perf: unknown --load {name:?} (expected poisson|bursty|ramp)");
-                std::process::exit(2);
-            }
-        },
-        None => vec![
-            ArrivalPattern::preset("poisson").expect("preset"),
-            ArrivalPattern::preset("bursty").expect("preset"),
-        ],
-    };
     let parallelism = match flag_value(&args, "--threads").and_then(|v| v.parse::<usize>().ok()) {
         Some(n) => Parallelism::Threads(n),
         None => Parallelism::Auto,
@@ -1222,24 +246,15 @@ fn main() {
         }
     };
     set_backend(backend);
-    let precision = match flag_value(&args, "--precision").as_deref() {
-        Some("int8") => Precision::Int8,
-        Some("f32") | None => Precision::F32,
-        Some(other) => {
-            eprintln!("perf: unknown --precision {other:?} (expected f32|int8)");
-            std::process::exit(2);
-        }
-    };
 
     let (sizes, reps): (&[usize], usize) =
         if smoke { (&[32, 48], 3) } else { (&[64, 128, 256], 7) };
     let mut ops = Vec::new();
     println!(
-        "perf: mode={} threads={} backend={} precision={} cpu=[{}] sizes={sizes:?}",
+        "perf: mode={} threads={} backend={} cpu=[{}] sizes={sizes:?}",
         if smoke { "smoke" } else { "full" },
         effective_threads(),
         backend_name(),
-        precision.name(),
         cpu_features()
     );
 
@@ -1272,7 +287,6 @@ fn main() {
     bench_fused(rows, cols, reps.max(5), &mut ops);
     let (srows, scols) = if smoke { (128, 8) } else { (4096, 8) };
     bench_gather_scatter(srows, scols, reps.max(5), &mut ops);
-    let end_to_end = bench_end_to_end(smoke, parallelism, backend, precision);
 
     let largest = *sizes.last().expect("at least one size");
     let ns_of = |name: &str| {
@@ -1295,10 +309,6 @@ fn main() {
         println!("  {:<36} {:>14.0} ns/op", op.name, op.ns_per_op);
     }
     println!(
-        "  end-to-end: build {:.0} ms | score {:.0} frames/s | adapt {:.0} frames/s",
-        end_to_end.build_ms, end_to_end.score_frames_per_sec, end_to_end.adapt_frames_per_sec
-    );
-    println!(
         "  blocked vs naive at {}^3: {:.2}x (vs ikj: {:.2}x)",
         derived.at_size, derived.blocked_speedup_vs_naive, derived.blocked_speedup_vs_ikj
     );
@@ -1319,188 +329,19 @@ fn main() {
         );
     }
 
-    // Weight footprint at both precisions, from an engine built exactly as
-    // the serving benches build theirs.
-    let model_bytes = {
-        let config = SystemConfig { parallelism, backend, precision, ..SystemConfig::default() };
-        let engine = Engine::build(&[AnomalyClass::Stealing], &config);
-        let f32_bytes = engine.model.weight_matrix_bytes_f32();
-        let int8_bytes = engine.model.weight_matrix_bytes_int8();
-        ModelBytes {
-            precision: precision.name().to_string(),
-            current_bytes: engine.model_bytes(),
-            f32_bytes,
-            int8_bytes,
-            shrink: f32_bytes as f64 / int8_bytes as f64,
-        }
-    };
-    println!(
-        "  model bytes: {} at {} (f32 {} | int8 {} | {:.2}x smaller)",
-        model_bytes.current_bytes,
-        model_bytes.precision,
-        model_bytes.f32_bytes,
-        model_bytes.int8_bytes,
-        model_bytes.shrink
-    );
-
     let report = Report {
-        schema_version: 7,
+        schema_version: 8,
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         threads: effective_threads(),
         backend: backend_name(),
         cpu_features: cpu_features(),
-        precision: precision.name().to_string(),
-        model_bytes: model_bytes.clone(),
         ops,
-        end_to_end,
         derived,
     };
     let json = serde_json::to_string(&report).expect("serialize report");
     std::fs::write(&out, json).expect("write report");
     println!("perf: wrote {out}");
-
-    let (mut serve, slo_dumps) = bench_serving(
-        smoke,
-        max_streams,
-        max_shards,
-        &patterns,
-        parallelism,
-        backend,
-        precision,
-        model_bytes,
-    );
-    for p in &serve.points {
-        println!(
-            "  serve {:>2} stream(s): batched {:>7.0} f/s | per-frame {:>7.0} f/s | {:.2}x",
-            p.streams, p.batched_frames_per_sec, p.per_frame_frames_per_sec, p.batching_speedup
-        );
-    }
-    println!(
-        "  serve headline: batched aggregate vs single-stream per-frame = {:.2}x",
-        serve.batched_aggregate_vs_single_per_frame
-    );
-    for p in &serve.scaling {
-        println!(
-            "  scale {:>2} shard(s) x {:>2} streams: {:>7.0} f/s | {:.2}x vs 1 shard ({} core(s))",
-            p.shards, p.streams, p.frames_per_sec, p.speedup_vs_one_shard, serve.cores
-        );
-    }
-    for cell in &serve.latency {
-        println!(
-            "  load {:>7} x{} shard(s): wait p50/p99/p999 = {}/{}/{} ticks (max {}) | \
-             {:.0}/{:.0}/{:.0} us | {} drained, {} shed, {} coalesced, 0 silent drops",
-            cell.pattern,
-            cell.shards,
-            cell.wait_ticks.p50,
-            cell.wait_ticks.p99,
-            cell.wait_ticks.p999,
-            cell.wait_ticks.max,
-            cell.latency_ns.p50 as f64 / 1e3,
-            cell.latency_ns.p99 as f64 / 1e3,
-            cell.latency_ns.p999 as f64 / 1e3,
-            cell.wait_ticks.count,
-            cell.counters.shed,
-            cell.counters.coalesced,
-        );
-    }
-    if let Some(path) = &slo_out {
-        let slo = SloReport {
-            schema_version: 1,
-            mode: if smoke { "smoke" } else { "full" }.to_string(),
-            backend: backend_name(),
-            cells: slo_dumps,
-        };
-        let json = serde_json::to_string(&slo).expect("serialize slo report");
-        std::fs::write(path, json).expect("write slo report");
-        println!("perf: wrote {path}");
-    }
-    if faults {
-        let r = bench_recovery(smoke, parallelism, backend, precision);
-        println!(
-            "  faults {} x{} shard(s) over {} ticks: {} recoveries ({} from checkpoint) | \
-             replay {} ticks / {} frames (max {}) | {:.2} ms recovering | checkpoint \
-             ~{:.0} B/stream | {} rejected | {} silent drops",
-            r.pattern,
-            r.shards,
-            r.ticks,
-            r.stats.recoveries,
-            r.stats.from_checkpoint,
-            r.stats.replayed_ticks,
-            r.stats.replayed_frames,
-            r.stats.max_replay_ticks,
-            r.recovery_wall_ms,
-            r.checkpoint_bytes_per_stream,
-            r.rejected_frames,
-            r.silent_loss,
-        );
-        serve.recovery = Some(r);
-    }
-    let mut sessions_gate_failed = false;
-    if let Some(n) = sessions_count {
-        if n == 0 {
-            eprintln!("perf: --sessions needs a positive count");
-            std::process::exit(2);
-        }
-        let s = bench_sessions(smoke, n, parallelism, backend, precision);
-        println!(
-            "  sessions: {} registered @ cap {} | overlay {:.0} B vs dense {} B ({:.1}x \
-             smaller) | checkpoint ~{:.0} B | {} cold, {} evicted, {} rehydrated ({} failed) | \
-             resume p50/p99 = {:.0}/{:.0} us",
-            s.registered,
-            s.max_resident,
-            s.overlay_bytes_per_session,
-            s.dense_bytes_per_session,
-            s.bytes_shrink,
-            s.checkpoint_bytes_per_session,
-            s.counters.cold_starts,
-            s.counters.evictions,
-            s.counters.rehydrations,
-            s.counters.rehydration_failures,
-            s.resume_latency_ns.p50 as f64 / 1e3,
-            s.resume_latency_ns.p99 as f64 / 1e3,
-        );
-        if s.counters.rehydration_failures > 0 {
-            eprintln!(
-                "perf: SESSION TIER REGRESSION — {} rehydration(s) failed validation",
-                s.counters.rehydration_failures
-            );
-            sessions_gate_failed = true;
-        }
-        if s.overlay_bytes_per_session >= s.dense_bytes_per_session as f64 {
-            eprintln!(
-                "perf: SESSION TIER REGRESSION — overlay session ({:.0} B) is not smaller \
-                 than a dense fork ({} B)",
-                s.overlay_bytes_per_session, s.dense_bytes_per_session
-            );
-            sessions_gate_failed = true;
-        }
-        serve.sessions = Some(s);
-    }
-    let mut over_budget = false;
-    if alloc_stats {
-        let a = measure_alloc_stats(smoke, parallelism, backend, precision);
-        println!(
-            "  alloc: scoring plane {:.3} allocs/frame ({:.0} B/frame) | full tick {:.1} \
-             allocs/frame ({:.0} B/frame) | budget {:.1}",
-            a.allocs_per_frame,
-            a.bytes_per_frame,
-            a.tick_allocs_per_frame,
-            a.tick_bytes_per_frame,
-            a.budget_allocs_per_frame
-        );
-        over_budget = a.allocs_per_frame > ALLOC_BUDGET_PER_FRAME;
-        if over_budget {
-            eprintln!(
-                "perf: ALLOC REGRESSION — scoring plane spends {:.3} allocs/frame, budget is {:.1}",
-                a.allocs_per_frame, ALLOC_BUDGET_PER_FRAME
-            );
-        }
-        serve.alloc = Some(a);
-    }
-    let json = serde_json::to_string(&serve).expect("serialize serve report");
-    std::fs::write(&serve_out, json).expect("write serve report");
-    println!("perf: wrote {serve_out}");
-    if over_budget || q8_gate_failed || sessions_gate_failed {
+    if q8_gate_failed {
         std::process::exit(1);
     }
 }

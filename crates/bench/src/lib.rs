@@ -9,9 +9,9 @@
 //!   the adapted token embeddings.
 //! - `table1_cost` (binary) — Table I: cloud-baseline vs edge-adaptation
 //!   cost accounting with measured edge numbers.
-//! - `perf` (binary) — the perf trajectory harness: hot-path kernel timings
-//!   plus end-to-end scoring/adaptation throughput, emitted as
-//!   `BENCH_tensor.json` (see `docs/PERFORMANCE.md`).
+//! - `perf` (binary) — the kernel perf harness: op-level timings of the
+//!   hot-path kernels, emitted as `BENCH_tensor.json` (see
+//!   `docs/PERFORMANCE.md`). End-to-end serving is measured by `perfbench/`.
 //! - Criterion micro-benches (`benches/`) — component latencies and the
 //!   ablations called out in DESIGN.md.
 //!
@@ -24,7 +24,7 @@
 //! cargo bench --bench components   # Table I "Low (Real-time)" latencies
 //! cargo bench --bench ablations    # design-choice ablations + AUC printouts
 //! cargo bench --bench tensor_ops   # hot-path kernels: naive vs ikj vs blocked
-//! cargo run --release --bin perf   # perf trajectory -> BENCH_tensor.json
+//! cargo run --release --bin perf   # kernel timings -> BENCH_tensor.json
 //! ```
 //!
 //! Every run is seeded and deterministic: the binaries accept `--seed`

@@ -129,26 +129,22 @@ pub struct RuntimeConfig {
     /// Largest cross-stream batch one dispatch may carry; a tick over more
     /// streams splits into ⌈N / max_batch⌉ dispatches.
     pub max_batch: usize,
-    /// When `false`, every window is scored individually through the legacy
-    /// single-window path (the measurement baseline for `BENCH_serve.json`).
-    /// Scores are bit-identical either way.
-    pub batched: bool,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig { max_batch: 16, batched: true }
+        RuntimeConfig { max_batch: 16 }
     }
 }
 
-/// Monotonic throughput counters, serializable for the perf harness.
+/// Monotonic throughput counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ServeCounters {
     /// Frames pulled, scored, and routed back (across all streams).
     pub frames: usize,
     /// Scheduler rounds completed.
     pub ticks: usize,
-    /// Scoring dispatches issued (batched calls or single-window calls).
+    /// Scoring dispatches issued (one per cross-stream batch).
     pub dispatches: usize,
     /// Largest batch actually dispatched.
     pub max_batch_seen: usize,
@@ -378,9 +374,9 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
 
     /// One scheduler round: pulls one frame from every stream (round-robin),
     /// embeds each through its own session, scores all windows — batched
-    /// across streams up to `max_batch`, or one by one in baseline mode —
-    /// and routes every score back into its stream's adaptation loop.
-    /// Returns the per-stream scores, indexed by [`StreamId`].
+    /// across streams up to `max_batch` — and routes every score back into
+    /// its stream's adaptation loop. Returns the per-stream scores, indexed
+    /// by [`StreamId`].
     ///
     /// Adaptation runs strictly per stream against session-local state (see
     /// the crate docs' isolation model), so the batch composition never
@@ -443,52 +439,40 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
                 ingested += 1;
             }
         }
-        // Phase 2 — score the planned streams: cross-stream batches (or the
-        // per-frame baseline), through the inference data plane with the
-        // runtime's shared workspace. One flat ref buffer carries a whole
-        // batch's windows (the j-th scored stream's window is `window_len`
-        // consecutive slices).
+        // Phase 2 — score the planned streams: cross-stream batches through
+        // the inference data plane with the runtime's shared workspace. One
+        // flat ref buffer carries a whole batch's windows (the j-th scored
+        // stream's window is `window_len` consecutive slices).
         // A stream whose frames have all been rejected has no window yet —
         // it is skipped (`None`), not scored against nothing.
         let active: Vec<StreamId> =
             (0..n).filter(|&i| plans[i].score && self.slots[i].adapter.has_window()).collect();
         let mut scores: Vec<Option<f32>> = vec![None; n];
-        if self.config.batched {
-            for chunk in active.chunks(self.config.max_batch) {
-                let mut flat_refs: Vec<&[f32]> = Vec::with_capacity(chunk.len() * window_len);
-                let mut one: Vec<&[f32]> = Vec::with_capacity(window_len);
-                for &i in chunk {
-                    self.slots[i].adapter.fill_window_refs(&self.engine, &mut one);
-                    flat_refs.extend_from_slice(&one);
-                }
-                let batch: Vec<(&Session, &[&[f32]])> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &i)| {
-                        let w = &flat_refs[j * window_len..(j + 1) * window_len];
-                        (&self.slots[i].session, w)
-                    })
-                    .collect();
-                self.engine.score_windows_batch_refs(
-                    &batch,
-                    &mut self.workspace,
-                    &mut self.score_scratch,
-                );
-                for (j, &i) in chunk.iter().enumerate() {
-                    scores[i] = Some(self.score_scratch[j]);
-                }
-                self.counters.dispatches += 1;
-                self.counters.max_batch_seen = self.counters.max_batch_seen.max(chunk.len());
-            }
-        } else {
+        for chunk in active.chunks(self.config.max_batch) {
+            let mut flat_refs: Vec<&[f32]> = Vec::with_capacity(chunk.len() * window_len);
             let mut one: Vec<&[f32]> = Vec::with_capacity(window_len);
-            for &i in &active {
-                let slot = &self.slots[i];
-                slot.adapter.fill_window_refs(&self.engine, &mut one);
-                scores[i] = Some(self.engine.score_window_refs(&slot.session, &one));
-                self.counters.dispatches += 1;
-                self.counters.max_batch_seen = self.counters.max_batch_seen.max(1);
+            for &i in chunk {
+                self.slots[i].adapter.fill_window_refs(&self.engine, &mut one);
+                flat_refs.extend_from_slice(&one);
             }
+            let batch: Vec<(&Session, &[&[f32]])> = chunk
+                .iter()
+                .enumerate()
+                .map(|(j, &i)| {
+                    let w = &flat_refs[j * window_len..(j + 1) * window_len];
+                    (&self.slots[i].session, w)
+                })
+                .collect();
+            self.engine.score_windows_batch_refs(
+                &batch,
+                &mut self.workspace,
+                &mut self.score_scratch,
+            );
+            for (j, &i) in chunk.iter().enumerate() {
+                scores[i] = Some(self.score_scratch[j]);
+            }
+            self.counters.dispatches += 1;
+            self.counters.max_batch_seen = self.counters.max_batch_seen.max(chunk.len());
         }
         // Phase 3 — complete: scores feed each scored stream's tracker; a
         // plan with `adapt` runs the full check (any triggered token update
@@ -556,7 +540,7 @@ mod tests {
 
     #[test]
     fn counters_track_ticks_and_batches() {
-        let mut rt = runtime(RuntimeConfig { max_batch: 2, batched: true });
+        let mut rt = runtime(RuntimeConfig { max_batch: 2 });
         for i in 0..5usize {
             let mut k = i;
             rt.add_stream(
@@ -579,24 +563,51 @@ mod tests {
         assert_eq!(c.max_batch_seen, 2);
     }
 
+    /// Batched runtime ticks ≡ scoring every stream alone, one window at a
+    /// time, through `Engine::score_window_refs` — bitwise.
     #[test]
     fn per_frame_mode_matches_batched_mode() {
-        let make = |batched| {
-            let mut rt = runtime(RuntimeConfig { max_batch: 4, batched });
-            for i in 0..3usize {
-                let mut k = 7 * i;
-                rt.add_stream(
-                    Box::new(FnSource(move || {
-                        k += 1;
-                        (frame(k), false)
-                    })) as Box<dyn FrameSource>,
-                    i as u64,
-                    AdaptConfig::default(),
-                );
+        let source = |i: usize| {
+            let mut k = 7 * i;
+            move || {
+                k += 1;
+                frame(k)
             }
-            rt.run(4)
         };
-        assert_eq!(make(true), make(false), "batched and per-frame scores diverged");
+        let mut rt = runtime(RuntimeConfig { max_batch: 4 });
+        for i in 0..3usize {
+            let mut next = source(i);
+            rt.add_stream(
+                Box::new(FnSource(move || (next(), false))) as Box<dyn FrameSource>,
+                i as u64,
+                AdaptConfig::default(),
+            );
+        }
+        let batched = rt.run(4);
+
+        let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+        let per_frame: Vec<Vec<f32>> = (0..3usize)
+            .map(|i| {
+                let mut next = source(i);
+                let mut session = engine.new_session(i as u64);
+                let mut adapter =
+                    ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
+                (0..4)
+                    .map(|_| {
+                        adapter.ingest_frame(&engine, &mut session, &next());
+                        let mut window = Vec::new();
+                        adapter.fill_window_refs(&engine, &mut window);
+                        let score = engine.score_window_refs(&session, &window);
+                        adapter.complete_frame(&engine, &mut session, score);
+                        score
+                    })
+                    .collect()
+            })
+            .collect();
+        let bits = |scores: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            scores.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&batched), bits(&per_frame), "batched and per-frame scores diverged");
     }
 
     #[test]

@@ -98,8 +98,7 @@ pub enum ArrivalPattern {
 }
 
 impl ArrivalPattern {
-    /// The named presets the perf harness's `--load` flag accepts
-    /// (`"poisson"`, `"bursty"`, `"ramp"`).
+    /// The named presets (`"poisson"`, `"bursty"`, `"ramp"`).
     pub fn preset(name: &str) -> Option<ArrivalPattern> {
         match name {
             "poisson" => Some(ArrivalPattern::Poisson { rate: 0.9 }),
@@ -298,10 +297,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
     /// against.
     pub fn new_with_faults(spec: EngineSpec, cfg: LoadConfig, faults: FaultPlan) -> Self {
         cfg.policy.validate();
-        let rt = MultiStreamRuntime::new(
-            spec.build(),
-            RuntimeConfig { max_batch: cfg.max_batch, batched: true },
-        );
+        let rt = MultiStreamRuntime::new(spec.build(), RuntimeConfig { max_batch: cfg.max_batch });
         Self::with_node(Node::Single { rt: Box::new(rt), feeds: Vec::new() }, cfg, faults)
     }
 

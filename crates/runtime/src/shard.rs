@@ -1009,10 +1009,8 @@ fn shard_worker(
     // build-time matmuls obey the shards × threads rule.
     akg_tensor::par::set_thread_cap(setup.inner_threads);
     let engine = setup.spec.build();
-    let mut rt: MultiStreamRuntime<TickFeed> = MultiStreamRuntime::new(
-        engine,
-        RuntimeConfig { max_batch: setup.max_batch, batched: true },
-    );
+    let mut rt: MultiStreamRuntime<TickFeed> =
+        MultiStreamRuntime::new(engine, RuntimeConfig { max_batch: setup.max_batch });
     let mut feeds: Vec<FeedQueue> = Vec::new();
     // Worker-local 1-based tick counter; survives recovery because Restore
     // rewinds it to the checkpoint tick and replay re-advances it.

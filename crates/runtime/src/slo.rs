@@ -146,18 +146,6 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// The non-empty buckets as `(upper_bound, count)` pairs — the raw dump
-    /// the perf harness's `--slo-out` writes for offline analysis. Cold
-    /// path: allocates the output vector.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(idx, &n)| (Self::bucket_upper(idx).min(self.max), n))
-            .collect()
-    }
-
     fn bucket_index(value: u64) -> usize {
         if value < LINEAR_CUTOFF {
             return value as usize;
@@ -183,9 +171,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Percentile summary of one [`LatencyHistogram`], in the histogram's unit
-/// — the shape the perf harness serializes into `BENCH_serve.json`'s
-/// schema v5 `latency` array.
+/// Percentile summary of one [`LatencyHistogram`], in the histogram's unit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LatencySummary {
     /// Values recorded.
@@ -524,7 +510,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn run_runtime(
     precision: Precision,
 ) -> RuntimeOutcome {
     let sys = MissionSystem::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision));
-    let mut rt = MultiStreamRuntime::new(sys.engine, RuntimeConfig { max_batch, batched: true });
+    let mut rt = MultiStreamRuntime::new(sys.engine, RuntimeConfig { max_batch });
     for s in 0..n_streams {
         let source =
             AdaptationStream::owned(Arc::clone(ds), AnomalyClass::Stealing, 0.5, stream_seed(s));

@@ -133,8 +133,9 @@ fn assert_log_matches_counters(fp: &RunFingerprint, ticks: usize) {
     assert_eq!(offered, fp.counters.offered);
     let stream_shed: usize = fp.per_stream.iter().map(|s| s.shed).sum();
     assert_eq!(stream_shed, fp.counters.shed);
-    // Every drained frame's wait was recorded.
+    // Every drained frame's wait was recorded, and the load drained some.
     assert_eq!(fp.wait_count as usize, fp.counters.drained());
+    assert!(fp.wait_count > 0, "the wait histogram is empty after {ticks} loaded ticks");
 }
 
 fn pattern_for(index: usize) -> ArrivalPattern {

@@ -331,6 +331,9 @@ struct ChaosFingerprint {
     serve: ServeCounters,
     tables: Vec<Vec<f32>>,
     recovery: RecoveryStats,
+    /// Serialized session bytes across every shard's newest retained
+    /// checkpoint (0 on a single node, which keeps none).
+    checkpoint_bytes: usize,
 }
 
 fn run_chaos_soak(
@@ -372,6 +375,13 @@ fn run_chaos_soak(
             rt.counters()
         );
     }
+    let checkpoint_bytes = rt
+        .latest_checkpoints()
+        .into_iter()
+        .flatten()
+        .flat_map(|cp| &cp.streams)
+        .map(|stream| serde_json::to_string(&stream.session).expect("serialize checkpoint").len())
+        .sum();
     ChaosFingerprint {
         scores,
         decisions: rt.decisions().to_vec(),
@@ -380,6 +390,7 @@ fn run_chaos_soak(
         serve: rt.serve_counters(),
         tables: rt.stream_snapshots().into_iter().map(|s| s.table).collect(),
         recovery: rt.recovery_stats(),
+        checkpoint_bytes,
     }
 }
 
@@ -405,6 +416,7 @@ fn chaos_soak_recovers_to_bit_identical_serving_with_zero_silent_loss() {
         "chaos crash rate produced zero worker deaths over 520 ticks — vacuous soak"
     );
     assert!(chaotic.recovery.replayed_ticks >= chaotic.recovery.recoveries);
+    assert!(chaotic.checkpoint_bytes > 0, "no shard ever captured a stream checkpoint");
     assert!(
         chaotic.counters.rejected > 0,
         "chaos corruption rate produced zero rejections over 520 ticks — vacuous soak"

@@ -232,6 +232,7 @@ struct LoadedFingerprint {
     wait_p99: u64,
     wait_p999: u64,
     wait_max: u64,
+    wait_count: u64,
     serve: ServeCounters,
     tables: Vec<Vec<f32>>,
 }
@@ -317,6 +318,7 @@ fn run_loaded_soak(ds: &Arc<SyntheticUcfCrime>, shards: usize) -> LoadedFingerpr
         wait_p99: wait.percentile(0.99),
         wait_p999: wait.percentile(0.999),
         wait_max: wait.max(),
+        wait_count: wait.count(),
         serve: rt.serve_counters(),
         tables: rt.stream_snapshots().into_iter().map(|s| s.table).collect(),
     }
@@ -352,6 +354,7 @@ fn loaded_bursty_soak_holds_slo_with_exact_degrade_accounting() {
         policy.queue_capacity
     );
     assert!(single.wait_p50 <= single.wait_p99 && single.wait_p99 <= single.wait_p999);
+    assert!(single.wait_count > 0, "the wait histogram is empty after {TICKS} loaded ticks");
 
     // --- Exact accounting: the ledger balances and the log re-derives it. ---
     let c = single.counters;
