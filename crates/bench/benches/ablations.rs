@@ -12,8 +12,9 @@
 
 use akg_bench::experiment_dataset;
 use akg_core::adapt::AdaptConfig;
+use akg_core::engine::Engine;
 use akg_core::experiment::{run_trend_shift, TrendShiftParams};
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::pipeline::SystemConfig;
 use akg_core::retrieval::InterpretableRetrieval;
 use akg_embed::Similarity;
 use akg_kg::{AnomalyClass, Ontology};
@@ -84,8 +85,8 @@ fn ablate_prune_rule(c: &mut Criterion) {
 }
 
 fn ablate_retrieval_metric(c: &mut Criterion) {
-    let sys = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-    let retrieval = InterpretableRetrieval::new(&sys.engine.tokenizer, &sys.engine.space);
+    let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let retrieval = InterpretableRetrieval::new(&engine.tokenizer, &engine.space);
     let ontology = Ontology::new();
     let words: Vec<&str> = ontology.all_concepts(AnomalyClass::Stealing);
     // quality: does the metric retrieve the word itself from its own vector?
@@ -93,7 +94,7 @@ fn ablate_retrieval_metric(c: &mut Criterion) {
         let hits = words
             .iter()
             .filter(|w| {
-                let q = sys.engine.space.word_vector(w);
+                let q = engine.space.word_vector(w);
                 retrieval
                     .nearest_words(&q, 1, metric)
                     .first()
@@ -108,7 +109,7 @@ fn ablate_retrieval_metric(c: &mut Criterion) {
             words.len()
         );
     }
-    let query = sys.engine.space.word_vector("sneaky");
+    let query = engine.space.word_vector("sneaky");
     c.bench_function("retrieval_euclidean_top5", |b| {
         b.iter(|| black_box(retrieval.nearest_words(black_box(&query), 5, Similarity::Euclidean)))
     });

@@ -4,25 +4,25 @@
 //! throughput.
 
 use akg_core::adapt::{AdaptConfig, ContinuousAdapter};
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::engine::Engine;
+use akg_core::pipeline::SystemConfig;
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_embed::BpeTokenizer;
 use akg_kg::{generate_kg, AnomalyClass, GeneratorConfig, Ontology, SyntheticOracle};
-use akg_tensor::nn::Module;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_frame_scoring(c: &mut Criterion) {
-    let mut sys = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-    sys.engine.model.set_train(false);
+    let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let mut session = engine.new_session(0);
     let frame = akg_data::Frame {
         concepts: vec![("walking".into(), 1.0), ("person".into(), 0.7)],
         label: None,
     };
-    let emb = sys.embed_frame(&frame);
-    let window = vec![emb; sys.engine.model.config().window];
+    let emb = engine.embed_frame(&mut session, &frame);
+    let window = vec![emb; engine.config().window];
     c.bench_function("score_one_frame_window", |b| {
-        b.iter(|| black_box(sys.score_window(black_box(&window))))
+        b.iter(|| black_box(engine.score_window(&session, black_box(&window))))
     });
 }
 
@@ -30,16 +30,17 @@ fn bench_adaptation_trigger(c: &mut Criterion) {
     let ds = SyntheticUcfCrime::generate(
         DatasetConfig::scaled(0.01).with_classes(&[AnomalyClass::Stealing]).with_seed(7),
     );
-    let mut sys = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let mut session = engine.new_session(0);
     let cfg = AdaptConfig { interval: usize::MAX, ..AdaptConfig::default() };
-    let mut adapter = ContinuousAdapter::new(&mut sys, cfg);
+    let mut adapter = ContinuousAdapter::attach(&engine, &mut session, cfg);
     let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 1);
     for _ in 0..cfg.n_window {
         let (frame, _) = stream.next_frame();
-        adapter.observe(&mut sys, &frame);
+        adapter.observe(&engine, &mut session, &frame);
     }
     c.bench_function("adaptation_trigger_check", |b| {
-        b.iter(|| black_box(adapter.adapt_now(&mut sys)))
+        b.iter(|| black_box(adapter.adapt_now(&engine, &mut session)))
     });
 }
 
@@ -66,12 +67,15 @@ fn bench_tokenizer(c: &mut Criterion) {
 }
 
 fn bench_frame_embedding(c: &mut Criterion) {
-    let mut sys = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let mut session = engine.new_session(0);
     let frame = akg_data::Frame {
         concepts: vec![("grab".into(), 1.2), ("person".into(), 0.8), ("walking".into(), 0.6)],
         label: Some(AnomalyClass::Stealing),
     };
-    c.bench_function("embed_frame", |b| b.iter(|| black_box(sys.embed_frame(black_box(&frame)))));
+    c.bench_function("embed_frame", |b| {
+        b.iter(|| black_box(engine.embed_frame(&mut session, black_box(&frame))))
+    });
 }
 
 criterion_group!(

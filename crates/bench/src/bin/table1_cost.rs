@@ -53,7 +53,8 @@ fn main() {
     let train_videos: Vec<&akg_data::Video> =
         ds.train.iter().filter(|v| v.class.is_none() || v.class == Some(initial)).collect();
     train_decision_model(&mut sys, &train_videos, &params.train);
-    let dims_like = sys.cost_dims();
+    let MissionSystem { engine, mut session } = sys;
+    let dims_like = engine.cost_dims(&session);
     let dims = ModelDims {
         kgs: dims_like.kgs,
         kg: KgDims { nodes: dims_like.nodes, edges: dims_like.edges, levels: dims_like.levels },
@@ -79,19 +80,19 @@ fn main() {
     // K = |Δm|·N fires — then time the full loop (selection + token-update
     // backprop + drift check).
     let cfg = AdaptConfig { interval: usize::MAX, ..adapt_cfg };
-    let mut adapter = ContinuousAdapter::new(&mut sys, cfg);
+    let mut adapter = ContinuousAdapter::attach(&engine, &mut session, cfg);
     let mut anomalies = AdaptationStream::new(&ds, initial, 1.0, seed);
     for _ in 0..cfg.n_window {
         let (frame, _) = anomalies.next_frame();
-        adapter.observe(&mut sys, &frame);
+        adapter.observe(&engine, &mut session, &frame);
     }
     let mut normals = AdaptationStream::new(&ds, initial, 0.0, seed ^ 1);
     for _ in 0..cfg.n_window / 2 {
         let (frame, _) = normals.next_frame();
-        adapter.observe(&mut sys, &frame);
+        adapter.observe(&engine, &mut session, &frame);
     }
     let start = Instant::now();
-    let k = adapter.adapt_now(&mut sys);
+    let k = adapter.adapt_now(&engine, &mut session);
     let adaptation_seconds = start.elapsed().as_secs_f64();
     eprintln!("(timed adaptation used K = {k} pseudo-anomalies)");
 
@@ -104,8 +105,8 @@ fn main() {
             adaptations_per_day: 1,
             average_auc: adaptive_auc,
             adaptation_seconds,
-            model_bytes_f32: sys.engine.model.weight_matrix_bytes_f32(),
-            model_bytes_int8: sys.engine.model.weight_matrix_bytes_int8(),
+            model_bytes_f32: engine.model.weight_matrix_bytes_f32(),
+            model_bytes_int8: engine.model.weight_matrix_bytes_int8(),
         },
     );
     println!("Table I reproduction — baseline (cloud KG updates) vs proposed (edge KG adaptation)");

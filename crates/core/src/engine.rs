@@ -16,6 +16,7 @@
 
 use crate::config::ModelConfig;
 use crate::model::{DecisionModel, InferWindowItem, KgLayout};
+use crate::pipeline::akg_cost_dims::ModelDimsLike;
 use crate::pipeline::{SystemConfig, FRAME_NOISE_STD};
 use crate::tokenize::{TableRows, TokenTable, TokenizedKg};
 use akg_data::Frame;
@@ -337,8 +338,8 @@ impl Engine {
     }
 
     /// Creates a session holding fully private *dense* copies: a trainable
-    /// token-table fork plus owned KG/layout vectors. Single-tenant systems
-    /// ([`crate::pipeline::MissionSystem`]) use this — initial training
+    /// token-table fork plus owned KG/layout vectors. Initial training
+    /// ([`crate::pipeline::MissionSystem::build`]) uses this — it
     /// differentiates through the session table, which only the dense form
     /// supports — and the overlay equivalence suite uses it as the oracle.
     pub fn new_session_dense(&self, frame_seed: u64) -> Session {
@@ -528,6 +529,29 @@ impl Engine {
             all_labels.extend(l);
         }
         akg_eval::roc_auc(&all_scores, &all_labels)
+    }
+
+    /// Cost-model dimensions of the engine serving `session` (for Table I).
+    pub fn cost_dims(&self, session: &Session) -> ModelDimsLike {
+        let kgs = &session.kgs;
+        let nodes = kgs.iter().map(|t| t.kg.node_count()).max().unwrap_or(0);
+        let edges = kgs.iter().map(|t| t.kg.edge_count()).max().unwrap_or(0);
+        let levels = kgs.iter().map(|t| t.kg.total_levels()).max().unwrap_or(0);
+        let config = self.model.config();
+        ModelDimsLike {
+            kgs: kgs.len(),
+            nodes,
+            edges,
+            levels,
+            embed_dim: config.embed_dim,
+            gnn_dim: config.gnn_dim,
+            window: config.window,
+            temporal_inner: config.temporal_inner,
+            heads: config.heads,
+            temporal_layers: config.temporal_layers,
+            classes: self.model.n_classes(),
+            adapted_token_entries: session.referenced_rows().len() * session.table.dim(),
+        }
     }
 
     /// Freezes everything except the session's token table (the adaptation

@@ -142,14 +142,13 @@ fn run_single(
     train_decision_model(&mut sys, &train_videos, &params.train);
     let initial_auc = {
         let subset = dataset.test_subset(params.initial);
-        sys.evaluate_auc(&subset)
+        sys.engine.evaluate_auc(&sys.session, &subset)
     };
 
-    let mut adapter = ContinuousAdapter::new(&mut sys, params.adapt);
-    if !adaptive {
-        // static KG: the adapter machinery is bypassed entirely
-        sys.set_adaptation_mode(true); // still frozen; nothing trains
-    }
+    // The static run attaches too (freezing the model) but never observes
+    // through the adapter, so its KG never adapts.
+    let MissionSystem { engine, mut session } = sys;
+    let mut adapter = ContinuousAdapter::attach(&engine, &mut session, params.adapt);
     let mut stream =
         AdaptationStream::new(dataset, params.initial, params.anomaly_ratio, params.seed);
     let mut points = Vec::new();
@@ -162,17 +161,17 @@ fn run_single(
         for _ in 0..params.frames_per_step {
             let (frame, _) = stream.next_frame();
             if adaptive {
-                adapter.observe(&mut sys, &frame);
+                adapter.observe(&engine, &mut session, &frame);
             } else {
                 // static run keeps consuming the stream (embedding advances
                 // the same frame RNG as the adaptive run) but never adapts;
                 // its AUC comes from evaluate_auc on the test subset below
-                let _ = sys.embed_frame(&frame);
+                let _ = engine.embed_frame(&mut session, &frame);
             }
         }
         let active = if after_shift { params.shifted } else { params.initial };
         let subset = dataset.test_subset(active);
-        let auc = sys.evaluate_auc(&subset);
+        let auc = engine.evaluate_auc(&session, &subset);
         points.push(TrendShiftPoint {
             step,
             after_shift,
@@ -247,8 +246,9 @@ pub fn run_retrieval_drift(
     let train_videos: Vec<&akg_data::Video> =
         dataset.train.iter().filter(|v| v.class.is_none() || v.class == Some(sp.initial)).collect();
     train_decision_model(&mut sys, &train_videos, &sp.train);
-    let retrieval = InterpretableRetrieval::new(&sys.engine.tokenizer, &sys.engine.space);
-    let mut adapter = ContinuousAdapter::new(&mut sys, sp.adapt);
+    let MissionSystem { engine, mut session } = sys;
+    let retrieval = InterpretableRetrieval::new(&engine.tokenizer, &engine.space);
+    let mut adapter = ContinuousAdapter::attach(&engine, &mut session, sp.adapt);
     let mut stream = AdaptationStream::new(dataset, sp.shifted, sp.anomaly_ratio, sp.seed);
 
     let initial_words: Vec<&str> = params.initial_words.iter().map(String::as_str).collect();
@@ -257,9 +257,9 @@ pub fn run_retrieval_drift(
     let mut snapshots = Vec::new();
     for i in 0..total {
         let (frame, _) = stream.next_frame();
-        adapter.observe(&mut sys, &frame);
+        adapter.observe(&engine, &mut session, &frame);
         if i % params.snapshot_every == 0 || i + 1 == total {
-            let embeddings = adapter.node_embeddings(&sys);
+            let embeddings = adapter.node_embeddings(&session);
             let mut d_init = 0.0f32;
             let mut d_target = 0.0f32;
             let mut words: Vec<String> = Vec::new();

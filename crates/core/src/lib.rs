@@ -19,20 +19,30 @@
 //! ## Quick start
 //!
 //! ```
-//! use akg_core::pipeline::{MissionSystem, SystemConfig};
+//! use akg_core::adapt::{AdaptConfig, ContinuousAdapter};
+//! use akg_core::engine::Engine;
+//! use akg_core::pipeline::SystemConfig;
 //! use akg_kg::AnomalyClass;
-//! use akg_tensor::nn::Module;
 //!
-//! let mut system = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+//! // One shared engine; one session per stream.
+//! let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+//! let mut session = engine.new_session(7);
 //! let frame = akg_data::Frame { concepts: vec![("walking".into(), 1.0)], label: None };
-//! let embedding = system.embed_frame(&frame);
-//! let window = vec![embedding; system.engine.model.config().window];
-//! let score = system.score_window(&window);
+//! let embedding = engine.embed_frame(&mut session, &frame);
+//! let window = vec![embedding; engine.config().window];
+//! let score = engine.score_window(&session, &window);
+//! assert!((0.0..=1.0).contains(&score));
+//!
+//! // Continuous adaptation: the adapter scores each frame and adapts the
+//! // session's KGs when the score distribution shifts.
+//! let mut adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
+//! let score = adapter.observe(&engine, &mut session, &frame);
 //! assert!((0.0..=1.0).contains(&score));
 //! ```
 //!
-//! For multi-stream serving, build the [`engine::Engine`] directly and give
-//! every stream its own [`engine::Session`] (see the `akg-runtime` crate).
+//! Initial training ([`train::train_decision_model`]) runs on a
+//! [`pipeline::MissionSystem`], an engine plus one dense session. For
+//! multi-stream serving, see the `akg-runtime` crate.
 
 #![warn(missing_docs)]
 
@@ -56,10 +66,7 @@ pub use experiment::{
     TrendShiftCurve, TrendShiftParams, TrendShiftResult,
 };
 pub use model::{DecisionModel, HierarchicalGnn, KgLayout};
-pub use persist::{
-    checkpoint_session, load_state, load_state_json, restore_session, save_state, save_state_json,
-    SessionCheckpoint, SystemState,
-};
+pub use persist::{checkpoint_session, restore_session, SessionCheckpoint};
 pub use pipeline::{MissionSystem, SystemConfig};
 pub use retrieval::{InterpretableRetrieval, RetrievedWord};
 pub use tokenize::{TokenTable, TokenizedKg};

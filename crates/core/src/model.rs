@@ -453,13 +453,6 @@ impl Module for HierarchicalGnn {
         }
         p
     }
-
-    fn set_train(&mut self, train: bool) {
-        self.input_layer.norm.set_train(train);
-        for l in &mut self.message_layers {
-            l.norm.set_train(train);
-        }
-    }
 }
 
 /// The full decision model: one hierarchical GNN per mission KG, the
@@ -1061,17 +1054,6 @@ impl Module for DecisionModel {
         p.extend(self.head.params());
         p
     }
-
-    /// Retained for `Module`-trait compatibility, but a no-op for this
-    /// model's behaviour: the GNN norms always normalize with instance
-    /// statistics (train/eval identical — see [`HierarchicalGnn::forward`])
-    /// and the temporal stack is stateless LayerNorm. Scoring never depends
-    /// on the flag.
-    fn set_train(&mut self, train: bool) {
-        for g in &mut self.gnns {
-            g.set_train(train);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1137,8 +1119,7 @@ mod tests {
     #[test]
     fn predict_outputs_distribution() {
         let (tkg, layout, table, config) = fixture();
-        let mut model = DecisionModel::new(&[tkg.kg.depth()], &config);
-        model.set_train(false);
+        let model = DecisionModel::new(&[tkg.kg.depth()], &config);
         let window: Vec<Vec<f32>> =
             (0..config.window).map(|i| vec![0.05 * i as f32; config.embed_dim]).collect();
         let probs = model.predict(&[&tkg], &[&layout], &table, &window);
@@ -1151,8 +1132,7 @@ mod tests {
     #[test]
     fn gradients_flow_to_token_table_through_frozen_model() {
         let (tkg, layout, table, config) = fixture();
-        let mut model = DecisionModel::new(&[tkg.kg.depth()], &config);
-        model.set_train(false);
+        let model = DecisionModel::new(&[tkg.kg.depth()], &config);
         model.set_frozen(true);
         table.set_frozen(false);
         let frame = vec![0.2f32; config.embed_dim];
@@ -1169,8 +1149,7 @@ mod tests {
     #[test]
     fn different_frames_give_different_scores() {
         let (tkg, layout, table, config) = fixture();
-        let mut model = DecisionModel::new(&[tkg.kg.depth()], &config);
-        model.set_train(false);
+        let model = DecisionModel::new(&[tkg.kg.depth()], &config);
         let w1: Vec<Vec<f32>> = vec![vec![0.5; config.embed_dim]; config.window];
         let w2: Vec<Vec<f32>> = vec![vec![-0.5; config.embed_dim]; config.window];
         let s1 = model.anomaly_score(&[&tkg], &[&layout], &table, &w1);

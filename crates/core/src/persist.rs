@@ -1,189 +1,23 @@
-//! Deployment-artifact persistence: serialize a trained [`MissionSystem`]'s
-//! learned state (KG structures, node-token assignments, token table, model
-//! parameters) *and* its live per-session serving state (frame-RNG position,
-//! spare-row cursor, and optionally the full adaptation-loop state) so an
-//! edge deployment can be checkpointed mid-stream and resumed elsewhere with
-//! bit-identical behaviour — the "Model Deploy" arrow of the paper's Fig. 2,
-//! extended to warm hand-off.
+//! Deployment-state persistence: a [`SessionCheckpoint`] captures one live
+//! serving stream — its adapted KG structures, node-token assignments,
+//! token-table fork (an overlay's adapted-row delta), frame-RNG position,
+//! spare-row cursor and full adaptation-loop state — so it can be
+//! checkpointed mid-stream and resumed elsewhere with bit-identical
+//! behaviour: the "Model Deploy" arrow of the paper's Fig. 2, extended to
+//! warm hand-off, crash recovery and session eviction.
 //!
-//! Architecture/config is *not* serialized: the loader validates that the
-//! receiving system was built with matching dimensions, then overwrites its
-//! parameters. This matches the paper's deployment model, where the code
-//! image is fixed and only learned state moves.
+//! The engine is *not* serialized: it is rebuilt deterministically from its
+//! configuration, and [`restore_session`] validates that the checkpoint fits
+//! the receiving session before it changes anything. This matches the
+//! paper's deployment model, where the code image and trained weights are
+//! fixed and only per-stream learned state moves.
 
 use crate::adapt::{AdaptConfig, AdaptSnapshot, ContinuousAdapter};
 use crate::engine::{CowVec, Engine, Session};
-use crate::pipeline::MissionSystem;
 use akg_kg::{KnowledgeGraph, NodeId};
-use akg_tensor::nn::Module;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Live per-session serving state: what distinguishes a mid-stream
-/// deployment from a freshly loaded one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SessionState {
-    /// The token table's spare-row cursor (next adaptation-created row).
-    pub next_spare: usize,
-    /// Frame-embedding RNG state (xoshiro256++ words).
-    pub frame_rng: Vec<u64>,
-    /// The adaptation loop's resumable state, when an adapter was attached
-    /// at save time.
-    pub adapter: Option<AdaptSnapshot>,
-}
-
-/// Serializable learned state of a mission system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SystemState {
-    /// Mission names (sanity-checked on load).
-    pub missions: Vec<String>,
-    /// KG structures, one JSON document per mission.
-    pub kgs: Vec<String>,
-    /// Node-token assignments per KG (node id → token-table rows).
-    pub node_tokens: Vec<HashMap<usize, Vec<usize>>>,
-    /// Per-KG mission embeddings.
-    pub mission_embeddings: Vec<Vec<f32>>,
-    /// The token-embedding table data (the session's adaptive fork).
-    pub token_table: Vec<f32>,
-    /// Decision-model parameters in `Module::params` order.
-    pub model_params: Vec<Vec<f32>>,
-    /// Per-session serving state.
-    pub session: SessionState,
-}
-
-/// Captures the learned state of a system (no adapter attached — the
-/// adaptation-loop state is omitted; see [`save_state_with_adapter`]).
-pub fn save_state(sys: &MissionSystem) -> SystemState {
-    save_state_inner(sys, None)
-}
-
-/// Captures the learned state of a system *and* its live adaptation loop,
-/// so [`load_state`] + [`ContinuousAdapter::restore`] resume the deployment
-/// exactly where it stopped.
-pub fn save_state_with_adapter(sys: &MissionSystem, adapter: &ContinuousAdapter) -> SystemState {
-    save_state_inner(sys, Some(adapter.snapshot()))
-}
-
-fn save_state_inner(sys: &MissionSystem, adapter: Option<AdaptSnapshot>) -> SystemState {
-    SystemState {
-        missions: sys.engine.missions.iter().map(|m| m.name().to_string()).collect(),
-        kgs: sys.session.kgs.iter().map(|t| t.kg.to_json().expect("KG serializes")).collect(),
-        node_tokens: sys
-            .session
-            .kgs
-            .iter()
-            .map(|t| t.node_tokens.iter().map(|(id, rows)| (id.0, rows.clone())).collect())
-            .collect(),
-        mission_embeddings: sys.session.kgs.iter().map(|t| t.mission_embedding.clone()).collect(),
-        token_table: sys.session.table.param().to_vec(),
-        model_params: sys.engine.model.params().iter().map(|p| p.to_vec()).collect(),
-        session: SessionState {
-            next_spare: sys.session.table.next_spare(),
-            frame_rng: sys.session.frame_rng.export_state().to_vec(),
-            adapter,
-        },
-    }
-}
-
-/// Serializes the state to JSON.
-///
-/// # Errors
-///
-/// Returns the serializer's message on failure.
-pub fn save_state_json(sys: &MissionSystem) -> Result<String, String> {
-    serde_json::to_string(&save_state(sys)).map_err(|e| e.to_string())
-}
-
-/// Restores learned state into a system built with the *same configuration*
-/// (missions, dimensions, vocabulary), including the session's spare-row
-/// cursor and frame-RNG position. When the state carries an adapter
-/// snapshot, re-attach it afterwards with [`ContinuousAdapter::restore`].
-///
-/// # Errors
-///
-/// Returns a message if missions, parameter shapes, table sizes, or RNG
-/// state disagree.
-pub fn load_state(sys: &mut MissionSystem, state: &SystemState) -> Result<(), String> {
-    let missions: Vec<String> = sys.engine.missions.iter().map(|m| m.name().to_string()).collect();
-    if missions != state.missions {
-        return Err(format!("mission mismatch: system {missions:?} vs state {:?}", state.missions));
-    }
-    if sys.session.table.param().numel() != state.token_table.len() {
-        return Err(format!(
-            "token table size mismatch: {} vs {}",
-            sys.session.table.param().numel(),
-            state.token_table.len()
-        ));
-    }
-    let params = sys.engine.model.params();
-    if params.len() != state.model_params.len() {
-        return Err(format!(
-            "model parameter count mismatch: {} vs {}",
-            params.len(),
-            state.model_params.len()
-        ));
-    }
-    for (i, (p, saved)) in params.iter().zip(&state.model_params).enumerate() {
-        if p.numel() != saved.len() {
-            return Err(format!("parameter {i} shape mismatch"));
-        }
-    }
-    if state.kgs.len() != sys.session.kgs.len() {
-        return Err("KG count mismatch".to_string());
-    }
-    let frame_rng: [u64; 4] = state
-        .session
-        .frame_rng
-        .as_slice()
-        .try_into()
-        .map_err(|_| "frame RNG state must hold 4 words".to_string())?;
-    if frame_rng == [0; 4] {
-        return Err("frame RNG state is all-zero".to_string());
-    }
-    if let Some(adapter) = &state.session.adapter {
-        // Validate here so a corrupt checkpoint surfaces as an Err instead
-        // of a panic inside the later `ContinuousAdapter::restore` call.
-        let rng: Result<[u64; 4], _> = adapter.rng.as_slice().try_into();
-        match rng {
-            Err(_) => return Err("adapter RNG state must hold 4 words".to_string()),
-            Ok(words) if words == [0; 4] => return Err("adapter RNG state is all-zero".to_string()),
-            Ok(_) => {}
-        }
-    }
-
-    // all checks passed; apply
-    for (i, kg_json) in state.kgs.iter().enumerate() {
-        let kg = KnowledgeGraph::from_json(kg_json)?;
-        let errors = kg.validate();
-        if !errors.is_empty() {
-            return Err(format!("restored KG {i} invalid: {errors:?}"));
-        }
-        sys.session.kgs[i].kg = kg;
-        sys.session.kgs[i].node_tokens =
-            state.node_tokens[i].iter().map(|(id, rows)| (NodeId(*id), rows.clone())).collect();
-        sys.session.kgs[i].mission_embedding = state.mission_embeddings[i].clone();
-        sys.rebuild_layout(i);
-    }
-    sys.session.table.param().set_data(&state.token_table);
-    sys.session.table.restore_spare_cursor(state.session.next_spare);
-    sys.session.frame_rng = StdRng::restore_state(frame_rng);
-    for (p, saved) in sys.engine.model.params().iter().zip(&state.model_params) {
-        p.set_data(saved);
-    }
-    Ok(())
-}
-
-/// Deserializes and restores state from JSON.
-///
-/// # Errors
-///
-/// Returns a message on parse or validation failure.
-pub fn load_state_json(sys: &mut MissionSystem, json: &str) -> Result<(), String> {
-    let state: SystemState = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    load_state(sys, &state)
-}
 
 /// A session-granular checkpoint: everything that distinguishes one live
 /// serving stream from a freshly opened one against the *same immutable
@@ -191,11 +25,10 @@ pub fn load_state_json(sys: &mut MissionSystem, json: &str) -> Result<(), String
 /// its token-table fork, its RNG positions, and its full adaptation-loop
 /// state.
 ///
-/// This is the [`SystemState`] idea scoped down for the multi-stream serving
-/// runtime: the shared `Engine` (decision model, tokenizer, concept space)
-/// never mutates per stream, so a crashed shard worker only needs its
-/// streams' `SessionCheckpoint`s plus the deterministic `EngineSpec` rebuild
-/// to resume bit-identically. Node-token maps are stored sorted by node id
+/// The shared `Engine` (decision model, tokenizer, concept space) never
+/// mutates per stream, so a crashed shard worker or an evicted session only
+/// needs its `SessionCheckpoint` plus the deterministic engine rebuild to
+/// resume bit-identically. Node-token maps are stored sorted by node id
 /// so serialized checkpoints are byte-deterministic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
@@ -277,10 +110,9 @@ pub fn checkpoint_session(session: &Session, adapter: &ContinuousAdapter) -> Ses
 }
 
 /// Restores a [`SessionCheckpoint`] into a freshly opened session of the
-/// same engine, returning the re-attached adaptation loop. Follows the
-/// [`load_state`] discipline: validate everything first, mutate only after
-/// every check has passed, so a corrupt checkpoint leaves the session
-/// untouched.
+/// same engine, returning the re-attached adaptation loop. Validates
+/// everything first and mutates only after every check has passed, so a
+/// corrupt checkpoint leaves the session untouched.
 ///
 /// # Errors
 ///
@@ -407,283 +239,157 @@ pub fn restore_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::AdaptConfig;
     use crate::pipeline::SystemConfig;
-    use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
+    use akg_data::{AdaptationStream, DatasetConfig, Frame, SyntheticUcfCrime};
     use akg_kg::AnomalyClass;
 
-    fn system(seed: u64) -> MissionSystem {
-        MissionSystem::build(
-            &[AnomalyClass::Stealing],
-            &SystemConfig { seed, ..SystemConfig::default() },
-        )
+    fn engine(missions: &[AnomalyClass], seed: u64) -> Engine {
+        Engine::build(missions, &SystemConfig { seed, ..SystemConfig::default() })
     }
 
-    fn sample_score(sys: &mut MissionSystem) -> f32 {
-        sys.engine.model.set_train(false);
-        let frame = akg_data::Frame {
-            concepts: vec![("grab".into(), 1.0), ("person".into(), 0.6)],
-            label: None,
-        };
-        let emb = sys.embed_frame(&frame);
-        let w = sys.engine.model.config().window;
-        sys.score_window(&vec![emb; w])
-    }
-
-    #[test]
-    fn round_trip_restores_behaviour() {
-        let mut original = system(3);
-        let state = save_state(&original);
-        // perturb the original's parameters, then restore
-        for p in original.engine.model.params() {
-            p.update_data(|d| {
-                for v in d.iter_mut() {
-                    *v += 0.5;
-                }
-            });
-        }
-        original.session.table.param().update_data(|d| {
-            for v in d.iter_mut() {
-                *v -= 0.25;
-            }
-        });
-        let perturbed_state = save_state(&original);
-        assert_ne!(perturbed_state.model_params, state.model_params);
-        load_state(&mut original, &state).unwrap();
-        let restored = save_state(&original);
-        assert_eq!(restored.model_params, state.model_params);
-        assert_eq!(restored.token_table, state.token_table);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_scores() {
-        let mut sys = system(4);
-        let before = sample_score(&mut sys);
-        let json = save_state_json(&sys).unwrap();
-        // a freshly built twin (same config) restores to identical behaviour
-        let mut twin = system(4);
-        load_state_json(&mut twin, &json).unwrap();
-        let a = sample_score(&mut twin);
-        // the saved frame-RNG position means the twin continues *after* the
-        // original's sample draw — so it must NOT equal `before` (one draw
-        // later) but a second restored twin must agree exactly
-        let mut sys2 = system(4);
-        load_state_json(&mut sys2, &json).unwrap();
-        let b = sample_score(&mut sys2);
-        assert_eq!(a, b, "restored twins disagree");
-        let _ = before;
-    }
-
-    #[test]
-    fn restored_rng_continues_not_restarts() {
-        let mut sys = system(7);
-        // advance the stream RNG, then checkpoint
-        let _ = sample_score(&mut sys);
-        let json = save_state_json(&sys).unwrap();
-        let next_original = sample_score(&mut sys);
-        let mut twin = system(7);
-        load_state_json(&mut twin, &json).unwrap();
-        let next_restored = sample_score(&mut twin);
-        assert_eq!(next_original, next_restored, "restored frame RNG did not continue the stream");
-    }
-
-    #[test]
-    fn load_then_continue_matches_uninterrupted_run() {
-        // The regression the multi-stream refactor demands: checkpoint a
-        // deployment mid-adaptation, restore it into a fresh twin, and the
-        // twin's subsequent scores (and adaptation decisions) must be
-        // identical to the uninterrupted original's.
-        let ds = SyntheticUcfCrime::generate(
-            DatasetConfig::scaled(0.015)
-                .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
-                .with_seed(31),
-        );
-        let cfg = AdaptConfig {
+    fn adapt_cfg() -> AdaptConfig {
+        AdaptConfig {
             n_window: 24,
             lag: 12,
             interval: 8,
             min_k: 1,
             max_k: 4,
             ..AdaptConfig::default()
-        };
-        let mut sys = system(11);
-        let mut adapter = ContinuousAdapter::new(&mut sys, cfg);
+        }
+    }
+
+    #[test]
+    fn restored_rng_continues_not_restarts() {
+        // An unadapted overlay session checkpoints only its RNG positions
+        // and adapter state (KGs stay shared); the restored twin's next
+        // frame embedding must continue the stream, not restart it.
+        let engine = engine(&[AnomalyClass::Stealing], 7);
+        let frame =
+            Frame { concepts: vec![("grab".into(), 1.0), ("person".into(), 0.6)], label: None };
+        let mut session = engine.new_session(70);
+        let adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
+        let first = engine.embed_frame(&mut session, &frame);
+        let cp = checkpoint_session(&session, &adapter);
+        assert!(cp.kgs_shared && cp.kgs.is_empty());
+        let next_original = engine.embed_frame(&mut session, &frame);
+        let mut twin = engine.new_session(70);
+        restore_session(&engine, &mut twin, AdaptConfig::default(), &cp).unwrap();
+        let next_restored = engine.embed_frame(&mut twin, &frame);
+        assert_eq!(next_original, next_restored, "restored frame RNG did not continue the stream");
+        assert_ne!(first, next_restored, "restored frame RNG restarted the stream");
+    }
+
+    #[test]
+    fn session_checkpoint_resumes_bit_identically() {
+        // The recovery primitive the sharded supervisor rests on: checkpoint
+        // a mid-adaptation session, serialize it, restore the parsed copy
+        // into a fresh session of an identically built engine, and the
+        // continuation must match the uninterrupted run bit for bit.
+        let ds = SyntheticUcfCrime::generate(
+            DatasetConfig::scaled(0.015)
+                .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
+                .with_seed(31),
+        );
+        let cfg = adapt_cfg();
+        let engine_a = engine(&[AnomalyClass::Stealing], 11);
+        let mut session = engine_a.new_session_dense(11);
+        let mut adapter = ContinuousAdapter::attach(&engine_a, &mut session, cfg);
         let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 13);
         for _ in 0..40 {
             let (f, _) = stream.next_frame();
-            adapter.observe(&mut sys, &f);
+            adapter.observe(&engine_a, &mut session, &f);
         }
-        let state = save_state_with_adapter(&sys, &adapter);
-        assert!(state.session.adapter.is_some());
-        // JSON round-trip to prove the whole checkpoint serializes
-        let json = serde_json::to_string(&state).unwrap();
-        let state: SystemState = serde_json::from_str(&json).unwrap();
-
-        let mut twin = system(11);
-        load_state(&mut twin, &state).unwrap();
-        let mut twin_adapter = ContinuousAdapter::restore(
-            &twin.engine,
-            &mut twin.session,
-            cfg,
-            state.session.adapter.as_ref().unwrap(),
+        let cp = checkpoint_session(&session, &adapter);
+        // Serialized bytes must be deterministic (node-token maps sorted) —
+        // two captures of the same state are byte-identical.
+        let json = serde_json::to_string(&cp).unwrap();
+        assert_eq!(
+            json,
+            serde_json::to_string(&checkpoint_session(&session, &adapter)).unwrap(),
+            "session checkpoint serialization is not byte-deterministic"
         );
+        let cp: SessionCheckpoint = serde_json::from_str(&json).unwrap();
+
+        let engine_b = engine(&[AnomalyClass::Stealing], 11);
+        let mut twin = engine_b.new_session_dense(11);
+        let mut twin_adapter = restore_session(&engine_b, &mut twin, cfg, &cp).unwrap();
         assert_eq!(twin_adapter.observed(), adapter.observed());
 
-        // continue both on the identical remaining stream
         let mut twin_stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 13);
         let _ = twin_stream.next_batch(40); // fast-forward past the checkpoint
         for i in 0..40 {
             let (f1, _) = stream.next_frame();
             let (f2, _) = twin_stream.next_frame();
             assert_eq!(f1, f2, "streams out of sync at {i}");
-            let s1 = adapter.observe(&mut sys, &f1);
-            let s2 = twin_adapter.observe(&mut twin, &f2);
-            assert_eq!(s1, s2, "restored run diverged at frame {i}");
-        }
-        assert_eq!(adapter.replacements(), twin_adapter.replacements());
-        assert_eq!(
-            sys.session.table.param().to_vec(),
-            twin.session.table.param().to_vec(),
-            "restored table diverged after continuation"
-        );
-    }
-
-    #[test]
-    fn session_checkpoint_resumes_bit_identically() {
-        // The recovery primitive the sharded supervisor rests on: checkpoint
-        // a mid-adaptation session, restore it into a fresh session of an
-        // identically built engine, and the continuation must match the
-        // uninterrupted run bit for bit.
-        let ds = SyntheticUcfCrime::generate(
-            DatasetConfig::scaled(0.015)
-                .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
-                .with_seed(31),
-        );
-        let cfg = AdaptConfig {
-            n_window: 24,
-            lag: 12,
-            interval: 8,
-            min_k: 1,
-            max_k: 4,
-            ..AdaptConfig::default()
-        };
-        let mut sys = system(11);
-        let mut adapter = ContinuousAdapter::new(&mut sys, cfg);
-        let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 13);
-        for _ in 0..40 {
-            let (f, _) = stream.next_frame();
-            adapter.observe(&mut sys, &f);
-        }
-        let cp = checkpoint_session(&sys.session, &adapter);
-        // Serialized bytes must be deterministic (node-token maps sorted) —
-        // two captures of the same state are byte-identical.
-        assert_eq!(
-            serde_json::to_string(&cp).unwrap(),
-            serde_json::to_string(&checkpoint_session(&sys.session, &adapter)).unwrap(),
-            "session checkpoint serialization is not byte-deterministic"
-        );
-
-        let mut twin = system(11);
-        let mut twin_adapter = restore_session(&twin.engine, &mut twin.session, cfg, &cp).unwrap();
-        assert_eq!(twin_adapter.observed(), adapter.observed());
-
-        let mut twin_stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 13);
-        let _ = twin_stream.next_batch(40); // fast-forward past the checkpoint
-        for i in 0..40 {
-            let (f1, _) = stream.next_frame();
-            let (f2, _) = twin_stream.next_frame();
-            let s1 = adapter.observe(&mut sys, &f1);
-            let s2 = twin_adapter.observe(&mut twin, &f2);
+            let s1 = adapter.observe(&engine_a, &mut session, &f1);
+            let s2 = twin_adapter.observe(&engine_b, &mut twin, &f2);
             assert_eq!(s1, s2, "restored session diverged at frame {i}");
         }
         assert_eq!(adapter.replacements(), twin_adapter.replacements());
         assert_eq!(
-            sys.session.table.param().to_vec(),
-            twin.session.table.param().to_vec(),
+            session.table.param().to_vec(),
+            twin.table.param().to_vec(),
             "restored session table diverged after continuation"
         );
     }
 
     #[test]
     fn restore_session_rejects_corrupt_checkpoint_without_mutating() {
-        let mut sys = system(12);
-        let adapter = ContinuousAdapter::new(&mut sys, AdaptConfig::default());
-        let cp = checkpoint_session(&sys.session, &adapter);
+        let engine = engine(&[AnomalyClass::Stealing], 12);
+        let mut session = engine.new_session_dense(12);
+        let adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
+        let cp = checkpoint_session(&session, &adapter);
         let cfg = *adapter.config();
 
-        let mut twin = system(12);
-        let untouched = twin.session.table.param().to_vec();
+        let mut twin = engine.new_session_dense(12);
+        let untouched = twin.table.param().to_vec();
 
         let mut bad = cp.clone();
         bad.frame_rng = vec![1, 2, 3];
-        assert!(restore_session(&twin.engine, &mut twin.session, cfg, &bad).is_err());
+        assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err());
 
         let mut bad = cp.clone();
         bad.frame_rng = vec![0, 0, 0, 0];
-        assert!(restore_session(&twin.engine, &mut twin.session, cfg, &bad).is_err());
+        assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err());
 
         let mut bad = cp.clone();
         bad.adapter.rng = vec![7];
-        assert!(restore_session(&twin.engine, &mut twin.session, cfg, &bad).is_err());
+        assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err(), "short adapter RNG");
+
+        let mut bad = cp.clone();
+        bad.adapter.rng = vec![0, 0, 0, 0];
+        assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err(), "all-zero adapter RNG");
 
         let mut bad = cp.clone();
         bad.token_table.truncate(3);
-        assert!(restore_session(&twin.engine, &mut twin.session, cfg, &bad).is_err());
+        assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err());
 
         let mut bad = cp.clone();
         bad.kgs[0] = "{broken".to_string();
-        assert!(restore_session(&twin.engine, &mut twin.session, cfg, &bad).is_err());
+        assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err());
 
         assert_eq!(
-            twin.session.table.param().to_vec(),
+            twin.table.param().to_vec(),
             untouched,
             "a rejected checkpoint must leave the session untouched"
         );
         // and the pristine checkpoint still restores fine afterwards
-        assert!(restore_session(&twin.engine, &mut twin.session, cfg, &cp).is_ok());
+        assert!(restore_session(&engine, &mut twin, cfg, &cp).is_ok());
     }
 
     #[test]
     fn load_rejects_mission_mismatch() {
-        let sys = system(5);
-        let state = save_state(&sys);
-        let mut other = MissionSystem::build(
-            &[AnomalyClass::Explosion],
-            &SystemConfig { seed: 5, ..SystemConfig::default() },
-        );
-        assert!(load_state(&mut other, &state).is_err());
-    }
-
-    #[test]
-    fn load_rejects_corrupt_kg() {
-        let sys = system(6);
-        let mut state = save_state(&sys);
-        state.kgs[0] = "{not valid json".to_string();
-        let mut twin = system(6);
-        assert!(load_state(&mut twin, &state).is_err());
-    }
-
-    #[test]
-    fn load_rejects_malformed_rng() {
-        let sys = system(8);
-        let mut state = save_state(&sys);
-        state.session.frame_rng = vec![1, 2, 3];
-        let mut twin = system(8);
-        assert!(load_state(&mut twin, &state).is_err());
-        state.session.frame_rng = vec![0, 0, 0, 0];
-        assert!(load_state(&mut twin, &state).is_err());
-    }
-
-    #[test]
-    fn load_rejects_malformed_adapter_rng() {
-        let mut sys = system(9);
-        let mut adapter = ContinuousAdapter::new(&mut sys, AdaptConfig::default());
-        let mut state = save_state_with_adapter(&sys, &adapter);
-        let _ = &mut adapter;
-        state.session.adapter.as_mut().unwrap().rng = vec![1, 2];
-        let mut twin = system(9);
-        assert!(load_state(&mut twin, &state).is_err(), "short adapter RNG accepted");
-        state.session.adapter.as_mut().unwrap().rng = vec![0, 0, 0, 0];
-        assert!(load_state(&mut twin, &state).is_err(), "all-zero adapter RNG accepted");
+        // A checkpoint carrying one mission's KG cannot restore into a
+        // session of an engine deployed for two.
+        let one = engine(&[AnomalyClass::Stealing], 5);
+        let mut session = one.new_session_dense(5);
+        let adapter = ContinuousAdapter::attach(&one, &mut session, AdaptConfig::default());
+        let cp = checkpoint_session(&session, &adapter);
+        assert!(!cp.kgs_shared);
+        let two = engine(&[AnomalyClass::Stealing, AnomalyClass::Robbery], 5);
+        let mut other = two.new_session_dense(5);
+        let untouched = other.table.param().to_vec();
+        assert!(restore_session(&two, &mut other, *adapter.config(), &cp).is_err());
+        assert_eq!(other.table.param().to_vec(), untouched);
     }
 }

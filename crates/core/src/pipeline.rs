@@ -2,22 +2,21 @@
 //! generation (A), decision-model training (B) — and the deployment target
 //! that stage (C), continuous adaptation, operates on.
 //!
-//! [`MissionSystem`] is the single-tenant facade: one shared
-//! [`Engine`](crate::engine::Engine) plus exactly one
-//! [`Session`](crate::engine::Session), presenting the same API the
-//! pre-split monolith had. Multi-stream serving builds on the underlying
-//! pair directly (see [`crate::engine`] and the `akg-runtime` crate).
+//! [`SystemConfig`] is the build recipe [`Engine::build`] consumes. A
+//! [`MissionSystem`] pairs an engine with one dense [`Session`], the unit
+//! initial training ([`crate::train::train_decision_model`]) runs on; every
+//! scoring, adaptation and persistence entry point takes the engine and a
+//! session directly (see [`crate::engine`] and the `akg-runtime` crate).
 
 use crate::config::ModelConfig;
 use crate::engine::{Engine, Session};
-use akg_data::Frame;
 use akg_kg::AnomalyClass;
 
 /// Observation-noise standard deviation of the synthetic frame encoder.
 pub const FRAME_NOISE_STD: f32 = 0.02;
 
-/// A fully-wired mission system: the deployable unit of the paper, as a
-/// thin facade over an [`Engine`] and one [`Session`].
+/// A trainable mission system: an [`Engine`] plus the one dense [`Session`]
+/// initial training differentiates through.
 #[derive(Debug)]
 pub struct MissionSystem {
     /// The shared, immutable-after-build half: tokenizer, joint space,
@@ -92,83 +91,6 @@ impl MissionSystem {
         let session = engine.new_session_dense(config.seed ^ 0xF0F0);
         MissionSystem { engine, session }
     }
-
-    /// Encodes a frame into the joint space (the `E_I(F_t)` of the paper for
-    /// our synthetic frames).
-    pub fn embed_frame(&mut self, frame: &Frame) -> Vec<f32> {
-        self.engine.embed_frame(&mut self.session, frame)
-    }
-
-    /// Scores one window of frame embeddings (anomaly score `p_A` of the
-    /// last frame). Runs without recording gradients into the model.
-    pub fn score_window(&self, window: &[Vec<f32>]) -> f32 {
-        self.engine.score_window(&self.session, window)
-    }
-
-    /// Class-probability prediction for one window.
-    pub fn predict_window(&self, window: &[Vec<f32>]) -> Vec<f32> {
-        self.engine.predict_window(&self.session, window)
-    }
-
-    /// Differentiable logits, one row per equal-length window, in one
-    /// stacked forward (used by training; see [`Engine::windows_logits`]).
-    pub fn windows_logits(&self, windows: &[&[Vec<f32>]]) -> akg_tensor::Tensor {
-        self.engine.windows_logits(&self.session, windows)
-    }
-
-    /// Rebuilds the execution layout of KG `i` after structural change.
-    pub fn rebuild_layout(&mut self, i: usize) {
-        self.session.rebuild_layout(i);
-    }
-
-    /// Scores every frame of a video with a rolling window, returning
-    /// `(scores, labels)` aligned per frame. The first `window − 1` frames
-    /// reuse the partial window (padded by repeating the first frame).
-    ///
-    /// Evaluation runs through a dedicated RNG derived from the engine seed
-    /// — it never advances the deployment stream's frame RNG, so evaluating
-    /// mid-stream does not perturb subsequent stream results.
-    pub fn score_video(&self, video: &akg_data::Video) -> (Vec<f32>, Vec<bool>) {
-        self.engine.score_video(&self.session, video)
-    }
-
-    /// Frame-level ROC-AUC over a set of videos (the paper's test metric).
-    pub fn evaluate_auc(&self, videos: &[&akg_data::Video]) -> f32 {
-        self.engine.evaluate_auc(&self.session, videos)
-    }
-
-    /// Freezes everything except the token table (the adaptation regime) or
-    /// restores the training regime (model trainable, table frozen).
-    ///
-    /// No train/eval mode switch is involved: the GNN's norms always use
-    /// instance statistics (see [`crate::model::HierarchicalGnn::forward`]),
-    /// so freezing is the only thing that distinguishes the two regimes.
-    pub fn set_adaptation_mode(&mut self, adaptation: bool) {
-        self.engine.set_adaptation_mode(&self.session, adaptation);
-    }
-
-    /// Cost-model dimensions of the deployed system (for Table I).
-    pub fn cost_dims(&self) -> akg_cost_dims::ModelDimsLike {
-        let kgs = &self.session.kgs;
-        let nodes = kgs.iter().map(|t| t.kg.node_count()).max().unwrap_or(0);
-        let edges = kgs.iter().map(|t| t.kg.edge_count()).max().unwrap_or(0);
-        let levels = kgs.iter().map(|t| t.kg.total_levels()).max().unwrap_or(0);
-        let config = self.engine.model.config();
-        akg_cost_dims::ModelDimsLike {
-            kgs: kgs.len(),
-            nodes,
-            edges,
-            levels,
-            embed_dim: config.embed_dim,
-            gnn_dim: config.gnn_dim,
-            window: config.window,
-            temporal_inner: config.temporal_inner,
-            heads: config.heads,
-            temporal_layers: config.temporal_layers,
-            classes: self.engine.model.n_classes(),
-            adapted_token_entries: self.session.referenced_rows().len() * self.session.table.dim(),
-        }
-    }
 }
 
 /// A light mirror of `akg_cost::ModelDims` inputs so `akg-core` does not
@@ -208,7 +130,7 @@ pub mod akg_cost_dims {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use akg_data::{DatasetConfig, SyntheticUcfCrime};
+    use akg_data::{DatasetConfig, Frame, SyntheticUcfCrime};
     use akg_tensor::nn::Module;
 
     fn system() -> MissionSystem {
@@ -227,19 +149,19 @@ mod tests {
 
     #[test]
     fn embed_frame_produces_model_dim() {
-        let mut sys = system();
+        let MissionSystem { engine, mut session } = system();
         let frame = Frame { concepts: vec![("walking".into(), 1.0)], label: None };
-        let emb = sys.embed_frame(&frame);
-        assert_eq!(emb.len(), sys.engine.model.config().embed_dim);
+        let emb = engine.embed_frame(&mut session, &frame);
+        assert_eq!(emb.len(), engine.model.config().embed_dim);
     }
 
     #[test]
     fn score_window_in_unit_interval() {
-        let mut sys = system();
-        let w = sys.engine.model.config().window;
+        let MissionSystem { engine, mut session } = system();
+        let w = engine.model.config().window;
         let frame = Frame { concepts: vec![("walking".into(), 1.0)], label: None };
-        let emb = sys.embed_frame(&frame);
-        let score = sys.score_window(&vec![emb; w]);
+        let emb = engine.embed_frame(&mut session, &frame);
+        let score = engine.score_window(&session, &vec![emb; w]);
         assert!((0.0..=1.0).contains(&score), "score {score}");
     }
 
@@ -250,7 +172,7 @@ mod tests {
             DatasetConfig::scaled(0.01).with_classes(&[AnomalyClass::Stealing]).with_seed(1),
         );
         let video = ds.train_videos_of(AnomalyClass::Stealing)[0];
-        let (scores, labels) = sys.score_video(video);
+        let (scores, labels) = sys.engine.score_video(&sys.session, video);
         assert_eq!(scores.len(), video.len());
         assert_eq!(labels.len(), video.len());
         let (start, end) = video.anomaly_range.unwrap();
@@ -259,11 +181,11 @@ mod tests {
 
     #[test]
     fn adaptation_mode_toggles_freezing() {
-        let mut sys = system();
-        sys.set_adaptation_mode(true);
+        let sys = system();
+        sys.engine.set_adaptation_mode(&sys.session, true);
         assert!(!sys.engine.model.params()[0].requires_grad_flag());
         assert!(sys.session.table.param().requires_grad_flag());
-        sys.set_adaptation_mode(false);
+        sys.engine.set_adaptation_mode(&sys.session, false);
         assert!(sys.engine.model.params()[0].requires_grad_flag());
         assert!(!sys.session.table.param().requires_grad_flag());
     }
@@ -275,14 +197,14 @@ mod tests {
             DatasetConfig::scaled(0.01).with_classes(&[AnomalyClass::Stealing]).with_seed(2),
         );
         let subset = ds.test_subset(AnomalyClass::Stealing);
-        let auc = sys.evaluate_auc(&subset);
+        let auc = sys.engine.evaluate_auc(&sys.session, &subset);
         assert!((0.0..=1.0).contains(&auc));
     }
 
     #[test]
     fn cost_dims_populated() {
         let sys = system();
-        let dims = sys.cost_dims();
+        let dims = sys.engine.cost_dims(&sys.session);
         assert!(dims.nodes > 0);
         assert!(dims.edges > 0);
         assert_eq!(dims.kgs, 1);

@@ -64,8 +64,7 @@ pub fn train_decision_model(
     assert!(!normals.is_empty(), "training requires normal videos");
     assert!(!anomalous.is_empty(), "training requires mission-class videos");
 
-    sys.set_adaptation_mode(false); // model trainable, table frozen
-    sys.engine.model.set_train(true);
+    sys.engine.set_adaptation_mode(&sys.session, false); // model trainable, table frozen
     let params = sys.engine.model.params();
     let mut opt = AdamW::new(
         params,
@@ -103,7 +102,7 @@ pub fn train_decision_model(
         // One stacked forward for the whole step.
         let windows: Vec<&[Vec<f32>]> = batch.iter().map(|s| s.embeddings.as_slice()).collect();
         let targets: Vec<usize> = batch.iter().map(|s| s.target).collect();
-        let logits = sys.windows_logits(&windows);
+        let logits = sys.engine.windows_logits(&sys.session, &windows);
         let loss = decision_loss_smoothed(&logits, &targets, smoothing, lambda_spa, lambda_smt);
         opt.zero_grad();
         loss.backward();
@@ -111,7 +110,6 @@ pub fn train_decision_model(
         loss_history.push(loss.item());
     }
 
-    sys.engine.model.set_train(false);
     // Training mutated the f32 masters; re-derive the int8 serving codes
     // (no-op at f32 precision) so the inference plane never serves stale
     // quantizations.
@@ -137,8 +135,10 @@ fn sample_window(
         rng.gen_range(0..video.len())
     };
     let start = end.saturating_sub(window_len - 1);
-    let mut embeddings: Vec<Vec<f32>> =
-        video.frames[start..=end].iter().map(|f| sys.embed_frame(f)).collect();
+    let mut embeddings: Vec<Vec<f32>> = video.frames[start..=end]
+        .iter()
+        .map(|f| sys.engine.embed_frame(&mut sys.session, f))
+        .collect();
     while embeddings.len() < window_len {
         embeddings.insert(0, embeddings[0].clone());
     }
@@ -153,7 +153,7 @@ fn sample_window(
 /// anomalous videos as anomalous only when the model's current score clears
 /// the decaying threshold.
 fn relabel_weakly(
-    sys: &mut MissionSystem,
+    sys: &MissionSystem,
     batch: &mut [WindowSample],
     threshold: f32,
     missions: &[AnomalyClass],
@@ -162,7 +162,7 @@ fn relabel_weakly(
         match sample.video_class {
             None => sample.target = 0,
             Some(class) => {
-                let score = sys.score_window(&sample.embeddings);
+                let score = sys.engine.score_window(&sys.session, &sample.embeddings);
                 if score >= threshold.min(0.99) {
                     sample.target =
                         missions.iter().position(|m| *m == class).map(|i| i + 1).unwrap_or(0);
@@ -209,7 +209,7 @@ mod tests {
         let cfg = TrainConfig { steps: 100, batch_size: 12, ..TrainConfig::fast() };
         train_decision_model(&mut sys, &videos, &cfg);
         let subset = ds.test_subset(AnomalyClass::Stealing);
-        let auc = sys.evaluate_auc(&subset);
+        let auc = sys.engine.evaluate_auc(&sys.session, &subset);
         assert!(auc > 0.7, "trained AUC too low: {auc}");
     }
 

@@ -11,9 +11,10 @@
 //! Tests here flip the process-wide compute backend, so they follow the
 //! `BACKEND_LOCK` discipline of `tensor/tests/proptest_kernels.rs`.
 
+use akg_core::engine::{Engine, Session};
 use akg_core::loss::decision_loss_smoothed;
 use akg_core::model::KgLayout;
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::pipeline::SystemConfig;
 use akg_core::tokenize::TokenizedKg;
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
@@ -61,9 +62,9 @@ fn overlapping_windows() -> Vec<Vec<usize>> {
 /// dispatch threshold, so the blocked ≡ in-order kernel claim is exercised
 /// through autograd; one window per run of `window` frames, plus windows
 /// that straddle two runs.
-fn threshold_crossing_windows(sys: &MissionSystem) -> Vec<Vec<usize>> {
-    let cfg = sys.engine.model.config();
-    let v = sys.session.layouts[0].node_count();
+fn threshold_crossing_windows(engine: &Engine, session: &Session) -> Vec<Vec<usize>> {
+    let cfg = engine.model.config();
+    let v = session.layouts[0].node_count();
     let frames = BLOCKED_DISPATCH_THRESHOLD.div_ceil(v * cfg.embed_dim * cfg.gnn_dim);
     let t = cfg.window;
     let runs = frames.div_ceil(t);
@@ -77,8 +78,8 @@ fn targets(n: usize) -> Vec<usize> {
     (0..n).map(|i| [1, 1, 0, 0, 1, 0][i % 6]).collect()
 }
 
-fn loss(logits: &Tensor, sys: &MissionSystem) -> Tensor {
-    let cfg = sys.engine.model.config();
+fn loss(logits: &Tensor, engine: &Engine) -> Tensor {
+    let cfg = engine.model.config();
     let targets = targets(logits.shape()[0]);
     decision_loss_smoothed(logits, &targets, cfg.label_smoothing, cfg.lambda_spa, cfg.lambda_smt)
 }
@@ -86,9 +87,13 @@ fn loss(logits: &Tensor, sys: &MissionSystem) -> Tensor {
 /// The per-frame composed path: every frame of every window through the
 /// GNNs on its own (gradients into the full session table), then the
 /// temporal model and head per window.
-fn oracle_logits(sys: &MissionSystem, pool: &[Vec<f32>], windows: &[Vec<usize>]) -> Tensor {
-    let session = &sys.session;
-    let model = &sys.engine.model;
+fn oracle_logits(
+    engine: &Engine,
+    session: &Session,
+    pool: &[Vec<f32>],
+    windows: &[Vec<usize>],
+) -> Tensor {
+    let model = &engine.model;
     let kgs: Vec<&TokenizedKg> = session.kgs.iter().collect();
     let layouts: Vec<&KgLayout> = session.layouts.iter().collect();
     let rows: Vec<Tensor> = windows
@@ -104,23 +109,28 @@ fn oracle_logits(sys: &MissionSystem, pool: &[Vec<f32>], windows: &[Vec<usize>])
     Tensor::concat_rows(&rows)
 }
 
-fn check(b: Backend, sys: &MissionSystem, pool: &[Vec<f32>], windows: &[Vec<usize>]) {
-    let table = sys.session.table.param();
+fn check(
+    b: Backend,
+    engine: &Engine,
+    session: &Session,
+    pool: &[Vec<f32>],
+    windows: &[Vec<usize>],
+) {
+    let table = session.table.param();
     table.zero_grad();
-    let oracle = oracle_logits(sys, pool, windows);
-    loss(&oracle, sys).backward();
+    let oracle = oracle_logits(engine, session, pool, windows);
+    loss(&oracle, engine).backward();
     let oracle_grad = table.grad().expect("oracle table got no gradient");
 
     // the token update's path: one compact leaf, each frame once
-    let session = &sys.session;
     let rows = session.table.leaf_rows(session.referenced_rows());
     let used = windows.iter().flatten().max().map_or(0, |&i| i + 1);
     let frames: Vec<&[f32]> = pool[..used].iter().map(Vec::as_slice).collect();
     let logits =
-        sys.engine.model.windows_logits(&session.kgs, &session.layouts, &rows, &frames, windows);
+        engine.model.windows_logits(&session.kgs, &session.layouts, &rows, &frames, windows);
     let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&logits), bits(&oracle), "{b:?}: logits not bitwise equal");
-    loss(&logits, sys).backward();
+    loss(&logits, engine).backward();
     let grad = rows.values().grad().expect("compact leaf got no gradient");
 
     let dim = session.table.dim();
@@ -159,18 +169,21 @@ fn deduplicated_node_block_forward_matches_per_window_oracle() {
     );
     for b in BACKENDS {
         with_backend(b, || {
-            let mut sys = MissionSystem::build(
+            let engine = Engine::build(
                 &[AnomalyClass::Stealing],
                 &SystemConfig { seed: 5, backend: b, ..Default::default() },
             );
-            sys.set_adaptation_mode(true);
-            let large = threshold_crossing_windows(&sys);
+            // a dense session: the oracle differentiates the full table
+            let mut session = engine.new_session_dense(5 ^ 0xF0F0);
+            engine.set_adaptation_mode(&session, true);
+            let large = threshold_crossing_windows(&engine, &session);
             let pool_len = large.iter().flatten().max().unwrap() + 1;
             let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 3);
-            let pool: Vec<Vec<f32>> =
-                (0..pool_len).map(|_| sys.embed_frame(&stream.next_frame().0)).collect();
-            check(b, &sys, &pool, &overlapping_windows());
-            check(b, &sys, &pool, &large);
+            let pool: Vec<Vec<f32>> = (0..pool_len)
+                .map(|_| engine.embed_frame(&mut session, &stream.next_frame().0))
+                .collect();
+            check(b, &engine, &session, &pool, &overlapping_windows());
+            check(b, &engine, &session, &pool, &large);
         });
     }
 }

@@ -175,7 +175,7 @@ fn equivalence_holds_on_adapted_sessions() {
                     stream.shift_to(AnomalyClass::Robbery);
                 }
                 let (frame, _) = stream.next_frame();
-                adapter.observe_stream(&engine, &mut session, &frame);
+                adapter.observe(&engine, &mut session, &frame);
             }
             let window = make_window(&engine, 5);
             assert_eq!(

@@ -204,9 +204,9 @@ fn int8_auc_within_one_point_of_f32_on_fig5_protocol() {
         let cfg = TrainConfig { steps: 100, batch_size: 12, ..TrainConfig::fast() };
         train_decision_model(&mut sys, &videos, &cfg);
         let subset = ds.test_subset(AnomalyClass::Stealing);
-        let auc_f32 = sys.evaluate_auc(&subset);
+        let auc_f32 = sys.engine.evaluate_auc(&sys.session, &subset);
         sys.engine.model.set_precision(Precision::Int8);
-        let auc_int8 = sys.evaluate_auc(&subset);
+        let auc_int8 = sys.engine.evaluate_auc(&sys.session, &subset);
         assert!(auc_f32 > 0.7, "f32 baseline AUC too low: {auc_f32}");
         assert!(
             (auc_int8 - auc_f32).abs() <= 0.01,
@@ -229,7 +229,7 @@ fn training_refreshes_stale_int8_codes() {
         };
         let mut sys = MissionSystem::build(&[AnomalyClass::Stealing], &config);
         let window = make_window(&sys.engine, 1);
-        let before = sys.score_window(&window);
+        let before = sys.engine.score_window(&sys.session, &window);
         let ds = SyntheticUcfCrime::generate(
             DatasetConfig::scaled(0.015)
                 .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
@@ -239,12 +239,16 @@ fn training_refreshes_stale_int8_codes() {
         let cfg = TrainConfig { steps: 20, batch_size: 4, ..TrainConfig::fast() };
         train_decision_model(&mut sys, &videos, &cfg);
         assert_eq!(sys.engine.precision(), Precision::Int8);
-        let after = sys.score_window(&window);
+        let after = sys.engine.score_window(&sys.session, &window);
         assert_ne!(before, after, "trained int8 engine still serves pre-training codes");
         // The refreshed codes must equal quantizing the current masters
         // from scratch: re-deriving in place is idempotent.
-        let served = sys.score_window(&window);
+        let served = sys.engine.score_window(&sys.session, &window);
         sys.engine.model.refresh_quantized();
-        assert_eq!(sys.score_window(&window), served, "refresh_quantized not idempotent");
+        assert_eq!(
+            sys.engine.score_window(&sys.session, &window),
+            served,
+            "refresh_quantized not idempotent"
+        );
     });
 }

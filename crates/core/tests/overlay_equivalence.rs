@@ -11,7 +11,7 @@
 
 use akg_core::adapt::{AdaptConfig, ContinuousAdapter};
 use akg_core::engine::Engine;
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::pipeline::SystemConfig;
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_tensor::backend::{backend, set_backend, Backend};
@@ -42,15 +42,14 @@ fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
 /// AVX2+FMA, so this is safe (and still meaningful) everywhere.
 const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Simd];
 
-/// Same engine recipe as `runtime/tests/equivalence.rs`: the trained
-/// `MissionSystem` pipeline (seed 5), whose scores demonstrably trip the
-/// anomaly trigger on the dataset below — so adaptation actually fires.
+/// Same engine recipe as `runtime/tests/equivalence.rs` (seed 5), whose
+/// scores demonstrably trip the anomaly trigger on the dataset below — so
+/// adaptation actually fires.
 fn build_engine(b: Backend, precision: Precision) -> Engine {
-    MissionSystem::build(
+    Engine::build(
         &[AnomalyClass::Stealing],
         &SystemConfig { seed: 5, backend: b, precision, ..Default::default() },
     )
-    .engine
 }
 
 /// Same dataset recipe as `runtime/tests/equivalence.rs`, whose suite proves
@@ -105,7 +104,7 @@ fn run_session(
             stream.shift_to(AnomalyClass::Robbery);
         }
         let (frame, _) = stream.next_frame();
-        score_bits.push(adapter.observe_stream(engine, &mut session, &frame).to_bits());
+        score_bits.push(adapter.observe(engine, &mut session, &frame).to_bits());
     }
     Outcome {
         score_bits,
@@ -231,7 +230,7 @@ fn overlay_checkpoint_roundtrips_and_shrinks() {
                     stream.shift_to(AnomalyClass::Robbery);
                 }
                 let (frame, _) = stream.next_frame();
-                adapter.observe_stream(&engine, &mut session, &frame);
+                adapter.observe(&engine, &mut session, &frame);
             }
             if !session.table.overlay_delta().is_empty() {
                 adapted = Some((s, session, adapter, stream));
@@ -258,7 +257,7 @@ fn overlay_checkpoint_roundtrips_and_shrinks() {
                 dense_stream.shift_to(AnomalyClass::Robbery);
             }
             let (frame, _) = dense_stream.next_frame();
-            dense_adapter.observe_stream(&engine, &mut dense, &frame);
+            dense_adapter.observe(&engine, &mut dense, &frame);
         }
         let dense_bytes =
             serde_json::to_string(&checkpoint_session(&dense, &dense_adapter)).unwrap().len();
@@ -272,8 +271,8 @@ fn overlay_checkpoint_roundtrips_and_shrinks() {
         let mut twin_adapter = restore_session(&engine, &mut twin, cfg, &cp).unwrap();
         for _ in 0..24 {
             let (f1, _) = stream.next_frame();
-            let s1 = adapter.observe_stream(&engine, &mut session, &f1);
-            let s2 = twin_adapter.observe_stream(&engine, &mut twin, &f1);
+            let s1 = adapter.observe(&engine, &mut session, &f1);
+            let s2 = twin_adapter.observe(&engine, &mut twin, &f1);
             assert_eq!(s1.to_bits(), s2.to_bits(), "restored overlay session diverged");
         }
         assert_eq!(

@@ -7,8 +7,7 @@
 //!
 //! The paper's deployment stage (Fig. 2 C) is continuous scoring of *live*
 //! streams on an edge device; a real installation has many cameras per
-//! device. The pre-split `MissionSystem` could serve exactly one. This
-//! runtime round-robins frames from many [`FrameSource`]s, forms
+//! device. This runtime round-robins frames from many [`FrameSource`]s, forms
 //! cross-stream batches of score windows (up to
 //! [`RuntimeConfig::max_batch`]), dispatches them through the engine's
 //! batched forward — one matmul per GNN layer for the whole batch instead of
@@ -27,8 +26,9 @@
 //! materialize and touch only its own rows/copies; the engine's artifacts
 //! are never written after build. There is no shared *mutable* state between
 //! streams at all, so scheduling order cannot change results, and batched
-//! serving is **bit-identical** to running every stream alone through the
-//! legacy single-stream path (`tests/equivalence.rs` proves this at batch
+//! serving is **bit-identical** to running every stream alone through
+//! [`ContinuousAdapter::observe`](akg_core::adapt::ContinuousAdapter::observe)
+//! (`tests/equivalence.rs` proves this at batch
 //! sizes 1, 4, and 16; `tests/overlay_equivalence.rs` in `akg-core` proves
 //! overlay ≡ dense fork). For serving more *registered* sessions than fit in
 //! RAM, the [`tier`] module bounds residency with LRU eviction to a disk

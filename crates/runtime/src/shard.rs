@@ -40,7 +40,7 @@
 //!
 //! Serving at **any** shard count is bit-identical per stream — scores,
 //! adapted token tables, replacement counts — to single-shard (and to the
-//! pre-sharding [`MultiStreamRuntime`], and to the legacy single-stream
+//! pre-sharding [`MultiStreamRuntime`], and to a standalone single-stream
 //! path). The argument is structural:
 //!
 //! 1. shard engines are bit-identical replicas (deterministic build);

@@ -140,7 +140,8 @@ impl SessionTier {
     /// # Errors
     ///
     /// Returns a message when `id` is unknown, the frame fails validation,
-    /// or a spooled checkpoint cannot be read back (counted in
+    /// the LRU resident cannot be written to the spool (it then stays
+    /// resident), or a spooled checkpoint cannot be read back (counted in
     /// [`TierCounters::rehydration_failures`]).
     pub fn serve_frame(&mut self, id: SessionId, frame: &Frame) -> Result<f32, String> {
         if id >= self.slots.len() {
@@ -153,7 +154,7 @@ impl SessionTier {
         let SlotState::Resident(resident) = &mut slot.state else {
             unreachable!("ensure_resident left session {id} non-resident");
         };
-        Ok(resident.adapter.observe_stream(&self.engine, &mut resident.session, frame))
+        Ok(resident.adapter.observe(&self.engine, &mut resident.session, frame))
     }
 
     /// Makes `id` resident (cold start or rehydration), evicting beyond the
@@ -163,8 +164,9 @@ impl SessionTier {
             return Ok(());
         }
         while self.lru.len() >= self.cfg.max_resident {
-            let victim = self.lru.pop_front().expect("LRU non-empty while over cap");
-            self.evict(victim);
+            // the victim leaves the LRU order only once it is safely spooled
+            self.evict(self.lru[0])?;
+            self.lru.pop_front();
         }
         let (frame_seed, adapt) = (self.slots[id].frame_seed, self.slots[id].adapt);
         let resident = match self.slots[id].state {
@@ -213,16 +215,25 @@ impl SessionTier {
         Ok(ResidentSession { session, adapter })
     }
 
-    /// Serializes a resident session to its spool file and drops it.
-    fn evict(&mut self, id: SessionId) {
-        let state = std::mem::replace(&mut self.slots[id].state, SlotState::Spooled);
-        let SlotState::Resident(resident) = state else {
+    /// Serializes a resident session to its spool file and drops it. The
+    /// checkpoint is written to a temporary file and renamed into place, so
+    /// the spool never holds a torn checkpoint. On an I/O error the session
+    /// stays resident and untouched.
+    fn evict(&mut self, id: SessionId) -> Result<(), String> {
+        let SlotState::Resident(resident) = &self.slots[id].state else {
             unreachable!("evicting non-resident session {id}");
         };
         let cp = persist::checkpoint_session(&resident.session, &resident.adapter);
         let json = serde_json::to_string(&cp).expect("session checkpoint serializes");
-        std::fs::write(self.spool_path(id), json).expect("SessionTier: write spool file");
+        let path = self.spool_path(id);
+        let tmp = path.with_extension("json.tmp");
+        std::fs::write(&tmp, json).and_then(|()| std::fs::rename(&tmp, &path)).map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            format!("SessionTier: spool session {id} to {}: {e}", path.display())
+        })?;
+        self.slots[id].state = SlotState::Spooled;
         self.counters.evictions += 1;
+        Ok(())
     }
 
     /// Moves `id` to the most-recently-used end of the LRU order.
@@ -348,6 +359,27 @@ mod tests {
         assert!(t.serve_frame(id, &bad).is_err());
         assert_eq!(t.counters(), TierCounters::default());
         t.clear_spool();
+    }
+
+    #[test]
+    fn spool_write_failure_keeps_the_victim_resident() {
+        let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+        let mut cfg = TierConfig::bounded(1);
+        cfg.spool_dir = cfg.spool_dir.join("unit-spool-failure");
+        let spool_dir = cfg.spool_dir.clone();
+        let mut t = SessionTier::new(engine, cfg);
+        let victim = t.register(0, AdaptConfig::default());
+        let next = t.register(1, AdaptConfig::default());
+        t.serve_frame(victim, &frame()).unwrap();
+        // a regular file where the spool directory was: every write fails
+        std::fs::remove_dir_all(&spool_dir).unwrap();
+        std::fs::write(&spool_dir, b"not a directory").unwrap();
+        assert!(t.serve_frame(next, &frame()).is_err(), "failed spool write must be an Err");
+        assert_eq!(t.counters().evictions, 0);
+        assert_eq!(t.resident_count(), 1);
+        assert!(t.serve_frame(victim, &frame()).is_ok(), "the victim must still be servable");
+        assert_eq!(t.counters().cold_starts, 1);
+        std::fs::remove_file(&spool_dir).unwrap();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The batching analogue of the tensor crate's thread-count determinism
 //! property: serving `N` streams through the batched multi-stream runtime
 //! must produce **bit-identical** per-stream score sequences — and identical
-//! final adaptive state — to running each stream alone through the legacy
-//! single-stream path (`MissionSystem` + `ContinuousAdapter::observe`),
+//! final adaptive state — to running each stream alone through a standalone
+//! overlay session (`Engine::new_session` + `ContinuousAdapter::observe`),
 //! at batch sizes B ∈ {1, 4, 16}.
 //!
 //! The streams carry a mid-run trend shift so the continuous-adaptation
@@ -12,12 +12,13 @@
 //! The sharded legs extend the same chain one layer up: `ShardedRuntime` at
 //! shard counts {1, 2, 4} must be bit-identical per stream — scores, final
 //! adapted token tables, replacement counts — to the single-threaded
-//! `MultiStreamRuntime` (itself proven ≡ the legacy path above), under both
+//! `MultiStreamRuntime` (itself proven ≡ the standalone path above), under both
 //! forced-Scalar and forced-SIMD backends, across the same mid-run trend
 //! shift, with the pipelined `run()` path exercised.
 
 use akg_core::adapt::{AdaptConfig, ContinuousAdapter};
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::engine::Engine;
+use akg_core::pipeline::SystemConfig;
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_runtime::{EngineSpec, MultiStreamRuntime, RuntimeConfig, ShardedConfig, ShardedRuntime};
@@ -27,7 +28,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 const FRAMES_PER_STREAM: usize = 48;
 const SHIFT_AT: usize = 24;
 
-/// `MissionSystem::build` applies its config's backend process-wide, and the
+/// `Engine::build` applies its config's backend process-wide, and the
 /// suite now runs under both `Auto` and forced-`Scalar` — serialize the
 /// tests so a concurrent build can never flip the backend mid-comparison
 /// (the `BACKEND_LOCK` discipline of `tensor/tests/proptest_kernels.rs`).
@@ -69,18 +70,17 @@ fn stream_seed(stream: usize) -> u64 {
     1000 + stream as u64
 }
 
-/// The legacy path: one single-tenant `MissionSystem` per stream, frames
-/// observed one at a time.
+/// The oracle: one standalone overlay session per stream, seeded as the
+/// runtime seeds it, frames observed one at a time.
 fn run_standalone(
     ds: &Arc<SyntheticUcfCrime>,
     stream: usize,
     backend: Backend,
     precision: Precision,
 ) -> (Vec<f32>, Vec<f32>, usize) {
-    let mut sys = MissionSystem::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision));
-    // align the stream's embedding RNG with the runtime's session seeding
-    sys.session = sys.engine.new_session(frame_seed(stream));
-    let mut adapter = ContinuousAdapter::new(&mut sys, adapt_cfg(stream));
+    let engine = Engine::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision));
+    let mut session = engine.new_session(frame_seed(stream));
+    let mut adapter = ContinuousAdapter::attach(&engine, &mut session, adapt_cfg(stream));
     let mut source =
         AdaptationStream::new(ds.as_ref(), AnomalyClass::Stealing, 0.5, stream_seed(stream));
     let mut scores = Vec::with_capacity(FRAMES_PER_STREAM);
@@ -89,9 +89,9 @@ fn run_standalone(
             source.shift_to(AnomalyClass::Robbery);
         }
         let (frame, _) = source.next_frame();
-        scores.push(adapter.observe(&mut sys, &frame));
+        scores.push(adapter.observe(&engine, &mut session, &frame));
     }
-    (scores, sys.session.table.to_dense_vec(), adapter.replacements())
+    (scores, session.table.to_dense_vec(), adapter.replacements())
 }
 
 struct RuntimeOutcome {
@@ -107,8 +107,8 @@ fn run_runtime(
     backend: Backend,
     precision: Precision,
 ) -> RuntimeOutcome {
-    let sys = MissionSystem::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision));
-    let mut rt = MultiStreamRuntime::new(sys.engine, RuntimeConfig { max_batch });
+    let engine = Engine::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision));
+    let mut rt = MultiStreamRuntime::new(engine, RuntimeConfig { max_batch });
     for s in 0..n_streams {
         let source =
             AdaptationStream::owned(Arc::clone(ds), AnomalyClass::Stealing, 0.5, stream_seed(s));
@@ -142,19 +142,17 @@ fn check_equivalence(n_streams: usize, max_batch: usize, backend: Backend) {
     let _guard = lock_backend();
     let ds = dataset();
     let batched = run_runtime(&ds, n_streams, max_batch, backend, precision);
-    let pristine_table =
-        MissionSystem::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision))
-            .session
-            .table
-            .param()
-            .to_vec();
+    let pristine_table = Engine::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision))
+        .table
+        .param()
+        .to_vec();
     let mut any_adapted = false;
     for s in 0..n_streams {
         let (solo_scores, solo_table, solo_replacements) =
             run_standalone(&ds, s, backend, precision);
         assert_eq!(
             batched.scores[s], solo_scores,
-            "stream {s}/{n_streams}: batched scores diverged from the legacy path"
+            "stream {s}/{n_streams}: batched scores diverged from the standalone path"
         );
         assert_eq!(
             batched.tables[s], solo_table,
@@ -207,18 +205,16 @@ fn run_sharded(
 
 /// The shard-equivalence contract: serving at shard counts {1, 2, 4} is
 /// bit-identical per stream to the single-threaded multi-stream runtime
-/// (which the legs above prove bit-identical to the legacy single-stream
-/// path — so the whole chain holds by transitivity).
+/// (which the legs above prove bit-identical to the standalone
+/// single-stream path — so the whole chain holds by transitivity).
 fn check_shard_equivalence(n_streams: usize, backend: Backend, precision: Precision) {
     let _guard = lock_backend();
     let ds = dataset();
     let reference = run_runtime(&ds, n_streams, 16, backend, precision);
-    let pristine_table =
-        MissionSystem::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision))
-            .session
-            .table
-            .param()
-            .to_vec();
+    let pristine_table = Engine::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision))
+        .table
+        .param()
+        .to_vec();
     let mut any_adapted = false;
     for shards in [1usize, 2, 4] {
         let sharded = run_sharded(&ds, n_streams, shards, backend, precision);

@@ -7,7 +7,8 @@
 //! token updates and restructures.
 
 use akg_core::adapt::AdaptConfig;
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::engine::Engine;
+use akg_core::pipeline::SystemConfig;
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_runtime::{
@@ -50,8 +51,8 @@ fn add_soak_streams<F: FnMut(akg_data::OwnedAdaptationStream, u64, AdaptConfig)>
 /// assert every pool froze.
 fn run_single_runtime_soak(config: &SystemConfig) {
     let ds = soak_dataset();
-    let sys = MissionSystem::build(&[AnomalyClass::Stealing], config);
-    let mut rt = MultiStreamRuntime::new(sys.engine, RuntimeConfig::default());
+    let engine = Engine::build(&[AnomalyClass::Stealing], config);
+    let mut rt = MultiStreamRuntime::new(engine, RuntimeConfig::default());
     add_soak_streams(&ds, |source, seed, cfg| {
         rt.add_stream(source, seed, cfg);
     });

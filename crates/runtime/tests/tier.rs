@@ -6,7 +6,8 @@
 //! memory/latency trade; it must never move a score bit.
 
 use akg_core::adapt::AdaptConfig;
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::engine::Engine;
+use akg_core::pipeline::SystemConfig;
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_runtime::{SessionTier, TierConfig};
@@ -17,7 +18,7 @@ const N_SESSIONS: usize = 4;
 const FRAMES_PER_SESSION: usize = 48;
 const SHIFT_AT: usize = 24;
 
-/// `MissionSystem::build` applies its config's backend process-wide —
+/// `Engine::build` applies its config's backend process-wide —
 /// serialize, as in `tests/equivalence.rs`.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
@@ -46,14 +47,14 @@ fn adapt_cfg(stream: usize) -> AdaptConfig {
 }
 
 fn build_tier(backend: Backend, max_resident: usize, tag: &str) -> SessionTier {
-    let sys = MissionSystem::build(
+    let engine = Engine::build(
         &[AnomalyClass::Stealing],
         &SystemConfig { seed: 5, backend, precision: Precision::F32, ..SystemConfig::default() },
     );
     let mut cfg = TierConfig::bounded(max_resident);
     // distinct spool per (test, backend) so parallel tests never collide
     cfg.spool_dir = cfg.spool_dir.join(format!("test-{tag}-{backend:?}-{max_resident}"));
-    SessionTier::new(sys.engine, cfg)
+    SessionTier::new(engine, cfg)
 }
 
 /// Round-robin serves every session through the tier and returns the

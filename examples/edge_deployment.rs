@@ -7,7 +7,8 @@
 //! Run with: `cargo run --release --example edge_deployment`
 
 use akg_core::adapt::AdaptConfig;
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::engine::Engine;
+use akg_core::pipeline::SystemConfig;
 use akg_cost::{
     BaselineMeasurement, CloudBaseline, CostReport, EdgeDevice, EdgeMeasurement, KgDims, ModelDims,
 };
@@ -26,10 +27,10 @@ fn serve_demo() {
     let ds = Arc::new(SyntheticUcfCrime::generate(
         DatasetConfig::scaled(0.01).with_classes(&[AnomalyClass::Stealing]).with_seed(3),
     ));
-    let sys = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-    let precision = sys.engine.precision();
-    let model_bytes = sys.engine.model_bytes();
-    let mut rt = MultiStreamRuntime::new(sys.engine, RuntimeConfig::default());
+    let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let precision = engine.precision();
+    let model_bytes = engine.model_bytes();
+    let mut rt = MultiStreamRuntime::new(engine, RuntimeConfig::default());
     for s in 0..STREAMS {
         let source =
             AdaptationStream::owned(Arc::clone(&ds), AnomalyClass::Stealing, 0.3, 70 + s as u64);
@@ -60,8 +61,8 @@ fn serve_demo() {
 }
 
 fn main() {
-    let system = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-    let d = system.cost_dims();
+    let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let d = engine.cost_dims(&engine.new_session(0));
     let dims = ModelDims {
         kgs: d.kgs,
         kg: KgDims { nodes: d.nodes, edges: d.edges, levels: d.levels },
@@ -108,8 +109,8 @@ fn main() {
             adaptations_per_day: 1,
             average_auc: 0.91,
             adaptation_seconds: 0.0,
-            model_bytes_f32: system.engine.model.weight_matrix_bytes_f32(),
-            model_bytes_int8: system.engine.model.weight_matrix_bytes_int8(),
+            model_bytes_f32: engine.model.weight_matrix_bytes_f32(),
+            model_bytes_int8: engine.model.weight_matrix_bytes_int8(),
         },
     );
     println!("\n{}", report.render());

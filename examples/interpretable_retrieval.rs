@@ -4,18 +4,19 @@
 //!
 //! Run with: `cargo run --release --example interpretable_retrieval`
 
-use akg_core::pipeline::{MissionSystem, SystemConfig};
+use akg_core::engine::Engine;
+use akg_core::pipeline::SystemConfig;
 use akg_core::retrieval::InterpretableRetrieval;
 use akg_embed::Similarity;
 use akg_kg::AnomalyClass;
 
 fn main() {
-    let system = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-    let retrieval = InterpretableRetrieval::new(&system.engine.tokenizer, &system.engine.space);
+    let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let retrieval = InterpretableRetrieval::new(&engine.tokenizer, &engine.space);
     println!("reference vocabulary: {} decodable tokens\n", retrieval.len());
 
     // 1. Retrieval finds a concept's own word first.
-    let sneaky = system.engine.space.word_vector("sneaky");
+    let sneaky = engine.space.word_vector("sneaky");
     println!("nearest words to the 'sneaky' embedding (Euclidean, as in the paper):");
     for hit in retrieval.nearest_words(&sneaky, 5, Similarity::Euclidean) {
         println!("  {:<12} closeness {:+.4}", hit.word, hit.closeness);
@@ -26,7 +27,7 @@ fn main() {
     //    each step — the retrieved word flips once the embedding crosses
     //    the midpoint, exactly the "Sneaky -> Firearm" transition the
     //    paper reports.
-    let firearm = system.engine.space.word_vector("firearm");
+    let firearm = engine.space.word_vector("firearm");
     println!("\nembedding drift 'sneaky' -> 'firearm' (iterations of adaptation):");
     println!("  mix | dist(sneaky) | dist(firearm) | top word");
     for step in 0..=8 {

@@ -47,18 +47,19 @@ fn main() {
         report.loss_history.last().copied().unwrap_or(f32::NAN),
         report.steps
     );
-    let auc = system.evaluate_auc(&dataset.test_subset(mission));
+    let MissionSystem { engine, mut session } = system;
+    let auc = engine.evaluate_auc(&session, &dataset.test_subset(mission));
     println!("  test AUC: {auc:.3}");
 
     // (C) Deploy: score streamed frames and run continuous KG adaptation.
-    let mut adapter = ContinuousAdapter::new(&mut system, AdaptConfig::default());
+    let mut adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
     let mut stream = AdaptationStream::new(&dataset, mission, 0.4, 1);
     println!("\ndeployed; scoring 64 streamed frames:");
     let mut anomaly_scores = Vec::new();
     let mut normal_scores = Vec::new();
     for _ in 0..64 {
         let (frame, is_anomalous) = stream.next_frame();
-        let score = adapter.observe(&mut system, &frame);
+        let score = adapter.observe(&engine, &mut session, &frame);
         if is_anomalous {
             anomaly_scores.push(score);
         } else {

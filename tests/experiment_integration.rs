@@ -54,32 +54,46 @@ fn strong_shift_drops_static_auc() {
     assert!(post < pre - 0.1, "static KG should drop on a strong shift: {pre} -> {post}");
 }
 
+fn drift_params(seed: u64) -> RetrievalDriftParams {
+    let ontology = Ontology::new();
+    let words = |class: AnomalyClass| -> Vec<String> {
+        ontology.all_concepts(class).iter().map(|s| s.to_string()).collect()
+    };
+    RetrievalDriftParams {
+        shift: tiny_params(AnomalyClass::Stealing, AnomalyClass::Robbery, seed),
+        snapshot_every: 48,
+        initial_words: words(AnomalyClass::Stealing),
+        target_words: words(AnomalyClass::Robbery),
+        top_k: 3,
+        metric: Similarity::Euclidean,
+    }
+}
+
 #[test]
 fn retrieval_drift_records_snapshots() {
     let ds = tiny_dataset(&[AnomalyClass::Stealing, AnomalyClass::Robbery], 4);
-    let ontology = Ontology::new();
-    let params = RetrievalDriftParams {
-        shift: tiny_params(AnomalyClass::Stealing, AnomalyClass::Robbery, 4),
-        snapshot_every: 48,
-        initial_words: ontology
-            .all_concepts(AnomalyClass::Stealing)
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        target_words: ontology
-            .all_concepts(AnomalyClass::Robbery)
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        top_k: 3,
-        metric: Similarity::Euclidean,
-    };
-    let result = run_retrieval_drift(&ds, &params);
+    let result = run_retrieval_drift(&ds, &drift_params(4));
     assert!(result.snapshots.len() >= 2);
     for snap in &result.snapshots {
         assert!(snap.distance_to_initial.is_finite());
         assert!(snap.distance_to_target.is_finite());
         assert!(!snap.retrieved.is_empty());
+    }
+}
+
+/// A seeded Fig. 6 run is a pure function of its parameters: the retrieved
+/// words (order included) and the distances repeat bit for bit.
+#[test]
+fn retrieval_drift_is_repeatable() {
+    let ds = tiny_dataset(&[AnomalyClass::Stealing, AnomalyClass::Robbery], 4);
+    let params = drift_params(4);
+    let a = run_retrieval_drift(&ds, &params);
+    let b = run_retrieval_drift(&ds, &params);
+    assert_eq!(a.snapshots.len(), b.snapshots.len());
+    for (x, y) in a.snapshots.iter().zip(&b.snapshots) {
+        assert_eq!(x.retrieved, y.retrieved, "iteration {}", x.iteration);
+        assert_eq!(x.distance_to_initial.to_bits(), y.distance_to_initial.to_bits());
+        assert_eq!(x.distance_to_target.to_bits(), y.distance_to_target.to_bits());
     }
 }
 

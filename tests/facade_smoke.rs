@@ -1,23 +1,23 @@
 //! Smoke test for the `adaptive-kg` facade crate: the paper's end-to-end
-//! deployment path (build a mission system, embed a frame, score a window)
-//! must work through the re-exported module names alone.
+//! deployment path (build an engine, open a session, embed a frame, score a
+//! window) must work through the re-exported module names alone.
 
-use adaptive_kg::core::pipeline::{MissionSystem, SystemConfig};
+use adaptive_kg::core::engine::Engine;
+use adaptive_kg::core::pipeline::SystemConfig;
 use adaptive_kg::data::Frame;
 use adaptive_kg::kg::AnomalyClass;
-use adaptive_kg::tensor::nn::Module;
 
 #[test]
 fn facade_reexports_build_and_score() {
-    let mut sys = MissionSystem::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-    sys.engine.model.set_train(false);
+    let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
+    let mut session = engine.new_session(0);
 
     let frame =
         Frame { concepts: vec![("walking".into(), 1.0), ("person".into(), 0.6)], label: None };
-    let embedding = sys.embed_frame(&frame);
-    let window = vec![embedding; sys.engine.model.config().window];
+    let embedding = engine.embed_frame(&mut session, &frame);
+    let window = vec![embedding; engine.config().window];
 
-    let score = sys.score_window(&window);
+    let score = engine.score_window(&session, &window);
     assert!((0.0..=1.0).contains(&score), "score must be a probability, got {score}");
 }
 

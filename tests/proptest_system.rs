@@ -3,11 +3,11 @@
 //! cost model stays monotone.
 
 use adaptive_kg::core::adapt::{AdaptConfig, ContinuousAdapter};
-use adaptive_kg::core::pipeline::{MissionSystem, SystemConfig};
+use adaptive_kg::core::engine::Engine;
+use adaptive_kg::core::pipeline::SystemConfig;
 use akg_cost::{KgDims, ModelDims};
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
-use akg_tensor::nn::Module;
 use proptest::prelude::*;
 
 proptest! {
@@ -15,31 +15,28 @@ proptest! {
 
     #[test]
     fn scores_are_probabilities_for_any_seed(seed in 0u64..500) {
-        let mut sys = MissionSystem::build(
-            &[AnomalyClass::Stealing],
-            &SystemConfig { seed, ..SystemConfig::default() },
-        );
-        sys.engine.model.set_train(false);
+        let engine =
+            Engine::build(&[AnomalyClass::Stealing], &SystemConfig { seed, ..SystemConfig::default() });
+        let mut session = engine.new_session(seed ^ 0xF0F0);
         let frame = akg_data::Frame {
             concepts: vec![("walking".into(), 1.0), ("person".into(), 0.5)],
             label: None,
         };
-        let emb = sys.embed_frame(&frame);
-        let w = sys.engine.model.config().window;
-        let score = sys.score_window(&vec![emb; w]);
+        let emb = engine.embed_frame(&mut session, &frame);
+        let w = engine.config().window;
+        let score = engine.score_window(&session, &vec![emb; w]);
         prop_assert!((0.0..=1.0).contains(&score), "score {score}");
-        let emb2 = sys.embed_frame(&frame);
-        let probs = sys.predict_window(&vec![emb2; w]);
+        let emb2 = engine.embed_frame(&mut session, &frame);
+        let probs = engine.predict_window(&session, &vec![emb2; w]);
         let sum: f32 = probs.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-3, "probs sum {sum}");
     }
 
     #[test]
     fn adaptation_preserves_kg_invariants_for_any_seed(seed in 0u64..200) {
-        let mut sys = MissionSystem::build(
-            &[AnomalyClass::Stealing],
-            &SystemConfig { seed, ..SystemConfig::default() },
-        );
+        let engine =
+            Engine::build(&[AnomalyClass::Stealing], &SystemConfig { seed, ..SystemConfig::default() });
+        let mut session = engine.new_session(seed ^ 0xF0F0);
         let ds = SyntheticUcfCrime::generate(
             DatasetConfig::scaled(0.01)
                 .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
@@ -54,19 +51,19 @@ proptest! {
             seed,
             ..AdaptConfig::default()
         };
-        let mut adapter = ContinuousAdapter::new(&mut sys, cfg);
+        let mut adapter = ContinuousAdapter::attach(&engine, &mut session, cfg);
         let mut stream = AdaptationStream::new(&ds, AnomalyClass::Robbery, 0.5, seed);
         for _ in 0..48 {
             let (frame, _) = stream.next_frame();
-            let score = adapter.observe(&mut sys, &frame);
+            let score = adapter.observe(&engine, &mut session, &frame);
             prop_assert!((0.0..=1.0).contains(&score));
         }
-        for tkg in &sys.session.kgs {
+        for tkg in &session.kgs {
             let errors = tkg.kg.validate();
             prop_assert!(errors.is_empty(), "seed {seed}: {errors:?}");
         }
         // layouts must agree with the (possibly restructured) graphs
-        for (tkg, layout) in sys.session.kgs.iter().zip(&sys.session.layouts) {
+        for (tkg, layout) in session.kgs.iter().zip(&session.layouts) {
             prop_assert_eq!(layout.node_count(), tkg.kg.node_count());
         }
     }
