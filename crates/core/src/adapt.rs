@@ -27,14 +27,14 @@
 //! pseudo-labelled windows share those per-frame embeddings and run through
 //! the temporal model and head in one pass
 //! ([`DecisionModel::windows_logits`](crate::model::DecisionModel::windows_logits)).
-//! The trained rows are written back into the session table, dense or
-//! overlay, through the same path.
+//! The trained rows are written back into the session's table overlay.
 
 use crate::engine::{Engine, Session};
 use crate::loss::decision_loss_smoothed;
 use akg_eval::MeanShiftTracker;
 use akg_kg::modify::{create_node, repair_connectivity, CreateConfig};
 use akg_kg::NodeId;
+use akg_tensor::nn::Module;
 use akg_tensor::optim::{Optimizer, Sgd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -189,15 +189,15 @@ pub struct ContinuousAdapter {
 
 impl ContinuousAdapter {
     /// Creates the adapter for one stream's session. Freezes the shared
-    /// model, unfreezes the session's table fork, and snapshots the
-    /// session's node embeddings for drift tracking.
+    /// model (adaptation trains only the session's token rows) and snapshots
+    /// the session's node embeddings for drift tracking.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.interval == 0` (the adaptation check would never run).
     pub fn attach(engine: &Engine, session: &mut Session, cfg: AdaptConfig) -> Self {
         assert!(cfg.interval > 0, "AdaptConfig::interval must be positive");
-        engine.set_adaptation_mode(session, true);
+        engine.model.set_frozen(true);
         let tracker = if cfg.anchored_reference {
             MeanShiftTracker::anchored(cfg.n_window)
         } else {
@@ -430,9 +430,8 @@ impl ContinuousAdapter {
         }
 
         // SGD on one compact leaf of the rows the session's KGs reference,
-        // loaded from (and written back to) the session table — overlay and
-        // dense sessions share this path, so their results are bit-identical
-        // by construction. Untouched rows would only contribute exact zeros,
+        // loaded from (and written back to) the session table. Untouched rows
+        // would only contribute exact zeros,
         // so clipping the compact gradient (summed in ascending row order)
         // equals clipping the full-capacity one. Plain SGD, deliberately:
         // scale-free optimizers (Adam family) move noise coordinates exactly
@@ -660,11 +659,10 @@ mod tests {
     use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
     use akg_kg::AnomalyClass;
 
-    /// The engine plus one dense session (the tests read the table through
-    /// `param()`, which only the dense form exposes).
+    /// The engine plus one session.
     fn setup() -> (Engine, Session, SyntheticUcfCrime) {
         let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-        let session = engine.new_session_dense(0xF0F0);
+        let session = engine.new_session(0xF0F0);
         let ds = SyntheticUcfCrime::generate(
             DatasetConfig::scaled(0.015)
                 .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
@@ -684,6 +682,16 @@ mod tests {
         }
     }
 
+    /// Adds `bump` to every value of the given token rows, through the same
+    /// leaf → write-back path a token update takes.
+    fn bump_rows(session: &mut Session, mut rows: Vec<usize>, bump: f32) {
+        rows.sort_unstable();
+        rows.dedup();
+        let leaf = session.table.leaf_rows(rows);
+        leaf.values().update_data(|data| data.iter_mut().for_each(|v| *v += bump));
+        session.table.write_rows(&leaf);
+    }
+
     #[test]
     fn observe_returns_scores_in_unit_interval() {
         let (engine, mut session, ds) = setup();
@@ -701,8 +709,6 @@ mod tests {
     fn adaptation_mode_enforced() {
         let (engine, mut session, _) = setup();
         let _adapter = ContinuousAdapter::attach(&engine, &mut session, small_cfg());
-        assert!(session.table.param().requires_grad_flag());
-        use akg_tensor::nn::Module;
         assert!(!engine.model.params()[0].requires_grad_flag());
     }
 
@@ -710,10 +716,9 @@ mod tests {
     fn token_update_changes_only_token_table() {
         let (engine, mut session, ds) = setup();
         let mut adapter = ContinuousAdapter::attach(&engine, &mut session, small_cfg());
-        use akg_tensor::nn::Module;
         let model_before: Vec<Vec<f32>> =
             engine.model.params().iter().map(|p| p.to_vec()).collect();
-        let table_before = session.table.param().to_vec();
+        let table_before = session.table.to_dense_vec();
         // feed high-score anomalous frames then normals to force a mean drop
         let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 1.0, 2);
         for _ in 0..16 {
@@ -740,15 +745,15 @@ mod tests {
         assert!(k >= 1, "adaptation did not trigger");
         let model_after: Vec<Vec<f32>> = engine.model.params().iter().map(|p| p.to_vec()).collect();
         assert_eq!(model_before, model_after, "frozen model changed");
-        assert_ne!(table_before, session.table.param().to_vec(), "token table unchanged");
+        assert_ne!(table_before, session.table.to_dense_vec(), "token table unchanged");
         // the engine's template table is untouched by session adaptation
-        assert_eq!(engine.table.param().to_vec().len(), table_before.len());
+        assert_eq!(engine.table.to_dense_vec(), table_before);
     }
 
     #[test]
     fn adaptation_never_touches_engine_template() {
         let (engine, mut session, ds) = setup();
-        let engine_table_before = engine.table.param().to_vec();
+        let engine_table_before = engine.table.to_dense_vec();
         let engine_kg_json = engine.kgs[0].kg.to_json().unwrap();
         let mut adapter = ContinuousAdapter::attach(&engine, &mut session, small_cfg());
         let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 7);
@@ -756,7 +761,7 @@ mod tests {
             let (f, _) = stream.next_frame();
             adapter.observe(&engine, &mut session, &f);
         }
-        assert_eq!(engine.table.param().to_vec(), engine_table_before);
+        assert_eq!(engine.table.to_dense_vec(), engine_table_before);
         assert_eq!(engine.kgs[0].kg.to_json().unwrap(), engine_kg_json);
     }
 
@@ -772,16 +777,8 @@ mod tests {
             (id, tokens.clone())
         };
         let node_count_before = session.kgs[0].kg.node_count();
-        let dim = session.table.dim();
         for step in 1..=4 {
-            let bump = step as f32 * 0.5; // growing movement each step
-            session.table.param().update_data(|data| {
-                for &r in &rows {
-                    for c in 0..dim {
-                        data[r * dim + c] += bump;
-                    }
-                }
-            });
+            bump_rows(&mut session, rows.clone(), step as f32 * 0.5); // growing movement
             adapter.update_drift_and_restructure(&mut session);
             if adapter.replacements() > 0 {
                 break;
@@ -825,18 +822,11 @@ mod tests {
             .windows(2)
             .find(|w| w[0] > w[1])
             .map_or((candidates[0], candidates[1]), |w| (w[0], w[1]));
-        let dim = session.table.dim();
         let bumped: Vec<usize> = [first, second]
             .iter()
             .flat_map(|id| session.kgs[0].tokens_of(*id).unwrap().to_vec())
             .collect();
-        session.table.param().update_data(|data| {
-            for &r in &bumped {
-                for v in &mut data[r * dim..(r + 1) * dim] {
-                    *v += 0.5;
-                }
-            }
-        });
+        bump_rows(&mut session, bumped, 0.5);
         adapter.update_drift_and_restructure(&mut session);
         assert_eq!(adapter.replacements(), 1);
         let (low, high) = (first.min(second), first.max(second));

@@ -2,8 +2,8 @@
 //! [`Engine`] holding everything N concurrent streams can share (tokenizer,
 //! joint space, trained token table, tokenized mission KGs, execution
 //! layouts, decision model), and one small [`Session`] per stream holding
-//! everything continuous adaptation mutates (a private fork of the token
-//! table, private KG copies and layouts, the frame-embedding RNG).
+//! everything continuous adaptation mutates (a copy-on-write overlay of the
+//! token table, KG copies and layouts, the frame-embedding RNG).
 //!
 //! The paper's deployment story (Fig. 2 stage C) is *continuous* scoring of
 //! live streams on edge devices; this module is what lets one set of trained
@@ -50,11 +50,6 @@ impl<T: Clone> CowVec<T> {
     /// A shared view of the given template (zero-copy).
     pub fn shared(data: Arc<Vec<T>>) -> Self {
         CowVec { repr: CowRepr::Shared(data) }
-    }
-
-    /// A privately owned vector (the dense-fork form).
-    pub fn owned(data: Vec<T>) -> Self {
-        CowVec { repr: CowRepr::Owned(data) }
     }
 
     /// Whether the contents are still the shared template (no private copy
@@ -112,8 +107,11 @@ pub struct Engine {
     pub tokenizer: BpeTokenizer,
     /// The joint text/frame embedding space (ImageBind substitute).
     pub space: JointSpace,
-    /// The trained token-embedding table — the *template* every session
-    /// forks its private adaptive copy from.
+    /// The token-embedding table — the *template* every session forks its
+    /// copy-on-write overlay from. It has no written rows and is never
+    /// written after build (test-enforced by
+    /// `adaptation_never_touches_engine_template`), so its base is valid for
+    /// the engine's lifetime.
     pub table: TokenTable,
     /// Tokenized mission KGs (session templates), `Arc`'d so overlay
     /// sessions can share them without copying.
@@ -122,28 +120,22 @@ pub struct Engine {
     pub layouts: Arc<Vec<KgLayout>>,
     /// The GNN + temporal + head decision model (shared by all sessions).
     pub model: DecisionModel,
-    /// Flat snapshot of [`Engine::table`]'s weights, shared by every overlay
-    /// session as its copy-on-write base. Valid for the engine's lifetime:
-    /// the template table is frozen during training and never written after
-    /// build (test-enforced by `adaptation_never_touches_engine_template`).
-    table_base: Arc<Vec<f32>>,
     seed: u64,
 }
 
 /// Per-stream serving state: everything continuous adaptation mutates.
 ///
 /// Sessions are cheap relative to the engine and fully isolated from each
-/// other — the "session-local token-table delta" design made literal: the
-/// default session holds a *sparse copy-on-write overlay* over the engine's
-/// table (adapted rows only) and shares the engine's KGs/layouts until the
-/// first structural edit, so an unadapted session is a few hundred bytes,
-/// not a full model copy. [`Engine::new_session_dense`] still hands out the
-/// fully private dense fork (single-tenant training systems use it), and the
-/// two forms are bit-identical in behaviour — the overlay ≡ dense contract
-/// is enforced in `tests/overlay_equivalence.rs`.
+/// other — the "session-local token-table delta" design made literal: a
+/// session holds a *sparse copy-on-write overlay* over the engine's table
+/// (adapted rows only) and shares the engine's KGs/layouts until the first
+/// structural edit, so an unadapted session is a few hundred bytes, not a
+/// full model copy. Checkpointing one captures exactly that delta; restoring
+/// it and continuing is bit-identical to never stopping
+/// (`tests/checkpoint_equivalence.rs`).
 #[derive(Debug)]
 pub struct Session {
-    /// The stream's private adaptive token table (overlay or dense fork).
+    /// The stream's adaptive token table: an overlay over the engine's.
     pub table: TokenTable,
     /// The stream's KG copies — shared with the engine until structural
     /// adaptation first edits them.
@@ -185,7 +177,7 @@ impl Session {
     }
 
     /// Estimated resident heap bytes this session *privately* owns: the
-    /// table fork or overlay rows, plus KG/layout copies when materialized
+    /// table's written rows, plus KG/layout copies when materialized
     /// (shared templates count as pointer-sized). The session-tier bench
     /// reports this as bytes/session; it deliberately excludes the engine's
     /// shared artifacts and the transient workspace pools.
@@ -285,7 +277,6 @@ impl Engine {
         // model-related, so adaptation stays f32 automatically.
         model.set_precision(config.precision);
 
-        let table_base = Arc::new(table.to_dense_vec());
         Engine {
             missions: missions.to_vec(),
             tokenizer,
@@ -294,7 +285,6 @@ impl Engine {
             kgs: Arc::new(kgs),
             layouts: Arc::new(layouts),
             model,
-            table_base,
             seed: config.seed,
         }
     }
@@ -321,41 +311,19 @@ impl Engine {
         self.model.config()
     }
 
-    /// Creates a fresh per-stream session in the default *overlay* form: a
-    /// sparse copy-on-write table over the engine's shared base, shared
-    /// KG/layout templates (copied only on first structural edit), and a
-    /// frame-embedding RNG seeded with `frame_seed`. Behaviour is
-    /// bit-identical to [`Engine::new_session_dense`]; the resident
-    /// footprint is proportional to what adaptation actually touched.
+    /// Creates a fresh per-stream session: a sparse copy-on-write fork of
+    /// the engine's table, shared KG/layout templates (copied only on first
+    /// structural edit), and a frame-embedding RNG seeded with `frame_seed`.
+    /// The resident footprint is proportional to what adaptation actually
+    /// touched.
     pub fn new_session(&self, frame_seed: u64) -> Session {
         Session {
-            table: self.table.fork_overlay(&self.table_base),
+            table: self.table.fork(),
             kgs: CowVec::shared(Arc::clone(&self.kgs)),
             layouts: CowVec::shared(Arc::clone(&self.layouts)),
             frame_rng: StdRng::seed_from_u64(frame_seed),
             workspace: RefCell::new(Workspace::new()),
         }
-    }
-
-    /// Creates a session holding fully private *dense* copies: a trainable
-    /// token-table fork plus owned KG/layout vectors. Initial training
-    /// ([`crate::pipeline::MissionSystem::build`]) uses this — it
-    /// differentiates through the session table, which only the dense form
-    /// supports — and the overlay equivalence suite uses it as the oracle.
-    pub fn new_session_dense(&self, frame_seed: u64) -> Session {
-        Session {
-            table: self.table.fork(),
-            kgs: CowVec::owned(self.kgs.as_ref().clone()),
-            layouts: CowVec::owned(self.layouts.as_ref().clone()),
-            frame_rng: StdRng::seed_from_u64(frame_seed),
-            workspace: RefCell::new(Workspace::new()),
-        }
-    }
-
-    /// The shared overlay base (the engine table's flat weight snapshot).
-    /// Session-tier rehydration forks fresh overlays against it.
-    pub fn table_base(&self) -> &Arc<Vec<f32>> {
-        &self.table_base
     }
 
     /// Encodes a frame into the joint space through the session's private
@@ -409,9 +377,9 @@ impl Engine {
     }
 
     /// Differentiable logits `[windows.len(), n + 1]` for equal-length
-    /// windows, one row per window, in one stacked forward (a training step
-    /// runs through this; gradients reach the model while it is trainable
-    /// and the session's table while it is unfrozen). It is the same
+    /// windows, one row per window, in one stacked forward over a constant
+    /// view of the session's table (a training step runs through this;
+    /// gradients reach the model while it is trainable). It is the same
     /// [`DecisionModel::windows_logits`] that adaptation trains through.
     ///
     /// # Panics
@@ -553,15 +521,6 @@ impl Engine {
             adapted_token_entries: session.referenced_rows().len() * session.table.dim(),
         }
     }
-
-    /// Freezes everything except the session's token table (the adaptation
-    /// regime) or restores the training regime (model trainable, table
-    /// frozen).
-    pub fn set_adaptation_mode(&self, session: &Session, adaptation: bool) {
-        use akg_tensor::nn::Module;
-        self.model.set_frozen(adaptation);
-        session.table.set_frozen(!adaptation);
-    }
 }
 
 #[cfg(test)]
@@ -579,26 +538,25 @@ mod tests {
         let mut a = engine.new_session(1);
         let b = engine.new_session(2);
         let before_b = b.table.to_dense_vec();
-        let before_engine = engine.table.param().to_vec();
+        let before_engine = engine.table.to_dense_vec();
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let row = a.table.allocate_random_row(&mut rng).unwrap();
         assert!(a.table.row_data(row).iter().any(|v| *v != 0.0));
         assert_eq!(b.table.to_dense_vec(), before_b, "session B saw session A's update");
-        assert_eq!(engine.table.param().to_vec(), before_engine, "engine table mutated");
+        assert_eq!(engine.table.to_dense_vec(), before_engine, "engine table mutated");
     }
 
     #[test]
     fn overlay_sessions_share_until_first_edit() {
         let engine = engine();
         let mut s = engine.new_session(3);
-        assert!(s.table.is_overlay());
         assert!(s.kgs.is_shared());
         assert!(s.layouts.is_shared());
         let shared_bytes = s.state_bytes();
-        let dense_bytes = engine.new_session_dense(3).state_bytes();
+        let table_bytes = s.table.capacity() * s.table.dim() * std::mem::size_of::<f32>();
         assert!(
-            shared_bytes * 10 <= dense_bytes,
-            "overlay session ({shared_bytes} B) not >=10x smaller than dense ({dense_bytes} B)"
+            shared_bytes * 10 <= table_bytes,
+            "overlay session ({shared_bytes} B) not >=10x smaller than the table ({table_bytes} B)"
         );
         // Structural edit materializes a private copy; the engine template
         // stays untouched.

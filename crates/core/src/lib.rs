@@ -41,7 +41,7 @@
 //! ```
 //!
 //! Initial training ([`train::train_decision_model`]) runs on a
-//! [`pipeline::MissionSystem`], an engine plus one dense session. For
+//! [`pipeline::MissionSystem`], an engine plus one session. For
 //! multi-stream serving, see the `akg-runtime` crate.
 
 #![warn(missing_docs)]

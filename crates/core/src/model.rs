@@ -628,38 +628,41 @@ impl DecisionModel {
     }
 
     /// Computes the per-frame reasoning embedding `f_t` (concatenation of
-    /// every KG's embedding-node output) for one frame embedding.
+    /// every KG's embedding-node output) for one frame embedding, reading
+    /// token rows from `rows` (a view or a trainable leaf holding at least
+    /// every row the KGs reference).
     ///
     /// # Panics
     ///
-    /// Panics if the number of KGs mismatches the model.
+    /// Panics if the number of KGs mismatches the model or `rows` lacks a
+    /// referenced row.
     pub fn reasoning_embedding(
         &self,
         kgs: &[&TokenizedKg],
         layouts: &[&KgLayout],
-        table: &TokenTable,
+        rows: &TableRows,
         frame_embedding: &[f32],
     ) -> Tensor {
-        self.window_reasoning(kgs, layouts, table, &[frame_embedding]).remove(0)
+        self.window_reasoning(kgs, layouts, rows, &[frame_embedding]).remove(0)
     }
 
     /// [`DecisionModel::reasoning_embedding`] for every frame of a window,
-    /// over one table view and one node block per KG: each KG's GNN runs
-    /// once per frame with the frame in the sensor row, outputs concatenated
-    /// in mission order.
+    /// over one node block per KG: each KG's GNN runs once per frame with
+    /// the frame in the sensor row, outputs concatenated in mission order.
     fn window_reasoning(
         &self,
         kgs: &[&TokenizedKg],
         layouts: &[&KgLayout],
-        table: &TokenTable,
+        rows: &TableRows,
         frames: &[&[f32]],
     ) -> Vec<Tensor> {
         assert_eq!(kgs.len(), self.gnns.len(), "KG count mismatch");
         assert_eq!(layouts.len(), self.gnns.len(), "layout count mismatch");
-        let pairs = || kgs.iter().copied().zip(layouts.iter().copied());
-        let rows = table.view_rows(TableRows::referenced(pairs()));
-        let blocks: Vec<NodeBlock> =
-            pairs().map(|(tkg, layout)| self.node_block(tkg, layout, &rows)).collect();
+        let blocks: Vec<NodeBlock> = kgs
+            .iter()
+            .zip(layouts)
+            .map(|(tkg, layout)| self.node_block(tkg, layout, rows))
+            .collect();
         frames
             .iter()
             .map(|f| {
@@ -702,11 +705,11 @@ impl DecisionModel {
         &self,
         kgs: &[&TokenizedKg],
         layouts: &[&KgLayout],
-        table: &TokenTable,
+        rows: &TableRows,
         frame_window: &[Vec<f32>],
     ) -> Vec<f32> {
         let frames: Vec<&[f32]> = frame_window.iter().map(Vec::as_slice).collect();
-        let embeddings = self.window_reasoning(kgs, layouts, table, &frames);
+        let embeddings = self.window_reasoning(kgs, layouts, rows, &frames);
         let temporal = self.temporal_embedding(&embeddings);
         self.logits(&temporal).softmax_rows().to_vec()
     }
@@ -716,10 +719,10 @@ impl DecisionModel {
         &self,
         kgs: &[&TokenizedKg],
         layouts: &[&KgLayout],
-        table: &TokenTable,
+        rows: &TableRows,
         frame_window: &[Vec<f32>],
     ) -> f32 {
-        1.0 - self.predict(kgs, layouts, table, frame_window)[0]
+        1.0 - self.predict(kgs, layouts, rows, frame_window)[0]
     }
 
     // ----------------------------------------------------------------
@@ -1062,7 +1065,7 @@ mod tests {
     use akg_embed::{BpeTokenizer, JointSpaceBuilder};
     use akg_kg::{generate_kg, GeneratorConfig, SyntheticOracle};
 
-    fn fixture() -> (TokenizedKg, KgLayout, TokenTable, ModelConfig) {
+    fn fixture() -> (TokenizedKg, KgLayout, TableRows, ModelConfig) {
         let ont = akg_kg::Ontology::new();
         let corpus = ont.corpus();
         let tokenizer = BpeTokenizer::train(corpus.iter().map(String::as_str), 600);
@@ -1073,7 +1076,8 @@ mod tests {
         let tkg = TokenizedKg::new(kg, &tokenizer, space.embed_text("stealing"));
         let layout = KgLayout::new(&tkg);
         let table = TokenTable::new(&tokenizer, &space, 8);
-        (tkg, layout, table, config)
+        let rows = table.leaf_rows(TableRows::referenced([(&tkg, &layout)]));
+        (tkg, layout, rows, config)
     }
 
     #[test]
@@ -1109,20 +1113,20 @@ mod tests {
 
     #[test]
     fn forward_produces_gnn_dim_vector() {
-        let (tkg, layout, table, config) = fixture();
+        let (tkg, layout, rows, config) = fixture();
         let model = DecisionModel::new(&[tkg.kg.depth()], &config);
         let frame = vec![0.1f32; config.embed_dim];
-        let r = model.reasoning_embedding(&[&tkg], &[&layout], &table, &frame);
+        let r = model.reasoning_embedding(&[&tkg], &[&layout], &rows, &frame);
         assert_eq!(r.shape(), vec![config.gnn_dim]);
     }
 
     #[test]
     fn predict_outputs_distribution() {
-        let (tkg, layout, table, config) = fixture();
+        let (tkg, layout, rows, config) = fixture();
         let model = DecisionModel::new(&[tkg.kg.depth()], &config);
         let window: Vec<Vec<f32>> =
             (0..config.window).map(|i| vec![0.05 * i as f32; config.embed_dim]).collect();
-        let probs = model.predict(&[&tkg], &[&layout], &table, &window);
+        let probs = model.predict(&[&tkg], &[&layout], &rows, &window);
         assert_eq!(probs.len(), 2);
         let sum: f32 = probs.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
@@ -1131,16 +1135,15 @@ mod tests {
 
     #[test]
     fn gradients_flow_to_token_table_through_frozen_model() {
-        let (tkg, layout, table, config) = fixture();
+        let (tkg, layout, rows, config) = fixture();
         let model = DecisionModel::new(&[tkg.kg.depth()], &config);
         model.set_frozen(true);
-        table.set_frozen(false);
         let frame = vec![0.2f32; config.embed_dim];
-        let r = model.reasoning_embedding(&[&tkg], &[&layout], &table, &frame);
+        let r = model.reasoning_embedding(&[&tkg], &[&layout], &rows, &frame);
         let t = model.temporal_embedding(&[r.clone(), r]);
         let logits = model.logits(&t);
         logits.cross_entropy(&[1]).backward();
-        assert!(table.param().grad().is_some(), "token table got no gradient");
+        assert!(rows.values().grad().is_some(), "token rows got no gradient");
         for p in model.params() {
             assert!(p.grad().is_none(), "frozen model retained gradient");
         }
@@ -1148,12 +1151,12 @@ mod tests {
 
     #[test]
     fn different_frames_give_different_scores() {
-        let (tkg, layout, table, config) = fixture();
+        let (tkg, layout, rows, config) = fixture();
         let model = DecisionModel::new(&[tkg.kg.depth()], &config);
         let w1: Vec<Vec<f32>> = vec![vec![0.5; config.embed_dim]; config.window];
         let w2: Vec<Vec<f32>> = vec![vec![-0.5; config.embed_dim]; config.window];
-        let s1 = model.anomaly_score(&[&tkg], &[&layout], &table, &w1);
-        let s2 = model.anomaly_score(&[&tkg], &[&layout], &table, &w2);
+        let s1 = model.anomaly_score(&[&tkg], &[&layout], &rows, &w1);
+        let s2 = model.anomaly_score(&[&tkg], &[&layout], &rows, &w2);
         assert!((s1 - s2).abs() > 1e-6, "model is constant");
     }
 
@@ -1176,7 +1179,8 @@ mod tests {
         assert_eq!(model.reasoning_dim(), 2 * config.gnn_dim);
         assert_eq!(model.n_classes(), 3);
         let frame = vec![0.1f32; config.embed_dim];
-        let r = model.reasoning_embedding(&[&t1, &t2], &[&l1, &l2], &table, &frame);
+        let rows = table.view_rows(TableRows::referenced([(&t1, &l1), (&t2, &l2)]));
+        let r = model.reasoning_embedding(&[&t1, &t2], &[&l1, &l2], &rows, &frame);
         assert_eq!(r.shape(), vec![2 * config.gnn_dim]);
     }
 }

@@ -1,6 +1,6 @@
 //! Deployment-state persistence: a [`SessionCheckpoint`] captures one live
 //! serving stream — its adapted KG structures, node-token assignments,
-//! token-table fork (an overlay's adapted-row delta), frame-RNG position,
+//! token-table delta (the overlay's adapted rows), frame-RNG position,
 //! spare-row cursor and full adaptation-loop state — so it can be
 //! checkpointed mid-stream and resumed elsewhere with bit-identical
 //! behaviour: the "Model Deploy" arrow of the paper's Fig. 2, extended to
@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// A session-granular checkpoint: everything that distinguishes one live
 /// serving stream from a freshly opened one against the *same immutable
 /// engine* — the KG structures and token assignments the stream has adapted,
-/// its token-table fork, its RNG positions, and its full adaptation-loop
+/// its token-table delta, its RNG positions, and its full adaptation-loop
 /// state.
 ///
 /// The shared `Engine` (decision model, tokenizer, concept space) never
@@ -46,16 +46,9 @@ pub struct SessionCheckpoint {
     pub node_tokens: Vec<Vec<(usize, Vec<usize>)>>,
     /// Per-KG mission embeddings (empty when `kgs_shared`).
     pub mission_embeddings: Vec<Vec<f32>>,
-    /// Whether the capture came from an overlay table (adapted-row delta)
-    /// rather than a dense fork (full matrix).
-    pub table_overlay: bool,
-    /// The session's full dense table (dense sessions only; empty for
-    /// overlays).
-    pub token_table: Vec<f32>,
-    /// The overlay's adapted rows, sorted by row index (overlay sessions
-    /// only; empty for dense). This is what collapses a checkpoint from the
-    /// full-table hundreds of KB to a delta proportional to the rows
-    /// adaptation actually touched.
+    /// The table's adapted rows, sorted by row index. This is what collapses
+    /// a checkpoint from the full-table hundreds of KB to a delta
+    /// proportional to the rows adaptation actually touched.
     pub table_delta: Vec<(usize, Vec<f32>)>,
     /// The token table's spare-row cursor.
     pub next_spare: usize,
@@ -66,9 +59,8 @@ pub struct SessionCheckpoint {
 }
 
 /// Captures a live session and its adaptation loop into a
-/// [`SessionCheckpoint`]. Overlay sessions capture only their adapted-row
-/// delta (and skip KG bodies entirely while they still share the engine's
-/// templates); dense sessions capture the full state as before.
+/// [`SessionCheckpoint`]: the table's adapted-row delta, and KG bodies only
+/// once the session no longer shares the engine's templates.
 pub fn checkpoint_session(session: &Session, adapter: &ContinuousAdapter) -> SessionCheckpoint {
     let kgs_shared = session.kgs.is_shared() && session.layouts.is_shared();
     let (kgs, node_tokens, mission_embeddings) = if kgs_shared {
@@ -89,20 +81,12 @@ pub fn checkpoint_session(session: &Session, adapter: &ContinuousAdapter) -> Ses
             session.kgs.iter().map(|t| t.mission_embedding.clone()).collect(),
         )
     };
-    let table_overlay = session.table.is_overlay();
-    let (token_table, table_delta) = if table_overlay {
-        (Vec::new(), session.table.overlay_delta())
-    } else {
-        (session.table.param().to_vec(), Vec::new())
-    };
     SessionCheckpoint {
         kgs_shared,
         kgs,
         node_tokens,
         mission_embeddings,
-        table_overlay,
-        token_table,
-        table_delta,
+        table_delta: session.table.overlay_delta(),
         next_spare: session.table.next_spare(),
         frame_rng: session.frame_rng.export_state().to_vec(),
         adapter: adapter.snapshot(),
@@ -116,8 +100,9 @@ pub fn checkpoint_session(session: &Session, adapter: &ContinuousAdapter) -> Ses
 ///
 /// # Errors
 ///
-/// Returns a message if KG counts, table sizes, or RNG states disagree with
-/// the receiving session, or a stored KG fails to parse its header checks.
+/// Returns a message if KG counts, delta rows (index, width, order, or a
+/// non-finite value), or RNG states disagree with the receiving session, or
+/// a stored KG fails to parse its header checks.
 pub fn restore_session(
     engine: &Engine,
     session: &mut Session,
@@ -141,40 +126,21 @@ pub fn restore_session(
         }
     }
     let (capacity, dim) = (session.table.capacity(), session.table.dim());
-    if cp.table_overlay {
-        if !session.table.is_overlay() {
-            return Err("overlay checkpoint cannot restore into a dense session".to_string());
+    let mut prev: Option<usize> = None;
+    for (r, v) in &cp.table_delta {
+        if *r >= capacity {
+            return Err(format!("checkpoint delta row {r} out of bounds ({capacity})"));
         }
-        if !cp.token_table.is_empty() {
-            return Err("overlay checkpoint carries a dense table".to_string());
+        if v.len() != dim {
+            return Err(format!("checkpoint delta row {r} has {} values, want {dim}", v.len()));
         }
-        let mut prev: Option<usize> = None;
-        for (r, v) in &cp.table_delta {
-            if *r >= capacity {
-                return Err(format!("checkpoint delta row {r} out of bounds ({capacity})"));
-            }
-            if v.len() != dim {
-                return Err(format!("checkpoint delta row {r} has {} values, want {dim}", v.len()));
-            }
-            if prev.is_some_and(|p| p >= *r) {
-                return Err("checkpoint delta rows must be sorted and unique".to_string());
-            }
-            prev = Some(*r);
+        if prev.is_some_and(|p| p >= *r) {
+            return Err("checkpoint delta rows must be sorted and unique".to_string());
         }
-    } else {
-        if session.table.is_overlay() {
-            return Err("dense checkpoint cannot restore into an overlay session".to_string());
+        if !v.iter().all(|x| x.is_finite()) {
+            return Err(format!("checkpoint delta row {r} holds a non-finite value"));
         }
-        if !cp.table_delta.is_empty() {
-            return Err("dense checkpoint carries an overlay delta".to_string());
-        }
-        if capacity * dim != cp.token_table.len() {
-            return Err(format!(
-                "checkpoint token table size mismatch: {} vs session {}",
-                cp.token_table.len(),
-                capacity * dim
-            ));
-        }
+        prev = Some(*r);
     }
     if !(session.table.vocab_len()..=capacity).contains(&cp.next_spare) {
         return Err(format!(
@@ -226,11 +192,7 @@ pub fn restore_session(
             session.rebuild_layout(i);
         }
     }
-    if cp.table_overlay {
-        session.table.apply_overlay_delta(&cp.table_delta);
-    } else {
-        session.table.param().set_data(&cp.token_table);
-    }
+    session.table.apply_overlay_delta(&cp.table_delta);
     session.table.restore_spare_cursor(cp.next_spare);
     session.frame_rng = StdRng::restore_state(frame_rng);
     Ok(ContinuousAdapter::restore(engine, session, cfg, &cp.adapter))
@@ -242,6 +204,7 @@ mod tests {
     use crate::pipeline::SystemConfig;
     use akg_data::{AdaptationStream, DatasetConfig, Frame, SyntheticUcfCrime};
     use akg_kg::AnomalyClass;
+    use rand::SeedableRng;
 
     fn engine(missions: &[AnomalyClass], seed: u64) -> Engine {
         Engine::build(missions, &SystemConfig { seed, ..SystemConfig::default() })
@@ -292,7 +255,7 @@ mod tests {
         );
         let cfg = adapt_cfg();
         let engine_a = engine(&[AnomalyClass::Stealing], 11);
-        let mut session = engine_a.new_session_dense(11);
+        let mut session = engine_a.new_session(11);
         let mut adapter = ContinuousAdapter::attach(&engine_a, &mut session, cfg);
         let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 13);
         for _ in 0..40 {
@@ -311,7 +274,7 @@ mod tests {
         let cp: SessionCheckpoint = serde_json::from_str(&json).unwrap();
 
         let engine_b = engine(&[AnomalyClass::Stealing], 11);
-        let mut twin = engine_b.new_session_dense(11);
+        let mut twin = engine_b.new_session(11);
         let mut twin_adapter = restore_session(&engine_b, &mut twin, cfg, &cp).unwrap();
         assert_eq!(twin_adapter.observed(), adapter.observed());
 
@@ -327,8 +290,8 @@ mod tests {
         }
         assert_eq!(adapter.replacements(), twin_adapter.replacements());
         assert_eq!(
-            session.table.param().to_vec(),
-            twin.table.param().to_vec(),
+            session.table.to_dense_vec(),
+            twin.table.to_dense_vec(),
             "restored session table diverged after continuation"
         );
     }
@@ -336,13 +299,20 @@ mod tests {
     #[test]
     fn restore_session_rejects_corrupt_checkpoint_without_mutating() {
         let engine = engine(&[AnomalyClass::Stealing], 12);
-        let mut session = engine.new_session_dense(12);
+        let mut session = engine.new_session(12);
         let adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
+        // a structural edit makes the checkpoint carry its KG bodies
+        session.rebuild_layout(0);
         let cp = checkpoint_session(&session, &adapter);
+        assert!(!cp.kgs_shared);
         let cfg = *adapter.config();
 
-        let mut twin = engine.new_session_dense(12);
-        let untouched = twin.table.param().to_vec();
+        let mut twin = engine.new_session(12);
+        let row = twin.table.allocate_random_row(&mut StdRng::seed_from_u64(3)).unwrap();
+        let bits = |s: &Session| s.table.to_dense_vec().iter().map(|v| v.to_bits()).collect();
+        let untouched: Vec<u32> = bits(&twin);
+        let (dim, capacity) = (twin.table.dim(), twin.table.capacity());
+        let fine = vec![0.25f32; dim];
 
         let mut bad = cp.clone();
         bad.frame_rng = vec![1, 2, 3];
@@ -360,19 +330,31 @@ mod tests {
         bad.adapter.rng = vec![0, 0, 0, 0];
         assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err(), "all-zero adapter RNG");
 
-        let mut bad = cp.clone();
-        bad.token_table.truncate(3);
-        assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err());
+        let mut inf = fine.clone();
+        inf[0] = f32::INFINITY;
+        let deltas = [
+            ("NaN row", vec![(row, fine.clone()), (row + 1, vec![f32::NAN; dim])]),
+            ("+inf row", vec![(row, inf)]),
+            ("row out of bounds", vec![(capacity, fine.clone())]),
+            ("wrong width", vec![(row, vec![0.25; dim - 1])]),
+            ("unsorted rows", vec![(row + 1, fine.clone()), (row, fine.clone())]),
+        ];
+        for (what, delta) in deltas {
+            let mut bad = cp.clone();
+            bad.table_delta = delta;
+            assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err(), "{what} accepted");
+        }
 
         let mut bad = cp.clone();
         bad.kgs[0] = "{broken".to_string();
         assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err());
 
         assert_eq!(
-            twin.table.param().to_vec(),
+            bits(&twin),
             untouched,
             "a rejected checkpoint must leave the session untouched"
         );
+        assert!(twin.kgs.is_shared() && twin.layouts.is_shared());
         // and the pristine checkpoint still restores fine afterwards
         assert!(restore_session(&engine, &mut twin, cfg, &cp).is_ok());
     }
@@ -382,14 +364,16 @@ mod tests {
         // A checkpoint carrying one mission's KG cannot restore into a
         // session of an engine deployed for two.
         let one = engine(&[AnomalyClass::Stealing], 5);
-        let mut session = one.new_session_dense(5);
+        let mut session = one.new_session(5);
         let adapter = ContinuousAdapter::attach(&one, &mut session, AdaptConfig::default());
+        session.rebuild_layout(0);
         let cp = checkpoint_session(&session, &adapter);
         assert!(!cp.kgs_shared);
         let two = engine(&[AnomalyClass::Stealing, AnomalyClass::Robbery], 5);
-        let mut other = two.new_session_dense(5);
-        let untouched = other.table.param().to_vec();
+        let mut other = two.new_session(5);
+        let untouched = other.table.to_dense_vec();
         assert!(restore_session(&two, &mut other, *adapter.config(), &cp).is_err());
-        assert_eq!(other.table.param().to_vec(), untouched);
+        assert_eq!(other.table.to_dense_vec(), untouched);
+        assert!(other.kgs.is_shared());
     }
 }

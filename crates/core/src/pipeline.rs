@@ -3,10 +3,10 @@
 //! that stage (C), continuous adaptation, operates on.
 //!
 //! [`SystemConfig`] is the build recipe [`Engine::build`] consumes. A
-//! [`MissionSystem`] pairs an engine with one dense [`Session`], the unit
-//! initial training ([`crate::train::train_decision_model`]) runs on; every
-//! scoring, adaptation and persistence entry point takes the engine and a
-//! session directly (see [`crate::engine`] and the `akg-runtime` crate).
+//! [`MissionSystem`] pairs an engine with one [`Session`], the unit initial
+//! training ([`crate::train::train_decision_model`]) runs on; every scoring,
+//! adaptation and persistence entry point takes the engine and a session
+//! directly (see [`crate::engine`] and the `akg-runtime` crate).
 
 use crate::config::ModelConfig;
 use crate::engine::{Engine, Session};
@@ -15,15 +15,15 @@ use akg_kg::AnomalyClass;
 /// Observation-noise standard deviation of the synthetic frame encoder.
 pub const FRAME_NOISE_STD: f32 = 0.02;
 
-/// A trainable mission system: an [`Engine`] plus the one dense [`Session`]
-/// initial training differentiates through.
+/// A trainable mission system: an [`Engine`] plus the one [`Session`]
+/// initial training embeds its frames through.
 #[derive(Debug)]
 pub struct MissionSystem {
     /// The shared, immutable-after-build half: tokenizer, joint space,
     /// trained token table, KG templates, layouts, decision model.
     pub engine: Engine,
-    /// The single stream's adaptive state: table fork, KG copies, layouts,
-    /// frame RNG.
+    /// The single stream's adaptive state: table overlay, KG copies,
+    /// layouts, frame RNG.
     pub session: Session,
 }
 
@@ -83,12 +83,10 @@ impl Default for SystemConfig {
 impl MissionSystem {
     /// Builds the system for the given missions: an [`Engine::build`] plus
     /// one session seeded exactly as the pre-split monolith seeded its frame
-    /// RNG, so single-tenant behaviour is unchanged. The session is a
-    /// *dense* fork — initial decision-model training differentiates through
-    /// the session's table, which only the dense form supports.
+    /// RNG, so single-tenant behaviour is unchanged.
     pub fn build(missions: &[AnomalyClass], config: &SystemConfig) -> Self {
         let engine = Engine::build(missions, config);
-        let session = engine.new_session_dense(config.seed ^ 0xF0F0);
+        let session = engine.new_session(config.seed ^ 0xF0F0);
         MissionSystem { engine, session }
     }
 }
@@ -181,13 +179,22 @@ mod tests {
 
     #[test]
     fn adaptation_mode_toggles_freezing() {
-        let sys = system();
-        sys.engine.set_adaptation_mode(&sys.session, true);
+        // Attaching an adapter freezes the shared model; initial training
+        // makes it trainable again.
+        let mut sys = system();
+        let _adapter = crate::adapt::ContinuousAdapter::attach(
+            &sys.engine,
+            &mut sys.session,
+            crate::adapt::AdaptConfig::default(),
+        );
         assert!(!sys.engine.model.params()[0].requires_grad_flag());
-        assert!(sys.session.table.param().requires_grad_flag());
-        sys.engine.set_adaptation_mode(&sys.session, false);
+        let ds = SyntheticUcfCrime::generate(
+            DatasetConfig::scaled(0.01).with_classes(&[AnomalyClass::Stealing]).with_seed(3),
+        );
+        let videos: Vec<&akg_data::Video> = ds.train.iter().collect();
+        let cfg = crate::config::TrainConfig { steps: 0, ..crate::config::TrainConfig::fast() };
+        crate::train::train_decision_model(&mut sys, &videos, &cfg);
         assert!(sys.engine.model.params()[0].requires_grad_flag());
-        assert!(!sys.session.table.param().requires_grad_flag());
     }
 
     #[test]

@@ -6,48 +6,39 @@
 //! nodes can receive a random token embedding without reallocating (which
 //! would invalidate optimizer state).
 //!
-//! A table comes in two storage flavours behind one type: **dense** (a full
-//! trainable [`Embedding`] — the engine template and single-tenant systems)
-//! and **overlay** (a sparse copy-on-write map of adapted rows over a shared
-//! `Arc`'d base — the per-session form, whose resident size is proportional
-//! to the rows adaptation actually touched, not the vocabulary). Every read
-//! path resolves base-or-overlay per row with arithmetic bit-identical to the
-//! dense path, which is what lets the overlay ≡ dense-fork equivalence
-//! contract hold bit-for-bit.
+//! A table is a sparse copy-on-write overlay over a shared, immutable
+//! `Arc`'d base: [`TokenTable::new`] builds the base (the engine's template,
+//! which never writes), and [`TokenTable::fork`] hands each session an
+//! overlay over the same base whose resident size is proportional to the
+//! rows adaptation actually touched, not the vocabulary. Every read resolves
+//! base-or-overlay per row.
 //!
-//! Forward passes and adaptation never differentiate the full table: they
-//! read a [`TableRows`] — the sorted, de-duplicated rows a session's KGs
-//! reference, as one `[r, dim]` tensor. Adaptation trains such a compact
-//! leaf and writes it back with [`TokenTable::write_rows`], through the same
-//! code for both storage flavours.
+//! Forward passes and adaptation never differentiate the table: they read a
+//! [`TableRows`] — the sorted, de-duplicated rows a session's KGs reference,
+//! as one `[r, dim]` tensor. Adaptation trains such a compact leaf and writes
+//! it back with [`TokenTable::write_rows`].
 
 use crate::model::KgLayout;
 use akg_embed::{BpeTokenizer, JointSpace};
 use akg_kg::{KnowledgeGraph, NodeId, NodeKind};
-use akg_tensor::nn::{Embedding, Module};
 use akg_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Backing storage of a [`TokenTable`].
-#[derive(Debug)]
-enum Storage {
-    /// Full-capacity trainable embedding.
-    Dense(Embedding),
-    /// Sparse copy-on-write overlay: rows materialize into `rows` on first
-    /// write; everything else reads through to the shared immutable `base`.
-    /// A `BTreeMap` keeps iteration (and therefore serialized deltas)
-    /// deterministic.
-    Overlay { base: Arc<Vec<f32>>, rows: BTreeMap<usize, Vec<f32>> },
-}
-
-/// The trainable token-embedding table: BPE vocabulary rows initialized from
-/// the joint space, plus spare rows for adaptation-created nodes.
+/// The token-embedding table: BPE vocabulary rows initialized from the joint
+/// space, plus spare rows for adaptation-created nodes, stored as written
+/// rows over a shared base.
 #[derive(Debug)]
 pub struct TokenTable {
-    storage: Storage,
+    /// The resolved weights every fork of one template shares, flat
+    /// `[capacity * dim]`.
+    base: Arc<Vec<f32>>,
+    /// Rows written since the fork, materialized on first write; every other
+    /// row reads through to `base`. A `BTreeMap` keeps iteration (and
+    /// therefore serialized deltas) deterministic.
+    rows: BTreeMap<usize, Vec<f32>>,
     vocab_len: usize,
     capacity: usize,
     dim: usize,
@@ -62,47 +53,29 @@ impl TokenTable {
         let dim = space.dim();
         let mut weights = space.token_table(vocab);
         weights.extend(std::iter::repeat_n(0.0, spare_rows * dim));
-        let capacity = vocab.len() + spare_rows;
         TokenTable {
-            storage: Storage::Dense(Embedding::from_weights(weights, capacity, dim)),
+            base: Arc::new(weights),
+            rows: BTreeMap::new(),
             vocab_len: vocab.len(),
-            capacity,
+            capacity: vocab.len() + spare_rows,
             dim,
             next_spare: vocab.len(),
         }
     }
 
-    /// Deep-copies the table into an independent *dense* twin: fresh tensor
-    /// storage (no shared autograd state with `self`), same resolved weights,
-    /// same spare-row cursor. Works from either storage flavour — forking an
-    /// overlay densifies it.
-    pub fn fork(&self) -> TokenTable {
-        let weights = self.to_dense_vec();
-        TokenTable {
-            storage: Storage::Dense(Embedding::from_weights(weights, self.capacity, self.dim)),
-            vocab_len: self.vocab_len,
-            capacity: self.capacity,
-            dim: self.dim,
-            next_spare: self.next_spare,
-        }
-    }
-
-    /// A sparse copy-on-write fork over `base` (a flat `[capacity * dim]`
-    /// snapshot of this table's resolved weights, shared across sessions).
-    /// Starts with zero materialized rows, so its resident footprint is a
-    /// cursor and an empty map until adaptation first writes.
+    /// A copy-on-write fork sharing this table's base, with no written rows
+    /// and the same spare-row cursor: its resident footprint is a cursor and
+    /// an empty map until adaptation first writes.
     ///
     /// # Panics
     ///
-    /// Panics if `base` does not match this table's `capacity * dim`.
-    pub fn fork_overlay(&self, base: &Arc<Vec<f32>>) -> TokenTable {
-        assert_eq!(
-            base.len(),
-            self.capacity * self.dim,
-            "fork_overlay: base length must be capacity * dim"
-        );
+    /// Panics if this table has written rows (the fork would silently drop
+    /// them); forks are taken from the engine's unwritten template.
+    pub fn fork(&self) -> TokenTable {
+        assert!(self.rows.is_empty(), "TokenTable::fork: table has written rows");
         TokenTable {
-            storage: Storage::Overlay { base: Arc::clone(base), rows: BTreeMap::new() },
+            base: Arc::clone(&self.base),
+            rows: BTreeMap::new(),
             vocab_len: self.vocab_len,
             capacity: self.capacity,
             dim: self.dim,
@@ -133,60 +106,29 @@ impl TokenTable {
         self.next_spare = next_spare;
     }
 
-    /// Non-differentiable mean embedding of the given rows with the *same*
-    /// arithmetic as the differentiable [`TokenTable::node_embedding`]
-    /// (rows summed in order, then scaled by the reciprocal count) — the
-    /// batched serving path uses this to fill node-feature rows without
-    /// creating graph nodes while staying bit-identical to the per-window
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or any row is out of bounds.
-    pub fn node_embedding_mean(&self, rows: &[usize]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.dim()];
-        self.node_embedding_mean_into(rows, &mut out);
-        out
-    }
-
-    /// [`TokenTable::node_embedding_mean`] into a caller-provided buffer —
-    /// the allocation-free form the inference data plane's node-feature
-    /// assembly uses. Same arithmetic, same accumulation order.
+    /// Non-differentiable mean embedding of the given rows into a
+    /// caller-provided buffer, with the *same* arithmetic as
+    /// [`TableRows::mean_of`] (rows summed in order, then scaled by the
+    /// reciprocal count) — the inference data plane's node-feature assembly
+    /// uses this to stay bit-identical to the autograd plane without
+    /// allocating.
     ///
     /// # Panics
     ///
     /// Panics if `rows` is empty, `out` is not `dim` long, or any row is out
     /// of bounds.
     pub fn node_embedding_mean_into(&self, rows: &[usize], out: &mut [f32]) {
-        assert!(!rows.is_empty(), "node_embedding_mean: empty row list");
-        let dim = self.dim;
-        assert_eq!(out.len(), dim, "node_embedding_mean_into: out must be [dim]");
+        assert!(!rows.is_empty(), "node_embedding_mean_into: empty row list");
+        assert_eq!(out.len(), self.dim, "node_embedding_mean_into: out must be [dim]");
         let inv = 1.0 / rows.len() as f32;
-        match &self.storage {
-            Storage::Dense(emb) => emb.weight().with_data(|w| {
-                out.fill(0.0);
-                for &r in rows {
-                    let row = &w[r * dim..(r + 1) * dim];
-                    for (o, v) in out.iter_mut().zip(row) {
-                        *o += v;
-                    }
-                }
-                for o in out.iter_mut() {
-                    *o *= inv;
-                }
-            }),
-            Storage::Overlay { base, rows: adapted } => {
-                out.fill(0.0);
-                for &r in rows {
-                    let row = resolve_row(base, adapted, dim, r);
-                    for (o, v) in out.iter_mut().zip(row) {
-                        *o += v;
-                    }
-                }
-                for o in out.iter_mut() {
-                    *o *= inv;
-                }
+        out.fill(0.0);
+        for &r in rows {
+            for (o, v) in out.iter_mut().zip(self.resolve(r)) {
+                *o += v;
             }
+        }
+        for o in out.iter_mut() {
+            *o *= inv;
         }
     }
 
@@ -218,55 +160,18 @@ impl TokenTable {
         }
         let row = self.next_spare;
         self.next_spare += 1;
-        let dim = self.dim;
-        let scale = 1.0 / (dim as f32).sqrt();
-        let noise: Vec<f32> = (0..dim).map(|_| rng.gen_range(-scale..scale)).collect();
-        match &mut self.storage {
-            Storage::Dense(emb) => emb.weight().update_data(|data| {
-                data[row * dim..(row + 1) * dim].copy_from_slice(&noise);
-            }),
-            Storage::Overlay { rows, .. } => {
-                rows.insert(row, noise);
-            }
-        }
+        let scale = 1.0 / (self.dim as f32).sqrt();
+        let noise: Vec<f32> = (0..self.dim).map(|_| rng.gen_range(-scale..scale)).collect();
+        self.rows.insert(row, noise);
         Ok(row)
-    }
-
-    /// Differentiable mean embedding of the given rows, shape `[1, dim]`.
-    ///
-    /// On an overlay table the result is a *constant* tensor (gradients never
-    /// flow into an overlay — adaptation trains a compact [`TableRows`] leaf
-    /// and writes it back), built with the same summed-in-order,
-    /// reciprocal-scaled arithmetic so forward values stay bit-identical to
-    /// the dense path.
-    pub fn node_embedding(&self, rows: &[usize]) -> Tensor {
-        match &self.storage {
-            Storage::Dense(emb) => emb.mean_of(rows),
-            Storage::Overlay { .. } => {
-                Tensor::from_vec(self.node_embedding_mean(rows), &[1, self.dim])
-            }
-        }
     }
 
     /// Non-differentiable snapshot of a node's mean embedding.
     pub fn node_embedding_data(&self, rows: &[usize]) -> Vec<f32> {
-        let dim = self.dim;
-        let mut out = vec![0.0f32; dim];
-        match &self.storage {
-            Storage::Dense(emb) => emb.weight().with_data(|w| {
-                for &r in rows {
-                    for c in 0..dim {
-                        out[c] += w[r * dim + c];
-                    }
-                }
-            }),
-            Storage::Overlay { base, rows: adapted } => {
-                for &r in rows {
-                    let row = resolve_row(base, adapted, dim, r);
-                    for c in 0..dim {
-                        out[c] += row[c];
-                    }
-                }
+        let mut out = vec![0.0f32; self.dim];
+        for &r in rows {
+            for (o, v) in out.iter_mut().zip(self.resolve(r)) {
+                *o += v;
             }
         }
         for v in &mut out {
@@ -277,39 +182,7 @@ impl TokenTable {
 
     /// A raw row of the table.
     pub fn row_data(&self, row: usize) -> Vec<f32> {
-        let dim = self.dim;
-        match &self.storage {
-            Storage::Dense(emb) => {
-                emb.weight().with_data(|w| w[row * dim..(row + 1) * dim].to_vec())
-            }
-            Storage::Overlay { base, rows } => resolve_row(base, rows, dim, row).to_vec(),
-        }
-    }
-
-    /// The single trainable parameter (the table itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an overlay table — overlays have no parameter tensor (no
-    /// path differentiates one: adaptation trains a compact leaf from
-    /// [`TokenTable::leaf_rows`]).
-    pub fn param(&self) -> Tensor {
-        match &self.storage {
-            Storage::Dense(emb) => emb.weight().clone(),
-            Storage::Overlay { .. } => {
-                panic!("TokenTable::param: overlay tables have no parameter tensor")
-            }
-        }
-    }
-
-    /// Freezes/unfreezes the table (frozen during initial decision-model
-    /// training, the *only* unfrozen parameter during adaptation). No-op on
-    /// an overlay table, which is never differentiated.
-    pub fn set_frozen(&self, frozen: bool) {
-        match &self.storage {
-            Storage::Dense(emb) => emb.set_frozen(frozen),
-            Storage::Overlay { .. } => {}
-        }
+        self.resolve(row).to_vec()
     }
 
     /// Total row capacity (vocabulary plus spare region).
@@ -317,49 +190,23 @@ impl TokenTable {
         self.capacity
     }
 
-    /// Whether this table is a sparse copy-on-write overlay.
-    pub fn is_overlay(&self) -> bool {
-        matches!(self.storage, Storage::Overlay { .. })
-    }
-
-    /// Number of rows materialized in the overlay (0 for dense tables).
-    pub fn overlay_rows(&self) -> usize {
-        match &self.storage {
-            Storage::Dense(_) => 0,
-            Storage::Overlay { rows, .. } => rows.len(),
-        }
-    }
-
-    /// The fully resolved weights, flat `[capacity * dim]`, regardless of
-    /// storage flavour. The engine uses this to snapshot its trained template
-    /// as the shared overlay base; persistence uses it to densify.
+    /// The fully resolved weights, flat `[capacity * dim]`.
     pub fn to_dense_vec(&self) -> Vec<f32> {
-        match &self.storage {
-            Storage::Dense(emb) => emb.weight().to_vec(),
-            Storage::Overlay { base, rows } => {
-                let mut out = base.as_ref().clone();
-                let dim = self.dim;
-                for (r, row) in rows {
-                    out[r * dim..(r + 1) * dim].copy_from_slice(row);
-                }
-                out
-            }
+        let mut out = self.base.as_ref().clone();
+        for (r, row) in &self.rows {
+            out[r * self.dim..(r + 1) * self.dim].copy_from_slice(row);
         }
+        out
     }
 
-    /// A forward view of the given rows (sorted, de-duplicated, e.g. from
-    /// [`TableRows::referenced`]). On a dense table it is a differentiable
-    /// gather, so gradients reach the table while it is unfrozen; on an
-    /// overlay it is a constant of the resolved rows.
+    /// A constant forward view of the given rows (sorted, de-duplicated,
+    /// e.g. from [`TableRows::referenced`]).
     ///
     /// # Panics
     ///
     /// Panics if `ids` is not strictly ascending or a row is out of bounds.
     pub fn view_rows(&self, ids: Vec<usize>) -> TableRows {
-        let values = match &self.storage {
-            Storage::Dense(emb) => emb.weight().index_select_rows(&ids),
-            Storage::Overlay { .. } => self.gather_rows(&ids),
-        };
+        let values = self.gather_rows(&ids);
         TableRows::new(ids, values)
     }
 
@@ -377,28 +224,16 @@ impl TokenTable {
 
     /// The resolved rows as a constant `[ids.len(), dim]` tensor.
     fn gather_rows(&self, ids: &[usize]) -> Tensor {
-        let dim = self.dim;
-        let mut data = Vec::with_capacity(ids.len() * dim);
-        match &self.storage {
-            Storage::Dense(emb) => emb.weight().with_data(|w| {
-                for &r in ids {
-                    data.extend_from_slice(&w[r * dim..(r + 1) * dim]);
-                }
-            }),
-            Storage::Overlay { base, rows } => {
-                for &r in ids {
-                    data.extend_from_slice(resolve_row(base, rows, dim, r));
-                }
-            }
+        let mut data = Vec::with_capacity(ids.len() * self.dim);
+        for &r in ids {
+            data.extend_from_slice(self.resolve(r));
         }
-        Tensor::from_vec(data, &[ids.len(), dim])
+        Tensor::from_vec(data, &[ids.len(), self.dim])
     }
 
-    /// Writes a compact row set back into the table. Dense tables copy the
-    /// rows; overlays refresh rows already materialized and materialize the
-    /// others only where their bits differ from the base, so an overlay
-    /// stays sparse and resolves bit-identically to a dense table given the
-    /// same write.
+    /// Writes a compact row set back into the table: rows already
+    /// materialized are refreshed, the others materialize only where their
+    /// bits differ from the base, so the overlay stays sparse.
     ///
     /// # Panics
     ///
@@ -407,88 +242,58 @@ impl TokenTable {
     pub fn write_rows(&mut self, rows: &TableRows) {
         let dim = self.dim;
         assert_eq!(rows.values.shape()[1], dim, "write_rows: dim mismatch");
-        rows.values.with_data(|values| match &mut self.storage {
-            Storage::Dense(emb) => emb.weight().update_data(|w| {
-                for (&r, fresh) in rows.ids.iter().zip(values.chunks_exact(dim)) {
-                    w[r * dim..(r + 1) * dim].copy_from_slice(fresh);
-                }
-            }),
-            Storage::Overlay { base, rows: adapted } => {
-                for (&r, fresh) in rows.ids.iter().zip(values.chunks_exact(dim)) {
-                    if let Some(existing) = adapted.get_mut(&r) {
-                        existing.copy_from_slice(fresh);
-                    } else {
-                        let b = &base[r * dim..(r + 1) * dim];
-                        if fresh.iter().zip(b).any(|(f, b)| f.to_bits() != b.to_bits()) {
-                            adapted.insert(r, fresh.to_vec());
-                        }
+        rows.values.with_data(|values| {
+            for (&r, fresh) in rows.ids.iter().zip(values.chunks_exact(dim)) {
+                if let Some(existing) = self.rows.get_mut(&r) {
+                    existing.copy_from_slice(fresh);
+                } else {
+                    let b = &self.base[r * dim..(r + 1) * dim];
+                    if fresh.iter().zip(b).any(|(f, b)| f.to_bits() != b.to_bits()) {
+                        self.rows.insert(r, fresh.to_vec());
                     }
                 }
             }
         });
     }
 
-    /// The overlay's materialized rows as a sorted `(row, values)` delta —
-    /// the compact checkpoint form. Empty for dense tables.
+    /// The materialized rows as a sorted `(row, values)` delta — the compact
+    /// checkpoint form.
     pub fn overlay_delta(&self) -> Vec<(usize, Vec<f32>)> {
-        match &self.storage {
-            Storage::Dense(_) => Vec::new(),
-            Storage::Overlay { rows, .. } => rows.iter().map(|(r, v)| (*r, v.clone())).collect(),
-        }
+        self.rows.iter().map(|(r, v)| (*r, v.clone())).collect()
     }
 
-    /// Replaces the overlay's materialized rows wholesale from a checkpoint
-    /// delta (the inverse of [`TokenTable::overlay_delta`]).
+    /// Replaces the materialized rows wholesale from a checkpoint delta (the
+    /// inverse of [`TokenTable::overlay_delta`]).
     ///
     /// # Panics
     ///
-    /// Panics on a dense table, or if a delta row is out of bounds or not
-    /// `dim` long — callers validate deltas before applying.
+    /// Panics if a delta row is out of bounds or not `dim` long — callers
+    /// validate deltas before applying.
     pub fn apply_overlay_delta(&mut self, delta: &[(usize, Vec<f32>)]) {
-        let (capacity, dim) = (self.capacity, self.dim);
-        match &mut self.storage {
-            Storage::Dense(_) => {
-                panic!("apply_overlay_delta: table is dense")
-            }
-            Storage::Overlay { rows, .. } => {
-                rows.clear();
-                for (r, v) in delta {
-                    assert!(*r < capacity, "apply_overlay_delta: row {r} out of bounds");
-                    assert_eq!(v.len(), dim, "apply_overlay_delta: row {r} has wrong dim");
-                    rows.insert(*r, v.clone());
-                }
-            }
+        self.rows.clear();
+        for (r, v) in delta {
+            assert!(*r < self.capacity, "apply_overlay_delta: row {r} out of bounds");
+            assert_eq!(v.len(), self.dim, "apply_overlay_delta: row {r} has wrong dim");
+            self.rows.insert(*r, v.clone());
         }
     }
 
-    /// Resident heap bytes attributable to this table. Dense tables own the
-    /// full weight matrix; overlays own only the materialized rows (plus a
-    /// small per-entry map overhead) — the shared base is counted once at the
-    /// engine, not per session.
+    /// Resident heap bytes this table privately owns: the materialized rows
+    /// plus a small per-entry map overhead. The shared base is counted once
+    /// at the engine, not per session.
     pub fn state_bytes(&self) -> usize {
-        match &self.storage {
-            Storage::Dense(_) => self.capacity * self.dim * std::mem::size_of::<f32>(),
-            Storage::Overlay { rows, .. } => {
-                let per_row = self.dim * std::mem::size_of::<f32>()
-                    + std::mem::size_of::<usize>()
-                    + std::mem::size_of::<Vec<f32>>();
-                rows.len() * per_row
-            }
-        }
+        let per_row = self.dim * std::mem::size_of::<f32>()
+            + std::mem::size_of::<usize>()
+            + std::mem::size_of::<Vec<f32>>();
+        self.rows.len() * per_row
     }
-}
 
-/// Resolves a row against an overlay: the materialized copy if present,
-/// otherwise the shared base slice.
-fn resolve_row<'a>(
-    base: &'a [f32],
-    rows: &'a BTreeMap<usize, Vec<f32>>,
-    dim: usize,
-    r: usize,
-) -> &'a [f32] {
-    match rows.get(&r) {
-        Some(v) => v,
-        None => &base[r * dim..(r + 1) * dim],
+    /// Row `r`: the materialized copy if present, otherwise the base slice.
+    fn resolve(&self, r: usize) -> &[f32] {
+        match self.rows.get(&r) {
+            Some(v) => v,
+            None => &self.base[r * self.dim..(r + 1) * self.dim],
+        }
     }
 }
 
@@ -537,8 +342,9 @@ impl TableRows {
     }
 
     /// Differentiable mean of the given *table* rows, `[1, dim]`: the same
-    /// gather-then-mean arithmetic as [`TokenTable::node_embedding`], so the
-    /// forward values are bit-identical to it.
+    /// summed-in-order, reciprocal-scaled arithmetic as
+    /// [`TokenTable::node_embedding_mean_into`], so the forward values are
+    /// bit-identical to it.
     ///
     /// # Panics
     ///
@@ -660,9 +466,10 @@ mod tests {
         let (tok, space, _) = fixture();
         let table = TokenTable::new(&tok, &space, 0);
         let rows = vec![1, 2];
-        let t = table.node_embedding(&rows);
+        let mut mean = vec![0.0f32; table.dim()];
+        table.node_embedding_mean_into(&rows, &mut mean);
         let manual = table.node_embedding_data(&rows);
-        for (a, b) in t.to_vec().iter().zip(&manual) {
+        for (a, b) in mean.iter().zip(&manual) {
             assert!((a - b).abs() < 1e-6);
         }
     }
@@ -671,88 +478,83 @@ mod tests {
     fn gradients_reach_only_used_rows() {
         let (tok, space, _) = fixture();
         let table = TokenTable::new(&tok, &space, 0);
-        table.set_frozen(false);
-        let emb = table.node_embedding(&[3]);
-        emb.sum_all().backward();
-        let grad = table.param().grad().unwrap();
+        let leaf = table.leaf_rows(vec![1, 3, 5]);
+        leaf.mean_of(&[3]).sum_all().backward();
+        let grad = leaf.values().grad().unwrap();
         let dim = table.dim();
-        assert!(grad[3 * dim..4 * dim].iter().any(|g| *g != 0.0));
-        assert!(grad[..3 * dim].iter().all(|g| *g == 0.0));
+        assert!(grad[dim..2 * dim].iter().any(|g| *g != 0.0));
+        assert!(grad[..dim].iter().chain(&grad[2 * dim..]).all(|g| *g == 0.0));
     }
 
     #[test]
     fn frozen_table_retains_no_grad() {
         let (tok, space, _) = fixture();
         let table = TokenTable::new(&tok, &space, 0);
-        table.set_frozen(true);
-        table.node_embedding(&[0]).sum_all().backward();
-        assert!(table.param().grad().is_none());
+        let view = table.view_rows(vec![0]);
+        view.mean_of(&[0]).sum_all().backward();
+        assert!(view.values().grad().is_none());
     }
 
     #[test]
-    fn overlay_reads_are_bit_identical_to_dense() {
+    fn fork_reads_are_bit_identical_to_template() {
         let (tok, space, _) = fixture();
-        let table = TokenTable::new(&tok, &space, 4);
-        let base = Arc::new(table.to_dense_vec());
-        let overlay = table.fork_overlay(&base);
-        assert!(overlay.is_overlay());
-        assert_eq!(overlay.overlay_rows(), 0);
+        let template = TokenTable::new(&tok, &space, 4);
+        let fork = template.fork();
+        assert_eq!(fork.state_bytes(), 0);
         let rows = vec![1, 3, 5];
-        let mut dense_out = vec![0.0f32; table.dim()];
-        let mut overlay_out = vec![0.0f32; table.dim()];
-        table.node_embedding_mean_into(&rows, &mut dense_out);
-        overlay.node_embedding_mean_into(&rows, &mut overlay_out);
+        let mut template_out = vec![0.0f32; template.dim()];
+        let mut fork_out = vec![0.0f32; template.dim()];
+        template.node_embedding_mean_into(&rows, &mut template_out);
+        fork.node_embedding_mean_into(&rows, &mut fork_out);
         assert_eq!(
-            dense_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            overlay_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            template_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            fork_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-        assert_eq!(table.node_embedding_data(&rows), overlay.node_embedding_data(&rows));
-        assert_eq!(table.node_embedding(&rows).to_vec(), overlay.node_embedding(&rows).to_vec());
-        assert_eq!(table.row_data(2), overlay.row_data(2));
-        assert_eq!(table.to_dense_vec(), overlay.to_dense_vec());
+        assert_eq!(template.node_embedding_data(&rows), fork.node_embedding_data(&rows));
+        assert_eq!(template.row_data(2), fork.row_data(2));
+        assert_eq!(template.to_dense_vec(), fork.to_dense_vec());
     }
 
     #[test]
-    fn overlay_allocation_matches_dense_and_stays_sparse() {
+    fn fork_allocation_stays_sparse() {
         let (tok, space, _) = fixture();
-        let mut dense = TokenTable::new(&tok, &space, 2);
-        let base = Arc::new(dense.to_dense_vec());
-        let mut overlay = dense.fork_overlay(&base);
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        let rd = dense.allocate_random_row(&mut rng_a).unwrap();
-        let ro = overlay.allocate_random_row(&mut rng_b).unwrap();
-        assert_eq!(rd, ro);
-        assert_eq!(dense.row_data(rd), overlay.row_data(ro));
-        assert_eq!(overlay.overlay_rows(), 1);
-        assert_eq!(dense.next_spare(), overlay.next_spare());
-        assert!(overlay.state_bytes() < dense.state_bytes());
+        let template = TokenTable::new(&tok, &space, 2);
+        let pristine = template.to_dense_vec();
+        let (mut a, mut b) = (template.fork(), template.fork());
+        let ra = a.allocate_random_row(&mut StdRng::seed_from_u64(7)).unwrap();
+        let rb = b.allocate_random_row(&mut StdRng::seed_from_u64(7)).unwrap();
+        assert_eq!(ra, rb);
+        assert_eq!(a.row_data(ra), b.row_data(rb));
+        assert_eq!(a.overlay_delta().len(), 1);
+        assert_eq!(a.next_spare(), template.next_spare() + 1);
+        assert!(a.state_bytes() * 10 < a.capacity() * a.dim() * std::mem::size_of::<f32>());
+        assert_eq!(template.to_dense_vec(), pristine, "allocation leaked into the template");
     }
 
     #[test]
     fn write_rows_materializes_only_changed_rows() {
         let (tok, space, _) = fixture();
-        let mut dense = TokenTable::new(&tok, &space, 2);
-        let base = Arc::new(dense.to_dense_vec());
-        let mut overlay = dense.fork_overlay(&base);
-        let dim = dense.dim();
-        let rows = overlay.leaf_rows(vec![3, 5]);
-        assert_eq!(rows.values().to_vec(), dense.leaf_rows(vec![3, 5]).values().to_vec());
+        let template = TokenTable::new(&tok, &space, 2);
+        let mut table = template.fork();
+        let dim = table.dim();
+        let rows = table.leaf_rows(vec![3, 5]);
         rows.values().update_data(|d| {
             for v in &mut d[..dim] {
                 *v += 1.0;
             }
         });
-        overlay.write_rows(&rows);
-        dense.write_rows(&rows);
-        assert_eq!(overlay.overlay_rows(), 1, "unchanged row 5 was materialized");
-        assert_eq!(overlay.to_dense_vec(), dense.to_dense_vec());
-        let delta = overlay.overlay_delta();
-        assert_eq!(delta.len(), 1);
+        table.write_rows(&rows);
+        let delta = table.overlay_delta();
+        assert_eq!(delta.len(), 1, "unchanged row 5 was materialized");
         assert_eq!(delta[0].0, 3);
-        let mut restored = dense.fork_overlay(&base);
+        let mut want = template.to_dense_vec();
+        for v in &mut want[3 * dim..4 * dim] {
+            *v += 1.0;
+        }
+        assert_eq!(table.to_dense_vec(), want);
+        let mut restored = template.fork();
         restored.apply_overlay_delta(&delta);
-        assert_eq!(restored.to_dense_vec(), overlay.to_dense_vec());
+        assert_eq!(restored.to_dense_vec(), table.to_dense_vec());
     }
 
     #[test]
@@ -765,8 +567,9 @@ mod tests {
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not sorted and unique");
         let view = table.view_rows(ids.clone());
         let leaf = table.leaf_rows(ids);
+        let mut want = vec![0.0f32; table.dim()];
         for tokens in tkg.node_tokens.values() {
-            let want = table.node_embedding(tokens).to_vec();
+            table.node_embedding_mean_into(tokens, &mut want);
             assert_eq!(view.mean_of(tokens).to_vec(), want);
             assert_eq!(leaf.mean_of(tokens).to_vec(), want);
         }

@@ -64,7 +64,7 @@ pub fn train_decision_model(
     assert!(!normals.is_empty(), "training requires normal videos");
     assert!(!anomalous.is_empty(), "training requires mission-class videos");
 
-    sys.engine.set_adaptation_mode(&sys.session, false); // model trainable, table frozen
+    sys.engine.model.set_frozen(false); // the table is never differentiated
     let params = sys.engine.model.params();
     let mut opt = AdamW::new(
         params,

@@ -3,8 +3,9 @@
 //! `TableRows` leaf — one stacked GNN pass per KG over the distinct frames,
 //! one temporal pass over all windows) must give logits **bitwise** equal to
 //! the per-frame composed path (`DecisionModel::reasoning_embedding` per
-//! frame, then `temporal_embedding` and `logits` per window, over the
-//! unfrozen session table), and a table gradient equal to that oracle's —
+//! frame, then `temporal_embedding` and `logits` per window, over a
+//! trainable leaf of every table row), and a table gradient equal to that
+//! oracle's —
 //! row by row within 1e-5 relative on the rows the KGs reference, exactly
 //! zero on every other row — under Scalar and Simd.
 //!
@@ -15,10 +16,11 @@ use akg_core::engine::{Engine, Session};
 use akg_core::loss::decision_loss_smoothed;
 use akg_core::model::KgLayout;
 use akg_core::pipeline::SystemConfig;
-use akg_core::tokenize::TokenizedKg;
+use akg_core::tokenize::{TableRows, TokenizedKg};
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_tensor::backend::{backend, set_backend, Backend};
+use akg_tensor::nn::Module;
 use akg_tensor::ops::kernels::BLOCKED_DISPATCH_THRESHOLD;
 use akg_tensor::Tensor;
 use std::sync::{Mutex, MutexGuard};
@@ -85,11 +87,12 @@ fn loss(logits: &Tensor, engine: &Engine) -> Tensor {
 }
 
 /// The per-frame composed path: every frame of every window through the
-/// GNNs on its own (gradients into the full session table), then the
-/// temporal model and head per window.
+/// GNNs on its own (gradients into `table`, a leaf of every table row), then
+/// the temporal model and head per window.
 fn oracle_logits(
     engine: &Engine,
     session: &Session,
+    table: &TableRows,
     pool: &[Vec<f32>],
     windows: &[Vec<usize>],
 ) -> Tensor {
@@ -101,7 +104,7 @@ fn oracle_logits(
         .map(|w| {
             let seq: Vec<Tensor> = w
                 .iter()
-                .map(|&i| model.reasoning_embedding(&kgs, &layouts, &session.table, &pool[i]))
+                .map(|&i| model.reasoning_embedding(&kgs, &layouts, table, &pool[i]))
                 .collect();
             model.logits(&model.temporal_embedding(&seq))
         })
@@ -116,11 +119,10 @@ fn check(
     pool: &[Vec<f32>],
     windows: &[Vec<usize>],
 ) {
-    let table = session.table.param();
-    table.zero_grad();
-    let oracle = oracle_logits(engine, session, pool, windows);
+    let table = session.table.leaf_rows((0..session.table.capacity()).collect());
+    let oracle = oracle_logits(engine, session, &table, pool, windows);
     loss(&oracle, engine).backward();
-    let oracle_grad = table.grad().expect("oracle table got no gradient");
+    let oracle_grad = table.values().grad().expect("oracle table got no gradient");
 
     // the token update's path: one compact leaf, each frame once
     let rows = session.table.leaf_rows(session.referenced_rows());
@@ -173,9 +175,8 @@ fn deduplicated_node_block_forward_matches_per_window_oracle() {
                 &[AnomalyClass::Stealing],
                 &SystemConfig { seed: 5, backend: b, ..Default::default() },
             );
-            // a dense session: the oracle differentiates the full table
-            let mut session = engine.new_session_dense(5 ^ 0xF0F0);
-            engine.set_adaptation_mode(&session, true);
+            let mut session = engine.new_session(5 ^ 0xF0F0);
+            engine.model.set_frozen(true);
             let large = threshold_crossing_windows(&engine, &session);
             let pool_len = large.iter().flatten().max().unwrap() + 1;
             let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 3);

@@ -65,7 +65,8 @@ fn make_window(engine: &Engine, salt: usize) -> Vec<Vec<f32>> {
 fn autograd_score(engine: &Engine, session: &Session, window: &[Vec<f32>]) -> f32 {
     let kgs: Vec<_> = session.kgs.iter().collect();
     let layouts: Vec<_> = session.layouts.iter().collect();
-    engine.model.anomaly_score(&kgs, &layouts, &session.table, window)
+    let rows = session.table.view_rows(session.referenced_rows());
+    engine.model.anomaly_score(&kgs, &layouts, &rows, window)
 }
 
 #[test]
@@ -111,7 +112,8 @@ fn predict_window_matches_autograd_predict_bitwise() {
             let infer = engine.predict_window(&session, &window);
             let kgs: Vec<_> = session.kgs.iter().collect();
             let layouts: Vec<_> = session.layouts.iter().collect();
-            let auto = engine.model.predict(&kgs, &layouts, &session.table, &window);
+            let rows = session.table.view_rows(session.referenced_rows());
+            let auto = engine.model.predict(&kgs, &layouts, &rows, &window);
             assert_eq!(infer, auto, "predict_window diverged from autograd predict under {b:?}");
         });
     }

@@ -29,8 +29,8 @@
 //! serving is **bit-identical** to running every stream alone through
 //! [`ContinuousAdapter::observe`](akg_core::adapt::ContinuousAdapter::observe)
 //! (`tests/equivalence.rs` proves this at batch
-//! sizes 1, 4, and 16; `tests/overlay_equivalence.rs` in `akg-core` proves
-//! overlay ≡ dense fork). For serving more *registered* sessions than fit in
+//! sizes 1, 4, and 16; `tests/checkpoint_equivalence.rs` in `akg-core`
+//! proves checkpoint → restore → continue ≡ uninterrupted). For serving more *registered* sessions than fit in
 //! RAM, the [`tier`] module bounds residency with LRU eviction to a disk
 //! spool.
 //!

@@ -42,17 +42,6 @@ pub struct TierConfig {
     pub spool_dir: PathBuf,
 }
 
-impl TierConfig {
-    /// A tier bounded to `max_resident` sessions, spooling under the OS
-    /// temp directory in a per-process subdirectory (collision-free across
-    /// concurrent bench runs).
-    pub fn bounded(max_resident: usize) -> Self {
-        let spool_dir =
-            std::env::temp_dir().join(format!("akg-session-tier-{}", std::process::id()));
-        TierConfig { max_resident, spool_dir }
-    }
-}
-
 /// Lifetime counters of one tier (all deterministic given the serve order).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TierCounters {
@@ -318,11 +307,15 @@ mod tests {
     use akg_core::pipeline::SystemConfig;
     use akg_kg::AnomalyClass;
 
-    fn tier(max_resident: usize) -> SessionTier {
+    /// A flat per-process, per-test spool directory, so `clear_spool`
+    /// removes everything the test made.
+    fn spool_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("akg-session-tier-{}-unit-{tag}", std::process::id()))
+    }
+
+    fn tier(max_resident: usize, tag: &str) -> SessionTier {
         let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-        let mut cfg = TierConfig::bounded(max_resident);
-        cfg.spool_dir = cfg.spool_dir.join(format!("unit-{max_resident}"));
-        SessionTier::new(engine, cfg)
+        SessionTier::new(engine, TierConfig { max_resident, spool_dir: spool_dir(tag) })
     }
 
     fn frame() -> Frame {
@@ -331,7 +324,7 @@ mod tests {
 
     #[test]
     fn residency_stays_bounded_and_counters_track() {
-        let mut t = tier(2);
+        let mut t = tier(2, "residency");
         let ids: Vec<_> = (0..4).map(|i| t.register(i as u64, AdaptConfig::default())).collect();
         assert_eq!(t.registered_count(), 4);
         assert_eq!(t.resident_count(), 0, "registration must be lazy");
@@ -352,7 +345,7 @@ mod tests {
 
     #[test]
     fn unknown_session_and_invalid_frame_are_rejected() {
-        let mut t = tier(1);
+        let mut t = tier(1, "rejects");
         assert!(t.serve_frame(0, &frame()).is_err());
         let id = t.register(0, AdaptConfig::default());
         let bad = Frame { concepts: vec![("".into(), 1.0)], label: None };
@@ -364,10 +357,9 @@ mod tests {
     #[test]
     fn spool_write_failure_keeps_the_victim_resident() {
         let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-        let mut cfg = TierConfig::bounded(1);
-        cfg.spool_dir = cfg.spool_dir.join("unit-spool-failure");
-        let spool_dir = cfg.spool_dir.clone();
-        let mut t = SessionTier::new(engine, cfg);
+        let spool_dir = spool_dir("spool-failure");
+        let mut t =
+            SessionTier::new(engine, TierConfig { max_resident: 1, spool_dir: spool_dir.clone() });
         let victim = t.register(0, AdaptConfig::default());
         let next = t.register(1, AdaptConfig::default());
         t.serve_frame(victim, &frame()).unwrap();
@@ -386,6 +378,7 @@ mod tests {
     #[should_panic(expected = "max_resident must be positive")]
     fn zero_capacity_is_rejected() {
         let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-        let _ = SessionTier::new(engine, TierConfig::bounded(0));
+        let _ =
+            SessionTier::new(engine, TierConfig { max_resident: 0, spool_dir: spool_dir("zero") });
     }
 }

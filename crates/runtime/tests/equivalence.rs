@@ -144,8 +144,7 @@ fn check_equivalence(n_streams: usize, max_batch: usize, backend: Backend) {
     let batched = run_runtime(&ds, n_streams, max_batch, backend, precision);
     let pristine_table = Engine::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision))
         .table
-        .param()
-        .to_vec();
+        .to_dense_vec();
     let mut any_adapted = false;
     for s in 0..n_streams {
         let (solo_scores, solo_table, solo_replacements) =
@@ -213,8 +212,7 @@ fn check_shard_equivalence(n_streams: usize, backend: Backend, precision: Precis
     let reference = run_runtime(&ds, n_streams, 16, backend, precision);
     let pristine_table = Engine::build(&[AnomalyClass::Stealing], &system_cfg(backend, precision))
         .table
-        .param()
-        .to_vec();
+        .to_dense_vec();
     let mut any_adapted = false;
     for shards in [1usize, 2, 4] {
         let sharded = run_sharded(&ds, n_streams, shards, backend, precision);

@@ -51,10 +51,11 @@ fn build_tier(backend: Backend, max_resident: usize, tag: &str) -> SessionTier {
         &[AnomalyClass::Stealing],
         &SystemConfig { seed: 5, backend, precision: Precision::F32, ..SystemConfig::default() },
     );
-    let mut cfg = TierConfig::bounded(max_resident);
-    // distinct spool per (test, backend) so parallel tests never collide
-    cfg.spool_dir = cfg.spool_dir.join(format!("test-{tag}-{backend:?}-{max_resident}"));
-    SessionTier::new(engine, cfg)
+    // a flat spool per (process, test, backend), so parallel tests never
+    // collide and `clear_spool` removes everything the test made
+    let spool_dir = std::env::temp_dir()
+        .join(format!("akg-session-tier-{}-{tag}-{backend:?}-{max_resident}", std::process::id()));
+    SessionTier::new(engine, TierConfig { max_resident, spool_dir })
 }
 
 /// Round-robin serves every session through the tier and returns the
@@ -113,7 +114,7 @@ fn check_churned_tier_matches_resident_tier(backend: Backend) {
 
     // the adaptation must not have been vacuous: at least one session's
     // overlay materialized rows (its checkpoint carries a non-empty delta,
-    // well under the dense table's serialized size)
+    // well under the full table's serialized size)
     let adapted = (0..N_SESSIONS).filter_map(|s| churned.checkpoint_bytes(s)).max();
     assert!(adapted.is_some(), "no session ever produced a checkpoint");
 
@@ -133,9 +134,9 @@ fn evict_rehydrate_continue_is_bit_identical_simd() {
     check_churned_tier_matches_resident_tier(Backend::Simd);
 }
 
-/// Overlay sessions are why the tier scales: a freshly served overlay
-/// session's private state must be at least 10× smaller than the dense fork
-/// of the same engine.
+/// Overlay sessions are why the tier scales: a served session's private
+/// state must be at least 10× smaller than a full copy of the engine's
+/// token table.
 #[test]
 fn overlay_resident_bytes_are_a_fraction_of_dense() {
     let _guard = lock_backend();
@@ -143,11 +144,12 @@ fn overlay_resident_bytes_are_a_fraction_of_dense() {
     let mut tier = build_tier(Backend::Scalar, N_SESSIONS, "bytes");
     serve_all(&mut tier, &ds);
     let overlay_per_session = tier.resident_bytes() / tier.resident_count();
-    let dense_per_session = tier.engine().new_session_dense(7).state_bytes();
+    let table = &tier.engine().table;
+    let table_bytes = table.capacity() * table.dim() * std::mem::size_of::<f32>();
     assert!(
-        overlay_per_session * 10 <= dense_per_session,
-        "overlay session ({overlay_per_session} B) not ≥10× smaller than dense fork \
-         ({dense_per_session} B)"
+        overlay_per_session * 10 <= table_bytes,
+        "overlay session ({overlay_per_session} B) not ≥10× smaller than the full table \
+         ({table_bytes} B)"
     );
     tier.clear_spool();
 }

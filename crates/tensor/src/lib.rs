@@ -26,9 +26,8 @@
 //! - [`quant`]: the int8 serving plane's representation — [`Precision`],
 //!   [`QuantizedMatrix`] (symmetric per-row-scaled int8 weights), and the
 //!   dynamic activation quantizer the q8 kernels consume
-//! - [`nn`]: layers — [`nn::Linear`], [`nn::Embedding`],
-//!   [`nn::norm::BatchNorm1d`], [`nn::norm::LayerNorm`],
-//!   [`nn::attention::TransformerEncoder`]
+//! - [`nn`]: layers — [`nn::Linear`], [`nn::norm::BatchNorm1d`],
+//!   [`nn::norm::LayerNorm`], [`nn::attention::TransformerEncoder`]
 //! - [`optim`]: [`optim::Sgd`] and [`optim::AdamW`] (decoupled weight decay)
 //! - [`init`]: seeded initializers
 //! - [`gradcheck`]: numerical gradient verification

@@ -1,10 +1,11 @@
 //! Neural-network layers built on the autograd [`Tensor`](crate::Tensor).
 //!
 //! The layer set is exactly what the paper's models need: [`Linear`] (the
-//! dense sub-layer, Eq. 1, and the decision head, Eq. 5), [`Embedding`] (the
-//! KG token-embedding table that continuous adaptation updates),
+//! dense sub-layer, Eq. 1, and the decision head, Eq. 5),
 //! [`norm::BatchNorm1d`] / [`norm::LayerNorm`], and
-//! [`attention::TransformerEncoder`] (the short-term temporal model).
+//! [`attention::TransformerEncoder`] (the short-term temporal model). The
+//! KG token-embedding table that continuous adaptation updates is plain
+//! row data outside this module, trained through a `requires_grad` leaf.
 
 pub mod attention;
 pub mod norm;
@@ -198,74 +199,6 @@ impl Module for Linear {
     }
 }
 
-/// A lookup table of trainable embeddings (the KG token-embedding table).
-#[derive(Debug)]
-pub struct Embedding {
-    weight: Tensor,
-    vocab: usize,
-    dim: usize,
-}
-
-impl Embedding {
-    /// Creates an embedding table with N(0, 0.02) initialization.
-    pub fn new(vocab: usize, dim: usize, rng: &mut StdRng) -> Self {
-        let weight = init::normal(&[vocab, dim], 0.02, rng).requires_grad(true);
-        Embedding { weight, vocab, dim }
-    }
-
-    /// Creates an embedding table from pre-computed vectors (e.g. the joint
-    /// embedding model's token vectors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != vocab * dim`.
-    pub fn from_weights(weights: Vec<f32>, vocab: usize, dim: usize) -> Self {
-        assert_eq!(weights.len(), vocab * dim, "Embedding: weight size mismatch");
-        let weight = Tensor::from_vec(weights, &[vocab, dim]).requires_grad(true);
-        Embedding { weight, vocab, dim }
-    }
-
-    /// Looks up rows by token id, producing `[ids.len(), dim]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is out of vocabulary.
-    pub fn forward(&self, ids: &[usize]) -> Tensor {
-        self.weight.index_select_rows(ids)
-    }
-
-    /// Mean of the embeddings of `ids`, as `[1, dim]` — one node's embedding
-    /// from its tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` is empty or out of vocabulary.
-    pub fn mean_of(&self, ids: &[usize]) -> Tensor {
-        self.weight.mean_rows(ids)
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The raw table (shape `[vocab, dim]`).
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-}
-
-impl Module for Embedding {
-    fn params(&self) -> Vec<Tensor> {
-        vec![self.weight.clone()]
-    }
-}
-
 /// A sequence of [`Linear`] layers with an activation between them; the
 /// transformer's feed-forward block.
 #[derive(Debug)]
@@ -362,34 +295,17 @@ mod tests {
     }
 
     #[test]
-    fn embedding_lookup_and_grad() {
-        let emb = Embedding::from_weights(vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0], 3, 2);
-        let out = emb.forward(&[2, 0]);
-        assert_eq!(out.to_vec(), vec![3.0, 3.0, 1.0, 1.0]);
-        out.sum_all().backward();
-        let g = emb.weight().grad().unwrap();
-        assert_eq!(g, vec![1.0, 1.0, 0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn embedding_mean_of() {
-        let emb = Embedding::from_weights(vec![0.0, 0.0, 2.0, 4.0], 2, 2);
-        let m = emb.mean_of(&[0, 1]);
-        assert_eq!(m.to_vec(), vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn freezing_blocks_grad_retention_but_not_flow() {
-        let emb = Embedding::from_weights(vec![1.0, 2.0], 2, 1);
+        let x = Tensor::from_vec(vec![1.0], &[1, 1]).requires_grad(true);
         let mut rng = StdRng::seed_from_u64(2);
         let l = Linear::new(1, 1, &mut rng);
         l.set_frozen(true);
-        let y = l.forward(&emb.forward(&[0])).sum_all();
+        let y = l.forward(&x).sum_all();
         y.backward();
         // frozen linear keeps no grad...
         assert!(l.params()[0].grad().is_none());
-        // ...but the embedding upstream of it still receives one.
-        assert!(emb.weight().grad().is_some());
+        // ...but the leaf upstream of it still receives one.
+        assert!(x.grad().is_some());
     }
 
     #[test]
