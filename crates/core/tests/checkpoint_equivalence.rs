@@ -147,31 +147,27 @@ fn run_session(
 }
 
 /// Checkpoints each of four independent streams (the same per-stream
-/// seeding as `runtime/tests/equivalence.rs`) after the trend shift and
-/// compares the continuation with the uninterrupted run. At least one
-/// checkpoint must carry a non-empty delta, and that delta's JSON must be
-/// at least 5× smaller than the full table's.
-fn check_streams(engine: &Engine, ds: &SyntheticUcfCrime, label: &str) {
-    let mut any_delta = false;
-    for s in 0..4 {
-        let run =
-            |at| run_session(engine, ds, adapt_cfg(s), frame_seed(s), stream_seed(s), 64, 24, at);
-        let (want, _) = run(None);
-        let (got, capture) = run(Some(40));
-        assert_eq!(got, want, "{label}/stream {s}: checkpoint continuation diverged");
-        let capture = capture.expect("checkpoint taken");
-        if capture.delta_rows > 0 {
-            any_delta = true;
-            assert!(
-                capture.json_bytes * 5 <= capture.full_table_json_bytes,
-                "{label}/stream {s}: delta checkpoint ({} B) not ≥5× smaller than the full \
-                 table ({} B)",
-                capture.json_bytes,
-                capture.full_table_json_bytes
-            );
-        }
-    }
-    assert!(any_delta, "{label}: every checkpoint had an empty delta — vacuous continuation");
+/// seeding as `runtime/tests/equivalence.rs`) after the trend shift,
+/// compares the continuation with the uninterrupted run and returns each
+/// stream's checkpoint capture. At least one checkpoint must carry a
+/// non-empty delta.
+fn check_streams(engine: &Engine, ds: &SyntheticUcfCrime, label: &str) -> Vec<Capture> {
+    let captures: Vec<Capture> = (0..4)
+        .map(|s| {
+            let run = |at| {
+                run_session(engine, ds, adapt_cfg(s), frame_seed(s), stream_seed(s), 64, 24, at)
+            };
+            let (want, _) = run(None);
+            let (got, capture) = run(Some(40));
+            assert_eq!(got, want, "{label}/stream {s}: checkpoint continuation diverged");
+            capture.expect("checkpoint taken")
+        })
+        .collect();
+    assert!(
+        captures.iter().any(|c| c.delta_rows > 0),
+        "{label}: every checkpoint had an empty delta — vacuous continuation"
+    );
+    captures
 }
 
 fn adapt_cfg(stream: usize) -> AdaptConfig {
@@ -196,6 +192,29 @@ fn checkpoint_continuation_equals_uninterrupted_run_f32() {
             check_streams(&engine, &ds, &format!("f32/{b:?}"));
         });
     }
+}
+
+/// The checkpoint is the adapted-row delta, not the table: every non-empty
+/// delta checkpoint that round-trips and continues bit-identically above
+/// must serialize at least 5× smaller than the full table.
+#[test]
+fn delta_checkpoint_roundtrips_and_shrinks() {
+    let _guard = lock_backend();
+    let ds = dataset();
+    with_backend(Backend::Scalar, || {
+        let engine = build_engine(Backend::Scalar, Precision::F32);
+        for (s, capture) in check_streams(&engine, &ds, "shrink").iter().enumerate() {
+            if capture.delta_rows > 0 {
+                assert!(
+                    capture.json_bytes * 5 <= capture.full_table_json_bytes,
+                    "stream {s}: delta checkpoint ({} B) not ≥5× smaller than the full table \
+                     ({} B)",
+                    capture.json_bytes,
+                    capture.full_table_json_bytes
+                );
+            }
+        }
+    });
 }
 
 #[test]
