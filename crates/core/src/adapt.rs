@@ -152,8 +152,10 @@ pub struct DriftEntry {
 
 /// The persistable half of a [`ContinuousAdapter`]: everything needed to
 /// resume the adaptation loop mid-stream with identical behaviour (score
-/// tracker, embedding buffer, drift states, wiring RNG, counters). Event
-/// history is logging-only and not persisted.
+/// tracker, embedding buffer, drift states, wiring RNG) plus the lifetime
+/// token-update and replacement counts, so a restored stream reports the
+/// same totals as one that never stopped. The event log
+/// ([`ContinuousAdapter::events`]) is logging-only and not persisted.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdaptSnapshot {
     /// The mean-shift tracker (score window, reference state).
@@ -164,7 +166,9 @@ pub struct AdaptSnapshot {
     pub drift: Vec<DriftEntry>,
     /// Node-creation wiring RNG state (xoshiro256++ words).
     pub rng: Vec<u64>,
-    /// Structural replacements performed so far.
+    /// Token updates performed over the stream's lifetime.
+    pub token_updates: usize,
+    /// Structural replacements performed over the stream's lifetime.
     pub replacements: usize,
     /// Frames observed so far.
     pub observed: usize,
@@ -181,6 +185,7 @@ pub struct ContinuousAdapter {
     buffer: VecDeque<Vec<f32>>,
     drift: HashMap<(usize, NodeId), DriftState>,
     rng: StdRng,
+    token_updates: usize,
     replacements: usize,
     observed: usize,
     events: Vec<AdaptEvent>,
@@ -208,6 +213,7 @@ impl ContinuousAdapter {
             buffer: VecDeque::with_capacity(cfg.n_window),
             drift: HashMap::new(),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xADA7),
+            token_updates: 0,
             replacements: 0,
             observed: 0,
             events: Vec::new(),
@@ -235,12 +241,22 @@ impl ContinuousAdapter {
         &self.cfg
     }
 
-    /// Events recorded so far.
+    /// Events recorded since the adapter was attached or restored (the log
+    /// is not checkpointed; the lifetime counts are
+    /// [`ContinuousAdapter::token_updates`] and
+    /// [`ContinuousAdapter::replacements`]).
     pub fn events(&self) -> &[AdaptEvent] {
         &self.events
     }
 
-    /// Structural replacements performed so far.
+    /// Token updates performed over the stream's lifetime, including those
+    /// before a restore.
+    pub fn token_updates(&self) -> usize {
+        self.token_updates
+    }
+
+    /// Structural replacements performed over the stream's lifetime,
+    /// including those before a restore.
     pub fn replacements(&self) -> usize {
         self.replacements
     }
@@ -358,6 +374,7 @@ impl ContinuousAdapter {
         }
         let delta_m = self.tracker.delta_m();
         let loss = self.token_update(engine, session, k);
+        self.token_updates += 1;
         self.events.push(AdaptEvent::TokenUpdate { k, loss, delta_m });
         self.update_drift_and_restructure(session);
         k
@@ -593,6 +610,7 @@ impl ContinuousAdapter {
             buffer: self.buffer.iter().cloned().collect(),
             drift,
             rng: self.rng.export_state().to_vec(),
+            token_updates: self.token_updates,
             replacements: self.replacements,
             observed: self.observed,
             adapted_node_counter: self.adapted_node_counter,
@@ -633,6 +651,7 @@ impl ContinuousAdapter {
         let rng_words: [u64; 4] =
             snapshot.rng.as_slice().try_into().expect("AdaptSnapshot: rng must hold 4 words");
         adapter.rng = StdRng::restore_state(rng_words);
+        adapter.token_updates = snapshot.token_updates;
         adapter.replacements = snapshot.replacements;
         adapter.observed = snapshot.observed;
         adapter.adapted_node_counter = snapshot.adapted_node_counter;
@@ -871,6 +890,7 @@ mod tests {
         let snap = adapter.snapshot();
         let restored = ContinuousAdapter::restore(&engine, &mut session, small_cfg(), &snap);
         assert_eq!(restored.observed(), adapter.observed());
+        assert_eq!(restored.token_updates(), adapter.token_updates());
         assert_eq!(restored.replacements(), adapter.replacements());
         assert_eq!(restored.delta_m(), adapter.delta_m());
         let resnap = restored.snapshot();

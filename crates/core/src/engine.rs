@@ -164,12 +164,6 @@ impl Session {
         TableRows::referenced(self.kgs.iter().zip(self.layouts.iter()))
     }
 
-    /// Reseeds the frame-embedding RNG (aligning a session with a replayed
-    /// stream).
-    pub fn reseed(&mut self, seed: u64) {
-        self.frame_rng = StdRng::seed_from_u64(seed);
-    }
-
     /// Allocation counters of the session's inference workspace (the
     /// high-water mark stabilizes once every serving shape has been seen).
     pub fn workspace_stats(&self) -> WorkspaceStats {

@@ -6,6 +6,12 @@
 //! behaviour: the "Model Deploy" arrow of the paper's Fig. 2, extended to
 //! warm hand-off, crash recovery and session eviction.
 //!
+//! `SessionCheckpoint` is the one per-stream record for both eviction (the
+//! session tier's spool) and recovery (the sharded runtime's shard
+//! checkpoints). It carries the adapter's lifetime token-update and
+//! replacement counts, so a restored stream's totals continue rather than
+//! restart.
+//!
 //! The engine is *not* serialized: it is rebuilt deterministically from its
 //! configuration, and [`restore_session`] validates that the checkpoint fits
 //! the receiving session before it changes anything. This matches the
@@ -101,8 +107,10 @@ pub fn checkpoint_session(session: &Session, adapter: &ContinuousAdapter) -> Ses
 /// # Errors
 ///
 /// Returns a message if KG counts, delta rows (index, width, order, or a
-/// non-finite value), or RNG states disagree with the receiving session, or
-/// a stored KG fails to parse its header checks.
+/// non-finite value), the adapter's frame buffer (more than `cfg.n_window`
+/// rows, a row that is not `embed_dim` wide, or a non-finite value), or RNG
+/// states disagree with the receiving session, or a stored KG fails to
+/// parse its header checks.
 pub fn restore_session(
     engine: &Engine,
     session: &mut Session,
@@ -141,6 +149,26 @@ pub fn restore_session(
             return Err(format!("checkpoint delta row {r} holds a non-finite value"));
         }
         prev = Some(*r);
+    }
+    let buffer = &cp.adapter.buffer;
+    if buffer.len() > cfg.n_window {
+        return Err(format!(
+            "checkpoint adapter buffer holds {} frames, window is {}",
+            buffer.len(),
+            cfg.n_window
+        ));
+    }
+    let embed_dim = engine.config().embed_dim;
+    for (i, frame) in buffer.iter().enumerate() {
+        if frame.len() != embed_dim {
+            return Err(format!(
+                "checkpoint buffered frame {i} has {} values, want {embed_dim}",
+                frame.len()
+            ));
+        }
+        if !frame.iter().all(|x| x.is_finite()) {
+            return Err(format!("checkpoint buffered frame {i} holds a non-finite value"));
+        }
     }
     if !(session.table.vocab_len()..=capacity).contains(&cp.next_spare) {
         return Err(format!(
@@ -342,6 +370,23 @@ mod tests {
         for (what, delta) in deltas {
             let mut bad = cp.clone();
             bad.table_delta = delta;
+            assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err(), "{what} accepted");
+        }
+
+        // Each buffer would restore into a panic or unbounded growth: a
+        // short row fails the first scoring pass, and `ingest_frame` only
+        // pops once the buffer is exactly `n_window` long.
+        let embed_dim = engine.config().embed_dim;
+        let mut nan_frame = vec![0.25f32; embed_dim];
+        nan_frame[1] = f32::NAN;
+        let buffers = [
+            ("short buffered frame", vec![vec![0.25; embed_dim], vec![0.25; 3]]),
+            ("buffer longer than n_window", vec![vec![0.25; embed_dim]; cfg.n_window + 1]),
+            ("NaN buffered frame", vec![nan_frame]),
+        ];
+        for (what, buffer) in buffers {
+            let mut bad = cp.clone();
+            bad.adapter.buffer = buffer;
             assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err(), "{what} accepted");
         }
 

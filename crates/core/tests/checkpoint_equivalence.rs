@@ -3,8 +3,8 @@
 //! restored into a fresh session opened with the *wrong* frame seed
 //! (`persist::restore_session`), and continued must behave
 //! **bit-identically** to the run that was never interrupted: per-frame
-//! scores, the final resolved table, replacements, adaptation events and
-//! the spare-row cursor — under Scalar AND Simd, f32 and int8, four fixed
+//! scores, the final resolved table, lifetime token-update and replacement
+//! counts and the spare-row cursor — under Scalar AND Simd, f32 and int8, four fixed
 //! streams and fuzzed schedules that also draw the checkpoint frame. The
 //! checkpoint is the table's adapted-row delta, so it must also be much
 //! smaller than the full table.
@@ -79,14 +79,15 @@ fn stream_seed(stream: usize) -> u64 {
 struct Outcome {
     score_bits: Vec<u32>,
     table_bits: Vec<u32>,
+    token_updates: usize,
     replacements: usize,
-    events: usize,
     next_spare: usize,
 }
 
 /// What the checkpoint taken mid-run looked like.
 struct Capture {
     delta_rows: usize,
+    token_updates: usize,
     json_bytes: usize,
     full_table_json_bytes: usize,
 }
@@ -95,9 +96,9 @@ struct Capture {
 /// shifting the trend at `shift_at`. With `checkpoint_at`, the session is
 /// checkpointed before that frame, serialized, parsed back and restored
 /// into a fresh session opened with a wrong frame seed, which serves the
-/// rest of the stream. The adaptation event log is not part of a checkpoint
-/// (a restored adapter's log starts empty), so an interrupted run's event
-/// count is the sum over both halves.
+/// rest of the stream. The lifetime token-update and replacement counts
+/// ride in the checkpoint, so an interrupted run must report the same
+/// totals as the uninterrupted one.
 #[allow(clippy::too_many_arguments)]
 fn run_session(
     engine: &Engine,
@@ -114,19 +115,18 @@ fn run_session(
     let mut stream = AdaptationStream::new(ds, AnomalyClass::Stealing, 0.5, stream_seed);
     let mut score_bits = Vec::with_capacity(frames);
     let mut capture = None;
-    let mut events_before = 0;
     for i in 0..frames {
         if checkpoint_at == Some(i) {
             let json = serde_json::to_string(&checkpoint_session(&session, &adapter)).unwrap();
             let cp: SessionCheckpoint = serde_json::from_str(&json).unwrap();
             capture = Some(Capture {
                 delta_rows: cp.table_delta.len(),
+                token_updates: cp.adapter.token_updates,
                 json_bytes: json.len(),
                 full_table_json_bytes: serde_json::to_string(&session.table.to_dense_vec())
                     .unwrap()
                     .len(),
             });
-            events_before = adapter.events().len();
             session = engine.new_session(frame_seed ^ 0xDEAD);
             adapter = restore_session(engine, &mut session, cfg, &cp).unwrap();
         }
@@ -139,8 +139,8 @@ fn run_session(
     let outcome = Outcome {
         score_bits,
         table_bits: session.table.to_dense_vec().iter().map(|v| v.to_bits()).collect(),
+        token_updates: adapter.token_updates(),
         replacements: adapter.replacements(),
-        events: events_before + adapter.events().len(),
         next_spare: session.table.next_spare(),
     };
     (outcome, capture)
@@ -150,7 +150,8 @@ fn run_session(
 /// seeding as `runtime/tests/equivalence.rs`) after the trend shift,
 /// compares the continuation with the uninterrupted run and returns each
 /// stream's checkpoint capture. At least one checkpoint must carry a
-/// non-empty delta.
+/// non-empty delta and a token update made before the checkpoint (so the
+/// lifetime counts are checked across the restore).
 fn check_streams(engine: &Engine, ds: &SyntheticUcfCrime, label: &str) -> Vec<Capture> {
     let captures: Vec<Capture> = (0..4)
         .map(|s| {
@@ -166,6 +167,10 @@ fn check_streams(engine: &Engine, ds: &SyntheticUcfCrime, label: &str) -> Vec<Ca
     assert!(
         captures.iter().any(|c| c.delta_rows > 0),
         "{label}: every checkpoint had an empty delta — vacuous continuation"
+    );
+    assert!(
+        captures.iter().any(|c| c.token_updates > 0),
+        "{label}: no token update before any checkpoint — lifetime counts unchecked"
     );
     captures
 }

@@ -1,15 +1,17 @@
 //! In-memory checkpointing for shard-worker recovery.
 //!
 //! The sharded runtime's workers periodically capture their streams' full
-//! session state ([`akg_core::persist::SessionCheckpoint`] — adapted KGs,
-//! token-table fork, RNG positions, adaptation-loop state) and piggyback the
-//! capture on their normal tick reply; the front-end keeps the latest few in
-//! a bounded [`CheckpointRing`] per shard, alongside a replay buffer of the
-//! tick inputs sent since. When a worker dies, the supervisor rebuilds the
-//! replica engine from its `EngineSpec`, restores the newest checkpoint, and
-//! replays the buffered ticks — deterministic replay makes the recovered
-//! worker bit-identical to one that never died (the recovery-equivalence
-//! contract in `tests/recovery.rs`).
+//! session state — one [`SessionCheckpoint`] per stream (adapted KGs,
+//! token-table delta, RNG positions, adaptation-loop state and its lifetime
+//! event counts), the same record the session tier spools on eviction —
+//! and piggyback the capture on their normal tick reply. The front-end
+//! keeps only the newest [`ShardCheckpoint`] per shard, alongside a replay
+//! buffer of the tick inputs sent since. When a worker dies, the supervisor
+//! rebuilds the replica engine from its `EngineSpec`, re-registers the
+//! shard's streams, restores the newest checkpoint over them, and replays
+//! the buffered ticks — deterministic replay makes the recovered worker
+//! bit-identical to one that never died (the recovery-equivalence contract
+//! in `tests/recovery.rs`).
 //!
 //! Everything here is plain owned data (`Send`), sized by the checkpoint
 //! interval: the replay buffer never holds more than `checkpoint_interval`
@@ -17,27 +19,8 @@
 //! on an edge box no matter how long the run.
 
 use crate::ServeCounters;
-use akg_core::adapt::AdaptConfig;
 use akg_core::persist::SessionCheckpoint;
 use serde::Serialize;
-use std::collections::VecDeque;
-
-/// One stream's recovery record: everything `add_stream` + restore needs to
-/// reopen the stream bit-identically inside a fresh worker.
-#[derive(Debug, Clone)]
-pub struct StreamCheckpoint {
-    /// The frame seed the stream was registered with (session RNG identity).
-    pub frame_seed: u64,
-    /// The stream's adaptation configuration.
-    pub adapt: AdaptConfig,
-    /// The full session state at capture time.
-    pub session: SessionCheckpoint,
-    /// Lifetime token-update count at capture (survives worker death so
-    /// post-recovery totals match the undisturbed run).
-    pub token_updates: usize,
-    /// Lifetime node-replacement count at capture.
-    pub replacements: usize,
-}
 
 /// One shard's recovery record: all its streams at a consistent tick
 /// boundary, plus the worker's counters at that boundary.
@@ -48,58 +31,7 @@ pub struct ShardCheckpoint {
     /// The worker's serve counters at that boundary.
     pub counters: ServeCounters,
     /// Per-local-stream records, in the shard's local registration order.
-    pub streams: Vec<StreamCheckpoint>,
-}
-
-/// A bounded ring of the most recent [`ShardCheckpoint`]s. The supervisor
-/// restores from the newest; older entries are redundancy against the (not
-/// currently possible in-process) case of a corrupt capture, and bound the
-/// ring's memory to `capacity` full checkpoints.
-#[derive(Debug, Default)]
-pub struct CheckpointRing {
-    entries: VecDeque<ShardCheckpoint>,
-    capacity: usize,
-}
-
-impl CheckpointRing {
-    /// An empty ring holding at most `capacity` checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` — a ring that can hold nothing would
-    /// silently disable recovery.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "CheckpointRing: capacity must be positive");
-        CheckpointRing { entries: VecDeque::with_capacity(capacity), capacity }
-    }
-
-    /// Pushes a newer checkpoint, evicting the oldest beyond capacity.
-    pub fn push(&mut self, cp: ShardCheckpoint) {
-        debug_assert!(
-            self.entries.back().is_none_or(|prev| prev.tick < cp.tick),
-            "checkpoints must arrive in increasing tick order"
-        );
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(cp);
-    }
-
-    /// The newest checkpoint, if any has landed yet.
-    pub fn latest(&self) -> Option<&ShardCheckpoint> {
-        self.entries.back()
-    }
-
-    /// Number of checkpoints currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no checkpoint has landed yet (recovery replays from
-    /// genesis: stream re-registration plus the full tick history).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
+    pub streams: Vec<SessionCheckpoint>,
 }
 
 /// Aggregate recovery metrics for one sharded runtime. The deterministic
@@ -122,31 +54,4 @@ pub struct RecoveryStats {
     /// Total wall-clock nanoseconds spent inside recovery (respawn through
     /// replay drain). Reporting only — not deterministic.
     pub recovery_wall_nanos: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cp(tick: usize) -> ShardCheckpoint {
-        ShardCheckpoint { tick, counters: ServeCounters::default(), streams: Vec::new() }
-    }
-
-    #[test]
-    fn ring_keeps_the_newest_within_capacity() {
-        let mut ring = CheckpointRing::new(2);
-        assert!(ring.is_empty());
-        assert!(ring.latest().is_none());
-        ring.push(cp(16));
-        ring.push(cp(32));
-        ring.push(cp(48));
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.latest().unwrap().tick, 48);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn ring_rejects_zero_capacity() {
-        let _ = CheckpointRing::new(0);
-    }
 }

@@ -1,9 +1,8 @@
 //! # akg-runtime
 //!
 //! Multi-stream batched serving for the deployed anomaly detector: one
-//! shared, immutable [`Engine`](akg_core::engine::Engine) scores `N`
-//! independent frame streams, each with its own isolated
-//! [`Session`](akg_core::engine::Session) and continuous-adaptation loop.
+//! shared, immutable [`Engine`] scores `N` independent frame streams, each
+//! with its own isolated [`Session`] and continuous-adaptation loop.
 //!
 //! The paper's deployment stage (Fig. 2 C) is continuous scoring of *live*
 //! streams on an edge device; a real installation has many cameras per
@@ -74,7 +73,10 @@ pub mod slo;
 pub mod spsc;
 pub mod tier;
 
-pub use checkpoint::{CheckpointRing, RecoveryStats, ShardCheckpoint, StreamCheckpoint};
+/// One stream's recovery record is its session checkpoint (the name the
+/// runtime's callers use for it).
+pub use akg_core::persist::SessionCheckpoint as StreamCheckpoint;
+pub use checkpoint::{RecoveryStats, ShardCheckpoint};
 pub use fault::{corrupt_frame, ChaosConfig, CorruptionKind, CrashStyle, FaultPlan, ScriptedFault};
 pub use load::{ArrivalPattern, IdleSource, LoadConfig, LoadGenerator, LoadedRuntime};
 pub use shard::{
@@ -86,8 +88,9 @@ pub use slo::{
 };
 pub use tier::{SessionTier, TierConfig, TierCounters};
 
-use akg_core::adapt::{AdaptConfig, AdaptEvent, ContinuousAdapter};
+use akg_core::adapt::{AdaptConfig, ContinuousAdapter};
 use akg_core::engine::{Engine, Session};
+use akg_core::persist::{checkpoint_session, restore_session, SessionCheckpoint};
 use akg_data::{AdaptationStream, Frame};
 use akg_tensor::{Workspace, WorkspaceStats};
 use serde::Serialize;
@@ -203,21 +206,13 @@ struct StreamSlot<S> {
     source: S,
     session: Session,
     adapter: ContinuousAdapter,
-    /// The frame seed the stream was registered with — recorded so a
-    /// recovery checkpoint can reopen the stream against a fresh engine.
-    frame_seed: u64,
-    /// Lifetime token-update / node-replacement counts carried over from a
-    /// restored checkpoint (the adapter's event log restarts empty after a
-    /// restore; totals must not).
-    token_updates_base: usize,
-    replacements_base: usize,
     /// Frames rejected at ingest validation for this stream.
     rejected: usize,
 }
 
-/// The multi-stream serving loop: a shared [`Engine`], one
-/// [`StreamSlot`]-worth of isolated state per stream, and a round-robin
-/// batching scheduler.
+/// The multi-stream serving loop: a shared [`Engine`], one isolated
+/// session and adaptation loop per stream, and a round-robin batching
+/// scheduler.
 pub struct MultiStreamRuntime<S: FrameSource> {
     engine: Engine,
     slots: Vec<StreamSlot<S>>,
@@ -258,15 +253,7 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     pub fn add_stream(&mut self, source: S, frame_seed: u64, adapt: AdaptConfig) -> StreamId {
         let mut session = self.engine.new_session(frame_seed);
         let adapter = ContinuousAdapter::attach(&self.engine, &mut session, adapt);
-        self.slots.push(StreamSlot {
-            source,
-            session,
-            adapter,
-            frame_seed,
-            token_updates_base: 0,
-            replacements_base: 0,
-            rejected: 0,
-        });
+        self.slots.push(StreamSlot { source, session, adapter, rejected: 0 });
         self.slots.len() - 1
     }
 
@@ -285,11 +272,6 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
         &self.slots[id].session
     }
 
-    /// A stream's adaptation events so far.
-    pub fn adapt_events(&self, id: StreamId) -> &[AdaptEvent] {
-        self.slots[id].adapter.events()
-    }
-
     /// Mutable access to a stream's frame source (e.g. to trigger a trend
     /// shift mid-run).
     pub fn source_mut(&mut self, id: StreamId) -> &mut S {
@@ -302,12 +284,21 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     }
 
     /// Lifetime `(token_updates, node_replacements)` totals for one stream,
-    /// including counts that predate a checkpoint restore (the adapter's
-    /// event log restarts empty after a restore; these totals do not).
+    /// including counts that predate a checkpoint restore.
     pub fn stream_event_totals(&self, id: StreamId) -> (usize, usize) {
+        let adapter = &self.slots[id].adapter;
+        (adapter.token_updates(), adapter.replacements())
+    }
+
+    /// A point-in-time view of one stream's adaptive state.
+    pub fn stream_snapshot(&self, id: StreamId) -> StreamSnapshot {
         let slot = &self.slots[id];
-        let (updates, replaces) = event_counts(slot.adapter.events());
-        (slot.token_updates_base + updates, slot.replacements_base + replaces)
+        StreamSnapshot {
+            table: slot.session.table.to_dense_vec(),
+            replacements: slot.adapter.replacements(),
+            token_updates: slot.adapter.token_updates(),
+            workspace: slot.session.workspace_stats(),
+        }
     }
 
     /// Frames rejected at ingest validation for one stream.
@@ -315,23 +306,17 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
         self.slots[id].rejected
     }
 
-    /// Captures one stream's full recovery record: session state, adapter
-    /// state, registration identity, and lifetime event totals.
-    pub fn checkpoint_stream(&self, id: StreamId) -> StreamCheckpoint {
+    /// Captures one stream's recovery record: session state and adapter
+    /// state, lifetime event counts included.
+    pub fn checkpoint_stream(&self, id: StreamId) -> SessionCheckpoint {
         let slot = &self.slots[id];
-        let (token_updates, replacements) = self.stream_event_totals(id);
-        StreamCheckpoint {
-            frame_seed: slot.frame_seed,
-            adapt: *slot.adapter.config(),
-            session: akg_core::persist::checkpoint_session(&slot.session, &slot.adapter),
-            token_updates,
-            replacements,
-        }
+        checkpoint_session(&slot.session, &slot.adapter)
     }
 
     /// Restores a stream's session and adapter from a checkpoint captured
     /// by [`MultiStreamRuntime::checkpoint_stream`] (on this runtime or a
-    /// bit-identical replica). The stream must already be registered — this
+    /// bit-identical replica), with the [`AdaptConfig`] the stream was
+    /// registered with. The stream must already be registered — this
     /// overwrites its adaptive state, not its source.
     ///
     /// # Errors
@@ -341,19 +326,11 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     pub fn restore_stream_state(
         &mut self,
         id: StreamId,
-        cp: &StreamCheckpoint,
+        cp: &SessionCheckpoint,
     ) -> Result<(), String> {
         let slot = &mut self.slots[id];
-        let adapter = akg_core::persist::restore_session(
-            &self.engine,
-            &mut slot.session,
-            cp.adapt,
-            &cp.session,
-        )?;
-        slot.adapter = adapter;
-        slot.frame_seed = cp.frame_seed;
-        slot.token_updates_base = cp.token_updates;
-        slot.replacements_base = cp.replacements;
+        let cfg = *slot.adapter.config();
+        slot.adapter = restore_session(&self.engine, &mut slot.session, cfg, cp)?;
         Ok(())
     }
 
@@ -477,18 +454,17 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
         // Phase 3 — complete: scores feed each scored stream's tracker; a
         // plan with `adapt` runs the full check (any triggered token update
         // / restructure touches only that stream's session), one without it
-        // takes the degraded skip-adapt path. Only the events appended by
-        // this frame are scanned, so long-lived deployments don't pay
-        // O(history) per tick.
+        // takes the degraded skip-adapt path. The counters advance by the
+        // change in the adapter's lifetime counts across the call.
         for &i in &active {
             let score = scores[i].expect("active stream was scored");
             let slot = &mut self.slots[i];
             if plans[i].adapt {
-                let events_before = slot.adapter.events().len();
+                let (updates, replaces) =
+                    (slot.adapter.token_updates(), slot.adapter.replacements());
                 slot.adapter.complete_frame(&self.engine, &mut slot.session, score);
-                let (updates, replaces) = event_counts(&slot.adapter.events()[events_before..]);
-                self.counters.token_updates += updates;
-                self.counters.node_replacements += replaces;
+                self.counters.token_updates += slot.adapter.token_updates() - updates;
+                self.counters.node_replacements += slot.adapter.replacements() - replaces;
             } else {
                 slot.adapter.complete_frame_skip_adapt(score);
             }
@@ -510,12 +486,6 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
         }
         out
     }
-}
-
-fn event_counts(events: &[AdaptEvent]) -> (usize, usize) {
-    let updates = events.iter().filter(|e| matches!(e, AdaptEvent::TokenUpdate { .. })).count();
-    let replaces = events.iter().filter(|e| matches!(e, AdaptEvent::NodeReplaced { .. })).count();
-    (updates, replaces)
 }
 
 #[cfg(test)]
@@ -608,6 +578,88 @@ mod tests {
             scores.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
         };
         assert_eq!(bits(&batched), bits(&per_frame), "batched and per-frame scores diverged");
+    }
+
+    /// A stream checkpointed on runtime A after a token update and restored
+    /// into a freshly registered stream of runtime B (opened with another
+    /// frame seed) continues exactly as A does: bit-identical scores and
+    /// tables, and the same lifetime event totals.
+    #[test]
+    fn restored_stream_continues_with_lifetime_totals() {
+        use akg_data::{DatasetConfig, OwnedAdaptationStream, SyntheticUcfCrime};
+        use std::sync::Arc;
+
+        const STREAMS: usize = 2;
+        const SHIFT_AT: usize = 24;
+        const CHECKPOINT_AT: usize = 40;
+        const FRAMES: usize = 56;
+        let ds = Arc::new(SyntheticUcfCrime::generate(
+            DatasetConfig::scaled(0.015)
+                .with_classes(&[AnomalyClass::Stealing, AnomalyClass::Robbery])
+                .with_seed(77),
+        ));
+        let adapt = |s: usize| AdaptConfig {
+            n_window: 16,
+            lag: 8,
+            interval: 8,
+            min_k: 1,
+            max_k: 4,
+            seed: s as u64,
+            ..AdaptConfig::default()
+        };
+        let new_runtime = |frame_seed: u64| {
+            let cfg = SystemConfig { seed: 5, ..SystemConfig::default() };
+            let engine = Engine::build(&[AnomalyClass::Stealing], &cfg);
+            let mut rt: OwnedStreamRuntime =
+                MultiStreamRuntime::new(engine, RuntimeConfig::default());
+            for s in 0..STREAMS {
+                let source = OwnedAdaptationStream::owned(
+                    Arc::clone(&ds),
+                    AnomalyClass::Stealing,
+                    0.5,
+                    1000 + s as u64,
+                );
+                rt.add_stream(source, frame_seed ^ s as u64, adapt(s));
+            }
+            rt
+        };
+        let step = |rt: &mut OwnedStreamRuntime, tick: usize| {
+            if tick == SHIFT_AT {
+                (0..STREAMS).for_each(|s| rt.source_mut(s).shift_to(AnomalyClass::Robbery));
+            }
+            rt.tick().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+
+        let mut a = new_runtime(0xBEEF);
+        for tick in 0..CHECKPOINT_AT {
+            step(&mut a, tick);
+        }
+        assert!(
+            (0..STREAMS).any(|s| a.stream_event_totals(s).0 > 0),
+            "no token update before the checkpoint — the restore would carry nothing"
+        );
+        let checkpoints: Vec<SessionCheckpoint> =
+            (0..STREAMS).map(|s| a.checkpoint_stream(s)).collect();
+
+        let mut b = new_runtime(0xDEAD);
+        for (s, cp) in checkpoints.iter().enumerate() {
+            // B's sources serve the frames A's sources serve from here on.
+            for tick in 0..CHECKPOINT_AT {
+                if tick == SHIFT_AT {
+                    b.source_mut(s).shift_to(AnomalyClass::Robbery);
+                }
+                let _ = b.source_mut(s).next_frame();
+            }
+            b.restore_stream_state(s, cp).expect("checkpoint restores");
+            assert_eq!(b.stream_event_totals(s), a.stream_event_totals(s), "stream {s}");
+        }
+        for tick in CHECKPOINT_AT..FRAMES {
+            assert_eq!(step(&mut a, tick), step(&mut b, tick), "scores diverged at tick {tick}");
+        }
+        for s in 0..STREAMS {
+            assert_eq!(b.stream_event_totals(s), a.stream_event_totals(s), "stream {s}");
+            assert_eq!(b.stream_snapshot(s).table, a.stream_snapshot(s).table, "stream {s}");
+        }
     }
 
     #[test]

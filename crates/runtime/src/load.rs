@@ -39,7 +39,7 @@ use crate::slo::{
     DegradeLevel, DegradePolicy, LatencyHistogram, LoadCounters, StreamLoadStats, TickDecision,
 };
 use crate::{FrameSource, MultiStreamRuntime, RuntimeConfig, ServeCounters, StreamId, StreamPlan};
-use akg_core::adapt::{AdaptConfig, AdaptEvent};
+use akg_core::adapt::AdaptConfig;
 use akg_data::Frame;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -446,7 +446,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
         }
     }
 
-    /// The sharded node's newest retained checkpoint per shard (empty for
+    /// The sharded node's newest checkpoint per shard (empty for
     /// a single node). The bench harness uses this to report checkpoint
     /// size without re-capturing state.
     pub fn latest_checkpoints(&self) -> Vec<Option<&ShardCheckpoint>> {
@@ -461,23 +461,9 @@ impl<S: FrameSource> LoadedRuntime<S> {
     /// them directly.
     pub fn stream_snapshots(&mut self) -> Vec<StreamSnapshot> {
         match &mut self.node {
-            Node::Single { rt, .. } => (0..rt.stream_count())
-                .map(|id| {
-                    let events = rt.adapt_events(id);
-                    StreamSnapshot {
-                        table: rt.session(id).table.to_dense_vec(),
-                        replacements: events
-                            .iter()
-                            .filter(|e| matches!(e, AdaptEvent::NodeReplaced { .. }))
-                            .count(),
-                        token_updates: events
-                            .iter()
-                            .filter(|e| matches!(e, AdaptEvent::TokenUpdate { .. }))
-                            .count(),
-                        workspace: rt.session(id).workspace_stats(),
-                    }
-                })
-                .collect(),
+            Node::Single { rt, .. } => {
+                (0..rt.stream_count()).map(|id| rt.stream_snapshot(id)).collect()
+            }
             Node::Sharded(rt) => rt.stream_snapshots(),
         }
     }

@@ -79,13 +79,16 @@
 //!
 //! 1. joins the dead thread and respawns the worker (generation + 1) — the
 //!    replica engine rebuilds deterministically from the same [`EngineSpec`];
-//! 2. restores the newest [`ShardCheckpoint`](crate::checkpoint::ShardCheckpoint)
-//!    the dead worker piggybacked on a past tick reply (every
-//!    [`ShardedConfig::checkpoint_interval`] ticks), or re-registers the
-//!    streams from scratch if none landed yet;
-//! 3. replays the buffered tick inputs sent since that checkpoint and
-//!    re-harvests their replies (replies the caller already consumed are
-//!    absorbed and discarded; the rest are held for the normal drain).
+//! 2. re-registers the shard's streams from their recorded
+//!    `(frame_seed, AdaptConfig)` — the same path as
+//!    [`ShardedRuntime::add_stream`];
+//! 3. if a [`ShardCheckpoint`] has landed (the dead worker piggybacks one on
+//!    every [`ShardedConfig::checkpoint_interval`]-th tick reply and the
+//!    front-end keeps the newest), restores it over those streams;
+//! 4. replays the buffered tick inputs sent since that checkpoint (or since
+//!    genesis) and re-harvests their replies (replies the caller already
+//!    consumed are absorbed and discarded; the rest are held for the normal
+//!    drain).
 //!
 //! Because every stage of a tick is deterministic, the recovered worker is
 //! **bit-identical** to one that never died — scores, adapted tables,
@@ -97,7 +100,7 @@
 //! timeout-based, so a slow worker just applies backpressure and changes no
 //! output bit.
 
-use crate::checkpoint::{CheckpointRing, RecoveryStats, ShardCheckpoint};
+use crate::checkpoint::{RecoveryStats, ShardCheckpoint};
 use crate::fault::{corrupt_frame, CrashStyle, FaultPlan};
 use crate::spsc;
 use crate::{FrameSource, MultiStreamRuntime, RuntimeConfig, ServeCounters, StreamId, StreamPlan};
@@ -151,8 +154,8 @@ pub struct ShardedConfig {
     /// Largest cross-stream batch one dispatch may carry *within* a shard
     /// (the [`RuntimeConfig::max_batch`] of each worker's inner runtime).
     pub max_batch: usize,
-    /// Bounded depth of each shard's frame queue, in ticks. [`tick`]
-    /// (`ShardedRuntime::tick`) always drains synchronously;
+    /// Bounded depth of each shard's frame queue, in ticks.
+    /// [`ShardedRuntime::tick`] always drains synchronously;
     /// [`ShardedRuntime::run`] pipelines up to this many ticks ahead of the
     /// slowest shard before blocking (backpressure instead of unbounded
     /// backlog).
@@ -168,9 +171,6 @@ pub struct ShardedConfig {
     /// lands (before that, recovery replays from genesis). Smaller values
     /// mean faster recovery but more capture overhead per tick.
     pub checkpoint_interval: usize,
-    /// How many recent checkpoints the front-end retains per shard (≥ 1).
-    /// Recovery always restores the newest; extras only bound memory.
-    pub checkpoint_ring: usize,
 }
 
 impl Default for ShardedConfig {
@@ -181,7 +181,6 @@ impl Default for ShardedConfig {
             queue_depth: 2,
             inner_threads: None,
             checkpoint_interval: 16,
-            checkpoint_ring: 2,
         }
     }
 }
@@ -212,8 +211,9 @@ enum ToShard {
         frames: Vec<(Frame, bool)>,
         plans: Vec<StreamPlan>,
     },
-    /// Rebuild every stream of a freshly respawned worker from a checkpoint
-    /// (sent before any `Tick`; the replayed ticks follow).
+    /// Overwrite the state of every stream of a freshly respawned worker
+    /// from a checkpoint (sent after the streams are re-registered and
+    /// before any `Tick`; the replayed ticks follow).
     Restore(Box<ShardCheckpoint>),
     Query,
 }
@@ -289,11 +289,11 @@ struct ShardHandle {
     locals: Vec<StreamId>,
     /// Cumulative counters as of the last drained tick.
     counters: ServeCounters,
-    /// `(frame_seed, adapt)` per local stream — enough to re-register every
-    /// stream from genesis if a worker dies before its first checkpoint.
+    /// `(frame_seed, adapt)` per local stream — what recovery re-registers
+    /// every stream of a respawned worker from.
     stream_meta: Vec<(u64, AdaptConfig)>,
-    /// The newest piggybacked checkpoints.
-    ring: CheckpointRing,
+    /// The newest piggybacked checkpoint.
+    checkpoint: Option<ShardCheckpoint>,
     /// Tick inputs sent since the newest checkpoint (plus any in flight) —
     /// what recovery replays. Pruned whenever a checkpoint lands.
     replay: VecDeque<TickRecord>,
@@ -313,10 +313,14 @@ impl ShardHandle {
     /// Absorbs a checkpoint that arrived with a tick reply: retains it for
     /// recovery and drops replay records it supersedes.
     fn absorb_checkpoint(&mut self, cp: ShardCheckpoint) {
+        debug_assert!(
+            self.checkpoint.as_ref().is_none_or(|prev| prev.tick < cp.tick),
+            "checkpoints must arrive in increasing tick order"
+        );
         while self.replay.front().is_some_and(|rec| rec.seq <= cp.tick) {
             self.replay.pop_front();
         }
-        self.ring.push(cp);
+        self.checkpoint = Some(cp);
     }
 }
 
@@ -386,8 +390,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
     /// # Panics
     ///
     /// Panics if `config.shards == 0`, `config.max_batch == 0`,
-    /// `config.queue_depth == 0`, `config.checkpoint_interval == 0`, or
-    /// `config.checkpoint_ring == 0`.
+    /// `config.queue_depth == 0`, or `config.checkpoint_interval == 0`.
     pub fn new(spec: EngineSpec, config: ShardedConfig) -> Self {
         Self::with_faults(spec, config, FaultPlan::none())
     }
@@ -429,7 +432,6 @@ impl<S: FrameSource> ShardedRuntime<S> {
             config.checkpoint_interval > 0,
             "ShardedConfig::checkpoint_interval must be positive"
         );
-        assert!(config.checkpoint_ring > 0, "ShardedConfig::checkpoint_ring must be positive");
         // Resolve the global knobs once, before any worker can race the
         // first-use detection paths.
         akg_tensor::par::set_parallelism(spec.config.parallelism);
@@ -449,7 +451,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
                     locals: Vec::new(),
                     counters: ServeCounters::default(),
                     stream_meta: Vec::new(),
-                    ring: CheckpointRing::new(config.checkpoint_ring),
+                    checkpoint: None,
                     replay: VecDeque::new(),
                     pending: VecDeque::new(),
                     sent: 0,
@@ -504,8 +506,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
             .send(ToShard::AddStream { frame_seed, adapt })
             .is_ok();
         if !sent {
-            // A worker dead this early respawns via the genesis path, which
-            // re-registers every stream recorded in `stream_meta`.
+            // Recovery re-registers every stream recorded in `stream_meta`.
             self.recover_shard(shard);
         }
         id
@@ -571,11 +572,11 @@ impl<S: FrameSource> ShardedRuntime<S> {
         self.rejected[id]
     }
 
-    /// The newest retained checkpoint per shard (`None` until a shard's
+    /// The newest checkpoint per shard (`None` until a shard's
     /// first `checkpoint_interval`-th tick reply lands). Exposed so the
     /// bench harness can measure checkpoint size without re-capturing.
     pub fn latest_checkpoints(&self) -> Vec<Option<&ShardCheckpoint>> {
-        self.shards.iter().map(|shard| shard.ring.latest()).collect()
+        self.shards.iter().map(|shard| shard.checkpoint.as_ref()).collect()
     }
 
     /// One scheduler round: pulls one frame per stream from its source,
@@ -820,23 +821,21 @@ impl<S: FrameSource> ShardedRuntime<S> {
         shard.results = res_rx;
         shard.thread = Some(thread);
         let tx = shard.commands.as_ref().expect("sender just installed");
-        // Restore: newest checkpoint if one landed, else genesis
-        // re-registration of every stream.
-        let (base_tick, from_checkpoint) = match shard.ring.latest() {
+        // Re-register every stream, then overwrite their state with the
+        // newest checkpoint if one landed (else replay from genesis).
+        for &(frame_seed, adapt) in &shard.stream_meta {
+            if tx.send(ToShard::AddStream { frame_seed, adapt }).is_err() {
+                return None;
+            }
+        }
+        let (base_tick, from_checkpoint) = match &shard.checkpoint {
             Some(cp) => {
                 if tx.send(ToShard::Restore(Box::new(cp.clone()))).is_err() {
                     return None;
                 }
                 (cp.tick, true)
             }
-            None => {
-                for &(frame_seed, adapt) in &shard.stream_meta {
-                    if tx.send(ToShard::AddStream { frame_seed, adapt }).is_err() {
-                        return None;
-                    }
-                }
-                (0, false)
-            }
+            None => (0, false),
         };
         debug_assert!(
             shard.replay.front().map_or(shard.sent == base_tick, |rec| rec.seq == base_tick + 1),
@@ -1023,12 +1022,12 @@ fn shard_worker(
                 rt.add_stream(TickFeed(feed), frame_seed, adapt);
             }
             ToShard::Restore(cp) => {
-                assert_eq!(rt.stream_count(), 0, "Restore into a non-empty worker");
-                for stream_cp in &cp.streams {
-                    let feed = Rc::new(RefCell::new(VecDeque::new()));
-                    feeds.push(Rc::clone(&feed));
-                    let local =
-                        rt.add_stream(TickFeed(feed), stream_cp.frame_seed, stream_cp.adapt);
+                assert_eq!(
+                    rt.stream_count(),
+                    cp.streams.len(),
+                    "Restore must follow the re-registration of every stream"
+                );
+                for (local, stream_cp) in cp.streams.iter().enumerate() {
                     rt.restore_stream_state(local, stream_cp)
                         .expect("in-memory checkpoint restores cleanly");
                 }
@@ -1082,17 +1081,8 @@ fn shard_worker(
                 }
             }
             ToShard::Query => {
-                let streams = (0..rt.stream_count())
-                    .map(|local| {
-                        let (token_updates, replacements) = rt.stream_event_totals(local);
-                        StreamSnapshot {
-                            table: rt.session(local).table.to_dense_vec(),
-                            replacements,
-                            token_updates,
-                            workspace: rt.session(local).workspace_stats(),
-                        }
-                    })
-                    .collect();
+                let streams =
+                    (0..rt.stream_count()).map(|local| rt.stream_snapshot(local)).collect();
                 let snap = ShardSnapshot { workspace: rt.workspace_stats(), streams };
                 if results.send(FromShard::Snapshot(snap)).is_err() {
                     return;

@@ -126,14 +126,7 @@ fn run_runtime(
         }
     }
     let tables = (0..n_streams).map(|s| rt.session(s).table.to_dense_vec()).collect();
-    let replacements = (0..n_streams)
-        .map(|s| {
-            rt.adapt_events(s)
-                .iter()
-                .filter(|e| matches!(e, akg_core::adapt::AdaptEvent::NodeReplaced { .. }))
-                .count()
-        })
-        .collect();
+    let replacements = (0..n_streams).map(|s| rt.stream_event_totals(s).1).collect();
     RuntimeOutcome { scores, tables, replacements }
 }
 

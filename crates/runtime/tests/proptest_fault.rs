@@ -112,7 +112,6 @@ proptest! {
             queue_depth,
             checkpoint_interval,
             inner_threads: Some(1),
-            ..ShardedConfig::default()
         };
 
         let clean = serve(streams, ticks, backend, config, FaultPlan::none());

@@ -380,7 +380,7 @@ fn run_chaos_soak(
         .into_iter()
         .flatten()
         .flat_map(|cp| &cp.streams)
-        .map(|stream| serde_json::to_string(&stream.session).expect("serialize checkpoint").len())
+        .map(|stream| serde_json::to_string(stream).expect("serialize checkpoint").len())
         .sum();
     ChaosFingerprint {
         scores,

@@ -3,7 +3,7 @@
 //! Every hot kernel in this crate exists in two forms: the portable scalar
 //! implementation (the numerics of record — bit-identical to the pre-SIMD
 //! code on every platform) and, on `x86_64`, an explicit AVX2+FMA
-//! implementation in [`crate::ops::simd`]. Which form runs is a process-wide
+//! implementation in the private `ops::simd` module. Which form runs is a process-wide
 //! policy set here, mirroring how [`crate::par`] configures the thread pool:
 //! tensors are `Rc`-based, so the knob lives beneath the autograd graph and a
 //! single setting governs every op.

@@ -1,6 +1,6 @@
 //! The inference data plane: raw-slice forward ops for serving.
 //!
-//! Every scored frame used to walk the full reverse-mode [`Tensor`]
+//! Every scored frame used to walk the full reverse-mode [`Tensor`](crate::Tensor)
 //! machinery — an `Rc<RefCell<_>>` per graph node, a freshly heap-allocated
 //! `Vec<f32>` per op, parent lists and tracked-flag bookkeeping — despite
 //! scoring never calling `backward`. This module is the layer that makes all
@@ -15,7 +15,7 @@
 //! it mirrors, because it either *is* the same code (the matmuls call the
 //! same dispatching kernels in [`crate::ops::kernels`]; the grouped
 //! batch-norm body is shared with `nn::norm`) or replicates the op's exact
-//! arithmetic: the same [`crate::ops::simd`] primitives in the same order,
+//! arithmetic: the same `ops::simd` primitives in the same order,
 //! so backend-sensitive reductions (`row_sum`, `row_dot_nofma`, the matmul
 //! accumulation chains) round identically, and everything else is
 //! per-lane-exact. The autograd plane remains the training/adaptation path

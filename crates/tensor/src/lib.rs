@@ -7,7 +7,7 @@
 //! There is no Rust GNN/autograd ecosystem dependency here by design: the
 //! paper's models are small (per-layer width 8, a short transformer), so this
 //! crate implements exactly the operator set they need, with finite-difference
-//! verified gradients ([`gradcheck`]).
+//! verified gradients ([`gradcheck()`]).
 //!
 //! ## Layout
 //!
@@ -30,7 +30,7 @@
 //!   [`nn::norm::LayerNorm`], [`nn::attention::TransformerEncoder`]
 //! - [`optim`]: [`optim::Sgd`] and [`optim::AdamW`] (decoupled weight decay)
 //! - [`init`]: seeded initializers
-//! - [`gradcheck`]: numerical gradient verification
+//! - [`mod@gradcheck`]: numerical gradient verification
 //!
 //! ## Example
 //!

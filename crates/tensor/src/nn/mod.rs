@@ -1,4 +1,4 @@
-//! Neural-network layers built on the autograd [`Tensor`](crate::Tensor).
+//! Neural-network layers built on the autograd [`Tensor`].
 //!
 //! The layer set is exactly what the paper's models need: [`Linear`] (the
 //! dense sub-layer, Eq. 1, and the decision head, Eq. 5),

@@ -7,7 +7,7 @@
 //! [`Backend`](crate::backend::Backend) switch: the portable scalar loops in
 //! this file (slice-to-slice SAXPY updates that LLVM auto-vectorizes for the
 //! baseline target) and, on AVX2+FMA hardware, the explicit
-//! `std::arch` kernels in [`super::simd`] — an 8-wide FMA SAXPY for the
+//! `std::arch` kernels in the private `ops::simd` module — an 8-wide FMA SAXPY for the
 //! `ikj`/`tn` family and a 6×16 register-tiled microkernel inside the
 //! blocked fill. Dispatch is a single runtime check per kernel call; see
 //! `docs/PERFORMANCE.md` for the design and the measured effect.

@@ -1,6 +1,6 @@
 //! Differentiable tensor operations.
 //!
-//! Every op builds its output via [`Tensor::from_op`], recording parents and a
+//! Every op builds its output via `Tensor::from_op`, recording parents and a
 //! backward closure. Ops are grouped by kind:
 //!
 //! - [`binary`]: elementwise same-shape arithmetic

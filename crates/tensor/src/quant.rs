@@ -33,7 +33,7 @@
 //! `std::arch` dispatch): it costs `O(m·k)` against the matmul's
 //! `O(m·k·n)`, and keeping it backend-independent means the int8 plane's
 //! scalar ↔ SIMD contract is *bit-identity* (integer dot products are
-//! exact; see [`crate::ops::simd`]).
+//! exact; see the private `ops::simd` module).
 
 /// Numeric plane the serving stack runs on. Training and adaptation always
 /// stay [`Precision::F32`]; the knob only re-codes the *frozen* engine
