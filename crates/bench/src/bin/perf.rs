@@ -1,6 +1,7 @@
 //! The kernel perf harness: times the `akg-tensor` hot-path kernels (the
-//! matmul family, the int8 matmul, fused softmax/layernorm, and the GNN
-//! gather/scatter ops) and emits `BENCH_tensor.json`, the op-level record
+//! matmul family, the int8 matmul, fused softmax/layernorm, the GNN
+//! gather/scatter ops, and the GNN layer kernels at the served shapes) and
+//! emits `BENCH_tensor.json`, the op-level record
 //! (see `docs/PERFORMANCE.md` for how to read it). End-to-end serving is
 //! measured by `perfbench/`, the benchmark of record.
 //!
@@ -22,7 +23,7 @@
 use akg_tensor::backend::{cpu_features, effective_backend, set_backend, Backend};
 use akg_tensor::ops::kernels::{matmul_blocked, matmul_ikj, matmul_naive, matmul_nt};
 use akg_tensor::par::{effective_threads, set_parallelism, Parallelism};
-use akg_tensor::{QuantizedMatrix, Tensor};
+use akg_tensor::{inference, QuantizedMatrix, Tensor};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -227,6 +228,52 @@ fn bench_fused(rows: usize, cols: usize, reps: usize, ops: &mut Vec<OpResult>) {
     });
 }
 
+/// Times the GNN kernels at the shapes the served model runs: 72 frames of
+/// a 14-node KG at `gnn_dim` 8 (1,008 node rows) — the input `Linear`'s
+/// narrow `[1008, 32] × [32, 8]` product, ELU over the layer output, and
+/// the per-frame grouped instance norm. At these shapes per-element and
+/// per-call overhead, not arithmetic, sets the cost.
+fn bench_served_shapes(reps: usize, ops: &mut Vec<OpResult>) {
+    let (frames, nodes, embed, gd) = (72usize, 14usize, 32usize, 8usize);
+    let rows = frames * nodes;
+    let x0 = filled(rows * embed, 8);
+    let w = filled(embed * gd, 9);
+    let ns = time_median(reps, || {
+        black_box(matmul_ikj(black_box(&x0), black_box(&w), rows, embed, gd));
+    });
+    ops.push(OpResult { name: format!("matmul_ikj_{rows}x{embed}x{gd}"), ns_per_op: ns, reps });
+
+    let h = filled(rows * gd, 10);
+    let mut buf = h.clone();
+    let ns = time_median(reps, || {
+        buf.copy_from_slice(&h);
+        inference::elu_inplace(black_box(&mut buf));
+    });
+    ops.push(OpResult { name: format!("elu_{}", rows * gd), ns_per_op: ns, reps });
+
+    let (gamma, beta) = (filled(gd, 11), filled(gd, 12));
+    let (mut mean, mut var, mut inv_std) = (vec![0.0f32; gd], vec![0.0f32; gd], vec![0.0f32; gd]);
+    let ns = time_median(reps, || {
+        inference::instance_norm_grouped_into(
+            black_box(&mut buf),
+            black_box(&h),
+            frames,
+            gd,
+            &gamma,
+            &beta,
+            1e-5,
+            &mut mean,
+            &mut var,
+            &mut inv_std,
+        );
+    });
+    ops.push(OpResult {
+        name: format!("instance_norm_grouped_{frames}x{nodes}x{gd}"),
+        ns_per_op: ns,
+        reps,
+    });
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = flag(&args, "--smoke");
@@ -287,6 +334,7 @@ fn main() {
     bench_fused(rows, cols, reps.max(5), &mut ops);
     let (srows, scols) = if smoke { (128, 8) } else { (4096, 8) };
     bench_gather_scatter(srows, scols, reps.max(5), &mut ops);
+    bench_served_shapes(if smoke { reps } else { 51 }, &mut ops);
 
     let largest = *sizes.last().expect("at least one size");
     let ns_of = |name: &str| {

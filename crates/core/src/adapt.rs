@@ -356,12 +356,6 @@ impl ContinuousAdapter {
         self.observed += 1;
     }
 
-    /// Rolling window (length = model window) ending at buffer index `end`,
-    /// front-padded by repeating the oldest in-window frame.
-    fn current_window(&self, engine: &Engine, end: usize) -> Vec<Vec<f32>> {
-        window_span(engine, end).map(|i| self.buffer[i].clone()).collect()
-    }
-
     /// Runs one adaptation check immediately: computes `K = |Δm| · N`,
     /// updates the session's token embeddings from the top-K recent frames
     /// if the trigger fires, then applies the drift-based prune/create rule.
@@ -404,6 +398,33 @@ impl ContinuousAdapter {
         // Twice as many pseudo-normals as pseudo-anomalies: contaminated
         // positive selections otherwise inflate normal scores in lockstep.
         let normals: Vec<usize> = order.iter().rev().copied().take(2 * anomalies.len()).collect();
+        let buffered = |idx: usize| idx.checked_add(offset).filter(|&b| b < self.buffer.len());
+
+        // Pseudo-labels: each anomaly window gets the mission class with
+        // the highest current conditional probability. All of them are
+        // scored in one batched forward over borrowed frames; each row is
+        // bitwise what scoring that window alone gives.
+        let labelled: Vec<(usize, usize)> =
+            anomalies.iter().filter_map(|&i| buffered(i).map(|end| (i, end))).collect();
+        let mut labels: Vec<usize> = Vec::with_capacity(labelled.len());
+        if !labelled.is_empty() {
+            let label_windows: Vec<Vec<&[f32]>> = labelled
+                .iter()
+                .map(|&(_, end)| {
+                    window_span(engine, end).map(|b| self.buffer[b].as_slice()).collect()
+                })
+                .collect();
+            let mut probs = Vec::new();
+            engine.predict_windows_refs(session, &label_windows, &mut probs);
+            labels.extend(probs.chunks_exact(engine.model.n_classes()).map(|p| {
+                1 + p[1..]
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0)
+            }));
+        }
 
         // Each selected window as positions into `frames`, the distinct
         // buffered frames the windows draw on (keyed by buffer index), so
@@ -414,23 +435,9 @@ impl ContinuousAdapter {
         let mut windows: Vec<Vec<usize>> = Vec::with_capacity(3 * anomalies.len());
         let mut targets: Vec<usize> = Vec::with_capacity(3 * anomalies.len());
         for &idx in anomalies.iter().chain(&normals) {
-            let Some(buf_idx) = idx.checked_add(offset) else { continue };
-            if buf_idx >= self.buffer.len() {
-                continue;
-            }
-            // pseudo-label: anomalies get the mission class with the highest
-            // current conditional probability; normals class 0
-            let target = if anomalies.contains(&idx) {
-                let probs = engine.predict_window(session, &self.current_window(engine, buf_idx));
-                1 + probs[1..]
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            } else {
-                0
-            };
+            let Some(buf_idx) = buffered(idx) else { continue };
+            // anomalies take their pseudo-label; normals class 0
+            let target = labelled.iter().position(|&(i, _)| i == idx).map_or(0, |pos| labels[pos]);
             let window = window_span(engine, buf_idx)
                 .map(|b| {
                     *slot_of[b].get_or_insert_with(|| {

@@ -38,6 +38,9 @@ use std::sync::Arc;
 /// so serialized checkpoints are byte-deterministic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
+    /// [`Engine::fingerprint`] of the engine the session was captured
+    /// against; [`restore_session`] refuses any other engine.
+    pub engine_fingerprint: u64,
     /// Whether the session's KGs/layouts were still the engine's shared
     /// templates at capture (no structural adaptation yet). When true, the
     /// three per-KG arrays are left empty and restore re-points the session
@@ -64,10 +67,15 @@ pub struct SessionCheckpoint {
     pub adapter: AdaptSnapshot,
 }
 
-/// Captures a live session and its adaptation loop into a
-/// [`SessionCheckpoint`]: the table's adapted-row delta, and KG bodies only
-/// once the session no longer shares the engine's templates.
-pub fn checkpoint_session(session: &Session, adapter: &ContinuousAdapter) -> SessionCheckpoint {
+/// Captures a live session of `engine` and its adaptation loop into a
+/// [`SessionCheckpoint`]: the engine's fingerprint, the table's
+/// adapted-row delta, and KG bodies only once the session no longer shares
+/// the engine's templates.
+pub fn checkpoint_session(
+    engine: &Engine,
+    session: &Session,
+    adapter: &ContinuousAdapter,
+) -> SessionCheckpoint {
     let kgs_shared = session.kgs.is_shared() && session.layouts.is_shared();
     let (kgs, node_tokens, mission_embeddings) = if kgs_shared {
         (Vec::new(), Vec::new(), Vec::new())
@@ -88,6 +96,7 @@ pub fn checkpoint_session(session: &Session, adapter: &ContinuousAdapter) -> Ses
         )
     };
     SessionCheckpoint {
+        engine_fingerprint: engine.fingerprint(),
         kgs_shared,
         kgs,
         node_tokens,
@@ -106,8 +115,9 @@ pub fn checkpoint_session(session: &Session, adapter: &ContinuousAdapter) -> Ses
 ///
 /// # Errors
 ///
-/// Returns a message if KG counts, delta rows (index, width, order, or a
-/// non-finite value), the adapter's frame buffer (more than `cfg.n_window`
+/// Returns a message if the checkpoint was captured against another engine
+/// (its fingerprint differs from [`Engine::fingerprint`]), or if KG counts,
+/// delta rows (index, width, order, or a non-finite value), the adapter's frame buffer (more than `cfg.n_window`
 /// rows, a row that is not `embed_dim` wide, or a non-finite value), or RNG
 /// states disagree with the receiving session, or a stored KG fails to
 /// parse its header checks.
@@ -117,6 +127,13 @@ pub fn restore_session(
     cfg: AdaptConfig,
     cp: &SessionCheckpoint,
 ) -> Result<ContinuousAdapter, String> {
+    if cp.engine_fingerprint != engine.fingerprint() {
+        return Err(format!(
+            "checkpoint was captured against engine {:016x}, not this engine {:016x}",
+            cp.engine_fingerprint,
+            engine.fingerprint()
+        ));
+    }
     if cp.kgs_shared {
         if !cp.kgs.is_empty() || !cp.node_tokens.is_empty() || !cp.mission_embeddings.is_empty() {
             return Err("shared-KG checkpoint carries KG bodies".to_string());
@@ -260,7 +277,7 @@ mod tests {
         let mut session = engine.new_session(70);
         let adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
         let first = engine.embed_frame(&mut session, &frame);
-        let cp = checkpoint_session(&session, &adapter);
+        let cp = checkpoint_session(&engine, &session, &adapter);
         assert!(cp.kgs_shared && cp.kgs.is_empty());
         let next_original = engine.embed_frame(&mut session, &frame);
         let mut twin = engine.new_session(70);
@@ -290,13 +307,13 @@ mod tests {
             let (f, _) = stream.next_frame();
             adapter.observe(&engine_a, &mut session, &f);
         }
-        let cp = checkpoint_session(&session, &adapter);
+        let cp = checkpoint_session(&engine_a, &session, &adapter);
         // Serialized bytes must be deterministic (node-token maps sorted) —
         // two captures of the same state are byte-identical.
         let json = serde_json::to_string(&cp).unwrap();
         assert_eq!(
             json,
-            serde_json::to_string(&checkpoint_session(&session, &adapter)).unwrap(),
+            serde_json::to_string(&checkpoint_session(&engine_a, &session, &adapter)).unwrap(),
             "session checkpoint serialization is not byte-deterministic"
         );
         let cp: SessionCheckpoint = serde_json::from_str(&json).unwrap();
@@ -331,7 +348,7 @@ mod tests {
         let adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
         // a structural edit makes the checkpoint carry its KG bodies
         session.rebuild_layout(0);
-        let cp = checkpoint_session(&session, &adapter);
+        let cp = checkpoint_session(&engine, &session, &adapter);
         assert!(!cp.kgs_shared);
         let cfg = *adapter.config();
 
@@ -394,6 +411,32 @@ mod tests {
         bad.kgs[0] = "{broken".to_string();
         assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err());
 
+        // A checkpoint of another engine — another mission at another
+        // seed — is refused before anything changes, whether it carries
+        // KG bodies or (the case nothing else would catch) shares the
+        // engine's templates.
+        let mut fresh = engine.new_session(12);
+        let fresh_adapter = ContinuousAdapter::attach(&engine, &mut fresh, cfg);
+        let shared_cp = checkpoint_session(&engine, &fresh, &fresh_adapter);
+        assert!(shared_cp.kgs_shared);
+        let foreign = self::engine(&[AnomalyClass::Explosion], 13);
+        let mut stranger = foreign.new_session(12);
+        let stranger_bits: Vec<u32> = bits(&stranger);
+        for (what, foreign_cp) in [("KG bodies", &cp), ("shared KGs", &shared_cp)] {
+            let refused = restore_session(&foreign, &mut stranger, cfg, foreign_cp);
+            assert!(refused.is_err(), "{what}: foreign-engine checkpoint accepted");
+        }
+        assert_eq!(bits(&stranger), stranger_bits, "a foreign checkpoint mutated the session");
+        assert!(stranger.kgs.is_shared() && stranger.layouts.is_shared());
+        // The mission alone or the seed alone changes the fingerprint; a
+        // deterministic rebuild (shard recovery) reproduces it.
+        assert_ne!(self::engine(&[AnomalyClass::Stealing], 13).fingerprint(), engine.fingerprint());
+        assert_ne!(
+            self::engine(&[AnomalyClass::Explosion], 12).fingerprint(),
+            engine.fingerprint()
+        );
+        assert_eq!(self::engine(&[AnomalyClass::Stealing], 12).fingerprint(), engine.fingerprint());
+
         assert_eq!(
             bits(&twin),
             untouched,
@@ -412,7 +455,7 @@ mod tests {
         let mut session = one.new_session(5);
         let adapter = ContinuousAdapter::attach(&one, &mut session, AdaptConfig::default());
         session.rebuild_layout(0);
-        let cp = checkpoint_session(&session, &adapter);
+        let cp = checkpoint_session(&one, &session, &adapter);
         assert!(!cp.kgs_shared);
         let two = engine(&[AnomalyClass::Stealing, AnomalyClass::Robbery], 5);
         let mut other = two.new_session(5);

@@ -137,6 +137,12 @@ impl TokenTable {
         self.dim
     }
 
+    /// The shared base every fork of this table reads through to, flat
+    /// `[capacity * dim]` (written rows excluded).
+    pub(crate) fn base_values(&self) -> &[f32] {
+        &self.base
+    }
+
     /// Rows belonging to the base BPE vocabulary.
     pub fn vocab_len(&self) -> usize {
         self.vocab_len

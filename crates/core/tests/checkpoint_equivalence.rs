@@ -117,7 +117,8 @@ fn run_session(
     let mut capture = None;
     for i in 0..frames {
         if checkpoint_at == Some(i) {
-            let json = serde_json::to_string(&checkpoint_session(&session, &adapter)).unwrap();
+            let json =
+                serde_json::to_string(&checkpoint_session(engine, &session, &adapter)).unwrap();
             let cp: SessionCheckpoint = serde_json::from_str(&json).unwrap();
             capture = Some(Capture {
                 delta_rows: cp.table_delta.len(),

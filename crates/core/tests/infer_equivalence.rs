@@ -115,6 +115,18 @@ fn predict_window_matches_autograd_predict_bitwise() {
             let rows = session.table.view_rows(session.referenced_rows());
             let auto = engine.model.predict(&kgs, &layouts, &rows, &window);
             assert_eq!(infer, auto, "predict_window diverged from autograd predict under {b:?}");
+            // The batched form adaptation labels through: each row is
+            // bitwise the window scored alone.
+            let windows: Vec<Vec<Vec<f32>>> = (0..5).map(|s| make_window(&engine, s)).collect();
+            let refs: Vec<Vec<&[f32]>> =
+                windows.iter().map(|w| w.iter().map(Vec::as_slice).collect()).collect();
+            let mut batched = Vec::new();
+            engine.predict_windows_refs(&session, &refs, &mut batched);
+            let c = engine.model.n_classes();
+            for (i, window) in windows.iter().enumerate() {
+                let alone = engine.predict_window(&session, window);
+                assert_eq!(&batched[i * c..(i + 1) * c], &alone[..], "row {i} under {b:?}");
+            }
         });
     }
 }

@@ -310,7 +310,7 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     /// state, lifetime event counts included.
     pub fn checkpoint_stream(&self, id: StreamId) -> SessionCheckpoint {
         let slot = &self.slots[id];
-        checkpoint_session(&slot.session, &slot.adapter)
+        checkpoint_session(&self.engine, &slot.session, &slot.adapter)
     }
 
     /// Restores a stream's session and adapter from a checkpoint captured

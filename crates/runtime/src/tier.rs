@@ -212,7 +212,7 @@ impl SessionTier {
         let SlotState::Resident(resident) = &self.slots[id].state else {
             unreachable!("evicting non-resident session {id}");
         };
-        let cp = persist::checkpoint_session(&resident.session, &resident.adapter);
+        let cp = persist::checkpoint_session(&self.engine, &resident.session, &resident.adapter);
         let json = serde_json::to_string(&cp).expect("session checkpoint serializes");
         let path = self.spool_path(id);
         let tmp = path.with_extension("json.tmp");
@@ -280,7 +280,7 @@ impl SessionTier {
         match &self.slots.get(id)?.state {
             SlotState::Fresh => None,
             SlotState::Resident(r) => {
-                let cp = persist::checkpoint_session(&r.session, &r.adapter);
+                let cp = persist::checkpoint_session(&self.engine, &r.session, &r.adapter);
                 Some(serde_json::to_string(&cp).expect("session checkpoint serializes").len())
             }
             SlotState::Spooled => {

@@ -24,17 +24,21 @@
 //!
 //! The SIMD kernels are *not* bit-identical to scalar: the matmul family
 //! contracts multiply-add pairs with FMA (one rounding instead of two) and
-//! row reductions use lane-parallel partial sums. Divergence is
+//! row reductions use lane-parallel partial sums. That divergence is
 //! accumulation-order only and property-tested to stay within `1e-4`
-//! (`tensor/tests/proptest_kernels.rs`). What **is** guaranteed, per
-//! backend:
+//! (`tensor/tests/proptest_kernels.rs`). The one transcendental on the
+//! served path, ELU's `eˣ`, is a vector polynomial under SIMD instead of
+//! libm: within 1 ULP of libm on every `x ≤ 0` (swept exhaustively), exact
+//! for `x > 0`. What **is** guaranteed, per backend:
 //!
 //! - results are bit-for-bit deterministic across runs and thread counts;
 //! - `matmul_blocked` ≡ `matmul_ikj` per element (both sides of the
 //!   size-dispatch threshold agree exactly), which the batched-serving
 //!   equivalence suite relies on;
 //! - the fused softmax and the instance/grouped batch-norm paths remain
-//!   bit-identical to their composed formulations.
+//!   bit-identical to their composed formulations;
+//! - the inference and autograd planes run the same kernels (ELU
+//!   included), so they agree bitwise.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

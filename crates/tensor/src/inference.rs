@@ -30,7 +30,7 @@ use crate::ops::kernels::{
     matmul_blocked_into, matmul_ikj_into, matmul_nt_into, BLOCKED_DISPATCH_THRESHOLD,
 };
 use crate::ops::simd;
-use crate::ops::unary::{elu_scalar, gelu_scalar};
+use crate::ops::unary::{elu_slice, gelu_scalar};
 
 /// Matrix product `[m,k] × [k,n] → [m,n]` into `out`, with the same
 /// problem-size dispatch as [`Tensor::matmul`](crate::Tensor::matmul)
@@ -190,11 +190,12 @@ pub fn scatter_add_rows_into(out: &mut [f32], src: &[f32], n: usize, dst: &[usiz
 }
 
 /// Applies ELU (`alpha = 1`) in place — the forward map of
-/// [`Tensor::elu`](crate::Tensor::elu), shared scalar function.
+/// [`Tensor::elu`](crate::Tensor::elu): both run the one slice kernel, so
+/// the planes agree bitwise per backend (vector `exp` under
+/// [`Backend::Simd`](crate::backend::Backend::Simd), libm under
+/// [`Backend::Scalar`](crate::backend::Backend::Scalar)).
 pub fn elu_inplace(x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v = elu_scalar(*v, 1.0);
-    }
+    elu_slice(x, 1.0, None);
 }
 
 /// Applies the tanh-approximated GELU in place — the forward map of
@@ -309,36 +310,40 @@ pub fn instance_norm_grouped_into(
     assert_eq!(mean.len(), n, "instance_norm_grouped_into: mean scratch must be [n]");
     assert_eq!(var.len(), n, "instance_norm_grouped_into: var scratch must be [n]");
     assert_eq!(inv_std.len(), n, "instance_norm_grouped_into: inv_std scratch must be [n]");
+    if simd::try_instance_norm_grouped(out, x, groups, n, gamma, beta, eps, mean, var, inv_std) {
+        return;
+    }
     let inv_m = 1.0 / m as f32;
     for g in 0..groups {
         let block = &x[g * m * n..(g + 1) * m * n];
         // mean: rows ascending, then scale by the reciprocal — exactly
-        // `sum_axis0().mul_scalar(1/m)` under either backend (the
-        // lane-parallel add keeps each column's row-ascending order).
+        // `sum_axis0().mul_scalar(1/m)` (each column sums in row order).
         mean.fill(0.0);
-        for r in 0..m {
-            simd::vadd_assign(mean, &block[r * n..(r + 1) * n]);
+        for row in block.chunks_exact(n) {
+            for (mu, v) in mean.iter_mut().zip(row) {
+                *mu += v;
+            }
         }
-        simd::inplace_scale(mean, inv_m);
-        // biased variance of the centered block, same op order.
+        mean.iter_mut().for_each(|mu| *mu *= inv_m);
+        // biased variance of the centered block, same op order
+        // (multiply-then-add, no FMA).
         var.fill(0.0);
-        for r in 0..m {
-            simd::batchnorm_var_accum_row(var, &block[r * n..(r + 1) * n], mean);
+        for row in block.chunks_exact(n) {
+            for c in 0..n {
+                let centered = row[c] - mean[c];
+                var[c] += centered * centered;
+            }
         }
-        simd::inplace_scale(var, inv_m);
+        var.iter_mut().for_each(|v| *v *= inv_m);
         for (is, v) in inv_std.iter_mut().zip(var.iter()) {
             *is = 1.0 / (v + eps).sqrt();
         }
         let oblock = &mut out[g * m * n..(g + 1) * m * n];
-        for r in 0..m {
-            simd::batchnorm_apply_row(
-                &mut oblock[r * n..(r + 1) * n],
-                &block[r * n..(r + 1) * n],
-                mean,
-                inv_std,
-                gamma,
-                beta,
-            );
+        for (orow, row) in oblock.chunks_exact_mut(n).zip(block.chunks_exact(n)) {
+            for c in 0..n {
+                let centered = row[c] - mean[c];
+                orow[c] = ((centered * inv_std[c]) * gamma[c]) + beta[c];
+            }
         }
     }
 }

@@ -308,6 +308,45 @@ mod tests {
         assert!(x.grad().is_some());
     }
 
+    /// A GNN-shaped stack over every op whose backward skips frozen
+    /// parents (`matmul`, `add_bias`, `mul_bias` inside the composed
+    /// instance norm, `matmul_t`), plus the grouped norm and ELU. Returns the
+    /// input leaf's gradient and whether any parameter kept a gradient.
+    fn leaf_grad_through_stack(frozen: bool) -> (Vec<u32>, bool) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (dense, head) = (Linear::new(32, 8, &mut rng), Linear::new(8, 8, &mut rng));
+        let bn = norm::BatchNorm1d::new(8);
+        let grouped = norm::BatchNorm1d::new(8);
+        let data: Vec<f32> = (0..28 * 32).map(|i| ((i * 37 % 29) as f32 - 14.0) * 0.05).collect();
+        let x = Tensor::from_vec(data, &[28, 32]).requires_grad(true);
+        let modules: [&dyn Module; 4] = [&dense, &head, &bn, &grouped];
+        for module in modules {
+            module.set_frozen(frozen);
+        }
+        let h = grouped.forward_instance_grouped(&dense.forward(&x), 2).elu();
+        let y = bn.forward_instance(&head.forward(&h)).matmul_t(head.weight());
+        let w: Vec<f32> = (0..y.numel()).map(|i| (i as f32 * 0.37).cos()).collect();
+        y.mul(&Tensor::from_vec(w, &y.shape())).square().sum_all().backward();
+        let kept = modules.iter().flat_map(|m| m.params()).any(|p| p.grad().is_some());
+        (x.grad().unwrap().iter().map(|v| v.to_bits()).collect(), kept)
+    }
+
+    #[test]
+    fn leaf_gradient_is_bitwise_equal_with_weights_frozen_or_tracked() {
+        use crate::backend::{backend, set_backend, Backend};
+        let _guard = crate::backend::test_lock();
+        let prev = backend();
+        for b in [Backend::Scalar, Backend::Simd] {
+            set_backend(b);
+            let (tracked, kept) = leaf_grad_through_stack(false);
+            assert!(kept, "{b:?}: tracked weights got no gradient");
+            let (frozen, kept) = leaf_grad_through_stack(true);
+            assert!(!kept, "{b:?}: a frozen weight kept a gradient");
+            assert_eq!(frozen, tracked, "{b:?}: freezing the weights moved the leaf gradient");
+        }
+        set_backend(prev);
+    }
+
     #[test]
     fn quantized_linear_infer_tracks_f32_within_bound() {
         let _guard = crate::backend::test_lock();

@@ -265,7 +265,9 @@ impl Module for BatchNorm1d {
 /// unit variance and `s_g = Σ_r g`, `s_gx = Σ_r g·x̂` per feature,
 /// `dx = γ/σ · (g − s_g/m − x̂·s_gx/m)`; `dγ = Σ s_gx` and `dβ = Σ s_g` over
 /// all blocks. `x̂` and `1/σ` come from the shared forward body with unit
-/// scale and zero shift, so the statistics are the forward's own.
+/// scale and zero shift, so the statistics are the forward's own. Under the
+/// Simd backend one dispatched call runs the same per-element operations in
+/// the same order (all lane-exact), so its result is bitwise this body's.
 fn grouped_instance_norm_backward(
     g: &[f32],
     x: &[f32],
@@ -274,14 +276,27 @@ fn grouped_instance_norm_backward(
     gamma: &[f32],
     eps: f32,
 ) -> Vec<Vec<f32>> {
+    let mut dx = vec![0.0f32; x.len()];
+    let mut dgamma = vec![0.0f32; n];
+    let mut dbeta = vec![0.0f32; n];
+    if simd::try_instance_norm_grouped_backward(
+        &mut dx,
+        &mut dgamma,
+        &mut dbeta,
+        g,
+        x,
+        groups,
+        n,
+        gamma,
+        eps,
+    ) {
+        return vec![dx, dgamma, dbeta];
+    }
     let m = x.len() / (groups * n);
     let inv_m = 1.0 / m as f32;
     let (ones, zeros) = (vec![1.0f32; n], vec![0.0f32; n]);
     let (mut mean, mut var, mut inv_std) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
     let mut xhat = vec![0.0f32; m * n];
-    let mut dx = vec![0.0f32; x.len()];
-    let mut dgamma = vec![0.0f32; n];
-    let mut dbeta = vec![0.0f32; n];
     let (mut sg, mut sgx) = (vec![0.0f32; n], vec![0.0f32; n]);
     for b in 0..groups {
         let block = b * m * n..(b + 1) * m * n;

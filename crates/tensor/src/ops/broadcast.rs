@@ -1,7 +1,9 @@
 //! Row/column broadcasting arithmetic for 2-D tensors.
 //!
 //! `*_bias` variants broadcast a length-`n` vector across the rows of an
-//! `[m, n]` matrix (per-feature). `*_col` variants broadcast a length-`m`
+//! `[m, n]` matrix (per-feature); their backward computes a parent's
+//! gradient only if that parent was tracked when the op was built (a
+//! frozen bias or norm scale gets none). `*_col` variants broadcast a length-`m`
 //! vector across the columns (per-row), which layer normalization needs.
 
 use crate::tensor::Tensor;
@@ -21,26 +23,31 @@ impl Tensor {
     pub fn add_bias(&self, bias: &Tensor) -> Tensor {
         let (m, n) = check_2d(self, "add_bias");
         assert_eq!(bias.shape(), vec![n], "add_bias: bias must be [n]");
-        let a = self.to_vec();
-        let b = bias.to_vec();
-        let mut data = a;
-        for r in 0..m {
-            for c in 0..n {
-                data[r * n + c] += b[c];
+        let mut data = self.to_vec();
+        bias.with_data(|b| {
+            for r in 0..m {
+                for c in 0..n {
+                    data[r * n + c] += b[c];
+                }
             }
-        }
+        });
+        let (x_tracked, b_tracked) = (self.is_tracked(), bias.is_tracked());
         Tensor::from_op(
             data,
             &[m, n],
             vec![self.clone(), bias.clone()],
             Box::new(move |g| {
-                let mut db = vec![0.0f32; n];
-                for r in 0..m {
-                    for c in 0..n {
-                        db[c] += g[r * n + c];
+                let dx = if x_tracked { g.to_vec() } else { Vec::new() };
+                let mut db = Vec::new();
+                if b_tracked {
+                    db = vec![0.0f32; n];
+                    for r in 0..m {
+                        for c in 0..n {
+                            db[c] += g[r * n + c];
+                        }
                     }
                 }
-                vec![g.to_vec(), db]
+                vec![dx, db]
             }),
         )
     }
@@ -54,26 +61,40 @@ impl Tensor {
     pub fn mul_bias(&self, scale: &Tensor) -> Tensor {
         let (m, n) = check_2d(self, "mul_bias");
         assert_eq!(scale.shape(), vec![n], "mul_bias: scale must be [n]");
-        let a = self.to_vec();
-        let s = scale.to_vec();
+        let sc = scale.to_vec();
         let mut data = vec![0.0f32; m * n];
-        for r in 0..m {
-            for c in 0..n {
-                data[r * n + c] = a[r * n + c] * s[c];
+        self.with_data(|a| {
+            for r in 0..m {
+                for c in 0..n {
+                    data[r * n + c] = a[r * n + c] * sc[c];
+                }
             }
-        }
-        let (ac, sc) = (a, s);
+        });
+        // dx reads the scale and ds the input: capture the input only when
+        // the scale is tracked.
+        let (x_tracked, s_tracked) = (self.is_tracked(), scale.is_tracked());
+        let ac = if s_tracked { self.to_vec() } else { Vec::new() };
         Tensor::from_op(
             data,
             &[m, n],
             vec![self.clone(), scale.clone()],
             Box::new(move |g| {
-                let mut dx = vec![0.0f32; m * n];
-                let mut ds = vec![0.0f32; n];
-                for r in 0..m {
-                    for c in 0..n {
-                        dx[r * n + c] = g[r * n + c] * sc[c];
-                        ds[c] += g[r * n + c] * ac[r * n + c];
+                let mut dx = Vec::new();
+                if x_tracked {
+                    dx = vec![0.0f32; m * n];
+                    for r in 0..m {
+                        for c in 0..n {
+                            dx[r * n + c] = g[r * n + c] * sc[c];
+                        }
+                    }
+                }
+                let mut ds = Vec::new();
+                if s_tracked {
+                    ds = vec![0.0f32; n];
+                    for r in 0..m {
+                        for c in 0..n {
+                            ds[c] += g[r * n + c] * ac[r * n + c];
+                        }
                     }
                 }
                 vec![dx, ds]

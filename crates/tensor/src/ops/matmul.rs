@@ -7,7 +7,9 @@
 //! `dB = Aᵀ·G` run through the transposed-input kernels
 //! [`kernels::matmul_nt`](super::kernels::matmul_nt) /
 //! [`kernels::matmul_tn`](super::kernels::matmul_tn) directly on the buffers
-//! captured at forward time.
+//! captured at forward time. A parent untracked when the product is built
+//! (a frozen weight) gets no gradient computed, and the operand only its
+//! gradient would read is never captured.
 
 use crate::ops::kernels::{
     check_dims, matmul_blocked, matmul_ikj, matmul_nt, matmul_tn, BLOCKED_DISPATCH_THRESHOLD,
@@ -56,9 +58,12 @@ impl Tensor {
         assert_eq!(sb.len(), 2, "matmul: rhs must be 2-D, got {sb:?}");
         assert_eq!(sa[1], sb[0], "matmul: inner dims {} vs {}", sa[1], sb[0]);
         let (m, k, n) = (sa[0], sa[1], sb[1]);
-        let a = self.to_vec();
-        let b = other.to_vec();
-        let data = matmul_raw(&a, &b, m, k, n);
+        let data = self.with_data(|a| other.with_data(|b| matmul_raw(a, b, m, k, n)));
+        // dA reads only B and dB only A: keep the operand a tracked
+        // parent's gradient needs, nothing for a frozen one.
+        let (a_tracked, b_tracked) = (self.is_tracked(), other.is_tracked());
+        let b = if a_tracked { other.to_vec() } else { Vec::new() };
+        let a = if b_tracked { self.to_vec() } else { Vec::new() };
         Tensor::from_op(
             data,
             &[m, n],
@@ -67,8 +72,8 @@ impl Tensor {
                 // dA = G · Bᵀ and dB = Aᵀ · G via the transposed-input fast
                 // paths: b ([k,n]) and a ([m,k]) are consumed as-is, no
                 // transpose buffer is ever built.
-                let da = matmul_nt(g, &b, m, n, k);
-                let db = matmul_tn(&a, g, m, k, n);
+                let da = if a_tracked { matmul_nt(g, &b, m, n, k) } else { Vec::new() };
+                let db = if b_tracked { matmul_tn(&a, g, m, k, n) } else { Vec::new() };
                 vec![da, db]
             }),
         )
@@ -101,9 +106,11 @@ impl Tensor {
         assert_eq!(sb.len(), 2, "matmul_t: rhs must be 2-D, got {sb:?}");
         assert_eq!(sa[1], sb[1], "matmul_t: inner dims {} vs {}", sa[1], sb[1]);
         let (m, k, n) = (sa[0], sa[1], sb[0]);
-        let a = self.to_vec();
-        let bt = other.to_vec(); // B stored transposed: [n, k]
-        let data = matmul_nt(&a, &bt, m, k, n);
+        // B stored transposed: [n, k]
+        let data = self.with_data(|a| other.with_data(|bt| matmul_nt(a, bt, m, k, n)));
+        let (a_tracked, b_tracked) = (self.is_tracked(), other.is_tracked());
+        let bt = if a_tracked { other.to_vec() } else { Vec::new() };
+        let a = if b_tracked { self.to_vec() } else { Vec::new() };
         Tensor::from_op(
             data,
             &[m, n],
@@ -112,8 +119,8 @@ impl Tensor {
                 // C = A·Bᵀ with B stored [n,k]:
                 //   dA = G · B      ([m,n] × [n,k])
                 //   dB = Gᵀ · A     ([n,m] × [m,k])
-                let da = matmul_raw(g, &bt, m, n, k);
-                let db = matmul_tn(g, &a, m, n, k);
+                let da = if a_tracked { matmul_raw(g, &bt, m, n, k) } else { Vec::new() };
+                let db = if b_tracked { matmul_tn(g, &a, m, n, k) } else { Vec::new() };
                 vec![da, db]
             }),
         )

@@ -36,6 +36,15 @@
 //! (add/sub/mul/div/max are IEEE-identical lane-wise to their scalar
 //! forms).
 //!
+//! The layer kernels ([`try_instance_norm_grouped`] and its backward,
+//! [`try_elu`]) are dispatched once per call, not once per row: the whole
+//! group loop runs inside one `#[target_feature]` function. The grouped
+//! norm keeps the scalar body's per-element operation sequence, all
+//! lane-exact, so it is bitwise the scalar result. ELU's `eˣ` is the one
+//! place SIMD swaps an algorithm: a range-reduction-plus-polynomial
+//! `exp` within 1 ULP of libm on `x ≤ 0` (the tests sweep every
+//! non-positive `f32`).
+//!
 //! The **int8 plane** ([`try_q8_nt_fill`]) is stricter still: its dot
 //! products accumulate in i32, where every grouping is exact, and the final
 //! f32 rescale is one identical left-to-right expression on both paths — so
@@ -428,42 +437,111 @@ pub(crate) fn layernorm_bwd_dx_row(
     }
 }
 
-/// One row of the batch-norm application:
-/// `o = ((x − mean) · inv_std) · gamma + beta`, per-lane-exact against the
-/// grouped scalar loop and the composed `add_bias`/`mul_bias` chain.
-pub(crate) fn batchnorm_apply_row(
+// ---------------------------------------------------------------------------
+// Whole-call layer kernels (one dispatch per call, not per row)
+// ---------------------------------------------------------------------------
+
+/// SIMD grouped instance normalization (the body of
+/// [`crate::inference::instance_norm_grouped_into`], whose shape checks the
+/// caller has run). Returns `false` when the SIMD backend is inactive.
+///
+/// Every element sees the scalar body's exact operation sequence — column
+/// sums over rows ascending, `· (1/m)`, multiply-then-add variance,
+/// `1 / sqrt(var + eps)`, `((x − mean) · inv_std) · gamma + beta` — and
+/// every one of those operations is per-lane exact, so the result is
+/// bitwise the scalar body's. `mean`/`var`/`inv_std` receive the last
+/// group's statistics.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn try_instance_norm_grouped(
     out: &mut [f32],
     x: &[f32],
-    mean: &[f32],
-    inv_std: &[f32],
+    groups: usize,
+    n: usize,
     gamma: &[f32],
     beta: &[f32],
-) {
+    eps: f32,
+    mean: &mut [f32],
+    var: &mut [f32],
+    inv_std: &mut [f32],
+) -> bool {
+    assert!(groups > 0 && n > 0 && x.len().is_multiple_of(groups * n), "grouped norm: x shape");
+    assert_eq!(out.len(), x.len(), "grouped norm: out/x length mismatch");
+    for v in [gamma, beta, &*mean, &*var, &*inv_std] {
+        assert_eq!(v.len(), n, "grouped norm: per-feature vectors must be [n]");
+    }
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        // SAFETY: `simd_active` implies AVX2+FMA were detected at runtime.
-        unsafe { avx::batchnorm_apply_row_fma(out, x, mean, inv_std, gamma, beta) };
-        return;
+        // SAFETY: `simd_active` implies AVX2+FMA were detected at runtime,
+        // and the asserts above are the kernel's length contract.
+        unsafe {
+            avx::instance_norm_grouped_fma(out, x, groups, n, gamma, beta, eps, mean, var, inv_std)
+        };
+        return true;
     }
-    for c in 0..out.len() {
-        let centered = x[c] - mean[c];
-        out[c] = ((centered * inv_std[c]) * gamma[c]) + beta[c];
-    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (out, x, groups, n, gamma, beta, eps, mean, var, inv_std);
+    false
 }
 
-/// Accumulates `var += (x − mean)²` for one row, multiply-then-add (no FMA),
-/// matching the grouped batch-norm scalar loop bit-for-bit.
-pub(crate) fn batchnorm_var_accum_row(var: &mut [f32], x: &[f32], mean: &[f32]) {
+/// SIMD backward of the grouped instance normalization: fills `dx`
+/// (`x.len()`) and accumulates into the zeroed `dgamma`/`dbeta` (`n`) from
+/// the upstream gradient `g`, with the scalar backward's per-element
+/// operation order (see `nn::norm`). Returns `false` when the SIMD backend
+/// is inactive.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn try_instance_norm_grouped_backward(
+    dx: &mut [f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+    g: &[f32],
+    x: &[f32],
+    groups: usize,
+    n: usize,
+    gamma: &[f32],
+    eps: f32,
+) -> bool {
+    assert!(groups > 0 && n > 0 && x.len().is_multiple_of(groups * n), "grouped norm: x shape");
+    assert!(g.len() == x.len() && dx.len() == x.len(), "grouped norm: gradient length mismatch");
+    for v in [&*dgamma, &*dbeta, gamma] {
+        assert_eq!(v.len(), n, "grouped norm: per-feature vectors must be [n]");
+    }
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        // SAFETY: `simd_active` implies AVX2+FMA were detected at runtime.
-        unsafe { avx::batchnorm_var_accum_row_fma(var, x, mean) };
-        return;
+        // SAFETY: `simd_active` implies AVX2+FMA were detected at runtime,
+        // and the asserts above are the kernel's length contract.
+        unsafe {
+            avx::instance_norm_grouped_backward_fma(dx, dgamma, dbeta, g, x, groups, n, gamma, eps)
+        };
+        return true;
     }
-    for c in 0..var.len() {
-        let centered = x[c] - mean[c];
-        var[c] += centered * centered;
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (dx, dgamma, dbeta, g, x, groups, n, gamma, eps);
+    false
+}
+
+/// SIMD ELU over a slice in place: `x` for `x > 0`, `alpha · (eˣ − 1)`
+/// otherwise, with `eˣ` from the vector `avx::exp_nonpos` instead of
+/// libm. When `deriv` is given it receives the derivative (`1`, or
+/// `alpha · eˣ` from the same `eˣ`). Returns `false` when the SIMD backend
+/// is inactive.
+///
+/// Each element's result depends only on its own value, never on its
+/// position or the slice length: a ragged tail runs through the same
+/// 8-lane body on a padded copy.
+pub(crate) fn try_elu(x: &mut [f32], alpha: f32, deriv: Option<&mut [f32]>) -> bool {
+    if let Some(d) = deriv.as_deref() {
+        assert_eq!(d.len(), x.len(), "elu: derivative buffer length mismatch");
     }
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: `simd_active` implies AVX2+FMA were detected at runtime,
+        // and `deriv` is as long as `x` (asserted above).
+        unsafe { avx::elu_fma(x, alpha, deriv) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (x, alpha, deriv);
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -582,8 +660,31 @@ mod avx {
 
     /// Whole-kernel `ikj` fill over a zeroed output: k-ascending SAXPY rows
     /// via [`axpy_fma`], no zero-coefficient skip (see the module docs).
+    /// Narrow outputs (`n` ∈ {8, 16, 24, 32}, the served GNN widths) run
+    /// [`ikj_narrow`] instead, which keeps each output row in registers
+    /// across `k` with the same per-element FMA chain.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn ikj_fill_fma(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        match n {
+            8 => ikj_narrow::<1, 8>(out, a, b, m, k),
+            16 => ikj_narrow::<2, 4>(out, a, b, m, k),
+            24 => ikj_narrow::<3, 2>(out, a, b, m, k),
+            32 => ikj_narrow::<4, 2>(out, a, b, m, k),
+            _ => ikj_fill_axpy(out, a, b, m, k, n),
+        }
+    }
+
+    /// The general `ikj` fill: one [`axpy_fma`] per `(i, p)`, the output row
+    /// round-tripping through memory between steps.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn ikj_fill_axpy(
         out: &mut [f32],
         a: &[f32],
         b: &[f32],
@@ -595,6 +696,80 @@ mod avx {
             let orow = &mut out[i * n..(i + 1) * n];
             for p in 0..k {
                 axpy_fma(orow, a[i * k + p], &b[p * n..(p + 1) * n]);
+            }
+        }
+    }
+
+    /// `ikj` for `n = 8·NV`: blocks of `R` output rows, each row's `NV`
+    /// vectors held in YMM accumulators (loaded from `out`, so the fill
+    /// still accumulates) across the whole `k` loop. Per element this is
+    /// the [`ikj_fill_axpy`] chain `o = fma(a[i,p], b[p,j], o)` with `p`
+    /// ascending, so the two are bitwise equal; only the loads and stores
+    /// of `o` between steps are gone. `R · NV ≤ 8` leaves registers for
+    /// the `NV` rhs vectors and the broadcast.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available (the lengths are asserted).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn ikj_narrow<const NV: usize, const R: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+    ) {
+        assert!(out.len() == m * 8 * NV && a.len() == m * k && b.len() == k * 8 * NV);
+        let mut i = 0;
+        while i + R <= m {
+            ikj_narrow_rows::<NV, R>(out, a, b, i, k);
+            i += R;
+        }
+        while i < m {
+            ikj_narrow_rows::<NV, 1>(out, a, b, i, k);
+            i += 1;
+        }
+    }
+
+    /// Output rows `i0 .. i0 + R` of [`ikj_narrow`].
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available, `i0 + R ≤ m`, and the slices hold
+    /// [`ikj_narrow`]'s asserted lengths.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn ikj_narrow_rows<const NV: usize, const R: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        i0: usize,
+        k: usize,
+    ) {
+        let n = 8 * NV;
+        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        let mut acc = [[_mm256_setzero_ps(); NV]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(op.add((i0 + r) * n + 8 * j));
+            }
+        }
+        for p in 0..k {
+            let mut bv = [_mm256_setzero_ps(); NV];
+            for (j, v) in bv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(bp.add(p * n + 8 * j));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let va = _mm256_set1_ps(*ap.add((i0 + r) * k + p));
+                for (v, bj) in row.iter_mut().zip(&bv) {
+                    *v = _mm256_fmadd_ps(va, *bj, *v);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (j, v) in row.iter().enumerate() {
+                _mm256_storeu_ps(op.add((i0 + r) * n + 8 * j), *v);
             }
         }
     }
@@ -1446,51 +1621,307 @@ mod avx {
         }
     }
 
+    /// Column statistics of the 8 columns at `c` over the `m` rows of `n`
+    /// values at `xb`: `(mean, var, 1/sqrt(var + eps))`, with the mean and
+    /// biased variance summed over rows ascending (multiply-then-add) and
+    /// scaled by `inv_m`, as the scalar grouped-norm body computes them.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; `xb` points at `m · n` readable
+    /// values and `c + 8 ≤ n`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn batchnorm_apply_row_fma(
+    #[inline]
+    unsafe fn col_stats8(
+        xb: *const f32,
+        m: usize,
+        n: usize,
+        c: usize,
+        inv_m: f32,
+        eps: f32,
+    ) -> (__m256, __m256, __m256) {
+        let vinv_m = _mm256_set1_ps(inv_m);
+        let mut sum = _mm256_setzero_ps();
+        for r in 0..m {
+            sum = _mm256_add_ps(sum, _mm256_loadu_ps(xb.add(r * n + c)));
+        }
+        let mu = _mm256_mul_ps(sum, vinv_m);
+        let mut sq = _mm256_setzero_ps();
+        for r in 0..m {
+            let centered = _mm256_sub_ps(_mm256_loadu_ps(xb.add(r * n + c)), mu);
+            sq = _mm256_add_ps(sq, _mm256_mul_ps(centered, centered));
+        }
+        let va = _mm256_mul_ps(sq, vinv_m);
+        let sd = _mm256_sqrt_ps(_mm256_add_ps(va, _mm256_set1_ps(eps)));
+        (mu, va, _mm256_div_ps(_mm256_set1_ps(1.0), sd))
+    }
+
+    /// [`col_stats8`] for the single column `c` (the ragged `n % 8` tail).
+    ///
+    /// # Safety
+    ///
+    /// `xb` points at `m · n` readable values and `c < n`.
+    #[inline]
+    unsafe fn col_stats1(
+        xb: *const f32,
+        m: usize,
+        n: usize,
+        c: usize,
+        inv_m: f32,
+        eps: f32,
+    ) -> (f32, f32, f32) {
+        let mut sum = 0.0f32;
+        for r in 0..m {
+            sum += *xb.add(r * n + c);
+        }
+        let mu = sum * inv_m;
+        let mut sq = 0.0f32;
+        for r in 0..m {
+            let centered = *xb.add(r * n + c) - mu;
+            sq += centered * centered;
+        }
+        let va = sq * inv_m;
+        (mu, va, 1.0 / (va + eps).sqrt())
+    }
+
+    /// The grouped instance-norm forward, one call for all groups: per
+    /// 8-column chunk the column sums, variance and normalization run with
+    /// the statistics in YMM registers; ragged columns (`n % 8`) run the
+    /// same expressions in scalar. Row order and every operation match the
+    /// scalar body (see [`super::try_instance_norm_grouped`]).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; `x` and `out` hold `groups · m · n`
+    /// values for some `m ≥ 1`, and `gamma`, `beta`, `mean`, `var` and
+    /// `inv_std` hold `n`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn instance_norm_grouped_fma(
         out: &mut [f32],
         x: &[f32],
-        mean: &[f32],
-        inv_std: &[f32],
+        groups: usize,
+        n: usize,
         gamma: &[f32],
         beta: &[f32],
+        eps: f32,
+        mean: &mut [f32],
+        var: &mut [f32],
+        inv_std: &mut [f32],
     ) {
-        let n = out.len();
-        let op = out.as_mut_ptr();
-        let (xp, mp, ip, gp, bp) =
-            (x.as_ptr(), mean.as_ptr(), inv_std.as_ptr(), gamma.as_ptr(), beta.as_ptr());
-        let mut j = 0;
-        while j + 8 <= n {
-            let centered = _mm256_sub_ps(_mm256_loadu_ps(xp.add(j)), _mm256_loadu_ps(mp.add(j)));
-            let scaled = _mm256_mul_ps(
-                _mm256_mul_ps(centered, _mm256_loadu_ps(ip.add(j))),
-                _mm256_loadu_ps(gp.add(j)),
-            );
-            _mm256_storeu_ps(op.add(j), _mm256_add_ps(scaled, _mm256_loadu_ps(bp.add(j))));
-            j += 8;
-        }
-        while j < n {
-            let centered = *xp.add(j) - *mp.add(j);
-            *op.add(j) = ((centered * *ip.add(j)) * *gp.add(j)) + *bp.add(j);
-            j += 1;
+        let m = x.len() / (groups * n);
+        let inv_m = 1.0 / m as f32;
+        for g in 0..groups {
+            let xb = x.as_ptr().add(g * m * n);
+            let ob = out.as_mut_ptr().add(g * m * n);
+            let mut c = 0;
+            while c + 8 <= n {
+                let (mu, va, is) = col_stats8(xb, m, n, c, inv_m, eps);
+                let (ga, be) =
+                    (_mm256_loadu_ps(gamma.as_ptr().add(c)), _mm256_loadu_ps(beta.as_ptr().add(c)));
+                for r in 0..m {
+                    let centered = _mm256_sub_ps(_mm256_loadu_ps(xb.add(r * n + c)), mu);
+                    let scaled = _mm256_mul_ps(_mm256_mul_ps(centered, is), ga);
+                    _mm256_storeu_ps(ob.add(r * n + c), _mm256_add_ps(scaled, be));
+                }
+                _mm256_storeu_ps(mean.as_mut_ptr().add(c), mu);
+                _mm256_storeu_ps(var.as_mut_ptr().add(c), va);
+                _mm256_storeu_ps(inv_std.as_mut_ptr().add(c), is);
+                c += 8;
+            }
+            while c < n {
+                let (mu, va, is) = col_stats1(xb, m, n, c, inv_m, eps);
+                for r in 0..m {
+                    let centered = *xb.add(r * n + c) - mu;
+                    *ob.add(r * n + c) = ((centered * is) * gamma[c]) + beta[c];
+                }
+                (mean[c], var[c], inv_std[c]) = (mu, va, is);
+                c += 1;
+            }
         }
     }
 
+    /// The grouped instance-norm backward, one call for all groups. Per
+    /// block and 8-column chunk it recomputes the forward statistics and
+    /// `x̂ = ((x − mean) · inv_std) · 1 + 0` exactly as the scalar backward
+    /// obtains them (the forward body with unit scale and zero shift),
+    /// accumulates `s_g = Σ g` and `s_gx = Σ g·x̂` over rows ascending
+    /// (multiply-then-add), adds them into `dbeta`/`dgamma` in block order,
+    /// and writes `dx = (gamma · inv_std) · ((g − s_g·(1/m)) − (x̂·s_gx)·(1/m))`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; `x`, `g` and `dx` hold
+    /// `groups · m · n` values for some `m ≥ 1`, and `dgamma`, `dbeta` and
+    /// `gamma` hold `n`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn batchnorm_var_accum_row_fma(var: &mut [f32], x: &[f32], mean: &[f32]) {
-        let n = var.len();
-        let (vp, xp, mp) = (var.as_mut_ptr(), x.as_ptr(), mean.as_ptr());
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn instance_norm_grouped_backward_fma(
+        dx: &mut [f32],
+        dgamma: &mut [f32],
+        dbeta: &mut [f32],
+        g: &[f32],
+        x: &[f32],
+        groups: usize,
+        n: usize,
+        gamma: &[f32],
+        eps: f32,
+    ) {
+        let m = x.len() / (groups * n);
+        let inv_m = 1.0 / m as f32;
+        let (vinv_m, one, zero) = (_mm256_set1_ps(inv_m), _mm256_set1_ps(1.0), _mm256_setzero_ps());
+        for b in 0..groups {
+            let xb = x.as_ptr().add(b * m * n);
+            let gb = g.as_ptr().add(b * m * n);
+            let db = dx.as_mut_ptr().add(b * m * n);
+            let mut c = 0;
+            while c + 8 <= n {
+                let (mu, _, is) = col_stats8(xb, m, n, c, inv_m, eps);
+                let xhat = |r: usize| {
+                    let centered = _mm256_sub_ps(_mm256_loadu_ps(xb.add(r * n + c)), mu);
+                    _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(centered, is), one), zero)
+                };
+                let (mut sg, mut sgx) = (zero, zero);
+                for r in 0..m {
+                    let gr = _mm256_loadu_ps(gb.add(r * n + c));
+                    sg = _mm256_add_ps(sg, gr);
+                    sgx = _mm256_add_ps(sgx, _mm256_mul_ps(gr, xhat(r)));
+                }
+                let pb = dbeta.as_mut_ptr().add(c);
+                _mm256_storeu_ps(pb, _mm256_add_ps(_mm256_loadu_ps(pb), sg));
+                let pg = dgamma.as_mut_ptr().add(c);
+                _mm256_storeu_ps(pg, _mm256_add_ps(_mm256_loadu_ps(pg), sgx));
+                let scale = _mm256_mul_ps(_mm256_loadu_ps(gamma.as_ptr().add(c)), is);
+                let sg_m = _mm256_mul_ps(sg, vinv_m);
+                for r in 0..m {
+                    let gr = _mm256_loadu_ps(gb.add(r * n + c));
+                    let xterm = _mm256_mul_ps(_mm256_mul_ps(xhat(r), sgx), vinv_m);
+                    let centered = _mm256_sub_ps(_mm256_sub_ps(gr, sg_m), xterm);
+                    _mm256_storeu_ps(db.add(r * n + c), _mm256_mul_ps(scale, centered));
+                }
+                c += 8;
+            }
+            while c < n {
+                let (mu, _, is) = col_stats1(xb, m, n, c, inv_m, eps);
+                let xhat = |r: usize| ((*xb.add(r * n + c) - mu) * is) * 1.0 + 0.0;
+                let (mut sg, mut sgx) = (0.0f32, 0.0f32);
+                for r in 0..m {
+                    let gr = *gb.add(r * n + c);
+                    sg += gr;
+                    sgx += gr * xhat(r);
+                }
+                dbeta[c] += sg;
+                dgamma[c] += sgx;
+                for r in 0..m {
+                    let centered = *gb.add(r * n + c) - sg * inv_m - xhat(r) * sgx * inv_m;
+                    *db.add(r * n + c) = gamma[c] * is * centered;
+                }
+                c += 1;
+            }
+        }
+    }
+
+    /// Vector `eˣ` on the non-positive half-line (lanes above `0` are
+    /// clamped to `0`; their results are discarded by the caller): round
+    /// `x·log2(e)` to `k`, reduce `r = x − k·ln2` with a two-constant FMA
+    /// Cody–Waite split, evaluate Cephes' degree-5 `expf` polynomial, and
+    /// scale by `2ᵏ` in two exact power-of-two factors so that results in
+    /// the subnormal range round once. Below `EXP_LO` (where `eˣ` rounds to
+    /// `0`, including `−∞`) the clamp gives `0`. The clamps put the input
+    /// second in `max`/`min`, which return their second operand when either
+    /// is NaN, so NaN lanes stay NaN through every step.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn exp_nonpos(x: __m256) -> __m256 {
+        /// `e^EXP_LO` is below half the smallest subnormal, so it rounds
+        /// to `0` (the reduction keeps `k ≥ −150`).
+        const EXP_LO: f32 = -104.0;
+        const LN2_HI: f32 = 0.693_359_4;
+        const LN2_LO: f32 = -2.121_944_4e-4;
+        const P: [f32; 6] =
+            [1.987_569_1e-4, 1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 0.166_666_65, 0.5];
+        let x = _mm256_min_ps(_mm256_setzero_ps(), _mm256_max_ps(_mm256_set1_ps(EXP_LO), x));
+        let k = _mm256_round_ps(
+            _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
+            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC,
+        );
+        let r = _mm256_fnmadd_ps(k, _mm256_set1_ps(LN2_HI), x);
+        let r = _mm256_fnmadd_ps(k, _mm256_set1_ps(LN2_LO), r);
+        let mut p = _mm256_set1_ps(P[0]);
+        for &coef in &P[1..] {
+            p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(coef));
+        }
+        let y = _mm256_add_ps(_mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r), _mm256_set1_ps(1.0));
+        // 2ᵏ = 2^k1 · 2^k2 with k1 = ⌊k/2⌋: both factors are normal for
+        // k ∈ [−150, 0], and `y · 2^k1` is exact.
+        let ki = _mm256_cvtps_epi32(k);
+        let k1 = _mm256_srai_epi32(ki, 1);
+        let k2 = _mm256_sub_epi32(ki, k1);
+        let bias = _mm256_set1_epi32(127);
+        let s1 = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(k1, bias), 23));
+        let s2 = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(k2, bias), 23));
+        _mm256_mul_ps(_mm256_mul_ps(y, s1), s2)
+    }
+
+    /// `eˣ` over a slice into `out` through [`exp_nonpos`] (padded tail) —
+    /// the kernel the ULP tests sweep against libm.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn exp_nonpos_slice(out: &mut [f32], x: &[f32]) {
+        for (o, xs) in out.chunks_mut(8).zip(x.chunks(8)) {
+            let mut lane = [0.0f32; 8];
+            lane[..xs.len()].copy_from_slice(xs);
+            _mm256_storeu_ps(lane.as_mut_ptr(), exp_nonpos(_mm256_loadu_ps(lane.as_ptr())));
+            o.copy_from_slice(&lane[..o.len()]);
+        }
+    }
+
+    /// One 8-lane ELU step: returns `(y, dy/dx)` with `y = x` where
+    /// `x > 0` (an ordered compare, so NaN takes the `eˣ` branch and stays
+    /// NaN) and `alpha · (eˣ − 1)` elsewhere; the derivative is `1` or
+    /// `alpha · eˣ`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn elu8(x: __m256, alpha: __m256) -> (__m256, __m256) {
+        let one = _mm256_set1_ps(1.0);
+        let e = exp_nonpos(x);
+        let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_setzero_ps());
+        let y = _mm256_blendv_ps(_mm256_mul_ps(alpha, _mm256_sub_ps(e, one)), x, pos);
+        let d = _mm256_blendv_ps(_mm256_mul_ps(alpha, e), one, pos);
+        (y, d)
+    }
+
+    /// ELU over a slice in place (see [`super::try_elu`]); the ragged tail
+    /// runs through [`elu8`] on a zero-padded copy.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available, and `deriv`, if given, holds at
+    /// least `x.len()` values.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn elu_fma(x: &mut [f32], alpha: f32, mut deriv: Option<&mut [f32]>) {
+        let va = _mm256_set1_ps(alpha);
+        let n = x.len();
+        let xp = x.as_mut_ptr();
         let mut j = 0;
         while j + 8 <= n {
-            let centered = _mm256_sub_ps(_mm256_loadu_ps(xp.add(j)), _mm256_loadu_ps(mp.add(j)));
-            let sq = _mm256_mul_ps(centered, centered);
-            _mm256_storeu_ps(vp.add(j), _mm256_add_ps(_mm256_loadu_ps(vp.add(j)), sq));
+            let (y, d) = elu8(_mm256_loadu_ps(xp.add(j)), va);
+            _mm256_storeu_ps(xp.add(j), y);
+            if let Some(dv) = deriv.as_deref_mut() {
+                _mm256_storeu_ps(dv.as_mut_ptr().add(j), d);
+            }
             j += 8;
         }
-        while j < n {
-            let centered = *xp.add(j) - *mp.add(j);
-            *vp.add(j) += centered * centered;
-            j += 1;
+        if j < n {
+            let mut lane = [0.0f32; 8];
+            lane[..n - j].copy_from_slice(&x[j..]);
+            let (y, d) = elu8(_mm256_loadu_ps(lane.as_ptr()), va);
+            _mm256_storeu_ps(lane.as_mut_ptr(), y);
+            x[j..].copy_from_slice(&lane[..n - j]);
+            if let Some(dv) = deriv {
+                _mm256_storeu_ps(lane.as_mut_ptr(), d);
+                dv[j..].copy_from_slice(&lane[..n - j]);
+            }
         }
     }
 }
@@ -1626,6 +2057,133 @@ mod tests {
             return;
         }
         assert_q8_fill_bit_identical(avx::q8_nt_fill_vnni, "int8 VNNI fill");
+    }
+
+    #[test]
+    fn narrow_ikj_is_bit_identical_to_the_axpy_chain() {
+        if !simd_available() {
+            return;
+        }
+        // The register-resident kernel must reproduce the per-(i, p)
+        // `axpy_fma` chain bit for bit at every served width, for row
+        // counts on and off its row-block size, and keep accumulating into
+        // a non-zero output; odd widths take the axpy path itself.
+        for n in [8usize, 16, 24, 32, 1, 7, 9, 13, 33] {
+            for (m, k) in [(1, 1), (3, 5), (8, 32), (9, 8), (17, 130), (4, 0)] {
+                let a = filled(m * k, |i| ((i * 31 % 23) as f32 - 11.0) * 0.07);
+                let b = filled(k * n, |i| ((i * 29 % 19) as f32 - 9.0) * 0.09);
+                let start = filled(m * n, |i| ((i * 7 % 5) as f32 - 2.0) * 0.5);
+                let (mut fast, mut chain) = (start.clone(), start.clone());
+                // SAFETY: guarded by `simd_available`.
+                unsafe {
+                    avx::ikj_fill_fma(&mut fast, &a, &b, m, k, n);
+                    avx::ikj_fill_axpy(&mut chain, &a, &b, m, k, n);
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&chain), "narrow ikj diverged at {m}x{k}x{n}");
+            }
+        }
+    }
+
+    /// ULP distance between two non-negative floats (their bit patterns
+    /// order like their values).
+    fn ulps(a: f32, b: f32) -> u32 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// The most the vector `exp` may differ from libm on `x ≤ 0`, in ULPs
+    /// of the result (the exhaustive sweep below measures the actual
+    /// maximum).
+    const EXP_MAX_ULPS: u32 = 1;
+
+    /// The worst ULP gap between the vector `exp` and libm over `xs`
+    /// (all `≤ 0` or NaN), or the first violation: a gap above
+    /// [`EXP_MAX_ULPS`], or a NaN input that does not come out NaN.
+    fn exp_gap(xs: &[f32]) -> Result<u32, String> {
+        let mut out = vec![0.0f32; xs.len()];
+        // SAFETY: callers guard on `simd_available`.
+        unsafe { avx::exp_nonpos_slice(&mut out, xs) };
+        let mut worst = 0;
+        for (x, e) in xs.iter().zip(&out) {
+            if x.is_nan() {
+                if !e.is_nan() {
+                    return Err(format!("exp(NaN) = {e:e}"));
+                }
+                continue;
+            }
+            let gap = ulps(*e, x.exp());
+            if gap > EXP_MAX_ULPS {
+                return Err(format!("exp({x:e}) = {e:e}, libm {:e}: {gap} ulps", x.exp()));
+            }
+            worst = worst.max(gap);
+        }
+        Ok(worst)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Bit patterns uniform over `[−0, −∞]` (tiny, subnormal, huge and
+        /// clamped magnitudes alike) and values uniform over the range
+        /// where `eˣ` is representable.
+        #[test]
+        fn simd_exp_within_ulps_of_libm_for_nonpositive(
+            bits in proptest::collection::vec(0x8000_0000u32..=0xFF80_0000, 64),
+            values in proptest::collection::vec(-104.0f32..=0.0, 64),
+        ) {
+            if !simd_available() {
+                return Ok(());
+            }
+            let xs: Vec<f32> = bits.iter().map(|b| f32::from_bits(*b)).collect();
+            let gap = exp_gap(&xs).and_then(|_| exp_gap(&values));
+            proptest::prop_assert!(gap.is_ok(), "{}", gap.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn simd_exp_edge_cases() {
+        if !simd_available() {
+            return;
+        }
+        let xs = [
+            0.0,
+            -0.0,
+            -f32::from_bits(1),
+            -f32::MIN_POSITIVE,
+            -1e-30,
+            -87.5,
+            -103.9,
+            -104.0,
+            -1e30,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let mut out = [0.0f32; 12];
+        // SAFETY: guarded by `simd_available`.
+        unsafe { avx::exp_nonpos_slice(&mut out, &xs) };
+        assert_eq!(&out[..4], &[1.0; 4], "exp of ±0 and subnormals must be exactly 1");
+        assert_eq!(out[8].to_bits(), 0, "exp(−1e30) must be +0");
+        assert_eq!(out[9].to_bits(), 0, "exp(−∞) must be +0");
+        assert!(out[10].is_nan() && out[11].is_nan(), "NaN must stay NaN: {out:?}");
+        assert!(exp_gap(&xs).is_ok(), "{}", exp_gap(&xs).unwrap_err());
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^31 non-positive f32 bit patterns against libm; run in release"]
+    fn simd_exp_exhaustive_nonpositive_sweep() {
+        if !simd_available() {
+            return;
+        }
+        let mut xs = vec![0.0f32; 1 << 16];
+        let mut worst = 0;
+        for hi in 0x8000u32..=0xFFFF {
+            for (lo, x) in xs.iter_mut().enumerate() {
+                *x = f32::from_bits(hi << 16 | lo as u32);
+            }
+            worst = worst.max(exp_gap(&xs).unwrap_or_else(|e| panic!("{e}")));
+        }
+        eprintln!("vector exp vs libm on x ≤ 0: worst gap {worst} ulps");
     }
 
     #[test]

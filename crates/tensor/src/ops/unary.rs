@@ -2,20 +2,46 @@
 //!
 //! The polynomial maps (`relu`, `square`, `abs`) run their forward pass
 //! through the lane-exact SIMD primitives when the SIMD backend is active —
-//! identical results, wider execution. The transcendental maps stay scalar
-//! (there is no vector `exp`/`tanh` in `std::arch`).
+//! identical results, wider execution.
+//!
+//! ELU, the GNN activation (Eq. 4), runs through one slice kernel,
+//! `elu_slice`, on both planes. Under
+//! [`Backend::Simd`](crate::backend::Backend::Simd) it uses an AVX2 `exp`
+//! (range reduction plus polynomial) instead of libm, so Simd ELU differs
+//! from Scalar ELU for `x ≤ 0` by that `exp`'s error: at most 1 ULP of
+//! `eˣ` against libm, swept over every non-positive `f32` (exact for
+//! `x > 0`; ±0, subnormals, `−∞ → −alpha` and NaN → NaN hold on both
+//! backends). The other transcendental maps (`exp`, `ln`, `tanh`,
+//! `sigmoid`, `gelu`) run libm on both backends.
 
 use crate::ops::simd;
 use crate::tensor::Tensor;
 
-/// The ELU forward map — shared by the autograd op and the inference data
-/// plane so the two planes are bit-identical by construction.
-#[inline]
-pub(crate) fn elu_scalar(x: f32, alpha: f32) -> f32 {
-    if x > 0.0 {
-        x
-    } else {
-        alpha * (x.exp() - 1.0)
+/// ELU over a slice in place — the one kernel behind both
+/// [`Tensor::elu_with_alpha`] and the inference plane's
+/// [`elu_inplace`](crate::inference::elu_inplace), so the two planes are
+/// bit-identical per backend by construction. `x` for `x > 0`, otherwise
+/// `alpha · (eˣ − 1)`; when `deriv` is given it receives the derivative
+/// from the same `eˣ` (`1`, or `alpha · eˣ`), which is what lets the
+/// autograd op skip a second `exp` in its backward.
+///
+/// `eˣ` is libm's under the Scalar backend and the vector kernel's under
+/// Simd (see the module docs for the bound between them).
+pub(crate) fn elu_slice(x: &mut [f32], alpha: f32, mut deriv: Option<&mut [f32]>) {
+    if simd::try_elu(x, alpha, deriv.as_deref_mut()) {
+        return;
+    }
+    for (i, v) in x.iter_mut().enumerate() {
+        let (y, dy) = if *v > 0.0 {
+            (*v, 1.0)
+        } else {
+            let e = v.exp();
+            (alpha * (e - 1.0), alpha * e)
+        };
+        *v = y;
+        if let Some(d) = deriv.as_deref_mut() {
+            d[i] = dy;
+        }
     }
 }
 
@@ -113,11 +139,22 @@ impl Tensor {
     }
 
     /// Exponential linear unit: `x` for `x > 0`, `alpha * (e^x - 1)` otherwise.
+    ///
+    /// A tracked op stores the derivative at forward time (from the same
+    /// `eˣ`), so its backward is one multiply per element and no `exp`.
     pub fn elu_with_alpha(&self, alpha: f32) -> Tensor {
-        unary_from_input(
-            self,
-            move |x| elu_scalar(x, alpha),
-            move |x| if x > 0.0 { 1.0 } else { alpha * x.exp() },
+        let mut data = self.to_vec();
+        if !self.is_tracked() {
+            elu_slice(&mut data, alpha, None);
+            return Tensor::from_vec(data, &self.shape());
+        }
+        let mut deriv = vec![0.0f32; data.len()];
+        elu_slice(&mut data, alpha, Some(&mut deriv));
+        Tensor::from_op(
+            data,
+            &self.shape(),
+            vec![self.clone()],
+            Box::new(move |g| vec![g.iter().zip(&deriv).map(|(gi, di)| gi * di).collect()]),
         )
     }
 
@@ -189,6 +226,96 @@ mod tests {
         let g = x.grad().unwrap();
         assert!((g[0] - (-1.0f32).exp()).abs() < 1e-6);
         assert_eq!(g[1], 1.0);
+    }
+
+    /// ELU through the autograd op: forward values and the stored
+    /// derivative (the gradient under a unit seed, `1 · d`, exact).
+    fn elu_autograd(xs: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let x = leaf(xs.to_vec());
+        let y = x.elu();
+        y.backward_with(&vec![1.0; xs.len()]);
+        (y.to_vec(), x.grad().unwrap())
+    }
+
+    /// ELU through the inference plane.
+    fn elu_infer(xs: &[f32]) -> Vec<f32> {
+        let mut v = xs.to_vec();
+        crate::inference::elu_inplace(&mut v);
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn elu_edge_cases_hold_on_both_backends_and_planes() {
+        use crate::backend::{backend, set_backend, Backend};
+        let _guard = crate::backend::test_lock();
+        let prev = backend();
+        let tiny = f32::from_bits(1);
+        let xs = [0.0, -0.0, tiny, -tiny, f32::NEG_INFINITY, f32::INFINITY, f32::NAN, 2.5, -1e-30];
+        for b in [Backend::Scalar, Backend::Simd] {
+            set_backend(b);
+            let (y, d) = elu_autograd(&xs);
+            assert_eq!(bits(&y), bits(&elu_infer(&xs)), "{b:?}: planes diverged");
+            // ±0 and negative subnormals: eˣ = 1 exactly, so ELU is +0
+            // and the derivative alpha.
+            for i in [0, 1, 3] {
+                assert_eq!(y[i].to_bits(), 0, "{b:?}: elu({:e}) = {:e}", xs[i], y[i]);
+                assert_eq!(d[i], 1.0, "{b:?}: elu'({:e})", xs[i]);
+            }
+            // positive inputs (a subnormal, +∞, a normal) pass through
+            for i in [2, 5, 7] {
+                assert_eq!(y[i].to_bits(), xs[i].to_bits(), "{b:?}: elu({:e})", xs[i]);
+                assert_eq!(d[i], 1.0, "{b:?}: elu'({:e})", xs[i]);
+            }
+            assert_eq!((y[4], d[4]), (-1.0, 0.0), "{b:?}: elu(−∞)");
+            assert!(y[6].is_nan() && d[6].is_nan(), "{b:?}: NaN must stay NaN");
+            assert_eq!((y[8], d[8]), (0.0, 1.0), "{b:?}: elu(−1e−30)");
+        }
+        set_backend(prev);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Both planes agree bitwise per backend; positive inputs pass
+        /// through exactly on both backends; on `x ≤ 0` Simd differs from
+        /// Scalar only by the vector `exp`'s ≤ 1 ULP of `eˣ` — in the
+        /// derivative `alpha · eˣ` directly, and in `alpha · (eˣ − 1)`
+        /// after one rounding of the difference (exact for `eˣ ∈ [½, 1]`,
+        /// at most one ULP of the result below that).
+        #[test]
+        fn simd_elu_tracks_scalar_elu(
+            neg in proptest::collection::vec(-120.0f32..=0.0, 37),
+            pos in proptest::collection::vec(1e-30f32..1e30, 37),
+        ) {
+            use crate::backend::{backend, set_backend, Backend};
+            let _guard = crate::backend::test_lock();
+            let prev = backend();
+            let xs: Vec<f32> = neg.iter().chain(&pos).copied().collect();
+            let mut runs = Vec::new();
+            for b in [Backend::Scalar, Backend::Simd] {
+                set_backend(b);
+                let (y, d) = elu_autograd(&xs);
+                proptest::prop_assert_eq!(bits(&y), bits(&elu_infer(&xs)));
+                runs.push((y, d));
+            }
+            set_backend(prev);
+            let ((ys, ds), (yv, dv)) = (&runs[0], &runs[1]);
+            for (i, x) in xs.iter().enumerate() {
+                if *x > 0.0 {
+                    proptest::prop_assert_eq!((yv[i], dv[i]), (*x, 1.0));
+                    continue;
+                }
+                // one ULP (the step above), measured on the scalar results
+                let ulp = |v: f32| f32::from_bits(v.abs().to_bits() + 1) - v.abs();
+                proptest::prop_assert!((dv[i] - ds[i]).abs() <= ulp(ds[i]), "elu'({x:e})");
+                let bound = ulp(ds[i]).max(ulp(ys[i]));
+                proptest::prop_assert!((yv[i] - ys[i]).abs() <= bound, "elu({x:e})");
+            }
+        }
     }
 
     #[test]

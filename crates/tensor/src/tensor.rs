@@ -17,6 +17,8 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Backward closure: given the gradient w.r.t. this tensor's output, return
 /// one gradient buffer per parent (in the same order as the recorded parents).
+/// An op may return an empty buffer for a parent that was untracked when it
+/// was built (tracking is fixed at build time); that parent receives nothing.
 pub(crate) type BackwardFn = Box<dyn Fn(&[f32]) -> Vec<Vec<f32>>>;
 
 pub(crate) struct Inner {
@@ -385,7 +387,7 @@ impl Tensor {
             };
             debug_assert_eq!(contributions.len(), parents.len());
             for (parent, contribution) in parents.iter().zip(contributions) {
-                if parent.is_tracked() {
+                if !contribution.is_empty() && parent.is_tracked() {
                     // Move the buffer: a parent's first contribution becomes
                     // its gradient storage with no copy.
                     parent.accumulate_grad_owned(contribution);
