@@ -93,11 +93,6 @@ impl TrendShiftCurve {
         post.iter().sum::<f32>() / post.len() as f32
     }
 
-    /// AUC at the final step.
-    pub fn final_auc(&self) -> f32 {
-        self.points.last().map(|p| p.auc).unwrap_or(0.0)
-    }
-
     /// Mean AUC over all steps (the Table I "Average AUC" entry).
     pub fn mean_auc(&self) -> f32 {
         if self.points.is_empty() {

@@ -158,20 +158,18 @@ fn propagate_messages(
 impl HierarchicalGnn {
     /// Creates the GNN for a KG of `depth` reasoning levels.
     ///
-    /// The per-layer BatchNorm normalizes across the graph's node rows; each
-    /// forward pass is one graph, so the layers use per-graph (instance)
-    /// statistics in eval mode too — switching to global running statistics
-    /// would change the trained function.
+    /// The per-layer BatchNorm normalizes across the graph's node rows with
+    /// per-graph (instance) statistics: each forward pass is one graph.
     pub fn new(depth: usize, embed_dim: usize, gnn_dim: usize, rng: &mut StdRng) -> Self {
-        let make_norm = || {
-            let mut n = BatchNorm1d::new(gnn_dim);
-            n.set_track_running_stats(false);
-            n
+        let input_layer = GnnLayer {
+            dense: Linear::new(embed_dim, gnn_dim, rng),
+            norm: BatchNorm1d::new(gnn_dim),
         };
-        let input_layer =
-            GnnLayer { dense: Linear::new(embed_dim, gnn_dim, rng), norm: make_norm() };
         let message_layers = (0..=depth)
-            .map(|_| GnnLayer { dense: Linear::new(gnn_dim, gnn_dim, rng), norm: make_norm() })
+            .map(|_| GnnLayer {
+                dense: Linear::new(gnn_dim, gnn_dim, rng),
+                norm: BatchNorm1d::new(gnn_dim),
+            })
             .collect();
         HierarchicalGnn { input_layer, message_layers, gnn_dim }
     }

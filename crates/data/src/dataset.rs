@@ -132,11 +132,6 @@ impl SyntheticUcfCrime {
     pub fn test_subset(&self, class: AnomalyClass) -> Vec<&Video> {
         self.test.iter().filter(|v| v.class.is_none() || v.class == Some(class)).collect()
     }
-
-    /// Flattens a video list into `(frame, is_anomalous)` pairs.
-    pub fn frames_of<'a>(videos: &[&'a Video]) -> Vec<(&'a crate::video::Frame, bool)> {
-        videos.iter().flat_map(|v| v.labelled_frames()).collect()
-    }
 }
 
 /// Samples a random frame (frame, is_anomalous) from a video set, weighting

@@ -25,11 +25,6 @@ impl ShiftScenario {
         ShiftScenario { initial: AnomalyClass::Stealing, shifted: AnomalyClass::Robbery }
     }
 
-    /// Fig. 5(A) second panel: Robbery → Stealing (weak shift, reversed).
-    pub fn weak_robbery_to_stealing() -> Self {
-        ShiftScenario { initial: AnomalyClass::Robbery, shifted: AnomalyClass::Stealing }
-    }
-
     /// Fig. 5(B): Stealing → Explosion (strong shift: disjoint concepts).
     pub fn strong_stealing_to_explosion() -> Self {
         ShiftScenario { initial: AnomalyClass::Stealing, shifted: AnomalyClass::Explosion }
@@ -124,11 +119,6 @@ impl<'d> AdaptationStream<'d> {
             rng: StdRng::seed_from_u64(seed),
             emitted: 0,
         }
-    }
-
-    /// The currently active anomaly class.
-    pub fn active_class(&self) -> AnomalyClass {
-        self.active
     }
 
     /// Number of frames emitted so far.

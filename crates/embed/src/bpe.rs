@@ -155,11 +155,6 @@ impl BpeTokenizer {
         &self.vocab
     }
 
-    /// Number of learned merges.
-    pub fn merge_count(&self) -> usize {
-        self.merges.len()
-    }
-
     /// Whether `word` encodes to exactly one (non-unk) token.
     pub fn is_single_token(&self, word: &str) -> bool {
         let ids = self.encode(word);

@@ -182,15 +182,6 @@ impl MeanShiftTracker {
         }
     }
 
-    /// Re-anchors the reference to the current window mean (used after the
-    /// system has adapted and the new distribution becomes the healthy
-    /// baseline).
-    pub fn reanchor(&mut self) {
-        if self.mode == ReferenceMode::Anchored {
-            self.anchor = Some(self.window.mean());
-        }
-    }
-
     /// `Δm = m_t − m_{t'}`.
     pub fn delta_m(&self) -> f32 {
         self.current_mean() - self.reference_mean()

@@ -6,12 +6,15 @@
 //!
 //! The paper's deployment stage (Fig. 2 C) is continuous scoring of *live*
 //! streams on an edge device; a real installation has many cameras per
-//! device. This runtime round-robins frames from many [`FrameSource`]s, forms
+//! device. Each tick this runtime takes one frame per stream — pulled
+//! round-robin from the streams' [`FrameSource`]s, or handed over by a caller
+//! that already holds them ([`MultiStreamRuntime::tick_frames`]) — forms
 //! cross-stream batches of score windows (up to
 //! [`RuntimeConfig::max_batch`]), dispatches them through the engine's
 //! batched forward — one matmul per GNN layer for the whole batch instead of
 //! one per window — and routes each score back into its stream's adaptation
-//! loop.
+//! loop. That tick body is the one serving loop: shard workers and the load
+//! harness call it directly with the frames they were given.
 //!
 //! ## Isolation model (session-local deltas)
 //!
@@ -78,13 +81,12 @@ pub mod tier;
 pub use akg_core::persist::SessionCheckpoint as StreamCheckpoint;
 pub use checkpoint::{RecoveryStats, ShardCheckpoint};
 pub use fault::{corrupt_frame, ChaosConfig, CorruptionKind, CrashStyle, FaultPlan, ScriptedFault};
-pub use load::{ArrivalPattern, IdleSource, LoadConfig, LoadGenerator, LoadedRuntime};
+pub use load::{ArrivalPattern, LoadConfig, LoadGenerator, LoadedRuntime};
 pub use shard::{
     EngineSpec, OwnedShardedRuntime, ShardSnapshot, ShardedConfig, ShardedRuntime, StreamSnapshot,
 };
 pub use slo::{
-    DegradeLevel, DegradePolicy, LatencyHistogram, LatencySummary, LoadCounters, StreamLoadStats,
-    TickDecision,
+    DegradeLevel, DegradePolicy, LatencyHistogram, LoadCounters, StreamLoadStats, TickDecision,
 };
 pub use tier::{SessionTier, TierConfig, TierCounters};
 
@@ -97,7 +99,10 @@ use serde::Serialize;
 
 /// A source of deployment frames: anything that can hand the runtime one
 /// `(frame, is_anomalous)` pair per tick. The label rides along for
-/// evaluation harnesses; the serving path itself never reads it.
+/// evaluation harnesses; the serving path drops it right after the pull.
+/// Callers that already hold their frames skip sources altogether and hand
+/// them to [`MultiStreamRuntime::tick_frames`] (their streams are registered
+/// with [`IdleSource`]).
 pub trait FrameSource {
     /// Produces the stream's next frame.
     fn next_frame(&mut self) -> (Frame, bool);
@@ -123,6 +128,19 @@ impl<F: FnMut() -> (Frame, bool)> FrameSource for FnSource<F> {
 impl FrameSource for Box<dyn FrameSource> {
     fn next_frame(&mut self) -> (Frame, bool) {
         self.as_mut().next_frame()
+    }
+}
+
+/// A [`FrameSource`] that must never be pulled: the placeholder source of a
+/// runtime that is handed every frame, through
+/// [`MultiStreamRuntime::tick_frames`] or [`ShardedRuntime::tick_planned`]
+/// (shard workers and the load harness's nodes).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdleSource;
+
+impl FrameSource for IdleSource {
+    fn next_frame(&mut self) -> (Frame, bool) {
+        unreachable!("IdleSource pulled: this runtime is handed its frames by tick_frames")
     }
 }
 
@@ -166,16 +184,21 @@ pub struct ServeCounters {
 /// (its index, stable for the runtime's lifetime).
 pub type StreamId = usize;
 
-/// Per-stream directive for one [`MultiStreamRuntime::tick_with_plan`]
-/// round — the execution mechanism under the latency-SLO load harness's
+/// Per-stream directive for one [`MultiStreamRuntime::tick_frames`] (or
+/// [`MultiStreamRuntime::tick_with_plan`]) round — the execution mechanism
+/// under the latency-SLO load harness's
 /// degrade ladder ([`load`]): a pressured tick may ingest several queued
 /// frames for a stream at once (batch-coalescing), score only the streams
 /// that actually received work, and suppress the adaptation check while
 /// keeping drift statistics live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamPlan {
-    /// Frames to pull from the stream's source and ingest into its rolling
-    /// window this tick (0 = the stream is idle this round).
+    /// Frames the stream takes this tick (0 = the stream is idle this
+    /// round): its run in [`MultiStreamRuntime::tick_frames`]'s flat list,
+    /// or pulls from its source under
+    /// [`MultiStreamRuntime::tick_with_plan`]. Each frame is validated, then
+    /// ingested into the rolling window; a frame that fails
+    /// [`Frame::validate`] is counted as rejected instead.
     pub ingest: usize,
     /// Whether to score the stream's rolling window after ingest. A stream
     /// that has never ingested a valid frame has no window yet and is
@@ -206,8 +229,6 @@ struct StreamSlot<S> {
     source: S,
     session: Session,
     adapter: ContinuousAdapter,
-    /// Frames rejected at ingest validation for this stream.
-    rejected: usize,
 }
 
 /// The multi-stream serving loop: a shared [`Engine`], one isolated
@@ -225,6 +246,9 @@ pub struct MultiStreamRuntime<S: FrameSource> {
     workspace: Workspace,
     /// Reused per-dispatch score output (cleared per batch).
     score_scratch: Vec<f32>,
+    /// Reused per-tick buffer of the frames
+    /// [`MultiStreamRuntime::tick_with_plan`] pulls (cleared per tick).
+    pulled: Vec<Frame>,
 }
 
 impl<S: FrameSource> MultiStreamRuntime<S> {
@@ -243,6 +267,7 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
             counters: ServeCounters::default(),
             workspace: Workspace::new(),
             score_scratch: Vec::new(),
+            pulled: Vec::new(),
         }
     }
 
@@ -253,7 +278,7 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     pub fn add_stream(&mut self, source: S, frame_seed: u64, adapt: AdaptConfig) -> StreamId {
         let mut session = self.engine.new_session(frame_seed);
         let adapter = ContinuousAdapter::attach(&self.engine, &mut session, adapt);
-        self.slots.push(StreamSlot { source, session, adapter, rejected: 0 });
+        self.slots.push(StreamSlot { source, session, adapter });
         self.slots.len() - 1
     }
 
@@ -299,11 +324,6 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
             token_updates: slot.adapter.token_updates(),
             workspace: slot.session.workspace_stats(),
         }
-    }
-
-    /// Frames rejected at ingest validation for one stream.
-    pub fn rejected_frames(&self, id: StreamId) -> usize {
-        self.slots[id].rejected
     }
 
     /// Captures one stream's recovery record: session state and adapter
@@ -374,10 +394,41 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     /// scheduler round where every stream follows its own [`StreamPlan`] —
     /// ingest 0..k frames, optionally score, optionally suppress the
     /// adaptation check. [`MultiStreamRuntime::tick`] is exactly this with
-    /// [`StreamPlan::default`] for every stream; the latency-SLO load
-    /// harness ([`load::LoadedRuntime`]) is the intended caller of
-    /// non-default plans, and every plan it issues is a deterministic pure
+    /// [`StreamPlan::default`] for every stream.
+    ///
+    /// Pulls `plans[i].ingest` frames from each stream's source, in stream-id
+    /// order, into a buffer the runtime reuses every tick, then serves them
+    /// through [`MultiStreamRuntime::tick_frames`]; the results are that
+    /// call's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no streams are registered or if `plans.len()` differs from
+    /// the stream count.
+    pub fn tick_with_plan(&mut self, plans: &[StreamPlan]) -> Vec<Option<f32>> {
+        let mut frames = std::mem::take(&mut self.pulled);
+        for (slot, plan) in self.slots.iter_mut().zip(plans) {
+            frames.extend((0..plan.ingest).map(|_| slot.source.next_frame().0));
+        }
+        let scores = self.tick_frames(&frames, plans);
+        frames.clear();
+        self.pulled = frames;
+        scores
+    }
+
+    /// One scheduler round over frames the caller hands in: `frames` is one
+    /// flat list in stream-id order, `plans[i].ingest` frames for stream
+    /// `i`, and `plans[i]` is that stream's directive for the round. The
+    /// streams' sources are not pulled. This is the tick body every serving
+    /// path runs: [`MultiStreamRuntime::tick_with_plan`] after its pull, each
+    /// shard worker on each tick message, and the load harness's single node
+    /// ([`load::LoadedRuntime`]), whose plans are a deterministic pure
     /// function of queue state (see [`slo::DegradePolicy`]).
+    ///
+    /// Each frame is validated, then ingested; a frame that fails
+    /// [`Frame::validate`] is counted in [`ServeCounters::rejected`] and
+    /// never embedded, so the stream is served as if its plan had ingested
+    /// one frame fewer.
     ///
     /// Returns per-stream scores indexed by [`StreamId`]; `None` marks a
     /// stream whose plan did not score this round — or one that has never
@@ -385,11 +436,17 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     ///
     /// # Panics
     ///
-    /// Panics if no streams are registered or if `plans.len()` differs from
-    /// the stream count.
-    pub fn tick_with_plan(&mut self, plans: &[StreamPlan]) -> Vec<Option<f32>> {
+    /// Panics if no streams are registered, if `plans.len()` differs from
+    /// the stream count, or if `frames.len()` differs from the plans' total
+    /// `ingest`.
+    pub fn tick_frames(&mut self, frames: &[Frame], plans: &[StreamPlan]) -> Vec<Option<f32>> {
         assert!(!self.slots.is_empty(), "tick: no streams registered");
-        assert_eq!(plans.len(), self.slots.len(), "tick_with_plan: one plan per stream");
+        assert_eq!(plans.len(), self.slots.len(), "tick: one plan per stream");
+        assert_eq!(
+            frames.len(),
+            plans.iter().map(|plan| plan.ingest).sum::<usize>(),
+            "tick: the frames do not match the plans' ingest counts"
+        );
         let n = self.slots.len();
         let window_len = self.engine.model.config().window;
         // Phase 1 — ingest: `plan.ingest` frames per stream, embedded
@@ -399,20 +456,19 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
         // gone and the tick's footprint is fixed.
         let mut ingested = 0usize;
         let mut rejected = 0usize;
+        let mut frames = frames.iter();
         for (slot, plan) in self.slots.iter_mut().zip(plans) {
-            for _ in 0..plan.ingest {
-                let (frame, _label) = slot.source.next_frame();
+            for frame in frames.by_ref().take(plan.ingest) {
                 // Ingest admission: a frame with a NaN/inf/out-of-range
                 // weight is rejected and *counted* — never embedded, so it
-                // cannot poison the session's adapted table. Rejection is a
-                // pure function of the frame, so single-node and sharded
+                // cannot poison the session's adapted table. Every serving
+                // loop runs this one check, so single-node and sharded
                 // serving reject identically.
                 if frame.validate().is_err() {
-                    slot.rejected += 1;
                     rejected += 1;
                     continue;
                 }
-                slot.adapter.ingest_frame(&self.engine, &mut slot.session, &frame);
+                slot.adapter.ingest_frame(&self.engine, &mut slot.session, frame);
                 ingested += 1;
             }
         }

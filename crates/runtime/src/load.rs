@@ -1,6 +1,6 @@
 //! The latency-SLO load harness: a deterministic seeded arrival generator
 //! (Poisson, bursty on/off, adversarial ramp) driving the serving runtimes
-//! with timestamped frames through a bounded-ingest backpressure layer that
+//! with tick-stamped frames through a bounded-ingest backpressure layer that
 //! applies the [`slo`](crate::slo) degrade ladder.
 //!
 //! ## Determinism is the design
@@ -18,16 +18,18 @@
 //!   [`DegradePolicy::serve_quota`]. No wall clock, no RNG, no thread
 //!   timing touches any of it.
 //!
-//! The wall clock appears in exactly one place: the *reporting-only*
-//! nanosecond latency histogram. The deterministic twin — queueing delay in
-//! ticks — is what tests assert on.
+//! Latency is measured in ticks only: the queueing-delay histogram
+//! ([`LoadedRuntime::wait_ticks`]) is deterministic, and tests assert on it.
 //!
 //! ## Loaded shard equivalence
 //!
 //! [`LoadedRuntime`] holds the whole decision loop on the front-end and
-//! ships workers nothing but `(frames, `[`StreamPlan`]`)` batches, so the
-//! PR 6 shard-equivalence contract extends to loaded serving structurally:
-//! a sharded node executes the *same* plans the single node would, and
+//! hands its node nothing but one flat frame list and the [`StreamPlan`]s —
+//! [`MultiStreamRuntime::tick_frames`] on a single node,
+//! [`ShardedRuntime::tick_planned`] on a sharded one, both with the same
+//! arguments — so the shard-equivalence contract extends to loaded serving
+//! structurally: a sharded node executes the *same* plans the single node
+//! would, and
 //! `tests/soak.rs` + `tests/proptest_load.rs` assert bit-identical scores,
 //! shed/degrade decision logs, per-stream accounting, and wait-tick
 //! histograms across shard counts, under both backends.
@@ -38,13 +40,12 @@ use crate::shard::{EngineSpec, ShardedConfig, ShardedRuntime, StreamSnapshot};
 use crate::slo::{
     DegradeLevel, DegradePolicy, LatencyHistogram, LoadCounters, StreamLoadStats, TickDecision,
 };
-use crate::{FrameSource, MultiStreamRuntime, RuntimeConfig, ServeCounters, StreamId, StreamPlan};
+use crate::{
+    FrameSource, IdleSource, MultiStreamRuntime, RuntimeConfig, ServeCounters, StreamId, StreamPlan,
+};
 use akg_core::adapt::AdaptConfig;
 use akg_data::Frame;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
-use std::time::Instant;
 
 /// splitmix64's output mixer: the standard finalizer with full avalanche,
 /// used here in counter mode (hash of a value, not an advancing state) so
@@ -202,56 +203,25 @@ impl Default for LoadConfig {
     }
 }
 
-/// A [`FrameSource`] that must never be pulled: the sharded node under a
-/// [`LoadedRuntime`] receives every frame via
-/// [`ShardedRuntime::tick_planned`], so its per-stream sources are inert
-/// placeholders.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdleSource;
-
-impl FrameSource for IdleSource {
-    fn next_frame(&mut self) -> (Frame, bool) {
-        unreachable!("IdleSource pulled: loaded serving ships frames via tick_planned")
-    }
-}
-
-/// The shared handle behind one stream's [`QueueFeed`] (mirrors the shard
-/// worker's tick feed, front-end side).
-type FeedHandle = Rc<RefCell<VecDeque<(Frame, bool)>>>;
-
-/// The single-node counterpart of the shard worker's tick feed: the loaded
-/// front-end deposits exactly `plan.ingest` frames before each
-/// [`MultiStreamRuntime::tick_with_plan`], so the pop never underflows.
-struct QueueFeed(FeedHandle);
-
-impl FrameSource for QueueFeed {
-    fn next_frame(&mut self) -> (Frame, bool) {
-        self.0.borrow_mut().pop_front().expect("QueueFeed: no frame deposited for this tick")
-    }
-}
-
 /// A frame waiting in a bounded ingest queue, stamped with its arrival
-/// coordinates: the tick (deterministic latency unit) and the wall-clock
-/// instant (reporting-only nanosecond latency).
+/// tick (the deterministic latency unit).
 struct TimedFrame {
     frame: Frame,
-    label: bool,
     arrived_tick: u64,
-    arrived_at: Instant,
 }
 
 /// The execution node under the load harness: the same decision loop
 /// drives either shape, which is what makes loaded shard equivalence
 /// structural rather than coincidental.
 enum Node {
-    Single { rt: Box<MultiStreamRuntime<QueueFeed>>, feeds: Vec<FeedHandle> },
+    Single(Box<MultiStreamRuntime<IdleSource>>),
     Sharded(Box<ShardedRuntime<IdleSource>>),
 }
 
 /// The loaded serving harness: seeded arrivals → bounded per-stream ingest
 /// queues → deterministic degrade ladder → planned execution on a single
 /// or sharded node, with exact accounting ([`LoadCounters::balanced`]) and
-/// allocation-free per-frame latency capture. See the module docs.
+/// per-frame queueing delay in ticks. See the module docs.
 pub struct LoadedRuntime<S: FrameSource> {
     sources: Vec<S>,
     priorities: Vec<u8>,
@@ -264,11 +234,10 @@ pub struct LoadedRuntime<S: FrameSource> {
     per_stream: Vec<StreamLoadStats>,
     decisions: Vec<TickDecision>,
     wait_ticks: LatencyHistogram,
-    latency_nanos: LatencyHistogram,
     /// Reused per-tick plan buffer (no per-tick allocation once sized).
     plans: Vec<StreamPlan>,
-    /// Reused per-tick drained-frame stamps, recorded after execution.
-    served_meta: Vec<(u64, Instant)>,
+    /// Reused per-tick buffer of the drained frames, in stream-id order.
+    frames: Vec<Frame>,
     /// Deterministic fault plan. Frame corruptions fire here at the ingest
     /// boundary (identically for both node shapes); worker crashes and
     /// stalls fire inside the sharded node, which recovers through them —
@@ -298,7 +267,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
     pub fn new_with_faults(spec: EngineSpec, cfg: LoadConfig, faults: FaultPlan) -> Self {
         cfg.policy.validate();
         let rt = MultiStreamRuntime::new(spec.build(), RuntimeConfig { max_batch: cfg.max_batch });
-        Self::with_node(Node::Single { rt: Box::new(rt), feeds: Vec::new() }, cfg, faults)
+        Self::with_node(Node::Single(Box::new(rt)), cfg, faults)
     }
 
     /// A loaded harness over a [`ShardedRuntime`] with `shards` workers.
@@ -348,18 +317,17 @@ impl<S: FrameSource> LoadedRuntime<S> {
             per_stream: Vec::new(),
             decisions: Vec::new(),
             wait_ticks: LatencyHistogram::new(),
-            latency_nanos: LatencyHistogram::new(),
             plans: Vec::new(),
-            served_meta: Vec::new(),
+            frames: Vec::new(),
             faults,
         }
     }
 
     /// Registers a stream with its shed priority (**higher = more
     /// important**; the shed rung drops from the lowest priority class
-    /// first). The source stays on the front-end; the execution node gets a
-    /// queue-fed twin seeded exactly as [`MultiStreamRuntime::add_stream`]
-    /// would. Returns the stream's id.
+    /// first). The source stays on the front-end; the execution node
+    /// registers the stream with an [`IdleSource`], seeded exactly as
+    /// [`MultiStreamRuntime::add_stream`] would. Returns the stream's id.
     pub fn add_stream(
         &mut self,
         source: S,
@@ -368,15 +336,9 @@ impl<S: FrameSource> LoadedRuntime<S> {
         priority: u8,
     ) -> StreamId {
         match &mut self.node {
-            Node::Single { rt, feeds } => {
-                let feed: FeedHandle = Rc::new(RefCell::new(VecDeque::new()));
-                feeds.push(Rc::clone(&feed));
-                rt.add_stream(QueueFeed(feed), frame_seed, adapt);
-            }
-            Node::Sharded(rt) => {
-                rt.add_stream(IdleSource, frame_seed, adapt);
-            }
-        }
+            Node::Single(rt) => rt.add_stream(IdleSource, frame_seed, adapt),
+            Node::Sharded(rt) => rt.add_stream(IdleSource, frame_seed, adapt),
+        };
         self.sources.push(source);
         self.priorities.push(priority);
         self.queues.push(VecDeque::new());
@@ -418,12 +380,6 @@ impl<S: FrameSource> LoadedRuntime<S> {
         &self.wait_ticks
     }
 
-    /// Arrival-to-served latency histogram in **nanoseconds** (wall-clock;
-    /// reporting only — never asserted deterministic).
-    pub fn latency_nanos(&self) -> &LatencyHistogram {
-        &self.latency_nanos
-    }
-
     /// A stream's current ingest-queue depth.
     pub fn queue_depth(&self, id: StreamId) -> usize {
         self.queues[id].len()
@@ -432,7 +388,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
     /// The execution node's throughput counters.
     pub fn serve_counters(&self) -> ServeCounters {
         match &self.node {
-            Node::Single { rt, .. } => rt.counters(),
+            Node::Single(rt) => rt.counters(),
             Node::Sharded(rt) => rt.counters(),
         }
     }
@@ -441,7 +397,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
     /// which has no workers to lose).
     pub fn recovery_stats(&self) -> RecoveryStats {
         match &self.node {
-            Node::Single { .. } => RecoveryStats::default(),
+            Node::Single(_) => RecoveryStats::default(),
             Node::Sharded(rt) => rt.recovery_stats(),
         }
     }
@@ -451,7 +407,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
     /// size without re-capturing state.
     pub fn latest_checkpoints(&self) -> Vec<Option<&ShardCheckpoint>> {
         match &self.node {
-            Node::Single { .. } => Vec::new(),
+            Node::Single(_) => Vec::new(),
             Node::Sharded(rt) => rt.latest_checkpoints(),
         }
     }
@@ -461,9 +417,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
     /// them directly.
     pub fn stream_snapshots(&mut self) -> Vec<StreamSnapshot> {
         match &mut self.node {
-            Node::Single { rt, .. } => {
-                (0..rt.stream_count()).map(|id| rt.stream_snapshot(id)).collect()
-            }
+            Node::Single(rt) => (0..rt.stream_count()).map(|id| rt.stream_snapshot(id)).collect(),
             Node::Sharded(rt) => rt.stream_snapshots(),
         }
     }
@@ -480,10 +434,11 @@ impl<S: FrameSource> LoadedRuntime<S> {
     ///    oldest frames down to `shed_keep`, class by class, until the
     ///    deepest queue is below `shed_depth`;
     /// 4. **plan & execute** — each stream drains up to the rung's quota
-    ///    (oldest first) into a [`StreamPlan`]; the node executes all plans
-    ///    in one planned tick;
-    /// 5. **account** — latencies recorded for every drained frame, the
-    ///    decision logged, and [`LoadCounters::balanced`] holds.
+    ///    (oldest first) into a [`StreamPlan`], recording each drained
+    ///    frame's wait in ticks; the node executes all plans in one planned
+    ///    tick;
+    /// 5. **account** — the decision logged, and
+    ///    [`LoadCounters::balanced`] holds.
     ///
     /// Returns per-stream scores (`None` = the stream had no frame served
     /// this tick).
@@ -504,7 +459,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
         for (id, source) in self.sources.iter_mut().enumerate() {
             let k = self.generator.arrivals(now, id as u64);
             for j in 0..k {
-                let (mut frame, label) = source.next_frame();
+                let (mut frame, _label) = source.next_frame();
                 self.counters.offered += 1;
                 self.per_stream[id].offered += 1;
                 if j == 0 {
@@ -519,12 +474,7 @@ impl<S: FrameSource> LoadedRuntime<S> {
                     self.counters.overflow_dropped += 1;
                     self.per_stream[id].overflow_dropped += 1;
                 } else {
-                    self.queues[id].push_back(TimedFrame {
-                        frame,
-                        label,
-                        arrived_tick: now,
-                        arrived_at: Instant::now(),
-                    });
+                    self.queues[id].push_back(TimedFrame { frame, arrived_tick: now });
                 }
             }
         }
@@ -568,18 +518,14 @@ impl<S: FrameSource> LoadedRuntime<S> {
         let quota = self.policy.serve_quota(level);
         let adapt = level == DegradeLevel::Normal;
         self.plans.clear();
-        self.served_meta.clear();
+        self.frames.clear();
         let mut served_this_tick = 0u32;
         let mut coalesced_this_tick = 0u32;
-        let mut sharded_frames: Vec<Vec<(Frame, bool)>> = match &self.node {
-            Node::Single { .. } => Vec::new(),
-            Node::Sharded(_) => vec![Vec::new(); n],
-        };
         for id in 0..n {
             let take = self.queues[id].len().min(quota);
             for j in 0..take {
                 let timed = self.queues[id].pop_front().expect("planned drain underflow");
-                self.served_meta.push((timed.arrived_tick, timed.arrived_at));
+                self.wait_ticks.record(now - timed.arrived_tick);
                 if j + 1 == take {
                     served_this_tick += 1;
                     if adapt {
@@ -594,27 +540,17 @@ impl<S: FrameSource> LoadedRuntime<S> {
                     self.counters.coalesced += 1;
                     self.per_stream[id].coalesced += 1;
                 }
-                match &mut self.node {
-                    Node::Single { feeds, .. } => {
-                        feeds[id].borrow_mut().push_back((timed.frame, timed.label));
-                    }
-                    Node::Sharded(_) => sharded_frames[id].push((timed.frame, timed.label)),
-                }
+                self.frames.push(timed.frame);
             }
             self.plans.push(StreamPlan { ingest: take, score: take > 0, adapt: adapt && take > 0 });
         }
         let scores = match &mut self.node {
-            Node::Single { rt, .. } => rt.tick_with_plan(&self.plans),
-            Node::Sharded(rt) => rt.tick_planned(sharded_frames, &self.plans),
+            Node::Single(rt) => rt.tick_frames(&self.frames, &self.plans),
+            Node::Sharded(rt) => rt.tick_planned(&self.frames, &self.plans),
         };
 
-        // Phase 5 — account: latencies (service included), decision log,
-        // point-in-time queue level. The balance identity holds here and
-        // after every future tick.
-        for &(arrived_tick, arrived_at) in &self.served_meta {
-            self.wait_ticks.record(now - arrived_tick);
-            self.latency_nanos.record(arrived_at.elapsed().as_nanos() as u64);
-        }
+        // Phase 5 — account: decision log, point-in-time queue level. The
+        // balance identity holds here and after every future tick.
         self.counters.queued = self.queues.iter().map(|q| q.len()).sum();
         self.counters.ticks += 1;
         self.decisions.push(TickDecision {

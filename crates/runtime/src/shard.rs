@@ -8,23 +8,27 @@
 //!             ┌────────────── ShardedRuntime (caller thread) ──────────────┐
 //!             │  sources (FrameSource per stream)       counters, drain    │
 //!             └──┬─────────────────┬─────────────────────▲────────▲────────┘
-//!    tick frames │                 │                     │ scores │
+//!  frames, plans │                 │                     │ scores │
 //!     (bounded   ▼                 ▼                     │ (bounded SPSC
 //!      SPSC)  ┌──────┐          ┌──────┐                 │  per shard)
 //!             │shard0│          │shard1│  … one OS thread per shard,
-//!             │worker│          │worker│    each owning: its own Engine
-//!             └──────┘          └──────┘    replica, its streams' Sessions
-//!                                           + adapters, one Workspace
+//!             │worker│          │worker│    each a MultiStreamRuntime
+//!             └──────┘          └──────┘    calling tick_frames: its own
+//!                                           Engine replica, its streams'
+//!                                           Sessions + adapters, one Workspace
 //! ```
 //!
-//! The front-end owns every [`FrameSource`] and pulls one frame per stream
-//! per tick; frames cross to the owning shard over a bounded SPSC queue (one
-//! message per shard per tick, so queue traffic is O(shards), not
-//! O(frames)); each worker runs the tick exactly as the single-threaded
-//! [`MultiStreamRuntime`] would over its subset of streams — a shard *is* a
-//! `MultiStreamRuntime` fed by a queue — and sends the scores back over its
-//! result queue, where the drain path reassembles the per-stream score
-//! vector and aggregates [`ServeCounters`].
+//! The front-end owns every [`FrameSource`], pulls one frame per stream per
+//! tick (or is handed the tick's frames by [`ShardedRuntime::tick_planned`])
+//! and splits the flat list by shard; each shard's frames and plans cross to
+//! it over a bounded SPSC queue (one message per shard per tick, so queue
+//! traffic is O(shards), not O(frames)). The front-end does not validate
+//! frames. Each worker passes its message straight to
+//! [`MultiStreamRuntime::tick_frames`] over its subset of streams — a shard
+//! *is* a `MultiStreamRuntime`, running the same tick body, validation
+//! included — and sends the scores back over its result queue, where the
+//! drain path reassembles the per-stream score vector and aggregates
+//! [`ServeCounters`].
 //!
 //! ## Why each worker builds its own engine
 //!
@@ -103,16 +107,17 @@
 use crate::checkpoint::{RecoveryStats, ShardCheckpoint};
 use crate::fault::{corrupt_frame, CrashStyle, FaultPlan};
 use crate::spsc;
-use crate::{FrameSource, MultiStreamRuntime, RuntimeConfig, ServeCounters, StreamId, StreamPlan};
+use crate::{
+    FrameSource, IdleSource, MultiStreamRuntime, RuntimeConfig, ServeCounters, StreamId, StreamPlan,
+};
 use akg_core::adapt::AdaptConfig;
 use akg_core::engine::Engine;
 use akg_core::pipeline::SystemConfig;
 use akg_data::Frame;
 use akg_kg::AnomalyClass;
 use akg_tensor::WorkspaceStats;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Hard cap on consecutive respawn attempts for one recovery — a backstop
@@ -200,17 +205,9 @@ enum ToShard {
         frame_seed: u64,
         adapt: AdaptConfig,
     },
-    /// One tick's frames and per-stream plans, in local registration order:
-    /// `frames` is the concatenation, stream by stream, of exactly
-    /// `plans[local].ingest` frames each. A default plan for every stream
-    /// (one frame in, score, adapt) is the classic unloaded tick; the
-    /// loaded front-end ships non-default plans. The `bool` is the frame
-    /// label riding along (never read by serving, preserved for API
-    /// fidelity with [`FrameSource`]).
-    Tick {
-        frames: Vec<(Frame, bool)>,
-        plans: Vec<StreamPlan>,
-    },
+    /// One tick's inputs, shared with the supervisor's replay buffer so
+    /// shipping a tick copies no frame.
+    Tick(Arc<TickRecord>),
     /// Overwrite the state of every stream of a freshly respawned worker
     /// from a checkpoint (sent after the streams are re-registered and
     /// before any `Tick`; the replayed ticks follow).
@@ -254,29 +251,19 @@ pub struct StreamSnapshot {
     pub workspace: WorkspaceStats,
 }
 
-/// The shared handle behind one stream's [`TickFeed`]: the worker deposits
-/// the tick's frame, the feed pops it from inside the inner runtime.
-type FeedQueue = Rc<RefCell<VecDeque<(Frame, bool)>>>;
-
-/// A per-tick frame feed: the worker-side [`FrameSource`] backed by the
-/// frames the front-end shipped over the queue. `tick` deposits exactly one
-/// frame per stream before invoking the inner runtime, so the pop never
-/// underflows.
-struct TickFeed(FeedQueue);
-
-impl FrameSource for TickFeed {
-    fn next_frame(&mut self) -> (Frame, bool) {
-        self.0.borrow_mut().pop_front().expect("TickFeed: no frame deposited for this tick")
-    }
-}
-
 /// One tick's inputs for one shard, retained by the supervisor until a
 /// checkpoint covering it arrives — the recovery replay unit.
 struct TickRecord {
     /// 1-based per-shard tick sequence number (equals the worker's own tick
     /// counter, since every shard sees every round).
     seq: usize,
-    frames: Vec<(Frame, bool)>,
+    /// The concatenation, stream by stream in local registration order, of
+    /// exactly `plans[local].ingest` frames each — the shape
+    /// [`MultiStreamRuntime::tick_frames`] takes.
+    frames: Vec<Frame>,
+    /// Per-stream plans. A default plan for every stream (one frame in,
+    /// score, adapt) is the classic unloaded tick; the loaded front-end
+    /// ships non-default plans.
     plans: Vec<StreamPlan>,
 }
 
@@ -296,7 +283,7 @@ struct ShardHandle {
     checkpoint: Option<ShardCheckpoint>,
     /// Tick inputs sent since the newest checkpoint (plus any in flight) —
     /// what recovery replays. Pruned whenever a checkpoint lands.
-    replay: VecDeque<TickRecord>,
+    replay: VecDeque<Arc<TickRecord>>,
     /// Replies regenerated during recovery that the caller has not drained
     /// yet; `drain_tick` consumes these before touching the queue.
     pending: VecDeque<FromShard>,
@@ -366,9 +353,6 @@ pub struct ShardedRuntime<S: FrameSource> {
     /// The deterministic fault plan (empty in production).
     faults: FaultPlan,
     recovery: RecoveryStats,
-    /// Frames rejected at the ingest boundary, per stream (front-end side;
-    /// invalid frames never cross to a worker).
-    rejected: Vec<usize>,
 }
 
 /// A sharded runtime over owned dataset-backed streams — the common
@@ -471,7 +455,6 @@ impl<S: FrameSource> ShardedRuntime<S> {
             inner_threads: inner,
             faults,
             recovery: RecoveryStats::default(),
-            rejected: Vec::new(),
         }
     }
 
@@ -496,7 +479,6 @@ impl<S: FrameSource> ShardedRuntime<S> {
         let local = self.shards[shard].locals.len();
         self.sources.push(source);
         self.assignment.push((shard, local));
-        self.rejected.push(0);
         self.shards[shard].locals.push(id);
         self.shards[shard].stream_meta.push((frame_seed, adapt));
         let sent = self.shards[shard]
@@ -535,7 +517,8 @@ impl<S: FrameSource> ShardedRuntime<S> {
     }
 
     /// Aggregate throughput counters across all shards: `frames`,
-    /// `dispatches`, `token_updates` and `node_replacements` are summed,
+    /// `dispatches`, `token_updates`, `node_replacements` and `rejected`
+    /// (frames the workers' tick bodies failed validation on) are summed,
     /// `max_batch_seen` is the max, and `ticks` counts full cross-shard
     /// scheduler rounds. Note `dispatches` depends on the shard layout
     /// (each shard chunks its own streams by `max_batch`), so it is *not*
@@ -550,8 +533,6 @@ impl<S: FrameSource> ShardedRuntime<S> {
             agg.node_replacements += shard.counters.node_replacements;
             agg.rejected += shard.counters.rejected;
         }
-        // Front-end rejections (invalid frames never shipped to a worker).
-        agg.rejected += self.rejected.iter().sum::<usize>();
         agg
     }
 
@@ -561,15 +542,6 @@ impl<S: FrameSource> ShardedRuntime<S> {
     /// fault plan.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
-    }
-
-    /// Frames rejected at the ingest boundary for one stream (malformed
-    /// concepts, non-finite or out-of-range weights — see
-    /// [`akg_data::Frame::validate`]). Rejected frames are counted, never
-    /// silently dropped: the exact-accounting identity in the load harness
-    /// includes this term.
-    pub fn rejected_frames(&self, id: StreamId) -> usize {
-        self.rejected[id]
     }
 
     /// The newest checkpoint per shard (`None` until a shard's
@@ -622,10 +594,10 @@ impl<S: FrameSource> ShardedRuntime<S> {
     }
 
     /// One planned scheduler round driven by an external ingest layer (the
-    /// latency-SLO load harness, [`crate::load::LoadedRuntime`]):
-    /// `frames[stream]` carries the frames the harness admitted for that
-    /// stream this tick — exactly `plans[stream].ingest` of them — and
-    /// `plans[stream]` its degrade directives. The runtime's own
+    /// latency-SLO load harness, [`crate::load::LoadedRuntime`]): `frames`
+    /// is one flat list in stream-id order, `plans[id].ingest` frames for
+    /// stream `id` — the shape [`MultiStreamRuntime::tick_frames`] takes —
+    /// and `plans[id]` is that stream's degrade directive. The runtime's own
     /// [`FrameSource`]s are **not** pulled. Returns per-stream scores
     /// indexed by [`StreamId`] (`None` = not scored this round).
     ///
@@ -636,71 +608,62 @@ impl<S: FrameSource> ShardedRuntime<S> {
     ///
     /// # Panics
     ///
-    /// Panics if no streams are registered, or if `frames`/`plans` lengths
-    /// disagree with the stream count or with each plan's `ingest`.
-    pub fn tick_planned(
-        &mut self,
-        mut frames: Vec<Vec<(Frame, bool)>>,
-        plans: &[StreamPlan],
-    ) -> Vec<Option<f32>> {
-        let n = self.assignment.len();
-        assert!(n > 0, "tick: no streams registered");
-        assert_eq!(plans.len(), n, "tick_planned: one plan per stream");
-        assert_eq!(frames.len(), n, "tick_planned: one frame batch per stream");
-        let mut per_shard_frames: Vec<Vec<(Frame, bool)>> =
-            self.shards.iter().map(|_| Vec::new()).collect();
-        let mut per_shard_plans: Vec<Vec<StreamPlan>> =
-            self.shards.iter().map(|shard| Vec::with_capacity(shard.locals.len())).collect();
-        // Iterate streams in id order; within a shard this is exactly the
-        // local registration order the worker's slots use.
-        for (id, batch) in frames.iter_mut().enumerate() {
-            assert_eq!(
-                batch.len(),
-                plans[id].ingest,
-                "tick_planned: stream {id} frames do not match its plan"
-            );
-            let shard = self.assignment[id].0;
-            per_shard_frames[shard].append(batch);
-            per_shard_plans[shard].push(plans[id]);
-        }
-        for (idx, (frames, plans)) in per_shard_frames.into_iter().zip(per_shard_plans).enumerate()
-        {
-            self.send_tick(idx, frames, plans);
-        }
-        self.in_flight += 1;
+    /// Panics if no streams are registered, if `plans.len()` differs from
+    /// the stream count, or if `frames.len()` differs from the plans' total
+    /// `ingest`.
+    pub fn tick_planned(&mut self, frames: &[Frame], plans: &[StreamPlan]) -> Vec<Option<f32>> {
+        self.ship(frames.to_vec(), plans);
         self.drain_tick()
     }
 
-    /// Pulls one frame per stream, validates it at the ingest boundary
-    /// (applying any planned corruption first), and ships each shard its
-    /// tick message. Valid frames get the default plan (one frame in,
-    /// score, adapt); a rejected frame is counted, never shipped, and its
-    /// stream is planned `ingest: 0` — the worker still scores the existing
-    /// window and runs adaptation bookkeeping, exactly as the single-node
+    /// Pulls one frame per stream, applies any planned corruption, and
+    /// ships the round with the default plan (one frame in, score, adapt)
+    /// for every stream. The front-end does not validate: a corrupted frame
+    /// is rejected and counted by its worker's tick body, which then serves
+    /// the stream as a plan with `ingest: 0` — scoring the existing window
+    /// and running the adaptation bookkeeping — exactly as the single-node
     /// runtime treats a rejected frame.
     fn push_tick(&mut self) {
-        assert!(!self.sources.is_empty(), "tick: no streams registered");
         // 0-based index of the tick being pushed (drained + in flight).
         let tick_coord = (self.ticks + self.in_flight) as u64;
-        let mut per_shard_frames: Vec<Vec<(Frame, bool)>> =
+        let frames: Vec<Frame> = self
+            .sources
+            .iter_mut()
+            .enumerate()
+            .map(|(id, source)| {
+                let (mut frame, _label) = source.next_frame();
+                if let Some(kind) = self.faults.corruption(tick_coord, id as u64) {
+                    corrupt_frame(&mut frame, kind);
+                }
+                frame
+            })
+            .collect();
+        self.ship(frames, &vec![StreamPlan::default(); self.sources.len()]);
+    }
+
+    /// Splits one round's flat frame list (stream-id order,
+    /// `plans[id].ingest` frames per stream) into one message per shard and
+    /// ships them.
+    fn ship(&mut self, frames: Vec<Frame>, plans: &[StreamPlan]) {
+        let n = self.assignment.len();
+        assert!(n > 0, "tick: no streams registered");
+        assert_eq!(plans.len(), n, "tick: one plan per stream");
+        assert_eq!(
+            frames.len(),
+            plans.iter().map(|plan| plan.ingest).sum::<usize>(),
+            "tick: the frames do not match the plans' ingest counts"
+        );
+        let mut per_shard_frames: Vec<Vec<Frame>> =
             self.shards.iter().map(|shard| Vec::with_capacity(shard.locals.len())).collect();
         let mut per_shard_plans: Vec<Vec<StreamPlan>> =
             self.shards.iter().map(|shard| Vec::with_capacity(shard.locals.len())).collect();
         // Iterate streams in id order; within a shard this is exactly the
         // local registration order the worker's slots use.
-        for (id, source) in self.sources.iter_mut().enumerate() {
-            let (mut frame, label) = source.next_frame();
-            if let Some(kind) = self.faults.corruption(tick_coord, id as u64) {
-                corrupt_frame(&mut frame, kind);
-            }
+        let mut frames = frames.into_iter();
+        for (id, plan) in plans.iter().enumerate() {
             let shard = self.assignment[id].0;
-            if frame.validate().is_ok() {
-                per_shard_frames[shard].push((frame, label));
-                per_shard_plans[shard].push(StreamPlan::default());
-            } else {
-                self.rejected[id] += 1;
-                per_shard_plans[shard].push(StreamPlan { ingest: 0, score: true, adapt: true });
-            }
+            per_shard_frames[shard].extend(frames.by_ref().take(plan.ingest));
+            per_shard_plans[shard].push(*plan);
         }
         for (idx, (frames, plans)) in per_shard_frames.into_iter().zip(per_shard_plans).enumerate()
         {
@@ -712,13 +675,13 @@ impl<S: FrameSource> ShardedRuntime<S> {
     /// Records one shard's tick inputs in its replay buffer, then ships
     /// them; a send that fails (worker died) triggers recovery, which
     /// replays the buffer — including the record just pushed.
-    fn send_tick(&mut self, idx: usize, frames: Vec<(Frame, bool)>, plans: Vec<StreamPlan>) {
+    fn send_tick(&mut self, idx: usize, frames: Vec<Frame>, plans: Vec<StreamPlan>) {
         let delivered = {
             let shard = &mut self.shards[idx];
             shard.sent += 1;
-            shard.replay.push_back(TickRecord { seq: shard.sent, frames, plans });
-            let rec = shard.replay.back().expect("record just pushed");
-            let msg = ToShard::Tick { frames: rec.frames.clone(), plans: rec.plans.clone() };
+            let rec = Arc::new(TickRecord { seq: shard.sent, frames, plans });
+            shard.replay.push_back(Arc::clone(&rec));
+            let msg = ToShard::Tick(rec);
             shard.commands.as_ref().expect("command sender live until drop").send(msg).is_ok()
         };
         if !delivered {
@@ -858,8 +821,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
                 }
             }
             replayed_frames += rec.frames.len();
-            let msg = ToShard::Tick { frames: rec.frames.clone(), plans: rec.plans.clone() };
-            if tx.send(msg).is_err() {
+            if tx.send(ToShard::Tick(Arc::clone(rec))).is_err() {
                 return None;
             }
             outstanding += 1;
@@ -995,10 +957,11 @@ fn spawn_shard_worker(
 
 /// The worker body: builds this shard's engine replica (under the inner
 /// thread cap), then serves its streams through a private
-/// [`MultiStreamRuntime`] fed by the command queue until the front-end
-/// disconnects. Injected faults fire *before* a tick is processed, so a
-/// killed worker loses that tick and everything queued behind it — all of
-/// which the supervisor's replay buffer still holds.
+/// [`MultiStreamRuntime`], handing each tick message's frames to
+/// [`MultiStreamRuntime::tick_frames`], until the front-end disconnects.
+/// Injected faults fire *before* a tick is processed, so a killed worker
+/// loses that tick and everything queued behind it — all of which the
+/// supervisor's replay buffer still holds.
 fn shard_worker(
     setup: WorkerSetup,
     commands: spsc::Receiver<ToShard>,
@@ -1008,18 +971,15 @@ fn shard_worker(
     // build-time matmuls obey the shards × threads rule.
     akg_tensor::par::set_thread_cap(setup.inner_threads);
     let engine = setup.spec.build();
-    let mut rt: MultiStreamRuntime<TickFeed> =
+    let mut rt: MultiStreamRuntime<IdleSource> =
         MultiStreamRuntime::new(engine, RuntimeConfig { max_batch: setup.max_batch });
-    let mut feeds: Vec<FeedQueue> = Vec::new();
     // Worker-local 1-based tick counter; survives recovery because Restore
     // rewinds it to the checkpoint tick and replay re-advances it.
     let mut tick_no = 0usize;
     while let Ok(msg) = commands.recv() {
         match msg {
             ToShard::AddStream { frame_seed, adapt } => {
-                let feed = Rc::new(RefCell::new(VecDeque::new()));
-                feeds.push(Rc::clone(&feed));
-                rt.add_stream(TickFeed(feed), frame_seed, adapt);
+                rt.add_stream(IdleSource, frame_seed, adapt);
             }
             ToShard::Restore(cp) => {
                 assert_eq!(
@@ -1034,7 +994,7 @@ fn shard_worker(
                 rt.restore_counters(cp.counters);
                 tick_no = cp.tick;
             }
-            ToShard::Tick { frames, plans } => {
+            ToShard::Tick(rec) => {
                 tick_no += 1;
                 match setup.faults.worker_crash(setup.shard_idx, tick_no, setup.generation) {
                     Some(CrashStyle::Exit) => return,
@@ -1050,21 +1010,12 @@ fn shard_worker(
                     // backpressure and no output bit changes.
                     std::thread::sleep(std::time::Duration::from_millis(millis));
                 }
-                assert_eq!(plans.len(), feeds.len(), "tick plans do not match shard streams");
-                let mut frames = frames.into_iter();
-                for (feed, plan) in feeds.iter().zip(&plans) {
-                    let mut queue = feed.borrow_mut();
-                    for _ in 0..plan.ingest {
-                        queue.push_back(frames.next().expect("tick frames underran the plans"));
-                    }
-                }
-                assert!(frames.next().is_none(), "tick frames overran the plans");
                 // A shard with no streams still acknowledges the round so
                 // the drain barrier stays uniform.
-                let scores = if feeds.is_empty() { Vec::new() } else { rt.tick_with_plan(&plans) };
-                let checkpoint = if tick_no.is_multiple_of(setup.checkpoint_interval)
-                    && !feeds.is_empty()
-                {
+                let idle = rt.stream_count() == 0;
+                let scores =
+                    if idle { Vec::new() } else { rt.tick_frames(&rec.frames, &rec.plans) };
+                let checkpoint = if tick_no.is_multiple_of(setup.checkpoint_interval) && !idle {
                     let streams =
                         (0..rt.stream_count()).map(|local| rt.checkpoint_stream(local)).collect();
                     Some(Box::new(ShardCheckpoint {

@@ -171,38 +171,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Percentile summary of one [`LatencyHistogram`], in the histogram's unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct LatencySummary {
-    /// Values recorded.
-    pub count: u64,
-    /// Median.
-    pub p50: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// 99.9th percentile (needs ≥ 10k samples to resolve beyond p99 — see
-    /// `docs/PERFORMANCE.md`).
-    pub p999: u64,
-    /// Exact observed maximum.
-    pub max: u64,
-    /// Mean.
-    pub mean: f64,
-}
-
-impl LatencySummary {
-    /// Summarizes a histogram.
-    pub fn of(hist: &LatencyHistogram) -> Self {
-        LatencySummary {
-            count: hist.count(),
-            p50: hist.percentile(0.50),
-            p99: hist.percentile(0.99),
-            p999: hist.percentile(0.999),
-            max: hist.max(),
-            mean: hist.mean(),
-        }
-    }
-}
-
 /// The rungs of the degrade ladder, in escalation order (derives `Ord`:
 /// `Normal < SkipAdapt < Coalesce < Shed`). See the module docs for what
 /// each rung degrades.
@@ -499,7 +467,6 @@ mod tests {
         assert_eq!(h.percentile(0.5), 1_000_003);
         assert_eq!(h.percentile(0.999), 1_000_003);
         assert_eq!(h.max(), 1_000_003);
-        assert_eq!(LatencySummary::of(&h).p999, 1_000_003);
     }
 
     #[test]

@@ -20,11 +20,12 @@
 
 use akg_core::adapt::AdaptConfig;
 use akg_core::pipeline::SystemConfig;
-use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
+use akg_data::{AdaptationStream, DatasetConfig, Frame, OwnedAdaptationStream, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_runtime::{
-    ArrivalPattern, ChaosConfig, EngineSpec, FaultPlan, LoadConfig, LoadCounters, LoadedRuntime,
-    RecoveryStats, ServeCounters, ShardedConfig, ShardedRuntime, StreamLoadStats, TickDecision,
+    corrupt_frame, ArrivalPattern, ChaosConfig, CorruptionKind, EngineSpec, FaultPlan, FrameSource,
+    LoadConfig, LoadCounters, LoadedRuntime, MultiStreamRuntime, RecoveryStats, RuntimeConfig,
+    ScriptedFault, ServeCounters, ShardedConfig, ShardedRuntime, StreamLoadStats, TickDecision,
 };
 use akg_tensor::{Backend, Precision};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -233,10 +234,10 @@ fn stalled_worker_changes_no_output_bit() {
     assert_bit_identical(&stalled, &clean, "stalled workers");
 }
 
-/// Corrupted frames (NaN / inf / out-of-range weights) are rejected at the
-/// ingest boundary — identically by the single-node runtime and the
-/// sharded front-end — and counted per stream, never silently lost and
-/// never allowed to poison adapted state.
+/// Corrupted frames (NaN / inf / out-of-range weights) are rejected in the
+/// shard workers' tick bodies — identically by a 1-shard and a 2-shard
+/// `ShardedRuntime` — and counted, never silently lost and never allowed to
+/// poison adapted state.
 #[test]
 fn corrupt_frames_are_rejected_identically_across_topologies() {
     let _guard = lock_backend();
@@ -274,6 +275,82 @@ fn corrupt_frames_are_rejected_identically_across_topologies() {
             seq.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)),
             "stream {s}: a rejected frame leaked a non-finite score"
         );
+    }
+}
+
+/// A dataset stream whose frames are corrupted where a fault plan says: the
+/// `n`-th pull is front-end tick `n`, so a single-threaded runtime over these
+/// sources sees exactly the bytes a `ShardedRuntime` with the same plan
+/// ships to its workers.
+struct CorruptingStream {
+    stream: OwnedAdaptationStream,
+    id: u64,
+    tick: u64,
+    faults: FaultPlan,
+}
+
+impl FrameSource for CorruptingStream {
+    fn next_frame(&mut self) -> (Frame, bool) {
+        let (mut frame, label) = self.stream.next_frame();
+        if let Some(kind) = self.faults.corruption(self.tick, self.id) {
+            corrupt_frame(&mut frame, kind);
+        }
+        self.tick += 1;
+        (frame, label)
+    }
+}
+
+/// One validation point: the single-threaded `MultiStreamRuntime` and the
+/// shard workers run the same tick body, so corrupted frames are rejected
+/// identically — same rejection count, scores and adapted tables as a
+/// `ShardedRuntime` running the same fault plan at 1 and 2 shards.
+#[test]
+fn single_threaded_and_sharded_runtimes_reject_identically() {
+    let _guard = lock_backend();
+    let ds = dataset();
+    let n_streams = 4;
+    // Every stream, every shape, both shards of the 2-shard layout, back to
+    // back on one stream, and on both sides of the trend shift (tick 0 is
+    // left clean: a stream with no valid frame yet has no window to score).
+    let corruptions = [
+        (0, 3, CorruptionKind::NanWeight),
+        (1, 20, CorruptionKind::InfWeight),
+        (1, 21, CorruptionKind::OutOfRange),
+        (2, 29, CorruptionKind::NanWeight),
+        (3, 38, CorruptionKind::InfWeight),
+        (0, 47, CorruptionKind::OutOfRange),
+    ];
+    let plan = corruptions.iter().fold(FaultPlan::none(), |plan, &(stream, tick, kind)| {
+        plan.with(ScriptedFault::CorruptFrame { stream, tick, kind })
+    });
+
+    let spec = EngineSpec::new(&[AnomalyClass::Stealing], system_cfg(Backend::Auto));
+    let mut rt = MultiStreamRuntime::new(spec.build(), RuntimeConfig::default());
+    for s in 0..n_streams {
+        let stream =
+            AdaptationStream::owned(Arc::clone(&ds), AnomalyClass::Stealing, 0.5, 1000 + s as u64);
+        let source = CorruptingStream { stream, id: s as u64, tick: 0, faults: plan.clone() };
+        rt.add_stream(source, 0xBEEF ^ (s as u64 * 101), adapt_cfg(s));
+    }
+    let mut scores = rt.run(SHIFT_AT);
+    for s in 0..n_streams {
+        rt.source_mut(s).stream.shift_to(AnomalyClass::Robbery);
+    }
+    for (s, tail) in rt.run(TICKS - SHIFT_AT).into_iter().enumerate() {
+        scores[s].extend(tail);
+    }
+    let tables: Vec<Vec<f32>> = (0..n_streams).map(|s| rt.stream_snapshot(s).table).collect();
+    let single = rt.counters();
+    assert_eq!(single.rejected, corruptions.len(), "single-threaded rejection count");
+    assert_eq!(single.frames, n_streams * TICKS - corruptions.len());
+
+    for shards in [1usize, 2] {
+        let sharded = run_sharded(&ds, n_streams, shards, Backend::Auto, 8, plan.clone());
+        let label = format!("{shards} shard(s) vs the single-threaded runtime");
+        assert_eq!(sharded.counters.rejected, single.rejected, "{label}: rejection counts");
+        assert_eq!(sharded.counters.frames, single.frames, "{label}: ingested frames");
+        assert_eq!(sharded.scores, scores, "{label}: scores diverged");
+        assert_eq!(sharded.tables, tables, "{label}: adapted tables diverged");
     }
 }
 

@@ -39,12 +39,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Tensor
     uniform(&[fan_in, fan_out], bound, rng)
 }
 
-/// Kaiming/He normal initialization for a `[fan_in, fan_out]` weight.
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Tensor {
-    let std = (2.0 / fan_in as f32).sqrt();
-    normal(&[fan_in, fan_out], std, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

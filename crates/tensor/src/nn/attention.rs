@@ -7,7 +7,8 @@ use crate::nn::{FeedForward, Linear, Module};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
-/// Multi-head scaled-dot-product self-attention over a `[T, D]` sequence.
+/// Multi-head scaled-dot-product self-attention over a `[T, D]` sequence,
+/// always causal: frame `t` may not attend to the future.
 #[derive(Debug)]
 pub struct MultiHeadAttention {
     wq: Linear,
@@ -16,7 +17,6 @@ pub struct MultiHeadAttention {
     wo: Linear,
     heads: usize,
     inner_dim: usize,
-    causal: bool,
 }
 
 impl MultiHeadAttention {
@@ -35,14 +35,7 @@ impl MultiHeadAttention {
             wo: Linear::new(inner_dim, model_dim, rng),
             heads,
             inner_dim,
-            causal: true,
         }
-    }
-
-    /// Enables or disables the causal (lower-triangular) mask. The temporal
-    /// model is causal by default: frame `t` may not attend to the future.
-    pub fn set_causal(&mut self, causal: bool) {
-        self.causal = causal;
     }
 
     /// Applies self-attention to a `[T, D]` sequence.
@@ -85,7 +78,7 @@ impl MultiHeadAttention {
         let q = self.wq.forward(x);
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
-        let mask = if self.causal { Some(causal_mask(t)) } else { None };
+        let mask = causal_mask(t);
         let parts: Vec<Tensor> = (0..windows)
             .map(|w| {
                 let (lo, hi) = (w * t, (w + 1) * t);
@@ -93,7 +86,7 @@ impl MultiHeadAttention {
                     &q.slice_rows(lo, hi),
                     &k.slice_rows(lo, hi),
                     &v.slice_rows(lo, hi),
-                    mask.as_deref(),
+                    &mask,
                 )
             })
             .collect();
@@ -102,7 +95,7 @@ impl MultiHeadAttention {
 
     /// Multi-head attention of one sequence's projected `[T, inner]`
     /// queries, keys and values; heads joined column-wise.
-    fn attend(&self, q: &Tensor, k: &Tensor, v: &Tensor, mask: Option<&[f32]>) -> Tensor {
+    fn attend(&self, q: &Tensor, k: &Tensor, v: &Tensor, mask: &[f32]) -> Tensor {
         let dk = self.inner_dim / self.heads;
         let scale = 1.0 / (dk as f32).sqrt();
         let head_outputs: Vec<Tensor> = (0..self.heads)
@@ -111,7 +104,7 @@ impl MultiHeadAttention {
                 let attn = q
                     .slice_cols(lo, hi)
                     .matmul_t(&k.slice_cols(lo, hi))
-                    .softmax_rows_scaled_masked(scale, mask);
+                    .softmax_rows_scaled_masked(scale, Some(mask));
                 attn.matmul(&v.slice_cols(lo, hi))
             })
             .collect();
@@ -148,15 +141,10 @@ impl MultiHeadAttention {
         self.wk.forward_infer(x, t, &mut k, ws);
         self.wv.forward_infer(x, t, &mut v, ws);
         let scale = 1.0 / (dk as f32).sqrt();
-        let mask = if self.causal {
-            let mut m = ws.lease(t * t); // zeroed: on/below diagonal stays 0
-            for r in 0..t {
-                m[r * t + r + 1..(r + 1) * t].fill(-1e9);
-            }
-            Some(m)
-        } else {
-            None
-        };
+        let mut mask = ws.lease(t * t); // zeroed: on/below diagonal stays 0
+        for r in 0..t {
+            mask[r * t + r + 1..(r + 1) * t].fill(-1e9);
+        }
         let mut qh = ws.lease(t * dk);
         let mut kh = ws.lease(t * dk);
         let mut vh = ws.lease(t * dk);
@@ -172,7 +160,7 @@ impl MultiHeadAttention {
                 vh[r * dk..(r + 1) * dk].copy_from_slice(&v[r * inner + lo..r * inner + lo + dk]);
             }
             inf::matmul_t_into(&mut attn, &qh, &kh, t, dk, t);
-            inf::softmax_rows_scaled_masked_inplace(&mut attn, t, t, scale, mask.as_deref());
+            inf::softmax_rows_scaled_masked_inplace(&mut attn, t, t, scale, Some(&mask));
             inf::matmul_into(&mut head, &attn, &vh, t, t, dk);
             // concat_cols: head h occupies columns lo..lo+dk of `joined`.
             for r in 0..t {
@@ -184,9 +172,7 @@ impl MultiHeadAttention {
         ws.release(q);
         ws.release(k);
         ws.release(v);
-        if let Some(m) = mask {
-            ws.release(m);
-        }
+        ws.release(mask);
         ws.release(qh);
         ws.release(kh);
         ws.release(vh);
@@ -294,11 +280,6 @@ impl TransformerEncoderLayer {
         crate::inference::add_assign(x, &sub_out);
         ws.release(normed);
         ws.release(sub_out);
-    }
-
-    /// Access to the attention block (e.g. to toggle causality).
-    pub fn attention_mut(&mut self) -> &mut MultiHeadAttention {
-        &mut self.attn
     }
 
     /// Visits every linear layer in the block (attention projections, then

@@ -14,14 +14,10 @@ use crate::init;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
-/// A trainable component exposing its parameters and a train/eval switch.
+/// A trainable component exposing its parameters.
 pub trait Module {
     /// All trainable parameters, in a stable order.
     fn params(&self) -> Vec<Tensor>;
-
-    /// Switches between training and evaluation behaviour (batch-norm
-    /// statistics, dropout). Default: no-op.
-    fn set_train(&mut self, _train: bool) {}
 
     /// Freezes (or unfreezes) every parameter. Frozen parameters retain no
     /// gradients and are skipped by optimizers, but gradients still flow
@@ -49,7 +45,7 @@ pub trait Module {
 #[derive(Debug)]
 pub struct Linear {
     weight: Tensor,
-    bias: Option<Tensor>,
+    bias: Tensor,
     in_features: usize,
     out_features: usize,
     quantized: Option<crate::quant::QuantizedMatrix>,
@@ -60,13 +56,7 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
         let weight = init::xavier_uniform(in_features, out_features, rng).requires_grad(true);
         let bias = Tensor::zeros(&[out_features]).requires_grad(true);
-        Linear { weight, bias: Some(bias), in_features, out_features, quantized: None }
-    }
-
-    /// Creates a linear layer without a bias term.
-    pub fn without_bias(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
-        let weight = init::xavier_uniform(in_features, out_features, rng).requires_grad(true);
-        Linear { weight, bias: None, in_features, out_features, quantized: None }
+        Linear { weight, bias, in_features, out_features, quantized: None }
     }
 
     /// Applies the layer to `[m, in_features]`, producing `[m, out_features]`.
@@ -82,11 +72,7 @@ impl Linear {
             x.shape()[1],
             self.in_features
         );
-        let y = x.matmul(&self.weight);
-        match &self.bias {
-            Some(b) => y.add_bias(b),
-            None => y,
-        }
+        x.matmul(&self.weight).add_bias(&self.bias)
     }
 
     /// Inference-plane forward: applies the layer to the raw `[rows,
@@ -128,9 +114,7 @@ impl Linear {
                 crate::inference::matmul_into(out, x, w, rows, self.in_features, self.out_features);
             }),
         }
-        if let Some(b) = &self.bias {
-            b.with_data(|bv| crate::inference::add_bias_rows(out, bv, self.out_features));
-        }
+        self.bias.with_data(|bv| crate::inference::add_bias_rows(out, bv, self.out_features));
     }
 
     /// (Re-)quantizes the current weight into the int8 serving copy. Call
@@ -191,11 +175,7 @@ impl Linear {
 
 impl Module for Linear {
     fn params(&self) -> Vec<Tensor> {
-        let mut p = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            p.push(b.clone());
-        }
-        p
+        vec![self.weight.clone(), self.bias.clone()]
     }
 }
 

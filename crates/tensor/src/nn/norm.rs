@@ -9,19 +9,15 @@ use crate::tensor::Tensor;
 /// statistics across the m "batch" rows — for the hierarchical GNN the rows
 /// are graph nodes).
 ///
-/// In training mode batch statistics are used and running statistics are
-/// updated; in eval mode (the deployed, frozen model during continuous
-/// adaptation) the running statistics are used.
+/// The layer always normalizes with the *current* batch's statistics
+/// (instance-style normalization): each forward pass is one graph whose
+/// node rows are the "batch", so global running statistics would change the
+/// function the model was trained as.
 #[derive(Debug)]
 pub struct BatchNorm1d {
     gamma: Tensor,
     beta: Tensor,
-    running_mean: Vec<f32>,
-    running_var: Vec<f32>,
-    momentum: f32,
     eps: f32,
-    training: bool,
-    track_running_stats: bool,
     features: usize,
 }
 
@@ -31,71 +27,14 @@ impl BatchNorm1d {
         BatchNorm1d {
             gamma: Tensor::ones(&[features]).requires_grad(true),
             beta: Tensor::zeros(&[features]).requires_grad(true),
-            running_mean: vec![0.0; features],
-            running_var: vec![1.0; features],
-            momentum: 0.1,
             eps: 1e-5,
-            training: true,
-            track_running_stats: true,
             features,
         }
     }
 
-    /// When disabled, the layer always normalizes with the *current* batch
-    /// statistics, even in eval mode (instance-style normalization). This is
-    /// the right behaviour when each forward pass is one graph whose node
-    /// rows are the "batch": using global running statistics at eval time
-    /// would change the function the model was trained as.
-    pub fn set_track_running_stats(&mut self, track: bool) {
-        self.track_running_stats = track;
-    }
-
-    /// Applies normalization to `[m, n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 2-D `[_, features]`, or if training-mode
-    /// normalization is requested with a single row (undefined variance).
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let s = x.shape();
-        assert_eq!(s.len(), 2, "BatchNorm1d: expected 2-D input");
-        assert_eq!(s[1], self.features, "BatchNorm1d: feature mismatch");
-        let m = s[0];
-        if self.training || !self.track_running_stats {
-            assert!(m > 1, "BatchNorm1d: training-mode batch must have >1 rows");
-            let mean = x.mean_axis0();
-            let centered = x.add_bias(&mean.neg());
-            let var = centered.square().mean_axis0();
-            // update running stats (detached)
-            let mean_v = mean.to_vec();
-            let var_v = var.to_vec();
-            let unbias = m as f32 / (m as f32 - 1.0);
-            for i in 0..self.features {
-                self.running_mean[i] =
-                    (1.0 - self.momentum) * self.running_mean[i] + self.momentum * mean_v[i];
-                self.running_var[i] =
-                    (1.0 - self.momentum) * self.running_var[i] + self.momentum * var_v[i] * unbias;
-            }
-            let inv_std = var.add_scalar(self.eps).sqrt().recip();
-            centered.mul_bias(&inv_std).mul_bias(&self.gamma).add_bias(&self.beta)
-        } else {
-            let neg_mean =
-                Tensor::from_vec(self.running_mean.iter().map(|v| -v).collect(), &[self.features]);
-            let inv_std: Vec<f32> =
-                self.running_var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
-            let inv_std = Tensor::from_vec(inv_std, &[self.features]);
-            x.add_bias(&neg_mean).mul_bias(&inv_std).mul_bias(&self.gamma).add_bias(&self.beta)
-        }
-    }
-
     /// Instance-statistics forward: normalizes with the *current* batch's
-    /// statistics without touching the running averages, so it works through
-    /// `&self` — the form a shared, immutable-after-build serving engine
-    /// needs. Numerically identical to [`BatchNorm1d::forward`] whenever the
-    /// running statistics are not being *used* (training mode, or
-    /// `track_running_stats` disabled): both paths run the exact same tensor
-    /// ops in the exact same order, only the (never-read) running-average
-    /// update is skipped. Fully differentiable.
+    /// statistics through `&self` — the form a shared, immutable-after-build
+    /// serving engine needs. Fully differentiable.
     ///
     /// # Panics
     ///
@@ -105,7 +44,7 @@ impl BatchNorm1d {
         let s = x.shape();
         assert_eq!(s.len(), 2, "BatchNorm1d: expected 2-D input");
         assert_eq!(s[1], self.features, "BatchNorm1d: feature mismatch");
-        assert!(s[0] > 1, "BatchNorm1d: training-mode batch must have >1 rows");
+        assert!(s[0] > 1, "BatchNorm1d: the batch must have >1 rows");
         let mean = x.mean_axis0();
         let centered = x.add_bias(&mean.neg());
         let var = centered.square().mean_axis0();
@@ -149,7 +88,7 @@ impl BatchNorm1d {
             s[0]
         );
         let m = s[0] / groups;
-        assert!(m > 1, "BatchNorm1d: training-mode batch must have >1 rows");
+        assert!(m > 1, "BatchNorm1d: the batch must have >1 rows");
         let n = self.features;
         let mut out = vec![0.0f32; x.numel()];
         let mut mean = vec![0.0f32; n];
@@ -233,30 +172,11 @@ impl BatchNorm1d {
             })
         });
     }
-
-    /// Whether the layer is in training mode.
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
-    /// Running mean (per feature).
-    pub fn running_mean(&self) -> &[f32] {
-        &self.running_mean
-    }
-
-    /// Running variance (per feature).
-    pub fn running_var(&self) -> &[f32] {
-        &self.running_var
-    }
 }
 
 impl Module for BatchNorm1d {
     fn params(&self) -> Vec<Tensor> {
         vec![self.gamma.clone(), self.beta.clone()]
-    }
-
-    fn set_train(&mut self, train: bool) {
-        self.training = train;
     }
 }
 
@@ -397,9 +317,9 @@ mod tests {
 
     #[test]
     fn batchnorm_normalizes_training_batch() {
-        let mut bn = BatchNorm1d::new(2);
+        let bn = BatchNorm1d::new(2);
         let x = Tensor::from_vec(vec![0.0, 10.0, 2.0, 20.0, 4.0, 30.0], &[3, 2]);
-        let y = bn.forward(&x);
+        let y = bn.forward_instance(&x);
         let out = y.to_vec();
         // each column should be zero-mean, unit-variance (biased)
         for c in 0..2 {
@@ -412,24 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_eval_uses_running_stats() {
-        let mut bn = BatchNorm1d::new(1);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4, 1]);
-        for _ in 0..200 {
-            let _ = bn.forward(&x);
-        }
-        bn.set_train(false);
-        // running mean should approach 2.5
-        assert!((bn.running_mean()[0] - 2.5).abs() < 0.05);
-        let y = bn.forward(&Tensor::from_vec(vec![2.5], &[1, 1]));
-        assert!(y.to_vec()[0].abs() < 0.05);
-    }
-
-    #[test]
     fn batchnorm_grads_flow_to_gamma_beta() {
-        let mut bn = BatchNorm1d::new(2);
+        let bn = BatchNorm1d::new(2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).requires_grad(true);
-        let y = bn.forward(&x).sum_all();
+        let y = bn.forward_instance(&x).sum_all();
         y.backward();
         for p in bn.params() {
             assert!(p.grad().is_some());
@@ -440,19 +346,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch must have >1")]
     fn batchnorm_training_rejects_single_row() {
-        let mut bn = BatchNorm1d::new(2);
-        let _ = bn.forward(&Tensor::zeros(&[1, 2]));
-    }
-
-    #[test]
-    fn instance_forward_matches_mutable_forward_bitwise() {
-        let _guard = crate::backend::test_lock();
-        let mut bn = BatchNorm1d::new(3);
-        bn.set_track_running_stats(false);
-        let x = Tensor::from_vec((0..12).map(|i| (i as f32).sin()).collect(), &[4, 3]);
-        let pure = bn.forward_instance(&x).to_vec();
-        let mutable = bn.forward(&x).to_vec();
-        assert_eq!(pure, mutable, "instance forward diverged from the batch-stats branch");
+        let bn = BatchNorm1d::new(2);
+        let _ = bn.forward_instance(&Tensor::zeros(&[1, 2]));
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl AdamW {
     pub fn steps(&self) -> u64 {
         self.step_count
     }
-
-    /// Updates the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
 }
 
 impl Optimizer for AdamW {

@@ -257,6 +257,7 @@ mod tests {
 
     #[test]
     fn results_independent_of_thread_count() {
+        let _guard = par_lock();
         let run = |threads: usize| {
             set_parallelism(Parallelism::Threads(threads));
             let mut out = vec![0.0f32; 64 * 3];
