@@ -1,6 +1,7 @@
 //! The kernel perf harness: times the `akg-tensor` hot-path kernels (the
 //! matmul family, the int8 matmul, fused softmax/layernorm, the GNN
-//! gather/scatter ops, and the GNN layer kernels at the served shapes) and
+//! gather/scatter ops, and the GNN layer kernels and the temporal encoder's
+//! batched last-step call at the served shapes) and
 //! emits `BENCH_tensor.json`, the op-level record
 //! (see `docs/PERFORMANCE.md` for how to read it). End-to-end serving is
 //! measured by `perfbench/`, the benchmark of record.
@@ -21,9 +22,11 @@
 //! - `--out PATH`: where to write the JSON (default `BENCH_tensor.json`).
 
 use akg_tensor::backend::{cpu_features, effective_backend, set_backend, Backend};
+use akg_tensor::nn::attention::TransformerEncoder;
 use akg_tensor::ops::kernels::{matmul_blocked, matmul_ikj, matmul_naive, matmul_nt};
 use akg_tensor::par::{effective_threads, set_parallelism, Parallelism};
-use akg_tensor::{inference, QuantizedMatrix, Tensor};
+use akg_tensor::{inference, QuantizedMatrix, Tensor, Workspace};
+use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -272,6 +275,21 @@ fn bench_served_shapes(reps: usize, ops: &mut Vec<OpResult>) {
         ns_per_op: ns,
         reps,
     });
+
+    // The temporal encoder as the serving plane calls it: one batched call
+    // over 16 windows of T = 4 at the fast config (d = 8, inner 32, 4 heads,
+    // one layer), whose last layer computes only each window's last step.
+    let (windows, t, d) = (16usize, 4usize, gd);
+    let encoder = TransformerEncoder::new(d, 32, 4, 1, &mut StdRng::seed_from_u64(13));
+    let seqs = filled(windows * t * d, 14);
+    let lens = vec![t; windows];
+    let mut last = vec![0.0f32; windows * d];
+    let mut ws = Workspace::new();
+    let ns = time_median(reps, || {
+        encoder.forward_last_batch_infer(black_box(&seqs), &lens, &mut last, &mut ws);
+        black_box(&last);
+    });
+    ops.push(OpResult { name: format!("temporal_last_{windows}x{t}x{d}"), ns_per_op: ns, reps });
 }
 
 fn main() {

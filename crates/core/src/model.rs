@@ -679,6 +679,12 @@ impl DecisionModel {
     /// Applies the temporal model to a window of per-frame reasoning
     /// embeddings (each `[D]`), returning `f'_t` `[D]` for the last frame.
     ///
+    /// Runs the full-row encoder ([`TransformerEncoder::forward`]) and picks
+    /// the last row: this per-window path is the oracle the production
+    /// forms ([`DecisionModel::windows_logits`],
+    /// [`DecisionModel::predict_probs_batch_infer`]) are checked against,
+    /// so it does not share their last-step tail.
+    ///
     /// # Panics
     ///
     /// Panics if `window` is empty.
@@ -686,8 +692,8 @@ impl DecisionModel {
         assert!(!window.is_empty(), "temporal_embedding: empty window");
         let d = self.reasoning_dim();
         let rows: Vec<Tensor> = window.iter().map(|f| f.reshape(&[1, d])).collect();
-        let seq = Tensor::concat_rows(&rows);
-        self.temporal.forward_last(&seq)
+        let t = rows.len();
+        self.temporal.forward(&Tensor::concat_rows(&rows)).slice_rows(t - 1, t).flatten()
     }
 
     /// Decision logits `[1, n + 1]` from `f'_t` (Eq. 5 without the softmax;
@@ -740,7 +746,9 @@ impl DecisionModel {
     /// through [`HierarchicalGnn::forward_batch`] once; the per-frame
     /// reasoning embeddings are gathered into the windows `windows[w]`
     /// indexes (oldest first) and the temporal model and head run once over
-    /// all of them ([`TransformerEncoder::forward_last_grouped`]).
+    /// all of them ([`TransformerEncoder::forward_last_grouped`], whose last
+    /// layer computes — and back-propagates through — only each window's
+    /// last step).
     ///
     /// Row `w` is bit-identical to [`DecisionModel::logits`] over that
     /// window's [`DecisionModel::reasoning_embedding`]s alone. A frame
@@ -845,10 +853,12 @@ impl DecisionModel {
     /// Inference-plane batched full forward: class probabilities for the
     /// last frame of each item's window, flattened `[B · (n + 1)]` into
     /// `out` (cleared first): a stacked GNN forward per mission KG
-    /// ([`HierarchicalGnn::forward_batch_infer`]), the temporal model per
-    /// sequence, one head matmul, a fused row softmax. Each item's row is
-    /// **bit-identical per backend** to [`DecisionModel::predict`] on that
-    /// window alone.
+    /// ([`HierarchicalGnn::forward_batch_infer`]), one temporal call over
+    /// the whole ragged batch whose last layer computes only each window's
+    /// last step ([`TransformerEncoder::forward_last_batch_infer`]), one
+    /// head matmul, a fused row softmax. Windows may differ in length (a
+    /// warming-up stream's is short). Each item's row is **bit-identical
+    /// per backend** to [`DecisionModel::predict`] on that window alone.
     ///
     /// # Panics
     ///
@@ -900,19 +910,14 @@ impl DecisionModel {
             ws.release(x0);
             ws.release(gout);
         }
-        // Temporal model per item (attention never crosses streams), last
-        // step of each window stacked `[B, D]`.
+        // The temporal model once over the whole ragged batch (attention
+        // never crosses streams), last step of each window stacked `[B, D]`.
         let b = items.len();
+        let mut lens = ws.lease_idx();
+        lens.extend(items.iter().map(|item| item.window.len()));
         let mut tstack = ws.lease(b * d);
-        let mut row0 = 0usize;
-        for (bi, item) in items.iter().enumerate() {
-            let w = item.window.len();
-            let mut seq = ws.lease(w * d);
-            seq.copy_from_slice(&joined[row0 * d..(row0 + w) * d]);
-            self.temporal.forward_last_infer(&mut seq, w, &mut tstack[bi * d..(bi + 1) * d], ws);
-            ws.release(seq);
-            row0 += w;
-        }
+        self.temporal.forward_last_batch_infer(&joined, &lens, &mut tstack, ws);
+        ws.release_idx(lens);
         // Head + softmax: one matmul over the whole batch, fused row
         // softmax (scale 1, no mask) — exactly the head's `forward` +
         // `softmax_rows`.

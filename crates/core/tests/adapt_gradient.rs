@@ -3,7 +3,8 @@
 //! `TableRows` leaf — one stacked GNN pass per KG over the distinct frames,
 //! one temporal pass over all windows) must give logits **bitwise** equal to
 //! the per-frame composed path (`DecisionModel::reasoning_embedding` per
-//! frame, then `temporal_embedding` and `logits` per window, over a
+//! frame, then `temporal_embedding` — the full-row encoder, where the
+//! stacked forward runs the last-step tail — and `logits` per window, over a
 //! trainable leaf of every table row), and a table gradient equal to that
 //! oracle's —
 //! row by row within 1e-5 relative on the rows the KGs reference, exactly

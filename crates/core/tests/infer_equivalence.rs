@@ -3,7 +3,9 @@
 //! buffers, what `Engine::score_window` / `score_windows_batch` serve
 //! through) must be **bit-identical** to the autograd plane's single-window
 //! path (`DecisionModel::predict` / `anomaly_score`) — batched ≡ single ≡
-//! autograd, per backend, at every batch size.
+//! autograd, per backend, at every batch size and over ragged batches. The
+//! autograd single-window path runs the full-row temporal encoder, so these
+//! suites also pin the serving plane's last-step tail to it.
 //!
 //! Tests here flip the process-wide compute backend, so they follow the
 //! `BACKEND_LOCK` discipline of `tensor/tests/proptest_kernels.rs`: every
@@ -157,6 +159,40 @@ fn random_windows_property_inference_equals_autograd_bitwise() {
                     Ok(())
                 },
             );
+        });
+    }
+}
+
+/// Windows of every length from `T` down to 1 (a warming-up stream's are
+/// short) scored in one batch: the temporal model runs once over the ragged
+/// batch with its last-step tail, and each item is bitwise the window scored
+/// alone and the autograd plane's full-row oracle.
+#[test]
+fn ragged_batch_matches_per_window_full_row_oracle_bitwise() {
+    let _guard = lock_backend();
+    for b in BACKENDS {
+        with_backend(b, || {
+            let engine = build_engine(b);
+            let w = engine.config().window;
+            let sessions: Vec<Session> =
+                (0..2 * w).map(|i| engine.new_session(60 + i as u64)).collect();
+            let windows: Vec<Vec<Vec<f32>>> =
+                (0..2 * w).map(|s| make_window(&engine, s).split_off(s % w)).collect();
+            assert!(windows.iter().any(|win| win.len() == 1), "no single-frame window");
+            let batch: Vec<(&Session, &[Vec<f32>])> =
+                sessions.iter().zip(&windows).map(|(s, w)| (s, w.as_slice())).collect();
+            let infer = engine.score_windows_batch(&batch);
+            for (i, (session, window)) in batch.iter().enumerate() {
+                let alone = engine.score_window(session, window);
+                assert_eq!(
+                    infer[i],
+                    alone,
+                    "item {i} (len {}) batched vs alone, {b:?}",
+                    window.len()
+                );
+                let auto = autograd_score(&engine, session, window);
+                assert_eq!(infer[i], auto, "item {i} (len {}) vs autograd, {b:?}", window.len());
+            }
         });
     }
 }

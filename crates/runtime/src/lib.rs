@@ -55,7 +55,7 @@
 //! }
 //! let scores = runtime.tick();
 //! assert_eq!(scores.len(), 2);
-//! assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
+//! assert!(scores.iter().all(|s| s.is_some_and(|p| (0.0..=1.0).contains(&p))));
 //! ```
 //!
 //! ## Scaling out: the sharded runtime
@@ -373,7 +373,9 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     /// embeds each through its own session, scores all windows — batched
     /// across streams up to `max_batch` — and routes every score back into
     /// its stream's adaptation loop. Returns the per-stream scores, indexed
-    /// by [`StreamId`].
+    /// by [`StreamId`]: `None` for a stream that has no window yet, because
+    /// every frame it has sent so far failed [`Frame::validate`] (a stream
+    /// whose rejected frame follows a served one rescores its last window).
     ///
     /// Adaptation runs strictly per stream against session-local state (see
     /// the crate docs' isolation model), so the batch composition never
@@ -382,12 +384,9 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     /// # Panics
     ///
     /// Panics if no streams are registered.
-    pub fn tick(&mut self) -> Vec<f32> {
+    pub fn tick(&mut self) -> Vec<Option<f32>> {
         let plans = vec![StreamPlan::default(); self.slots.len()];
         self.tick_with_plan(&plans)
-            .into_iter()
-            .map(|s| s.expect("default plan scores every stream"))
-            .collect()
     }
 
     /// The plan-driven generalization of [`MultiStreamRuntime::tick`]: one
@@ -532,8 +531,9 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
     }
 
     /// Runs `ticks` scheduler rounds, returning the per-stream score
-    /// sequences (`result[stream][tick]`).
-    pub fn run(&mut self, ticks: usize) -> Vec<Vec<f32>> {
+    /// sequences (`result[stream][tick]`; `None` as in
+    /// [`MultiStreamRuntime::tick`]).
+    pub fn run(&mut self, ticks: usize) -> Vec<Vec<Option<f32>>> {
         let mut out = vec![Vec::with_capacity(ticks); self.slots.len()];
         for _ in 0..ticks {
             for (stream, score) in self.tick().into_iter().enumerate() {
@@ -612,7 +612,7 @@ mod tests {
         let batched = rt.run(4);
 
         let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-        let per_frame: Vec<Vec<f32>> = (0..3usize)
+        let per_frame: Vec<Vec<Option<f32>>> = (0..3usize)
             .map(|i| {
                 let mut next = source(i);
                 let mut session = engine.new_session(i as u64);
@@ -625,13 +625,13 @@ mod tests {
                         adapter.fill_window_refs(&engine, &mut window);
                         let score = engine.score_window_refs(&session, &window);
                         adapter.complete_frame(&engine, &mut session, score);
-                        score
+                        Some(score)
                     })
                     .collect()
             })
             .collect();
-        let bits = |scores: &[Vec<f32>]| -> Vec<Vec<u32>> {
-            scores.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
+        let bits = |scores: &[Vec<Option<f32>>]| -> Vec<Vec<Option<u32>>> {
+            scores.iter().map(|s| s.iter().map(|v| v.map(f32::to_bits)).collect()).collect()
         };
         assert_eq!(bits(&batched), bits(&per_frame), "batched and per-frame scores diverged");
     }
@@ -683,7 +683,7 @@ mod tests {
             if tick == SHIFT_AT {
                 (0..STREAMS).for_each(|s| rt.source_mut(s).shift_to(AnomalyClass::Robbery));
             }
-            rt.tick().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            rt.tick().iter().map(|v| v.map(f32::to_bits)).collect::<Vec<_>>()
         };
 
         let mut a = new_runtime(0xBEEF);

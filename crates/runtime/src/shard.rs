@@ -332,7 +332,7 @@ impl ShardHandle {
 /// }
 /// let scores = rt.tick();
 /// assert_eq!(scores.len(), 4);
-/// assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
+/// assert!(scores.iter().all(|s| s.is_some_and(|p| (0.0..=1.0).contains(&p))));
 /// ```
 pub struct ShardedRuntime<S: FrameSource> {
     sources: Vec<S>,
@@ -555,17 +555,15 @@ impl<S: FrameSource> ShardedRuntime<S> {
     /// ships each shard its frames (one message per shard), waits for every
     /// shard's scores, and returns them indexed by [`StreamId`] — the
     /// sharded analogue of [`MultiStreamRuntime::tick`], bit-identical to it
-    /// per stream at any shard count.
+    /// per stream at any shard count, including its `None` for a stream
+    /// whose frames have all been rejected so far.
     ///
     /// # Panics
     ///
     /// Panics if no streams are registered.
-    pub fn tick(&mut self) -> Vec<f32> {
+    pub fn tick(&mut self) -> Vec<Option<f32>> {
         self.push_tick();
         self.drain_tick()
-            .into_iter()
-            .map(|s| s.expect("default plan scores every stream"))
-            .collect()
     }
 
     /// Runs `ticks` scheduler rounds, returning per-stream score sequences
@@ -575,7 +573,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
     /// that far ahead of the slowest shard, so workers never idle between
     /// rounds. Results are identical to calling `tick` in a loop (frame
     /// content never depends on scores).
-    pub fn run(&mut self, ticks: usize) -> Vec<Vec<f32>> {
+    pub fn run(&mut self, ticks: usize) -> Vec<Vec<Option<f32>>> {
         let mut out = vec![Vec::with_capacity(ticks); self.sources.len()];
         let depth = self.config.queue_depth;
         let mut pushed = 0usize;
@@ -586,7 +584,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
                 pushed += 1;
             }
             for (stream, score) in self.drain_tick().into_iter().enumerate() {
-                out[stream].push(score.expect("default plan scores every stream"));
+                out[stream].push(score);
             }
             drained += 1;
         }
@@ -1129,7 +1127,7 @@ mod tests {
         }
         let scores = rt.tick();
         assert_eq!(scores.len(), 2);
-        assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
+        assert!(scores.iter().all(|s| s.is_some_and(|p| (0.0..=1.0).contains(&p))));
         assert_eq!(rt.counters().frames, 2);
     }
 

@@ -95,7 +95,7 @@ fn run_standalone(
 }
 
 struct RuntimeOutcome {
-    scores: Vec<Vec<f32>>,
+    scores: Vec<Vec<Option<f32>>>,
     tables: Vec<Vec<f32>>,
     replacements: Vec<usize>,
 }
@@ -143,7 +143,8 @@ fn check_equivalence(n_streams: usize, max_batch: usize, backend: Backend) {
         let (solo_scores, solo_table, solo_replacements) =
             run_standalone(&ds, s, backend, precision);
         assert_eq!(
-            batched.scores[s], solo_scores,
+            batched.scores[s],
+            solo_scores.into_iter().map(Some).collect::<Vec<_>>(),
             "stream {s}/{n_streams}: batched scores diverged from the standalone path"
         );
         assert_eq!(

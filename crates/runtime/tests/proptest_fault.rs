@@ -50,7 +50,7 @@ fn adapt_cfg(stream: usize) -> AdaptConfig {
 }
 
 struct Outcome {
-    scores: Vec<Vec<f32>>,
+    scores: Vec<Vec<Option<f32>>>,
     snapshots: Vec<StreamSnapshot>,
     counters: ServeCounters,
     recovery: RecoveryStats,

@@ -38,7 +38,7 @@ fn serve(
     queue_depth: usize,
     max_batch: usize,
     chunks: &[usize],
-) -> (Vec<Vec<f32>>, akg_runtime::ServeCounters) {
+) -> (Vec<Vec<Option<f32>>>, akg_runtime::ServeCounters) {
     let spec = EngineSpec::new(&[AnomalyClass::Stealing], SystemConfig::default());
     let mut rt = ShardedRuntime::new(
         spec,
@@ -72,7 +72,7 @@ fn serve(
 
 /// `run()` returns `[stream][tick]`; flip to `[tick][stream]` so bursts and
 /// single ticks accumulate identically.
-fn transpose(by_stream: Vec<Vec<f32>>, ticks: usize) -> Vec<Vec<f32>> {
+fn transpose(by_stream: Vec<Vec<Option<f32>>>, ticks: usize) -> Vec<Vec<Option<f32>>> {
     (0..ticks).map(|t| by_stream.iter().map(|s| s[t]).collect()).collect()
 }
 

@@ -68,7 +68,7 @@ fn system_cfg(backend: Backend) -> SystemConfig {
 /// Everything observable about a sharded run — what must not change when a
 /// worker dies and recovers.
 struct Fingerprint {
-    scores: Vec<Vec<f32>>,
+    scores: Vec<Vec<Option<f32>>>,
     tables: Vec<Vec<f32>>,
     replacements: Vec<usize>,
     counters: ServeCounters,
@@ -272,7 +272,7 @@ fn corrupt_frames_are_rejected_identically_across_topologies() {
     // All scores — including the rejected stream's — stay finite and in range.
     for (s, seq) in sharded.scores.iter().enumerate() {
         assert!(
-            seq.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)),
+            seq.iter().all(|v| v.is_some_and(|p| p.is_finite() && (0.0..=1.0).contains(&p))),
             "stream {s}: a rejected frame leaked a non-finite score"
         );
     }
@@ -310,8 +310,8 @@ fn single_threaded_and_sharded_runtimes_reject_identically() {
     let ds = dataset();
     let n_streams = 4;
     // Every stream, every shape, both shards of the 2-shard layout, back to
-    // back on one stream, and on both sides of the trend shift (tick 0 is
-    // left clean: a stream with no valid frame yet has no window to score).
+    // back on one stream, and on both sides of the trend shift (a rejected
+    // first frame has its own test below).
     let corruptions = [
         (0, 3, CorruptionKind::NanWeight),
         (1, 20, CorruptionKind::InfWeight),
@@ -324,11 +324,46 @@ fn single_threaded_and_sharded_runtimes_reject_identically() {
         plan.with(ScriptedFault::CorruptFrame { stream, tick, kind })
     });
 
+    let single = run_single_threaded(&ds, n_streams, &plan);
+    assert_eq!(single.counters.rejected, corruptions.len(), "single-threaded rejection count");
+    assert_eq!(single.counters.frames, n_streams * TICKS - corruptions.len());
+    assert_sharded_matches(&ds, &single, &plan);
+}
+
+/// A stream whose first frames all fail validation has no window to score:
+/// both runtimes report `None` for it on those ticks (no panic), score it
+/// once a valid frame arrives, and agree bit for bit at 1 and 2 shards.
+#[test]
+fn rejected_first_frames_leave_the_stream_unscored_on_both_runtimes() {
+    let _guard = lock_backend();
+    let ds = dataset();
+    let n_streams = 2;
+    let plan = FaultPlan::none()
+        .with(ScriptedFault::CorruptFrame { stream: 1, tick: 0, kind: CorruptionKind::NanWeight })
+        .with(ScriptedFault::CorruptFrame { stream: 1, tick: 1, kind: CorruptionKind::InfWeight });
+    let single = run_single_threaded(&ds, n_streams, &plan);
+    assert_eq!(single.counters.rejected, 2);
+    assert!(single.scores[0].iter().all(Option::is_some), "the clean stream missed a score");
+    assert_eq!(single.scores[1][..2], [None, None], "a stream with no window was scored");
+    assert!(single.scores[1][2..].iter().all(Option::is_some), "the stream never recovered");
+    assert_sharded_matches(&ds, &single, &plan);
+}
+
+/// Scores, adapted tables and serve counters of a run.
+struct Outcome {
+    scores: Vec<Vec<Option<f32>>>,
+    tables: Vec<Vec<f32>>,
+    counters: ServeCounters,
+}
+
+/// The single-threaded runtime over [`CorruptingStream`]s, through the
+/// trend shift [`run_sharded`] applies.
+fn run_single_threaded(ds: &Arc<SyntheticUcfCrime>, n_streams: usize, plan: &FaultPlan) -> Outcome {
     let spec = EngineSpec::new(&[AnomalyClass::Stealing], system_cfg(Backend::Auto));
     let mut rt = MultiStreamRuntime::new(spec.build(), RuntimeConfig::default());
     for s in 0..n_streams {
         let stream =
-            AdaptationStream::owned(Arc::clone(&ds), AnomalyClass::Stealing, 0.5, 1000 + s as u64);
+            AdaptationStream::owned(Arc::clone(ds), AnomalyClass::Stealing, 0.5, 1000 + s as u64);
         let source = CorruptingStream { stream, id: s as u64, tick: 0, faults: plan.clone() };
         rt.add_stream(source, 0xBEEF ^ (s as u64 * 101), adapt_cfg(s));
     }
@@ -339,18 +374,23 @@ fn single_threaded_and_sharded_runtimes_reject_identically() {
     for (s, tail) in rt.run(TICKS - SHIFT_AT).into_iter().enumerate() {
         scores[s].extend(tail);
     }
-    let tables: Vec<Vec<f32>> = (0..n_streams).map(|s| rt.stream_snapshot(s).table).collect();
-    let single = rt.counters();
-    assert_eq!(single.rejected, corruptions.len(), "single-threaded rejection count");
-    assert_eq!(single.frames, n_streams * TICKS - corruptions.len());
+    let tables = (0..n_streams).map(|s| rt.stream_snapshot(s).table).collect();
+    Outcome { scores, tables, counters: rt.counters() }
+}
 
+/// A `ShardedRuntime` running `plan` at 1 and 2 shards rejects, scores and
+/// adapts exactly as the single-threaded run did.
+fn assert_sharded_matches(ds: &Arc<SyntheticUcfCrime>, single: &Outcome, plan: &FaultPlan) {
     for shards in [1usize, 2] {
-        let sharded = run_sharded(&ds, n_streams, shards, Backend::Auto, 8, plan.clone());
+        let sharded = run_sharded(ds, single.scores.len(), shards, Backend::Auto, 8, plan.clone());
         let label = format!("{shards} shard(s) vs the single-threaded runtime");
-        assert_eq!(sharded.counters.rejected, single.rejected, "{label}: rejection counts");
-        assert_eq!(sharded.counters.frames, single.frames, "{label}: ingested frames");
-        assert_eq!(sharded.scores, scores, "{label}: scores diverged");
-        assert_eq!(sharded.tables, tables, "{label}: adapted tables diverged");
+        assert_eq!(
+            sharded.counters.rejected, single.counters.rejected,
+            "{label}: rejection counts"
+        );
+        assert_eq!(sharded.counters.frames, single.counters.frames, "{label}: ingested frames");
+        assert_eq!(sharded.scores, single.scores, "{label}: scores diverged");
+        assert_eq!(sharded.tables, single.tables, "{label}: adapted tables diverged");
     }
 }
 

@@ -62,7 +62,9 @@ fn run_single_runtime_soak(config: &SystemConfig) {
             unreachable!();
         }
         let scores = rt.tick();
-        assert!(scores.iter().all(|s| s.is_finite() && (0.0..=1.0).contains(s)));
+        assert!(scores
+            .iter()
+            .all(|s| s.is_some_and(|p| p.is_finite() && (0.0..=1.0).contains(&p))));
     }
     let warm = rt.workspace_stats();
     assert!(warm.high_water_bytes() > 0, "workspace never used — soak is vacuous");
@@ -84,7 +86,9 @@ fn run_single_runtime_soak(config: &SystemConfig) {
                 (0..STREAMS).map(|s| rt.session(s).workspace_stats().high_water_bytes()).collect();
         }
         let scores = rt.tick();
-        assert!(scores.iter().all(|s| s.is_finite() && (0.0..=1.0).contains(s)));
+        assert!(scores
+            .iter()
+            .all(|s| s.is_some_and(|p| p.is_finite() && (0.0..=1.0).contains(&p))));
     }
 
     let end = rt.workspace_stats();
@@ -156,7 +160,9 @@ fn run_sharded_soak(ds: &Arc<SyntheticUcfCrime>, shards: usize) -> ServeCounters
             checkpoint = rt.shard_snapshots();
         }
         let scores = rt.tick();
-        assert!(scores.iter().all(|s| s.is_finite() && (0.0..=1.0).contains(s)));
+        assert!(scores
+            .iter()
+            .all(|s| s.is_some_and(|p| p.is_finite() && (0.0..=1.0).contains(&p))));
     }
 
     let end = rt.shard_snapshots();

@@ -1,10 +1,24 @@
 //! Multi-head self-attention and the transformer encoder used as the paper's
 //! short-term temporal model `T : R^{T×D} → R^D` (inner dimensionality 128,
 //! 8 heads in the paper's configuration).
+//!
+//! The model keeps only the last time step (`f'_t = T(F_t)`), so the
+//! encoder's **last layer computes only each sequence's last row**: LN1, K
+//! and V still run over every row (the last step attends to all of them),
+//! but the query, one attention row per head, the output projection, the
+//! residual, LN2 and the feed-forward block run on one row per sequence.
+//! Earlier layers keep all rows. Every row-wise kernel gives a row the same
+//! bits at any row count, and the causal mask's last row is all zeros, so
+//! the tail is bitwise equal to the full-row encoder's last row — on both
+//! planes, per backend. The full-row forms (the autograd
+//! [`TransformerEncoder::forward`] and its inference twin) stay as the
+//! oracles and as the body of the non-last layers.
 
+use crate::inference as inf;
 use crate::nn::norm::LayerNorm;
 use crate::nn::{FeedForward, Linear, Module};
 use crate::tensor::Tensor;
+use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 
 /// Multi-head scaled-dot-product self-attention over a `[T, D]` sequence,
@@ -67,6 +81,15 @@ impl MultiHeadAttention {
     /// Panics if the input is not 2-D or its rows do not split into
     /// `windows` sequences.
     pub fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
+        self.grouped(x, windows, false)
+    }
+
+    /// The grouped forward over all rows, or (`last_only`) only each
+    /// sequence's last row: the query projection runs on those rows alone,
+    /// each attends once per head to its whole sequence with no mask (the
+    /// causal mask's last row is all zeros), and the output is
+    /// `[windows, D]`.
+    fn grouped(&self, x: &Tensor, windows: usize, last_only: bool) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 2, "MultiHeadAttention: expected [T, D] input");
         assert!(
@@ -75,27 +98,32 @@ impl MultiHeadAttention {
             s[0]
         );
         let t = s[0] / windows;
-        let q = self.wq.forward(x);
+        let (q, qt) = if last_only {
+            (self.wq.forward(&x.index_select_rows(&last_rows(windows, t))), 1)
+        } else {
+            (self.wq.forward(x), t)
+        };
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
-        let mask = causal_mask(t);
+        let mask = (!last_only).then(|| causal_mask(t));
         let parts: Vec<Tensor> = (0..windows)
             .map(|w| {
                 let (lo, hi) = (w * t, (w + 1) * t);
                 self.attend(
-                    &q.slice_rows(lo, hi),
+                    &q.slice_rows(w * qt, (w + 1) * qt),
                     &k.slice_rows(lo, hi),
                     &v.slice_rows(lo, hi),
-                    &mask,
+                    mask.as_deref(),
                 )
             })
             .collect();
         self.wo.forward(&Tensor::concat_rows(&parts))
     }
 
-    /// Multi-head attention of one sequence's projected `[T, inner]`
-    /// queries, keys and values; heads joined column-wise.
-    fn attend(&self, q: &Tensor, k: &Tensor, v: &Tensor, mask: &[f32]) -> Tensor {
+    /// Multi-head attention of one sequence's projected queries (`[T, inner]`,
+    /// or its last row alone) against its `[T, inner]` keys and values;
+    /// heads joined column-wise.
+    fn attend(&self, q: &Tensor, k: &Tensor, v: &Tensor, mask: Option<&[f32]>) -> Tensor {
         let dk = self.inner_dim / self.heads;
         let scale = 1.0 / (dk as f32).sqrt();
         let head_outputs: Vec<Tensor> = (0..self.heads)
@@ -104,81 +132,98 @@ impl MultiHeadAttention {
                 let attn = q
                     .slice_cols(lo, hi)
                     .matmul_t(&k.slice_cols(lo, hi))
-                    .softmax_rows_scaled_masked(scale, Some(mask));
+                    .softmax_rows_scaled_masked(scale, mask);
                 attn.matmul(&v.slice_cols(lo, hi))
             })
             .collect();
         Tensor::concat_cols(&head_outputs)
     }
 
-    /// Inference-plane forward: self-attention over the raw `[t, d_model]`
-    /// matrix `x` into `out`, using only workspace-leased buffers — no graph
-    /// nodes, no allocation. Replicates [`MultiHeadAttention::forward`]
-    /// op-for-op (same dispatching `Q·Kᵀ` kernel, same fused softmax, same
+    /// Inference-plane form of [`MultiHeadAttention::grouped`] over a
+    /// ragged batch: `x` is `[Σ lens, d_model]` (sequence `s` has
+    /// `lens[s]` rows), `out` is `[Σ lens, d_model]`, or `[lens.len(),
+    /// d_model]` when `last_only`. Workspace-leased buffers only — no graph
+    /// nodes, no steady-state allocation. Replicates the autograd op
+    /// op-for-op (same dispatching kernels, same fused softmax, same
     /// per-head column slicing and concatenation), so it is bit-identical
     /// per backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x`/`out` lengths are not `t × d_model`.
-    pub fn forward_infer(
+    fn infer(
         &self,
         x: &[f32],
-        t: usize,
+        lens: &[usize],
+        last_only: bool,
         out: &mut [f32],
-        ws: &mut crate::workspace::Workspace,
+        ws: &mut Workspace,
     ) {
-        use crate::inference as inf;
-        let d_model = self.wq.in_features();
-        assert_eq!(x.len(), t * d_model, "MultiHeadAttention::forward_infer: x is not t × d");
-        assert_eq!(out.len(), t * d_model, "MultiHeadAttention::forward_infer: out is not t × d");
+        let rows: usize = lens.iter().sum();
+        let b = lens.len();
         let inner = self.inner_dim;
         let dk = inner / self.heads;
-        let mut q = ws.lease(t * inner);
-        let mut k = ws.lease(t * inner);
-        let mut v = ws.lease(t * inner);
-        self.wq.forward_infer(x, t, &mut q, ws);
-        self.wk.forward_infer(x, t, &mut k, ws);
-        self.wv.forward_infer(x, t, &mut v, ws);
+        let q_rows = if last_only { b } else { rows };
+        let t_max = lens.iter().copied().max().unwrap_or(0);
+        let mut q = ws.lease(q_rows * inner);
+        let mut k = ws.lease(rows * inner);
+        let mut v = ws.lease(rows * inner);
+        if last_only {
+            let mut last = ws.lease(b * self.wq.in_features());
+            gather_last_rows(&mut last, x, self.wq.in_features(), lens);
+            self.wq.forward_infer(&last, b, &mut q, ws);
+            ws.release(last);
+        } else {
+            self.wq.forward_infer(x, rows, &mut q, ws);
+        }
+        self.wk.forward_infer(x, rows, &mut k, ws);
+        self.wv.forward_infer(x, rows, &mut v, ws);
         let scale = 1.0 / (dk as f32).sqrt();
-        let mut mask = ws.lease(t * t); // zeroed: on/below diagonal stays 0
-        for r in 0..t {
-            mask[r * t + r + 1..(r + 1) * t].fill(-1e9);
-        }
-        let mut qh = ws.lease(t * dk);
-        let mut kh = ws.lease(t * dk);
-        let mut vh = ws.lease(t * dk);
-        let mut attn = ws.lease(t * t);
-        let mut head = ws.lease(t * dk);
-        let mut joined = ws.lease(t * inner);
-        for h in 0..self.heads {
-            let lo = h * dk;
-            // Column slices of q/k/v, exactly `slice_cols(lo, lo + dk)`.
-            for r in 0..t {
-                qh[r * dk..(r + 1) * dk].copy_from_slice(&q[r * inner + lo..r * inner + lo + dk]);
-                kh[r * dk..(r + 1) * dk].copy_from_slice(&k[r * inner + lo..r * inner + lo + dk]);
-                vh[r * dk..(r + 1) * dk].copy_from_slice(&v[r * inner + lo..r * inner + lo + dk]);
+        let mut causal = ws.lease(if last_only { 0 } else { t_max * t_max });
+        let mut qh = ws.lease(t_max * dk);
+        let mut kh = ws.lease(t_max * dk);
+        let mut vh = ws.lease(t_max * dk);
+        let mut attn = ws.lease(t_max * t_max);
+        let mut head = ws.lease(t_max * dk);
+        let mut joined = ws.lease(q_rows * inner);
+        let mut r0 = 0usize; // the sequence's first key row
+        for (s, &t) in lens.iter().enumerate() {
+            // The sequence's query rows: all `t`, or its last row alone.
+            let (q0, nq) = if last_only { (s, 1) } else { (r0, t) };
+            let mask = if last_only {
+                None
+            } else {
+                let m = &mut causal[..t * t];
+                m.fill(0.0); // on/below the diagonal stays 0
+                for r in 0..t {
+                    m[r * t + r + 1..(r + 1) * t].fill(-1e9);
+                }
+                Some(&*m)
+            };
+            for h in 0..self.heads {
+                let lo = h * dk;
+                // Column slices of q/k/v, exactly `slice_cols(lo, lo + dk)`.
+                for r in 0..nq {
+                    let src = (q0 + r) * inner + lo;
+                    qh[r * dk..(r + 1) * dk].copy_from_slice(&q[src..src + dk]);
+                }
+                for r in 0..t {
+                    let src = (r0 + r) * inner + lo;
+                    kh[r * dk..(r + 1) * dk].copy_from_slice(&k[src..src + dk]);
+                    vh[r * dk..(r + 1) * dk].copy_from_slice(&v[src..src + dk]);
+                }
+                let scores = &mut attn[..nq * t];
+                inf::matmul_t_into(scores, &qh[..nq * dk], &kh[..t * dk], nq, dk, t);
+                inf::softmax_rows_scaled_masked_inplace(scores, nq, t, scale, mask);
+                inf::matmul_into(&mut head[..nq * dk], scores, &vh[..t * dk], nq, t, dk);
+                // concat_cols: head h occupies columns lo..lo+dk of `joined`.
+                for r in 0..nq {
+                    let dst = (q0 + r) * inner + lo;
+                    joined[dst..dst + dk].copy_from_slice(&head[r * dk..(r + 1) * dk]);
+                }
             }
-            inf::matmul_t_into(&mut attn, &qh, &kh, t, dk, t);
-            inf::softmax_rows_scaled_masked_inplace(&mut attn, t, t, scale, Some(&mask));
-            inf::matmul_into(&mut head, &attn, &vh, t, t, dk);
-            // concat_cols: head h occupies columns lo..lo+dk of `joined`.
-            for r in 0..t {
-                joined[r * inner + lo..r * inner + lo + dk]
-                    .copy_from_slice(&head[r * dk..(r + 1) * dk]);
-            }
+            r0 += t;
         }
-        self.wo.forward_infer(&joined, t, out, ws);
-        ws.release(q);
-        ws.release(k);
-        ws.release(v);
-        ws.release(mask);
-        ws.release(qh);
-        ws.release(kh);
-        ws.release(vh);
-        ws.release(attn);
-        ws.release(head);
-        ws.release(joined);
+        self.wo.forward_infer(&joined, q_rows, out, ws);
+        for buf in [q, k, v, causal, qh, kh, vh, attn, head, joined] {
+            ws.release(buf);
+        }
     }
 
     /// Visits the four projection layers (shared), in a stable order.
@@ -210,6 +255,22 @@ fn causal_mask(t: usize) -> Vec<f32> {
         }
     }
     mask
+}
+
+/// The row of each sequence's last step in `windows` equal-length
+/// sequences of `t` rows stacked into one matrix.
+fn last_rows(windows: usize, t: usize) -> Vec<usize> {
+    (1..=windows).map(|w| w * t - 1).collect()
+}
+
+/// Copies each ragged sequence's last row of the `[Σ lens, n]` matrix `x`
+/// into row `s` of `out` (`[lens.len(), n]`).
+fn gather_last_rows(out: &mut [f32], x: &[f32], n: usize, lens: &[usize]) {
+    let mut end = 0usize;
+    for (row, &t) in out.chunks_exact_mut(n).zip(lens) {
+        end += t;
+        row.copy_from_slice(&x[(end - 1) * n..end * n]);
+    }
 }
 
 impl Module for MultiHeadAttention {
@@ -254,30 +315,56 @@ impl TransformerEncoderLayer {
     /// ([`MultiHeadAttention::forward_grouped`]). Bit-identical per sequence
     /// to [`TransformerEncoderLayer::forward`].
     pub fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
-        let h = x.add(&self.attn.forward_grouped(&self.ln1.forward(x), windows));
+        self.grouped(x, windows, false)
+    }
+
+    /// The grouped forward over all rows, or (`last_only`) the last-step
+    /// tail: LN1 over all rows (keys and values need them), then attention,
+    /// the residual, LN2 and the feed-forward block on each sequence's last
+    /// row alone, giving `[windows, D]`.
+    fn grouped(&self, x: &Tensor, windows: usize, last_only: bool) -> Tensor {
+        let attn = self.attn.grouped(&self.ln1.forward(x), windows, last_only);
+        let residual = if last_only {
+            x.index_select_rows(&last_rows(windows, x.shape()[0] / windows))
+        } else {
+            x.clone()
+        };
+        let h = residual.add(&attn);
         h.add(&self.ffn.forward(&self.ln2.forward(&h)))
     }
 
-    /// Inference-plane forward: transforms the raw `[t, d]` sequence in
-    /// place through the same pre-norm residual structure as
-    /// [`TransformerEncoderLayer::forward`], bit-identical per backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` is not a multiple of `t`.
-    pub fn forward_infer(&self, x: &mut [f32], t: usize, ws: &mut crate::workspace::Workspace) {
+    /// Inference-plane form of [`TransformerEncoderLayer::grouped`] over a
+    /// ragged batch (`x` is `[Σ lens, d]`; `out` is `[Σ lens, d]`, or
+    /// `[lens.len(), d]` when `last_only`), through the same pre-norm
+    /// residual structure — bit-identical per backend.
+    fn infer(
+        &self,
+        x: &[f32],
+        lens: &[usize],
+        last_only: bool,
+        out: &mut [f32],
+        ws: &mut Workspace,
+    ) {
+        let d = self.attn.wq.in_features();
+        // out = x (all rows, or each sequence's last) + MHA(LN1(x))
         let mut normed = ws.lease(x.len());
-        let mut sub_out = ws.lease(x.len());
-        // x += MHA(LN1(x))
         normed.copy_from_slice(x);
         self.ln1.forward_infer(&mut normed);
-        self.attn.forward_infer(&normed, t, &mut sub_out, ws);
-        crate::inference::add_assign(x, &sub_out);
-        // x += FFN(LN2(x))
-        normed.copy_from_slice(x);
+        let mut sub_out = ws.lease(out.len());
+        self.attn.infer(&normed, lens, last_only, &mut sub_out, ws);
+        ws.release(normed);
+        if last_only {
+            gather_last_rows(out, x, d, lens);
+        } else {
+            out.copy_from_slice(x);
+        }
+        inf::add_assign(out, &sub_out);
+        // out += FFN(LN2(out))
+        let mut normed = ws.lease(out.len());
+        normed.copy_from_slice(out);
         self.ln2.forward_infer(&mut normed);
-        self.ffn.forward_infer(&normed, t, &mut sub_out, ws);
-        crate::inference::add_assign(x, &sub_out);
+        self.ffn.forward_infer(&normed, out.len() / d, &mut sub_out, ws);
+        inf::add_assign(out, &sub_out);
         ws.release(normed);
         ws.release(sub_out);
     }
@@ -306,9 +393,14 @@ impl Module for TransformerEncoderLayer {
     }
 }
 
-/// A stack of encoder layers; [`TransformerEncoder::forward_last`] returns
-/// only the final time step's embedding, matching the paper's
-/// `f'_t = T(F_t)` which keeps the output aligned with the last input frame.
+/// A stack of encoder layers. The production entry points return only the
+/// final time step's embedding, matching the paper's `f'_t = T(F_t)` which
+/// keeps the output aligned with the last input frame:
+/// [`TransformerEncoder::forward_last_grouped`]
+/// (autograd: adaptation and training) and
+/// [`TransformerEncoder::forward_last_batch_infer`] (serving: one call over a
+/// whole ragged batch). Both run the last layer as the last-step tail (see
+/// the module docs); the full-row forms are their oracles.
 #[derive(Debug)]
 pub struct TransformerEncoder {
     layers: Vec<TransformerEncoderLayer>,
@@ -336,7 +428,10 @@ impl TransformerEncoder {
     }
 
     /// Full output for `windows` equal-length sequences stacked into
-    /// `[windows · T, D]` (see [`TransformerEncoderLayer::forward_grouped`]).
+    /// `[windows · T, D]` (see [`TransformerEncoderLayer::forward_grouped`]):
+    /// every layer over every row. The oracle of
+    /// [`TransformerEncoder::forward_last_grouped`], whose last row per
+    /// sequence it equals bitwise.
     fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
         let mut h = x.clone();
         for layer in &self.layers {
@@ -345,16 +440,14 @@ impl TransformerEncoder {
         h
     }
 
-    /// The last time step's output as a 1-D `[D]` vector.
-    pub fn forward_last(&self, x: &Tensor) -> Tensor {
-        self.forward_last_grouped(x, 1).flatten()
-    }
-
     /// The last time step of each of `windows` equal-length sequences
-    /// stacked into `[windows · T, D]`, as a `[windows, D]` matrix. Row `w`
-    /// is bit-identical to [`TransformerEncoder::forward_last`] on sequence
-    /// `w` alone: every row-wise op runs once over all `windows · T` rows,
-    /// attention per sequence.
+    /// stacked into `[windows · T, D]`, as a `[windows, D]` matrix. Earlier
+    /// layers run over all rows; the last layer runs the last-step tail, so
+    /// the query, attention row, output projection, residual, LN2 and
+    /// feed-forward block (and their backward) cost one row per sequence.
+    /// Row `w` is bit-identical to the last row of sequence `w` through the
+    /// full-row encoder ([`TransformerEncoder::forward`]), and to this call
+    /// on sequence `w` alone.
     ///
     /// # Panics
     ///
@@ -367,42 +460,85 @@ impl TransformerEncoder {
             windows > 0 && rows.is_multiple_of(windows),
             "TransformerEncoder: {rows} rows do not split into {windows} sequences"
         );
-        let t = rows / windows;
-        let last: Vec<usize> = (1..=windows).map(|w| w * t - 1).collect();
-        self.forward_grouped(x, windows).index_select_rows(&last)
+        let Some((last, init)) = self.layers.split_last() else {
+            return x.index_select_rows(&last_rows(windows, rows / windows));
+        };
+        let mut h = x.clone();
+        for layer in init {
+            h = layer.forward_grouped(&h, windows);
+        }
+        last.grouped(&h, windows, true)
     }
 
-    /// Inference-plane form of [`TransformerEncoder::forward_last`]: runs
-    /// the layer stack over the raw `[t, model_dim]` sequence in `seq` (in
-    /// place) and copies the final time step into `out`. Bit-identical per
-    /// backend to the autograd path.
+    /// The serving entry point: the last time step of every sequence of a
+    /// ragged batch, in one call. `x` is `[Σ lens, model_dim]` (sequence `s`
+    /// in the `lens[s]` rows after the sequences before it, oldest first);
+    /// `out` receives `[lens.len(), model_dim]`. Row-wise ops run once over
+    /// all rows of the batch, attention per sequence, and the last layer
+    /// runs the last-step tail. Workspace-leased buffers only.
+    ///
+    /// Row `s` is bit-identical per backend to the last row of sequence `s`
+    /// through the full-row inference form (its oracle, which the int8
+    /// tests use), and — without int8 weights — to the autograd
+    /// [`TransformerEncoder::forward_last_grouped`] on that sequence alone.
     ///
     /// # Panics
     ///
-    /// Panics if `seq.len() != t * model_dim`, `out.len() != model_dim`, or
-    /// `t == 0`.
-    pub fn forward_last_infer(
+    /// Panics if `lens` is empty or holds a zero, or `x`/`out` lengths
+    /// mismatch.
+    pub fn forward_last_batch_infer(
         &self,
-        seq: &mut [f32],
-        t: usize,
+        x: &[f32],
+        lens: &[usize],
         out: &mut [f32],
-        ws: &mut crate::workspace::Workspace,
+        ws: &mut Workspace,
     ) {
-        assert!(t > 0, "TransformerEncoder::forward_last_infer: empty sequence");
-        assert_eq!(
-            seq.len(),
-            t * self.model_dim,
-            "TransformerEncoder::forward_last_infer: seq is not t × model_dim"
-        );
-        assert_eq!(
-            out.len(),
-            self.model_dim,
-            "TransformerEncoder::forward_last_infer: out is not model_dim"
-        );
-        for layer in &self.layers {
-            layer.forward_infer(seq, t, ws);
+        self.infer(x, lens, true, out, ws);
+    }
+
+    /// The inference forward over a ragged batch: every layer over every
+    /// row (`out` `[Σ lens, model_dim]`), or with the last layer as the
+    /// last-step tail when `last_only` (`out` `[lens.len(), model_dim]`).
+    /// The full-row form is the tail's oracle and is bit-identical per
+    /// backend to [`TransformerEncoder::forward`] per sequence (f32
+    /// weights).
+    fn infer(
+        &self,
+        x: &[f32],
+        lens: &[usize],
+        last_only: bool,
+        out: &mut [f32],
+        ws: &mut Workspace,
+    ) {
+        let d = self.model_dim;
+        assert!(!lens.is_empty(), "TransformerEncoder: empty batch");
+        assert!(lens.iter().all(|&t| t > 0), "TransformerEncoder: empty sequence");
+        let rows: usize = lens.iter().sum();
+        assert_eq!(x.len(), rows * d, "TransformerEncoder: x is not Σ lens × model_dim");
+        let out_rows = if last_only { lens.len() } else { rows };
+        assert_eq!(out.len(), out_rows * d, "TransformerEncoder: out has the wrong length");
+        let Some((last, init)) = self.layers.split_last() else {
+            if last_only {
+                gather_last_rows(out, x, d, lens);
+            } else {
+                out.copy_from_slice(x);
+            }
+            return;
+        };
+        if init.is_empty() {
+            last.infer(x, lens, last_only, out, ws);
+            return;
         }
-        out.copy_from_slice(&seq[(t - 1) * self.model_dim..t * self.model_dim]);
+        let mut h = ws.lease(x.len());
+        let mut next = ws.lease(x.len());
+        h.copy_from_slice(x);
+        for layer in init {
+            layer.infer(&h, lens, false, &mut next, ws);
+            std::mem::swap(&mut h, &mut next);
+        }
+        last.infer(&h, lens, last_only, out, ws);
+        ws.release(h);
+        ws.release(next);
     }
 
     /// Model dimensionality.
@@ -476,8 +612,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let enc = TransformerEncoder::new(8, 16, 4, 2, &mut rng);
         let x = Tensor::zeros(&[6, 8]);
-        let last = enc.forward_last(&x);
-        assert_eq!(last.shape(), vec![8]);
+        let last = enc.forward_last_grouped(&x, 2);
+        assert_eq!(last.shape(), vec![2, 8]);
     }
 
     #[test]
@@ -486,47 +622,32 @@ mod tests {
         let enc = TransformerEncoder::new(4, 8, 2, 1, &mut rng);
         let x = Tensor::from_vec((0..12).map(|i| i as f32 * 0.1).collect(), &[3, 4])
             .requires_grad(true);
-        enc.forward_last(&x).sum_all().backward();
+        enc.forward_last_grouped(&x, 1).sum_all().backward();
         for p in enc.params() {
             assert!(p.grad().is_some(), "param missing grad");
         }
         assert!(x.grad().is_some());
     }
 
-    #[test]
-    fn encoder_infer_matches_autograd_bitwise() {
-        let _guard = crate::backend::test_lock();
-        let mut rng = StdRng::seed_from_u64(5);
-        let (t, d) = (5, 8);
-        let enc = TransformerEncoder::new(d, 16, 4, 2, &mut rng);
-        let data: Vec<f32> = (0..t * d).map(|i| ((i * 13 % 23) as f32 - 11.0) * 0.07).collect();
-        let reference = enc.forward_last(&Tensor::from_vec(data.clone(), &[t, d])).to_vec();
-        let mut ws = crate::workspace::Workspace::new();
-        let mut seq = data;
-        let mut out = vec![0.0f32; d];
-        enc.forward_last_infer(&mut seq, t, &mut out, &mut ws);
-        assert_eq!(out, reference, "inference encoder diverged from the autograd encoder");
-        // Steady state: a second identical forward leases only pooled
-        // buffers.
-        let created = ws.stats().buffers_created;
-        let mut seq2: Vec<f32> = (0..t * d).map(|i| (i as f32 * 0.11).sin()).collect();
-        enc.forward_last_infer(&mut seq2, t, &mut out, &mut ws);
-        assert_eq!(ws.stats().buffers_created, created, "second forward allocated new buffers");
+    fn filled(len: usize, salt: usize) -> Vec<f32> {
+        (0..len).map(|i| (((i + salt) * 13 % 29) as f32 - 14.0) * 0.07).collect()
     }
 
-    #[test]
-    fn attention_infer_matches_autograd_bitwise() {
-        let _guard = crate::backend::test_lock();
-        let mut rng = StdRng::seed_from_u64(6);
-        let (t, d) = (4, 6);
-        let mha = MultiHeadAttention::new(d, 8, 2, &mut rng);
-        let data: Vec<f32> = (0..t * d).map(|i| ((i * 7 % 19) as f32 - 9.0) * 0.13).collect();
-        let reference = mha.forward(&Tensor::from_vec(data.clone(), &[t, d])).to_vec();
-        let mut ws = crate::workspace::Workspace::new();
-        let mut out = vec![0.0f32; t * d];
-        mha.forward_infer(&data, t, &mut out, &mut ws);
-        assert_eq!(out, reference, "inference attention diverged from the autograd attention");
+    /// Runs `f` under Scalar, then Simd, restoring the previous backend.
+    /// Callers must hold [`crate::backend::test_lock`].
+    fn for_each_backend(mut f: impl FnMut(crate::backend::Backend)) {
+        use crate::backend::{backend, set_backend, Backend};
+        let prev = backend();
+        for b in [Backend::Scalar, Backend::Simd] {
+            set_backend(b);
+            f(b);
+        }
+        set_backend(prev);
     }
+
+    /// Ragged lengths: full windows, single-row and partial ones, as a
+    /// warming-up stream's windows are.
+    const RAGGED: [usize; 7] = [4, 1, 3, 4, 2, 4, 4];
 
     #[test]
     fn grouped_encoder_matches_per_sequence_bitwise() {
@@ -539,9 +660,143 @@ mod tests {
         assert_eq!(grouped.shape(), vec![w, d]);
         let grouped = grouped.to_vec();
         for (i, seq) in data.chunks_exact(t * d).enumerate() {
-            let solo = enc.forward_last(&Tensor::from_vec(seq.to_vec(), &[t, d])).to_vec();
+            let seq = Tensor::from_vec(seq.to_vec(), &[t, d]);
+            let solo = enc.forward_last_grouped(&seq, 1).to_vec();
             assert_eq!(&grouped[i * d..(i + 1) * d], &solo[..], "sequence {i} diverged");
         }
+    }
+
+    #[test]
+    fn encoder_infer_matches_autograd_bitwise() {
+        let _guard = crate::backend::test_lock();
+        let mut rng = StdRng::seed_from_u64(5);
+        let (t, d) = (5, 8);
+        let enc = TransformerEncoder::new(d, 16, 4, 2, &mut rng);
+        let data = filled(t * d, 0);
+        let seq = Tensor::from_vec(data.clone(), &[t, d]);
+        let mut ws = Workspace::new();
+        let mut full = vec![0.0f32; t * d];
+        enc.infer(&data, &[t], false, &mut full, &mut ws);
+        assert_eq!(full, enc.forward(&seq).to_vec(), "full-row inference diverged from autograd");
+        let mut out = vec![0.0f32; d];
+        enc.forward_last_batch_infer(&data, &[t], &mut out, &mut ws);
+        assert_eq!(
+            out,
+            enc.forward_last_grouped(&seq, 1).to_vec(),
+            "inference tail diverged from autograd"
+        );
+        // Steady state: a second identical forward leases only pooled
+        // buffers.
+        let created = ws.stats().buffers_created;
+        enc.forward_last_batch_infer(&filled(t * d, 3), &[t], &mut out, &mut ws);
+        assert_eq!(ws.stats().buffers_created, created, "second forward allocated new buffers");
+    }
+
+    #[test]
+    fn attention_infer_matches_autograd_bitwise() {
+        let _guard = crate::backend::test_lock();
+        let mut rng = StdRng::seed_from_u64(6);
+        let (t, d) = (4, 6);
+        let mha = MultiHeadAttention::new(d, 8, 2, &mut rng);
+        let data = filled(t * d, 1);
+        let x = Tensor::from_vec(data.clone(), &[t, d]);
+        let mut ws = Workspace::new();
+        let mut out = vec![0.0f32; t * d];
+        mha.infer(&data, &[t], false, &mut out, &mut ws);
+        assert_eq!(out, mha.forward(&x).to_vec(), "inference attention diverged from autograd");
+        let mut last = vec![0.0f32; d];
+        mha.infer(&data, &[t], true, &mut last, &mut ws);
+        assert_eq!(
+            last,
+            mha.grouped(&x, 1, true).to_vec(),
+            "inference tail diverged from autograd"
+        );
+        assert_eq!(last, out[(t - 1) * d..], "attention tail is not the full output's last row");
+    }
+
+    /// The serving tail over a ragged batch equals its full-row oracle's
+    /// last rows, bitwise: 1- and 2-layer encoders, Scalar and Simd, f32 and
+    /// int8 weights. Each row also equals the sequence scored alone, and
+    /// (f32) the autograd encoder on it.
+    #[test]
+    fn ragged_inference_tail_matches_full_row_oracle_bitwise() {
+        let _guard = crate::backend::test_lock();
+        let d = 8;
+        let rows: usize = RAGGED.iter().sum();
+        let x = filled(rows * d, 2);
+        for_each_backend(|b| {
+            for layers in [1, 2] {
+                for int8 in [false, true] {
+                    let mut rng = StdRng::seed_from_u64(8 + layers as u64);
+                    let mut enc = TransformerEncoder::new(d, 32, 4, layers, &mut rng);
+                    if int8 {
+                        enc.visit_linears_mut(&mut |l| l.quantize_int8());
+                    }
+                    let what = format!("{b:?}, {layers} layer(s), int8 {int8}");
+                    let mut ws = Workspace::new();
+                    let mut tail = vec![0.0f32; RAGGED.len() * d];
+                    enc.forward_last_batch_infer(&x, &RAGGED, &mut tail, &mut ws);
+                    let mut full = vec![0.0f32; rows * d];
+                    enc.infer(&x, &RAGGED, false, &mut full, &mut ws);
+                    let mut oracle = vec![0.0f32; RAGGED.len() * d];
+                    gather_last_rows(&mut oracle, &full, d, &RAGGED);
+                    assert_eq!(tail, oracle, "{what}: tail diverged from the full-row oracle");
+                    let mut r0 = 0;
+                    for (s, &t) in RAGGED.iter().enumerate() {
+                        let seq = &x[r0 * d..(r0 + t) * d];
+                        let mut alone = vec![0.0f32; d];
+                        enc.forward_last_batch_infer(seq, &[t], &mut alone, &mut ws);
+                        let row = &tail[s * d..(s + 1) * d];
+                        assert_eq!(row, &alone[..], "{what}: sequence {s} batched vs alone");
+                        if !int8 {
+                            let auto = enc
+                                .forward_last_grouped(&Tensor::from_vec(seq.to_vec(), &[t, d]), 1);
+                            assert_eq!(row, &auto.to_vec()[..], "{what}: sequence {s} vs autograd");
+                        }
+                        r0 += t;
+                    }
+                }
+            }
+        });
+    }
+
+    /// The autograd tail equals the full-row encoder's last rows bitwise,
+    /// 1- and 2-layer, Scalar and Simd, one and several windows.
+    #[test]
+    fn autograd_tail_matches_full_row_oracle_bitwise() {
+        let _guard = crate::backend::test_lock();
+        let (t, d) = (4, 8);
+        for_each_backend(|b| {
+            for layers in [1, 2] {
+                let mut rng = StdRng::seed_from_u64(20 + layers as u64);
+                let enc = TransformerEncoder::new(d, 32, 4, layers, &mut rng);
+                for windows in [1, 5] {
+                    let x = Tensor::from_vec(filled(windows * t * d, windows), &[windows * t, d]);
+                    let tail = enc.forward_last_grouped(&x, windows);
+                    assert_eq!(tail.shape(), vec![windows, d]);
+                    let oracle =
+                        enc.forward_grouped(&x, windows).index_select_rows(&last_rows(windows, t));
+                    assert_eq!(
+                        tail.to_vec(),
+                        oracle.to_vec(),
+                        "{b:?}, {layers} layer(s), {windows} window(s)"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn empty_encoder_tail_picks_last_rows() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let enc = TransformerEncoder::new(4, 8, 2, 0, &mut rng);
+        let x = filled(6 * 4, 0);
+        let mut out = vec![0.0f32; 2 * 4];
+        enc.forward_last_batch_infer(&x, &[2, 4], &mut out, &mut Workspace::new());
+        assert_eq!(&out[..4], &x[4..8]);
+        assert_eq!(&out[4..], &x[20..]);
+        let auto = enc.forward_last_grouped(&Tensor::from_vec(x.clone(), &[6, 4]), 2).to_vec();
+        assert_eq!(auto, [&x[8..12], &x[20..]].concat());
     }
 
     #[test]

@@ -52,7 +52,16 @@ pub(crate) const GELU_C: f32 = 0.797_884_6;
 /// and the inference data plane.
 #[inline]
 pub(crate) fn gelu_scalar(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
+    gelu_with_deriv(x).0
+}
+
+/// GELU and its derivative at `x` from one `tanh`: the autograd op stores
+/// the derivative at forward time, so its backward calls no libm.
+#[inline]
+fn gelu_with_deriv(x: f32) -> (f32, f32) {
+    let t = (GELU_C * (x + 0.044715 * x * x * x)).tanh();
+    let dt = (1.0 - t * t) * GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+    (0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * dt)
 }
 
 /// Builds a unary elementwise op from a whole-slice forward map (so the
@@ -177,14 +186,29 @@ impl Tensor {
 
     /// Gaussian error linear unit (tanh approximation), used by the temporal
     /// transformer's feed-forward block.
+    ///
+    /// A tracked op stores the derivative at forward time (from the same
+    /// `tanh`), so its backward is one multiply per element.
     pub fn gelu(&self) -> Tensor {
-        const C: f32 = GELU_C;
-        unary_from_input(self, gelu_scalar, |x| {
-            let inner = C * (x + 0.044715 * x * x * x);
-            let t = inner.tanh();
-            let dt = (1.0 - t * t) * C * (1.0 + 3.0 * 0.044715 * x * x);
-            0.5 * (1.0 + t) + 0.5 * x * dt
-        })
+        let mut data = self.to_vec();
+        if !self.is_tracked() {
+            data.iter_mut().for_each(|v| *v = gelu_scalar(*v));
+            return Tensor::from_vec(data, &self.shape());
+        }
+        let deriv: Vec<f32> = data
+            .iter_mut()
+            .map(|v| {
+                let (y, dy) = gelu_with_deriv(*v);
+                *v = y;
+                dy
+            })
+            .collect();
+        Tensor::from_op(
+            data,
+            &self.shape(),
+            vec![self.clone()],
+            Box::new(move |g| vec![g.iter().zip(&deriv).map(|(gi, di)| gi * di).collect()]),
+        )
     }
 }
 
@@ -343,6 +367,30 @@ mod tests {
         assert_eq!(y.item(), 5.0);
         y.backward();
         assert_eq!(x.grad().unwrap(), vec![-1.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn gelu_stored_derivative_equals_recomputed_tanh_derivative_bitwise() {
+        let xs: Vec<f32> = (-400..=400).map(|i| i as f32 * 0.0173).collect();
+        let x = leaf(xs.clone());
+        let y = x.gelu();
+        let g: Vec<f32> = (0..xs.len()).map(|i| 1.0 + (i % 7) as f32 * 0.25).collect();
+        y.backward_with(&g);
+        // Reference: the derivative recomputed from the input value with a
+        // second `tanh` per element.
+        let expected: Vec<u32> = xs
+            .iter()
+            .zip(&g)
+            .map(|(&x, gi)| {
+                let t = (GELU_C * (x + 0.044715 * x * x * x)).tanh();
+                let dt = (1.0 - t * t) * GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+                (gi * (0.5 * (1.0 + t) + 0.5 * x * dt)).to_bits()
+            })
+            .collect();
+        let got: Vec<u32> = x.grad().unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, expected);
+        let forward: Vec<u32> = xs.iter().map(|&x| gelu_scalar(x).to_bits()).collect();
+        assert_eq!(y.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), forward);
     }
 
     #[test]

@@ -11,11 +11,17 @@
 //! `Backend::Scalar` keeps the bit-exact identities the equivalence suites
 //! rely on. Tests that flip the process-wide backend hold `BACKEND_LOCK` so
 //! concurrent test threads never observe a mid-computation switch.
+//!
+//! The row-independence section pins what the temporal encoder's last-step
+//! tail rests on: every row-wise inference kernel gives row `r` of an
+//! `[m, k]` call the same bits as the `[1, k]` call on that row alone, under
+//! Scalar and Simd, across every matmul dispatch path.
 
 use akg_tensor::backend::{backend, set_backend, simd_available, Backend};
+use akg_tensor::ops::kernels::BLOCKED_DISPATCH_THRESHOLD;
 use akg_tensor::ops::kernels::{matmul_blocked, matmul_ikj, matmul_naive, matmul_nt, matmul_tn};
 use akg_tensor::par::{set_parallelism, Parallelism};
-use akg_tensor::{gradcheck, Tensor};
+use akg_tensor::{gradcheck, inference, QuantizedMatrix, Tensor, Workspace};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -428,4 +434,129 @@ fn simd_backend_keeps_dispatch_bit_exact() {
             );
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Row independence: a row's result does not depend on the call's row count
+// ---------------------------------------------------------------------------
+
+/// Runs the row-wise kernel `f(x_rows, row0, rows, out)` over all `m` rows of
+/// `x` (`in_w` wide) at once, then over each row alone, and compares the
+/// `out_w`-wide output rows bitwise.
+fn rows_match_single_row_calls(
+    what: &str,
+    x: &[f32],
+    m: usize,
+    in_w: usize,
+    out_w: usize,
+    mut f: impl FnMut(&[f32], usize, usize, &mut [f32]),
+) -> Result<(), String> {
+    let mut all = vec![0.0f32; m * out_w];
+    f(x, 0, m, &mut all);
+    for r in 0..m {
+        let mut one = vec![0.0f32; out_w];
+        f(&x[r * in_w..(r + 1) * in_w], r, 1, &mut one);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        if bits(&all[r * out_w..(r + 1) * out_w]) != bits(&one) {
+            return Err(format!("{what}: row {r} of {m} differs from the 1-row call"));
+        }
+    }
+    Ok(())
+}
+
+/// Every row-wise kernel of the inference plane over `m` rows of `a`:
+/// `matmul_into` at width `n` (plain `ikj`, or the narrow register-resident
+/// `ikj` at n ∈ {8, 16, 24, 32}), `matmul_t_into`, `matmul_q8_into`,
+/// `layer_norm_rows_inplace` and `softmax_rows_scaled_masked_inplace`.
+#[allow(clippy::too_many_arguments)]
+fn check_row_wise_kernels(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    scale: f32,
+    mask: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+) -> Result<(), String> {
+    let (b_kn, bt_nk) = (&b[..k * n], &b[..n * k]);
+    let qb = QuantizedMatrix::from_row_major(b_kn, k, n);
+    let mut ws = Workspace::new();
+    rows_match_single_row_calls("matmul_into", a, m, k, n, |x, _, rows, out| {
+        inference::matmul_into(out, x, b_kn, rows, k, n)
+    })?;
+    rows_match_single_row_calls("matmul_t_into", a, m, k, n, |x, _, rows, out| {
+        inference::matmul_t_into(out, x, bt_nk, rows, k, n)
+    })?;
+    rows_match_single_row_calls("matmul_q8_into", a, m, k, n, |x, _, rows, out| {
+        inference::matmul_q8_into(out, x, &qb, rows, &mut ws)
+    })?;
+    rows_match_single_row_calls("layer_norm_rows_inplace", a, m, k, k, |x, _, _, out| {
+        out.copy_from_slice(x);
+        inference::layer_norm_rows_inplace(out, k, &gamma[..k], &beta[..k], 1e-5);
+    })?;
+    rows_match_single_row_calls("softmax (masked)", a, m, k, k, |x, r0, rows, out| {
+        out.copy_from_slice(x);
+        let mask = &mask[r0 * k..(r0 + rows) * k];
+        inference::softmax_rows_scaled_masked_inplace(out, rows, k, scale, Some(mask));
+    })?;
+    rows_match_single_row_calls("softmax (unmasked)", a, m, k, k, |x, _, rows, out| {
+        out.copy_from_slice(x);
+        inference::softmax_rows_scaled_masked_inplace(out, rows, k, scale, None);
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Row `r` of an `[m, k]` call equals the `[1, k]` call on that row,
+    /// bitwise, under Scalar and Simd. The widths include the narrow `ikj`
+    /// widths (8, 16, 24, 32: row blocks of 8, 4, 2, 2, so most `m` leave a
+    /// remainder), 64 (the general SIMD `ikj`) and odd widths.
+    #[test]
+    fn row_wise_kernels_give_a_row_the_same_bits_at_any_row_count(
+        m in 2usize..24, k in 2usize..40, n_pick in 0usize..7, scale in 0.05f32..2.0,
+        a in pool_strategy(),
+        b in proptest::collection::vec(-2.0f32..2.0, 40 * 64),
+        mask_bits in proptest::collection::vec(0u8..2, 24 * 40),
+        gamma in proptest::collection::vec(-1.5f32..1.5, 40),
+        beta in proptest::collection::vec(-1.0f32..1.0, 40),
+    ) {
+        let _guard = lock_backend();
+        let n = [8, 16, 24, 32, 64, 5, 13][n_pick];
+        let a = &a[..m * k];
+        let mask: Vec<f32> = mask_bits[..m * k]
+            .iter()
+            .enumerate()
+            .map(|(i, &bit)| if bit == 1 && i % k != 0 { -1e9 } else { 0.0 })
+            .collect();
+        for backend in [Backend::Scalar, Backend::Simd] {
+            let res = with_backend(backend, || {
+                check_row_wise_kernels(a, &b, m, k, n, scale, &mask, &gamma, &beta)
+            });
+            prop_assert!(res.is_ok(), "{:?}: {}", backend, res.unwrap_err());
+        }
+    }
+}
+
+/// Above [`BLOCKED_DISPATCH_THRESHOLD`] `matmul_into` runs the blocked,
+/// threaded kernel while a single row stays on `ikj`: each row of the
+/// blocked product still equals its 1-row call bitwise, under both backends.
+#[test]
+fn blocked_matmul_rows_match_single_row_calls() {
+    let _guard = lock_backend();
+    let (k, n) = (96, 96);
+    let m = BLOCKED_DISPATCH_THRESHOLD.div_ceil(k * n) + 3;
+    assert!(m * k * n >= BLOCKED_DISPATCH_THRESHOLD && k * n < BLOCKED_DISPATCH_THRESHOLD);
+    let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 19) as f32 - 9.0) * 0.11).collect();
+    let b: Vec<f32> = (0..k * n).map(|i| ((i * 23 % 17) as f32 - 8.0) * 0.13).collect();
+    for backend in [Backend::Scalar, Backend::Simd] {
+        with_backend(backend, || {
+            let res = rows_match_single_row_calls("blocked", &a, m, k, n, |x, _, rows, out| {
+                inference::matmul_into(out, x, &b, rows, k, n)
+            });
+            assert!(res.is_ok(), "{backend:?}: {}", res.unwrap_err());
+        });
+    }
 }
