@@ -18,6 +18,13 @@
 //! ([`ContinuousAdapter::ingest_frame`], then a batched score, then
 //! [`ContinuousAdapter::complete_frame`]).
 //!
+//! Scoring is incremental: a frame's reasoning embedding `f_t` depends only
+//! on the frame and the session's KGs, layouts and table, so the adapter
+//! keeps the rows of its newest `T` frames and runs each frame through the
+//! GNNs once, not once per window it falls in
+//! ([`ContinuousAdapter::score_windows`]). The rows are dropped whenever
+//! [`Session::state_stamp`] moves.
+//!
 //! A token update's work scales with the KGs and the distinct buffered
 //! frames, not with the table: SGD runs on one compact `[r, dim]` leaf of
 //! the `r` token rows the session's KGs reference
@@ -31,15 +38,18 @@
 
 use crate::engine::{Engine, Session};
 use crate::loss::decision_loss_smoothed;
+use crate::model::{FrameGroup, NodeTemplate};
 use akg_eval::MeanShiftTracker;
 use akg_kg::modify::{create_node, repair_connectivity, CreateConfig};
 use akg_kg::NodeId;
 use akg_tensor::nn::Module;
 use akg_tensor::optim::{Optimizer, Sgd};
+use akg_tensor::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 
 /// Adaptation hyperparameters. `n_window` and `lag` are the paper's `N` and
 /// `t'` (validation-tuned); the divergence patience controls how many
@@ -190,6 +200,53 @@ pub struct ContinuousAdapter {
     observed: usize,
     events: Vec<AdaptEvent>,
     adapted_node_counter: usize,
+    /// Frames ingested since attach or restore: buffered frame `b` is
+    /// ingest number `ingested − buffer.len() + b`.
+    ingested: u64,
+    ring: RowRing,
+}
+
+/// The reasoning rows `f_t` of the newest `T` buffered frames, slot
+/// `seq mod T` holding ingest number `seq`. A row depends on its frame
+/// (fixed once buffered), the engine (whose weights and backend stay fixed
+/// while adapters serve) and the session's table, KGs and layouts — so the
+/// ring records the [`Session::state_stamp`] its rows and node templates
+/// were computed against and drops them all when the stamp moves. Rows are
+/// filled lazily, when a window that needs them is scored. The ring is
+/// never checkpointed: a restored adapter starts empty.
+#[derive(Debug)]
+struct RowRing {
+    /// The session stamp the rows and templates belong to (0: none yet).
+    stamp: u64,
+    /// Per slot, its row's ingest number + 1 (0: empty).
+    tags: Vec<u64>,
+    /// `[T, D]` rows.
+    rows: Vec<f32>,
+    /// One node template per mission KG.
+    templates: Vec<NodeTemplate>,
+    /// Frames run through the GNN stage over the adapter's lifetime.
+    computed: u64,
+}
+
+impl RowRing {
+    fn new(engine: &Engine) -> Self {
+        let t = engine.model.config().window;
+        RowRing {
+            stamp: 0,
+            tags: vec![0; t],
+            rows: vec![0.0; t * engine.model.reasoning_dim()],
+            templates: Vec::new(),
+            computed: 0,
+        }
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq % self.tags.len() as u64) as usize
+    }
+
+    fn holds(&self, seq: u64) -> bool {
+        self.tags[self.slot(seq)] == seq + 1
+    }
 }
 
 impl ContinuousAdapter {
@@ -218,6 +275,8 @@ impl ContinuousAdapter {
             observed: 0,
             events: Vec::new(),
             adapted_node_counter: 0,
+            ingested: 0,
+            ring: RowRing::new(engine),
             cfg,
         };
         adapter.snapshot_drift(session);
@@ -283,8 +342,10 @@ impl ContinuousAdapter {
     /// rolling window against the session, and — every `interval` frames —
     /// runs the adaptation check. Returns the anomaly score. This is exactly
     /// the runtime's per-stream sequence ([`ContinuousAdapter::ingest_frame`],
-    /// [`ContinuousAdapter::fill_window_refs`], a score, then
-    /// [`ContinuousAdapter::complete_frame`]) with a batch of one.
+    /// [`ContinuousAdapter::score_windows`], then
+    /// [`ContinuousAdapter::complete_frame`]) with a batch of one, and its
+    /// score is bitwise [`Engine::score_window_refs`] over
+    /// [`ContinuousAdapter::fill_window_refs`]'s window.
     pub fn observe(
         &mut self,
         engine: &Engine,
@@ -292,11 +353,177 @@ impl ContinuousAdapter {
         frame: &akg_data::Frame,
     ) -> f32 {
         self.ingest_frame(engine, session, frame);
-        let mut window = Vec::with_capacity(engine.model.config().window);
-        self.fill_window_refs(engine, &mut window);
-        let score = engine.score_window_refs(session, &window);
+        let score = {
+            let session = &*session;
+            let mut ws = session.workspace();
+            let mut out = ws.lease_vec();
+            Self::score_windows(engine, &mut [(&mut *self, session)], &mut ws, &mut out);
+            let score = out[0];
+            ws.release_vec(out);
+            score
+        };
         self.complete_frame(engine, session, score);
         score
+    }
+
+    /// Scores the current window of every `(adapter, session)` pair in one
+    /// dispatch, appending one anomaly score per pair to `out` (cleared
+    /// first): the incremental form of [`Engine::score_windows_batch_refs`]
+    /// over the windows [`ContinuousAdapter::fill_window_refs`] returns, and
+    /// bitwise equal to it.
+    ///
+    /// Each adapter first drops its rows if its session's
+    /// [`Session::state_stamp`] moved. The frames whose rows are missing —
+    /// one per stream on a warm tick, at most `T` after the session changed
+    /// — run through one GNN-stage call
+    /// ([`crate::model::DecisionModel::reasoning_rows_batch_infer`]) and
+    /// land in their adapters' rings. The windows are then assembled from
+    /// the rings and run through the temporal + head stage once
+    /// ([`crate::model::DecisionModel::temporal_probs_batch_infer`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `streams` is empty or an adapter has no window yet (see
+    /// [`ContinuousAdapter::has_window`]).
+    pub fn score_windows(
+        engine: &Engine,
+        streams: &mut [(&mut ContinuousAdapter, &Session)],
+        ws: &mut Workspace,
+        out: &mut Vec<f32>,
+    ) {
+        assert!(!streams.is_empty(), "score_windows: empty batch");
+        let model = &engine.model;
+        let (t, d) = (model.config().window, model.reasoning_dim());
+        let mut missing = 0usize;
+        for (adapter, session) in streams.iter_mut() {
+            assert!(adapter.has_window(), "score_windows: no frame ingested");
+            missing += adapter.prepare_rows(engine, session);
+        }
+        if missing > 0 {
+            let mut frames: Vec<&[f32]> = Vec::with_capacity(missing);
+            let mut counts = ws.lease_idx();
+            for (adapter, _) in streams.iter() {
+                let before = frames.len();
+                frames.extend(adapter.missing_frames(engine).map(|b| adapter.buffer[b].as_slice()));
+                counts.push(frames.len() - before);
+            }
+            let mut groups: Vec<FrameGroup<'_>> = Vec::with_capacity(streams.len());
+            let mut next = 0usize;
+            for ((adapter, session), &count) in streams.iter().zip(counts.iter()) {
+                if count > 0 {
+                    groups.push(FrameGroup {
+                        layouts: &session.layouts,
+                        templates: &adapter.ring.templates,
+                        frames: &frames[next..next + count],
+                    });
+                    next += count;
+                }
+            }
+            // At most one frame per stream is the steady shape, and the
+            // caller's workspace keeps its buffers. Any other count (a
+            // session that just changed, a multi-frame ingest) runs on
+            // scratch dropped on return: exact-size pools would otherwise
+            // keep a buffer set for every count ever served.
+            let mut scratch = Workspace::new();
+            let gnn_ws =
+                if counts.iter().all(|&count| count <= 1) { &mut *ws } else { &mut scratch };
+            let mut rows = gnn_ws.lease(missing * d);
+            model.reasoning_rows_batch_infer(&groups, &mut rows, gnn_ws);
+            drop(groups);
+            drop(frames);
+            let mut next = 0usize;
+            for ((adapter, _), &count) in streams.iter_mut().zip(counts.iter()) {
+                adapter.store_rows(engine, &rows[next * d..(next + count) * d]);
+                next += count;
+            }
+            gnn_ws.release(rows);
+            ws.release_idx(counts);
+        }
+        let mut seq = ws.lease(streams.len() * t * d);
+        for ((adapter, _), window) in streams.iter().zip(seq.chunks_exact_mut(t * d)) {
+            adapter.fill_window_rows(engine, window);
+        }
+        let mut lens = ws.lease_idx();
+        lens.resize(streams.len(), t);
+        let mut probs = ws.lease_vec();
+        model.temporal_probs_batch_infer(&seq, &lens, ws, &mut probs);
+        out.clear();
+        out.extend(probs.chunks_exact(model.n_classes()).map(|p| 1.0 - p[0]));
+        ws.release_vec(probs);
+        ws.release_idx(lens);
+        ws.release(seq);
+    }
+
+    /// Frames this adapter has run through the GNN stage since attach or
+    /// restore — a probe for tests of the row ring, not a serving counter.
+    #[doc(hidden)]
+    pub fn gnn_frames(&self) -> u64 {
+        self.ring.computed
+    }
+
+    /// Ingest number of buffered frame `b`.
+    fn seq_of(&self, b: usize) -> u64 {
+        self.ingested - self.buffer.len() as u64 + b as u64
+    }
+
+    /// Buffer indices of the current window's distinct frames, oldest
+    /// first (the window repeats the first of them while warming up).
+    fn window_frames(&self, engine: &Engine) -> Range<usize> {
+        let window_len = engine.model.config().window;
+        self.buffer.len().saturating_sub(window_len)..self.buffer.len()
+    }
+
+    /// Buffer indices of the current window's frames the ring lacks.
+    fn missing_frames<'a>(&'a self, engine: &Engine) -> impl Iterator<Item = usize> + 'a {
+        self.window_frames(engine).filter(|&b| !self.ring.holds(self.seq_of(b)))
+    }
+
+    /// If the session's stamp moved, drops every row and rebuilds the node
+    /// templates (the whole window is then missing, so they are needed).
+    /// Returns how many of the window's rows are missing.
+    fn prepare_rows(&mut self, engine: &Engine, session: &Session) -> usize {
+        let stamp = session.state_stamp();
+        if self.ring.stamp != stamp {
+            let ring = &mut self.ring;
+            ring.stamp = stamp;
+            ring.tags.fill(0);
+            ring.templates.resize_with(session.kgs.len(), NodeTemplate::default);
+            for ((tkg, layout), template) in
+                session.kgs.iter().zip(session.layouts.iter()).zip(&mut ring.templates)
+            {
+                engine.model.node_template_into(tkg, layout, &session.table, template);
+            }
+        }
+        self.missing_frames(engine).count()
+    }
+
+    /// Stores freshly computed rows for the window's missing frames, in
+    /// [`ContinuousAdapter::missing_frames`] order.
+    fn store_rows(&mut self, engine: &Engine, rows: &[f32]) {
+        let d = engine.model.reasoning_dim();
+        let mut fresh = rows.chunks_exact(d);
+        for b in self.window_frames(engine) {
+            let seq = self.seq_of(b);
+            if self.ring.holds(seq) {
+                continue;
+            }
+            let row = fresh.next().expect("store_rows: one row per missing frame");
+            let slot = self.ring.slot(seq);
+            self.ring.rows[slot * d..(slot + 1) * d].copy_from_slice(row);
+            self.ring.tags[slot] = seq + 1;
+            self.ring.computed += 1;
+        }
+        assert!(fresh.next().is_none(), "store_rows: more rows than missing frames");
+    }
+
+    /// Writes the current window's `[T, D]` rows from the ring into `out`,
+    /// padded as [`ContinuousAdapter::fill_window_refs`] pads frames.
+    fn fill_window_rows(&self, engine: &Engine, out: &mut [f32]) {
+        let d = engine.model.reasoning_dim();
+        for (b, dst) in window_span(engine, self.buffer.len() - 1).zip(out.chunks_exact_mut(d)) {
+            let slot = self.ring.slot(self.seq_of(b));
+            dst.copy_from_slice(&self.ring.rows[slot * d..(slot + 1) * d]);
+        }
     }
 
     /// First step of one observation: embeds the frame through the
@@ -315,6 +542,7 @@ impl ContinuousAdapter {
             self.buffer.pop_front();
         }
         self.buffer.push_back(embedding);
+        self.ingested += 1;
     }
 
     /// Appends the current rolling score window (ending at the newest
@@ -641,6 +869,7 @@ impl ContinuousAdapter {
         let mut adapter = Self::attach(engine, session, cfg);
         adapter.tracker = snapshot.tracker.clone();
         adapter.buffer = snapshot.buffer.iter().cloned().collect();
+        adapter.ingested = adapter.buffer.len() as u64;
         adapter.drift = snapshot
             .drift
             .iter()

@@ -28,16 +28,32 @@ use rand::SeedableRng;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The process-wide source of session state stamps (see
+/// [`Session::state_stamp`]).
+static STATE_STAMPS: AtomicU64 = AtomicU64::new(0);
+
+/// A state stamp no earlier call has returned, in this process, on any
+/// thread — larger than every stamp handed out before it, and never 0.
+pub(crate) fn next_state_stamp() -> u64 {
+    STATE_STAMPS.fetch_add(1, Ordering::Relaxed) + 1
+}
 
 /// A copy-on-write vector: shared (an `Arc` into the engine's immutable
 /// template) until first mutable access, at which point it silently
 /// materializes a private owned copy. `Deref`/`DerefMut` make it a drop-in
 /// replacement for `Vec` at every existing call site — reads never copy,
 /// and `session.kgs[i].kg = …`-style writes trigger the materialization.
+///
+/// Every mutable access also takes a fresh state stamp ([`CowVec::stamp`]),
+/// so a cache keyed on the stamp sees any write, not only the ones it was
+/// told about.
 #[derive(Debug, Clone)]
 pub struct CowVec<T: Clone> {
     repr: CowRepr<T>,
+    stamp: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -49,7 +65,13 @@ enum CowRepr<T> {
 impl<T: Clone> CowVec<T> {
     /// A shared view of the given template (zero-copy).
     pub fn shared(data: Arc<Vec<T>>) -> Self {
-        CowVec { repr: CowRepr::Shared(data) }
+        CowVec { repr: CowRepr::Shared(data), stamp: next_state_stamp() }
+    }
+
+    /// The state stamp of the contents: fresh at construction and advanced
+    /// by every mutable access.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Whether the contents are still the shared template (no private copy
@@ -73,6 +95,7 @@ impl<T: Clone> Deref for CowVec<T> {
 
 impl<T: Clone> DerefMut for CowVec<T> {
     fn deref_mut(&mut self) -> &mut Vec<T> {
+        self.stamp = next_state_stamp();
         if let CowRepr::Shared(arc) = &self.repr {
             self.repr = CowRepr::Owned(arc.as_ref().clone());
         }
@@ -172,6 +195,21 @@ impl Session {
     /// high-water mark stabilizes once every serving shape has been seen).
     pub fn workspace_stats(&self) -> WorkspaceStats {
         self.workspace.borrow().stats()
+    }
+
+    /// The session's scratch workspace (single-stream scoring paths).
+    pub(crate) fn workspace(&self) -> std::cell::RefMut<'_, Workspace> {
+        self.workspace.borrow_mut()
+    }
+
+    /// A stamp of everything a frame's reasoning embedding reads from the
+    /// session: its token table, KGs and layouts. Each of the three takes a
+    /// fresh value from one process-wide counter at construction and on
+    /// every write, so the stamp changes whenever any of them may have —
+    /// a reassigned field included, since its new stamp exceeds every
+    /// earlier one. Equal stamps mean unchanged state.
+    pub fn state_stamp(&self) -> u64 {
+        self.table.stamp().max(self.kgs.stamp()).max(self.layouts.stamp())
     }
 
     /// Estimated resident heap bytes this session *privately* owns: the
@@ -507,8 +545,10 @@ impl Engine {
 
     /// The allocation-free core of [`Engine::score_windows_batch`]:
     /// borrowed frame slices in, scores appended to a caller-reused `out`
-    /// (cleared first), scratch from a caller-held [`Workspace`]. This is
-    /// the entry point the multi-stream runtime serves through.
+    /// (cleared first), scratch from a caller-held [`Workspace`]. Every
+    /// frame of every window runs through the GNNs, so this is the
+    /// uncached oracle of the runtime's incremental scoring
+    /// ([`crate::adapt::ContinuousAdapter::score_windows`], bitwise equal).
     ///
     /// # Panics
     ///

@@ -66,7 +66,9 @@ pub use experiment::{
     TrendShiftCurve, TrendShiftParams, TrendShiftResult,
 };
 pub use model::{DecisionModel, HierarchicalGnn, KgLayout};
-pub use persist::{checkpoint_session, restore_session, SessionCheckpoint};
+pub use persist::{
+    checkpoint_session, restore_session, SessionCheckpoint, SESSION_CHECKPOINT_FORMAT,
+};
 pub use pipeline::{MissionSystem, SystemConfig};
 pub use retrieval::{InterpretableRetrieval, RetrievedWord};
 pub use tokenize::{TokenTable, TokenizedKg};

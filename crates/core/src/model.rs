@@ -799,38 +799,36 @@ impl DecisionModel {
     // the equivalence oracle (tests/infer_equivalence.rs).
     // ----------------------------------------------------------------
 
-    /// Inference-plane form of [`NodeBlock::stacked`]: stacked
-    /// `[F·|V|, embed_dim]` node features for `frames.len()` replicas of one
-    /// KG, written into `out`. Frame-independent rows are computed once into
-    /// a workspace-leased template (reasoning rows via
-    /// [`TokenTable::node_embedding_mean_into`] — the same arithmetic as the
-    /// autograd path's [`DecisionModel::node_block`]) and copied per
-    /// replica.
+    /// Writes one KG's frame-independent node rows into `template`: the
+    /// inference-plane form of [`DecisionModel::node_block`]. Reasoning rows
+    /// are the mean of their token rows
+    /// ([`TokenTable::node_embedding_mean_into`], the same arithmetic as
+    /// the autograd path), the embedding-node row is the mission embedding,
+    /// and sensor rows stay zero until [`NodeTemplate::stack_into`] puts a
+    /// frame there. Reuses the template's buffers.
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is empty, a frame or `out` has the wrong length,
-    /// or a layout row refers to a dead node.
-    pub fn node_features_batch_into(
+    /// Panics if a layout row refers to a dead node or a reasoning node has
+    /// no token rows.
+    pub fn node_template_into(
         &self,
         tkg: &TokenizedKg,
         layout: &KgLayout,
         table: &TokenTable,
-        frames: &[&[f32]],
-        out: &mut [f32],
-        ws: &mut Workspace,
+        template: &mut NodeTemplate,
     ) {
-        assert!(!frames.is_empty(), "node_features_batch_into: no frames");
         let dim = self.config.embed_dim;
         let v = layout.node_count();
-        assert_eq!(out.len(), frames.len() * v * dim, "node_features_batch_into: out size");
-        let mut template = ws.lease(v * dim);
-        let mut sensor_rows = ws.lease_idx();
+        template.dim = dim;
+        template.rows.clear();
+        template.rows.resize(v * dim, 0.0);
+        template.sensor_rows.clear();
         for (r, &id) in layout.rows.iter().enumerate() {
             let node = tkg.kg.node(id).expect("layout row refers to live node");
-            let slot = &mut template[r * dim..(r + 1) * dim];
+            let slot = &mut template.rows[r * dim..(r + 1) * dim];
             match node.kind {
-                NodeKind::Sensor => sensor_rows.push(r),
+                NodeKind::Sensor => template.sensor_rows.push(r),
                 NodeKind::Embedding => slot.copy_from_slice(&tkg.mission_embedding),
                 NodeKind::Reasoning => {
                     let tokens = tkg.tokens_of(id).expect("reasoning node tokenized");
@@ -838,27 +836,111 @@ impl DecisionModel {
                 }
             }
         }
-        for (t, frame) in frames.iter().enumerate() {
-            assert_eq!(frame.len(), dim, "node_features_batch_into: frame dim mismatch");
-            let block = &mut out[t * v * dim..(t + 1) * v * dim];
-            block.copy_from_slice(&template);
-            for &r in sensor_rows.iter() {
-                block[r * dim..(r + 1) * dim].copy_from_slice(frame);
-            }
+    }
+
+    /// The GNN stage of the inference plane: the per-frame reasoning
+    /// embeddings `f_t` (each KG's embedding-node output, column-concatenated
+    /// in mission order) of every frame of every group, written as
+    /// `[Σ frames, D]` rows into `out` in group-then-frame order. Each KG
+    /// runs one stacked [`HierarchicalGnn::forward_batch_infer`] over all
+    /// frames. A frame's row depends only on the frame and its group's
+    /// layouts and templates, never on the other frames of the call (the
+    /// kernels are row-independent and the norms per replica), so a row
+    /// computed here is bitwise the row any other batch would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `Σ frames × D`, a group's layout or template
+    /// count mismatches the model, a frame is not `embed_dim` wide, or the
+    /// replicas' node counts disagree.
+    pub fn reasoning_rows_batch_infer(
+        &self,
+        groups: &[FrameGroup<'_>],
+        out: &mut [f32],
+        ws: &mut Workspace,
+    ) {
+        let total: usize = groups.iter().map(|g| g.frames.len()).sum();
+        let d = self.reasoning_dim();
+        assert_eq!(out.len(), total * d, "reasoning_rows_batch_infer: out must be Σ frames × D");
+        for group in groups {
+            assert_eq!(group.layouts.len(), self.gnns.len(), "layout count mismatch");
+            assert_eq!(group.templates.len(), self.gnns.len(), "template count mismatch");
         }
-        ws.release(template);
-        ws.release_idx(sensor_rows);
+        if total == 0 {
+            return;
+        }
+        let gd = self.config.gnn_dim;
+        let dim = self.config.embed_dim;
+        for i in 0..self.gnns.len() {
+            let v = groups[0].layouts[i].node_count();
+            let mut x0 = ws.lease(total * v * dim);
+            let mut layout_refs: Vec<&KgLayout> = Vec::with_capacity(total);
+            let mut row0 = 0usize;
+            for group in groups {
+                let f = group.frames.len();
+                group.templates[i]
+                    .stack_into(group.frames, &mut x0[row0 * v * dim..(row0 + f) * v * dim]);
+                layout_refs.extend(std::iter::repeat_n(&group.layouts[i], f));
+                row0 += f;
+            }
+            let mut gout = ws.lease(total * gd);
+            self.gnns[i].forward_batch_infer(&layout_refs, &x0, &mut gout, ws);
+            for r in 0..total {
+                out[r * d + i * gd..r * d + (i + 1) * gd]
+                    .copy_from_slice(&gout[r * gd..(r + 1) * gd]);
+            }
+            ws.release(x0);
+            ws.release(gout);
+        }
+    }
+
+    /// The temporal + head stage of the inference plane: class
+    /// probabilities `[lens.len() · (n + 1)]` into `out` (cleared first)
+    /// from `[Σ lens, D]` reasoning rows, window `w` being the next
+    /// `lens[w]` rows (oldest first). One temporal call over the whole
+    /// ragged batch whose last layer computes only each window's last step
+    /// ([`TransformerEncoder::forward_last_batch_infer`]; attention never
+    /// crosses windows), one head matmul, a fused row softmax.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lens` is empty, a length is 0, or `rows` is not
+    /// `Σ lens × D`.
+    pub fn temporal_probs_batch_infer(
+        &self,
+        rows: &[f32],
+        lens: &[usize],
+        ws: &mut Workspace,
+        out: &mut Vec<f32>,
+    ) {
+        let b = lens.len();
+        let d = self.reasoning_dim();
+        let mut tstack = ws.lease(b * d);
+        self.temporal.forward_last_batch_infer(rows, lens, &mut tstack, ws);
+        // Head + softmax: one matmul over the whole batch, fused row
+        // softmax (scale 1, no mask) — exactly the head's `forward` +
+        // `softmax_rows`.
+        let c = self.n_classes();
+        let mut logits = ws.lease(b * c);
+        self.head.forward_infer(&tstack, b, &mut logits, ws);
+        inf::softmax_rows_scaled_masked_inplace(&mut logits, b, c, 1.0, None);
+        out.clear();
+        out.extend_from_slice(&logits);
+        ws.release(tstack);
+        ws.release(logits);
     }
 
     /// Inference-plane batched full forward: class probabilities for the
     /// last frame of each item's window, flattened `[B · (n + 1)]` into
-    /// `out` (cleared first): a stacked GNN forward per mission KG
-    /// ([`HierarchicalGnn::forward_batch_infer`]), one temporal call over
-    /// the whole ragged batch whose last layer computes only each window's
-    /// last step ([`TransformerEncoder::forward_last_batch_infer`]), one
-    /// head matmul, a fused row softmax. Windows may differ in length (a
-    /// warming-up stream's is short). Each item's row is **bit-identical
-    /// per backend** to [`DecisionModel::predict`] on that window alone.
+    /// `out` (cleared first). It is exactly the two stages in sequence:
+    /// every item's node templates, the GNN stage over every frame of every
+    /// window ([`DecisionModel::reasoning_rows_batch_infer`]), then the
+    /// temporal + head stage over those rows
+    /// ([`DecisionModel::temporal_probs_batch_infer`]). Nothing is cached,
+    /// so this is the oracle incremental scoring is checked against.
+    /// Windows may differ in length (a warming-up stream's is short). Each
+    /// item's row is **bit-identical per backend** to
+    /// [`DecisionModel::predict`] on that window alone.
     ///
     /// # Panics
     ///
@@ -871,65 +953,41 @@ impl DecisionModel {
         out: &mut Vec<f32>,
     ) {
         assert!(!items.is_empty(), "predict_probs_batch_infer: empty batch");
+        let n = self.gnns.len();
         for item in items {
-            assert_eq!(item.kgs.len(), self.gnns.len(), "KG count mismatch");
-            assert_eq!(item.layouts.len(), self.gnns.len(), "layout count mismatch");
+            assert_eq!(item.kgs.len(), n, "KG count mismatch");
+            assert_eq!(item.layouts.len(), n, "layout count mismatch");
             assert!(!item.window.is_empty(), "predict_probs_batch_infer: empty window");
         }
-        let total: usize = items.iter().map(|i| i.window.len()).sum();
-        let d = self.reasoning_dim();
-        let gd = self.config.gnn_dim;
-        let dim = self.config.embed_dim;
-        // Per-frame reasoning embeddings `[Σ windows, D]`, one stacked GNN
-        // forward per mission KG (the column-concat of the per-KG outputs).
-        let mut joined = ws.lease(total * d);
-        for i in 0..self.gnns.len() {
-            let v = items[0].layouts[i].node_count();
-            let mut x0 = ws.lease(total * v * dim);
-            let mut layout_refs: Vec<&KgLayout> = Vec::with_capacity(total);
-            let mut row0 = 0usize;
-            for item in items {
-                let f = item.window.len();
-                self.node_features_batch_into(
-                    &item.kgs[i],
-                    &item.layouts[i],
-                    item.table,
-                    item.window,
-                    &mut x0[row0 * v * dim..(row0 + f) * v * dim],
-                    ws,
-                );
-                layout_refs.extend(std::iter::repeat_n(&item.layouts[i], f));
-                row0 += f;
+        let mut templates: Vec<NodeTemplate> = Vec::with_capacity(items.len() * n);
+        for item in items {
+            for (tkg, layout) in item.kgs.iter().zip(item.layouts) {
+                let mut template = NodeTemplate::lease(ws);
+                self.node_template_into(tkg, layout, item.table, &mut template);
+                templates.push(template);
             }
-            let mut gout = ws.lease(total * gd);
-            self.gnns[i].forward_batch_infer(&layout_refs, &x0, &mut gout, ws);
-            for r in 0..total {
-                joined[r * d + i * gd..r * d + (i + 1) * gd]
-                    .copy_from_slice(&gout[r * gd..(r + 1) * gd]);
-            }
-            ws.release(x0);
-            ws.release(gout);
         }
-        // The temporal model once over the whole ragged batch (attention
-        // never crosses streams), last step of each window stacked `[B, D]`.
-        let b = items.len();
+        let groups: Vec<FrameGroup<'_>> = items
+            .iter()
+            .zip(templates.chunks_exact(n))
+            .map(|(item, templates)| FrameGroup {
+                layouts: item.layouts,
+                templates,
+                frames: item.window,
+            })
+            .collect();
+        let total: usize = items.iter().map(|i| i.window.len()).sum();
+        let mut joined = ws.lease(total * self.reasoning_dim());
+        self.reasoning_rows_batch_infer(&groups, &mut joined, ws);
+        drop(groups);
+        for template in templates {
+            template.release(ws);
+        }
         let mut lens = ws.lease_idx();
         lens.extend(items.iter().map(|item| item.window.len()));
-        let mut tstack = ws.lease(b * d);
-        self.temporal.forward_last_batch_infer(&joined, &lens, &mut tstack, ws);
+        self.temporal_probs_batch_infer(&joined, &lens, ws, out);
         ws.release_idx(lens);
-        // Head + softmax: one matmul over the whole batch, fused row
-        // softmax (scale 1, no mask) — exactly the head's `forward` +
-        // `softmax_rows`.
-        let c = self.n_classes();
-        let mut logits = ws.lease(b * c);
-        self.head.forward_infer(&tstack, b, &mut logits, ws);
-        inf::softmax_rows_scaled_masked_inplace(&mut logits, b, c, 1.0, None);
-        out.clear();
-        out.extend_from_slice(&logits);
         ws.release(joined);
-        ws.release(tstack);
-        ws.release(logits);
     }
 
     /// Inference-plane batched anomaly scores `p_A = 1 − p_N` into `out`
@@ -1034,6 +1092,63 @@ impl NodeBlock {
             .collect();
         Tensor::concat_rows(&[self.shared.clone(), frames.clone()]).index_select_rows(&index)
     }
+}
+
+/// One KG's frame-independent node-feature rows on the inference plane
+/// (built by [`DecisionModel::node_template_into`]): `[|V|, embed_dim]` in
+/// layout order, with zero sensor rows that each frame fills.
+#[derive(Debug, Clone, Default)]
+pub struct NodeTemplate {
+    rows: Vec<f32>,
+    sensor_rows: Vec<usize>,
+    dim: usize,
+}
+
+impl NodeTemplate {
+    /// An empty template over workspace-leased buffers (return them with
+    /// [`NodeTemplate::release`]).
+    fn lease(ws: &mut Workspace) -> Self {
+        NodeTemplate { rows: ws.lease_vec(), sensor_rows: ws.lease_idx(), dim: 0 }
+    }
+
+    /// Hands a [`NodeTemplate::lease`]d template's buffers back.
+    fn release(self, ws: &mut Workspace) {
+        ws.release_vec(self.rows);
+        ws.release_idx(self.sensor_rows);
+    }
+
+    /// The stacked `[F·|V|, embed_dim]` node features of `frames.len()`
+    /// replicas, written into `out`: the template per replica with the
+    /// frame in its sensor rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `F·|V|·embed_dim` long or a frame is not
+    /// `embed_dim` wide.
+    pub fn stack_into(&self, frames: &[&[f32]], out: &mut [f32]) {
+        let (dim, block) = (self.dim, self.rows.len());
+        assert_eq!(out.len(), frames.len() * block, "NodeTemplate::stack_into: out size");
+        for (frame, replica) in frames.iter().zip(out.chunks_exact_mut(block)) {
+            assert_eq!(frame.len(), dim, "NodeTemplate::stack_into: frame dim mismatch");
+            replica.copy_from_slice(&self.rows);
+            for &r in &self.sensor_rows {
+                replica[r * dim..(r + 1) * dim].copy_from_slice(frame);
+            }
+        }
+    }
+}
+
+/// One stream's frames for the GNN stage
+/// ([`DecisionModel::reasoning_rows_batch_infer`]): the stream's layouts
+/// and node templates, one per mission KG, and the frames to run.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameGroup<'a> {
+    /// The stream's execution layouts, in mission order.
+    pub layouts: &'a [KgLayout],
+    /// The matching node templates, built from the stream's KGs and table.
+    pub templates: &'a [NodeTemplate],
+    /// The frame embeddings whose reasoning rows are wanted.
+    pub frames: &'a [&'a [f32]],
 }
 
 /// One window of a cross-stream *inference-plane* serving batch: the

@@ -20,10 +20,16 @@
 
 use crate::adapt::{AdaptConfig, AdaptSnapshot, ContinuousAdapter};
 use crate::engine::{CowVec, Engine, Session};
-use akg_kg::{KnowledgeGraph, NodeId};
+use akg_kg::{KnowledgeGraph, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::sync::Arc;
+
+/// The [`SessionCheckpoint`] layout [`checkpoint_session`] writes and
+/// [`restore_session`] accepts. Bump it whenever a field's meaning changes.
+/// (Version 0 is a checkpoint written before the field existed.)
+pub const SESSION_CHECKPOINT_FORMAT: u32 = 1;
 
 /// A session-granular checkpoint: everything that distinguishes one live
 /// serving stream from a freshly opened one against the *same immutable
@@ -38,6 +44,9 @@ use std::sync::Arc;
 /// so serialized checkpoints are byte-deterministic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
+    /// The layout version ([`SESSION_CHECKPOINT_FORMAT`] when written by
+    /// this build). [`restore_session`] refuses any other.
+    pub format_version: u32,
     /// [`Engine::fingerprint`] of the engine the session was captured
     /// against; [`restore_session`] refuses any other engine.
     pub engine_fingerprint: u64,
@@ -96,6 +105,7 @@ pub fn checkpoint_session(
         )
     };
     SessionCheckpoint {
+        format_version: SESSION_CHECKPOINT_FORMAT,
         engine_fingerprint: engine.fingerprint(),
         kgs_shared,
         kgs,
@@ -115,18 +125,30 @@ pub fn checkpoint_session(
 ///
 /// # Errors
 ///
-/// Returns a message if the checkpoint was captured against another engine
-/// (its fingerprint differs from [`Engine::fingerprint`]), or if KG counts,
-/// delta rows (index, width, order, or a non-finite value), the adapter's frame buffer (more than `cfg.n_window`
-/// rows, a row that is not `embed_dim` wide, or a non-finite value), or RNG
-/// states disagree with the receiving session, or a stored KG fails to
-/// parse its header checks.
+/// Returns a message if the checkpoint has another
+/// [`SessionCheckpoint::format_version`] than [`SESSION_CHECKPOINT_FORMAT`],
+/// was captured against another engine (its fingerprint differs from
+/// [`Engine::fingerprint`]), or if KG counts, delta rows (index, width,
+/// order, or a non-finite value), the adapter's frame buffer (more than
+/// `cfg.n_window` rows, a row that is not `embed_dim` wide, or a non-finite
+/// value), or RNG states disagree with the receiving session; if a stored
+/// KG fails to parse or validate, or its node count or depth differs from
+/// the engine's KG; if a node-token entry names no live node
+/// of its KG, a reasoning node has no token rows, or a token row lies at or
+/// past the checkpoint's spare cursor; or if a mission embedding is not
+/// `embed_dim` wide or holds a non-finite value.
 pub fn restore_session(
     engine: &Engine,
     session: &mut Session,
     cfg: AdaptConfig,
     cp: &SessionCheckpoint,
 ) -> Result<ContinuousAdapter, String> {
+    if cp.format_version != SESSION_CHECKPOINT_FORMAT {
+        return Err(format!(
+            "checkpoint format version {} is not this build's {SESSION_CHECKPOINT_FORMAT}",
+            cp.format_version
+        ));
+    }
     if cp.engine_fingerprint != engine.fingerprint() {
         return Err(format!(
             "checkpoint was captured against engine {:016x}, not this engine {:016x}",
@@ -211,6 +233,8 @@ pub fn restore_session(
         Ok(_) => {}
     }
     // Parse and structurally validate every KG before touching the session.
+    // Adaptation replaces nodes one for one, so a KG keeps the engine's
+    // node count and depth — which the batched GNN forward relies on.
     let mut kgs = Vec::with_capacity(cp.kgs.len());
     for (i, kg_json) in cp.kgs.iter().enumerate() {
         let kg = KnowledgeGraph::from_json(kg_json)?;
@@ -218,7 +242,56 @@ pub fn restore_session(
         if !errors.is_empty() {
             return Err(format!("checkpoint KG {i} invalid: {errors:?}"));
         }
+        let template = &engine.kgs[i].kg;
+        if (kg.node_count(), kg.depth()) != (template.node_count(), template.depth()) {
+            return Err(format!(
+                "checkpoint KG {i} has {} nodes at depth {}, the engine's {} at depth {}",
+                kg.node_count(),
+                kg.depth(),
+                template.node_count(),
+                template.depth()
+            ));
+        }
         kgs.push(kg);
+    }
+    // Every row the KGs read must exist in the restored table, and every
+    // reasoning node must read at least one — the scoring path indexes
+    // both without checking.
+    for (i, (kg, tokens)) in kgs.iter().zip(&cp.node_tokens).enumerate() {
+        let mut tokenized = HashSet::with_capacity(tokens.len());
+        for (id, rows) in tokens {
+            if kg.node(NodeId(*id)).is_none() {
+                return Err(format!("checkpoint KG {i}: node-token entry for dead node {id}"));
+            }
+            if let Some(&row) = rows.iter().find(|&&r| r >= cp.next_spare) {
+                return Err(format!(
+                    "checkpoint KG {i}: node {id} reads row {row}, past the spare cursor {}",
+                    cp.next_spare
+                ));
+            }
+            if !rows.is_empty() {
+                tokenized.insert(NodeId(*id));
+            }
+        }
+        if let Some(node) =
+            kg.nodes().find(|n| n.kind == NodeKind::Reasoning && !tokenized.contains(&n.id))
+        {
+            return Err(format!(
+                "checkpoint KG {i}: reasoning node {} has no token rows",
+                node.id.0
+            ));
+        }
+    }
+    for (i, embedding) in cp.mission_embeddings.iter().enumerate() {
+        if embedding.len() != embed_dim {
+            return Err(format!(
+                "checkpoint mission embedding {i} has {} values, want {embed_dim}",
+                embedding.len()
+            ));
+        }
+        if !embedding.iter().all(|x| x.is_finite()) {
+            return Err(format!("checkpoint mission embedding {i} holds a non-finite value"));
+        }
     }
 
     // all checks passed; apply
@@ -411,6 +484,44 @@ mod tests {
         bad.kgs[0] = "{broken".to_string();
         assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err());
 
+        // Token assignments and mission embeddings that would restore into
+        // a panic inside `restore_session` itself, a panic on the next
+        // score, or NaN scores.
+        let (node, _) = cp.node_tokens[0][0].clone();
+        type NodeTokens = Vec<(usize, Vec<usize>)>;
+        let tokens = |edit: &dyn Fn(&mut NodeTokens)| {
+            let mut bad = cp.clone();
+            edit(&mut bad.node_tokens[0]);
+            bad
+        };
+        let mut nan_mission = cp.clone();
+        nan_mission.mission_embeddings[0][1] = f32::NAN;
+        let mut narrow_mission = cp.clone();
+        narrow_mission.mission_embeddings[0] = vec![0.5; 3];
+        // A valid KG one node short scores alone but not batched with the
+        // engine's other sessions.
+        let mut smaller = cp.clone();
+        let mut kg = KnowledgeGraph::from_json(&cp.kgs[0]).unwrap();
+        let victim = kg.node_ids_at_level(1)[0];
+        kg.prune_node(victim).unwrap();
+        akg_kg::modify::repair_connectivity(&mut kg, &mut StdRng::seed_from_u64(5));
+        assert!(kg.validate().is_empty());
+        smaller.kgs[0] = kg.to_json().unwrap();
+        smaller.node_tokens[0].retain(|(id, _)| *id != victim.0);
+        let corrupt = [
+            ("token row past capacity", tokens(&|t| t[0].1 = vec![capacity + 32_000])),
+            ("token row past the spare cursor", tokens(&|t| t[0].1 = vec![cp.next_spare])),
+            ("empty token list", tokens(&|t| t[0].1.clear())),
+            ("reasoning node without tokens", tokens(&|t| t.retain(|(id, _)| *id != node))),
+            ("tokens for a dead node", tokens(&|t| t.push((usize::MAX / 2, vec![1])))),
+            ("3-wide mission embedding", narrow_mission),
+            ("NaN mission embedding", nan_mission),
+            ("KG one node short", smaller),
+        ];
+        for (what, bad) in corrupt {
+            assert!(restore_session(&engine, &mut twin, cfg, &bad).is_err(), "{what} accepted");
+        }
+
         // A checkpoint of another engine — another mission at another
         // seed — is refused before anything changes, whether it carries
         // KG bodies or (the case nothing else would catch) shares the
@@ -444,6 +555,37 @@ mod tests {
         );
         assert!(twin.kgs.is_shared() && twin.layouts.is_shared());
         // and the pristine checkpoint still restores fine afterwards
+        assert!(restore_session(&engine, &mut twin, cfg, &cp).is_ok());
+    }
+
+    #[test]
+    fn restore_session_refuses_other_format_versions_without_mutating() {
+        let engine = engine(&[AnomalyClass::Stealing], 14);
+        let mut session = engine.new_session(14);
+        let adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
+        session.rebuild_layout(0);
+        let cp = checkpoint_session(&engine, &session, &adapter);
+        assert_eq!(cp.format_version, SESSION_CHECKPOINT_FORMAT);
+        let cfg = *adapter.config();
+
+        let mut twin = engine.new_session(15);
+        twin.table.allocate_random_row(&mut StdRng::seed_from_u64(4)).unwrap();
+        let untouched = twin.table.to_dense_vec();
+        let (stamp, next_spare) = (twin.state_stamp(), twin.table.next_spare());
+        // A checkpoint written before the field existed does not parse.
+        let json = serde_json::to_string(&cp).unwrap();
+        let field = format!("\"format_version\":{SESSION_CHECKPOINT_FORMAT},");
+        assert!(json.contains(&field));
+        assert!(serde_json::from_str::<SessionCheckpoint>(&json.replace(&field, "")).is_err());
+        for version in [0, SESSION_CHECKPOINT_FORMAT + 1] {
+            let bad = SessionCheckpoint { format_version: version, ..cp.clone() };
+            let refused = restore_session(&engine, &mut twin, cfg, &bad);
+            assert!(refused.unwrap_err().contains("format version"), "version {version}");
+        }
+        assert_eq!(twin.table.to_dense_vec(), untouched, "a refused version changed the table");
+        assert_eq!(twin.table.next_spare(), next_spare);
+        assert_eq!(twin.state_stamp(), stamp, "a refused version wrote the session");
+        assert!(twin.kgs.is_shared() && twin.layouts.is_shared());
         assert!(restore_session(&engine, &mut twin, cfg, &cp).is_ok());
     }
 

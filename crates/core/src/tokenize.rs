@@ -18,6 +18,7 @@
 //! as one `[r, dim]` tensor. Adaptation trains such a compact leaf and writes
 //! it back with [`TokenTable::write_rows`].
 
+use crate::engine::next_state_stamp;
 use crate::model::KgLayout;
 use akg_embed::{BpeTokenizer, JointSpace};
 use akg_kg::{KnowledgeGraph, NodeId, NodeKind};
@@ -43,6 +44,9 @@ pub struct TokenTable {
     capacity: usize,
     dim: usize,
     next_spare: usize,
+    /// Fresh at construction and advanced by every `&mut self` method (see
+    /// [`TokenTable::stamp`]).
+    stamp: u64,
 }
 
 impl TokenTable {
@@ -60,6 +64,7 @@ impl TokenTable {
             capacity: vocab.len() + spare_rows,
             dim,
             next_spare: vocab.len(),
+            stamp: next_state_stamp(),
         }
     }
 
@@ -80,7 +85,16 @@ impl TokenTable {
             capacity: self.capacity,
             dim: self.dim,
             next_spare: self.next_spare,
+            stamp: next_state_stamp(),
         }
+    }
+
+    /// The table's state stamp: a value from the process-wide counter
+    /// behind [`Session::state_stamp`](crate::engine::Session::state_stamp),
+    /// taken afresh at construction and by every method that takes
+    /// `&mut self`.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// The spare-row cursor: the next row [`TokenTable::allocate_random_row`]
@@ -103,6 +117,7 @@ impl TokenTable {
             self.vocab_len,
             self.capacity
         );
+        self.stamp = next_state_stamp();
         self.next_spare = next_spare;
     }
 
@@ -164,6 +179,7 @@ impl TokenTable {
         if self.next_spare >= self.capacity {
             return Err("token table spare rows exhausted".to_string());
         }
+        self.stamp = next_state_stamp();
         let row = self.next_spare;
         self.next_spare += 1;
         let scale = 1.0 / (self.dim as f32).sqrt();
@@ -248,6 +264,7 @@ impl TokenTable {
     pub fn write_rows(&mut self, rows: &TableRows) {
         let dim = self.dim;
         assert_eq!(rows.values.shape()[1], dim, "write_rows: dim mismatch");
+        self.stamp = next_state_stamp();
         rows.values.with_data(|values| {
             for (&r, fresh) in rows.ids.iter().zip(values.chunks_exact(dim)) {
                 if let Some(existing) = self.rows.get_mut(&r) {
@@ -276,6 +293,7 @@ impl TokenTable {
     /// Panics if a delta row is out of bounds or not `dim` long — callers
     /// validate deltas before applying.
     pub fn apply_overlay_delta(&mut self, delta: &[(usize, Vec<f32>)]) {
+        self.stamp = next_state_stamp();
         self.rows.clear();
         for (r, v) in delta {
             assert!(*r < self.capacity, "apply_overlay_delta: row {r} out of bounds");

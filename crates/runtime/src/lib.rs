@@ -10,11 +10,13 @@
 //! round-robin from the streams' [`FrameSource`]s, or handed over by a caller
 //! that already holds them ([`MultiStreamRuntime::tick_frames`]) — forms
 //! cross-stream batches of score windows (up to
-//! [`RuntimeConfig::max_batch`]), dispatches them through the engine's
-//! batched forward — one matmul per GNN layer for the whole batch instead of
-//! one per window — and routes each score back into its stream's adaptation
-//! loop. That tick body is the one serving loop: shard workers and the load
-//! harness call it directly with the frames they were given.
+//! [`RuntimeConfig::max_batch`]), dispatches them through the batched
+//! forward — one matmul per GNN layer for the whole batch instead of one per
+//! window, over only the frames no earlier tick has run through the GNNs
+//! (each adapter keeps its newest frames' GNN rows) — and routes each score
+//! back into its stream's adaptation loop. That tick body is the one serving
+//! loop: shard workers and the load harness call it directly with the frames
+//! they were given.
 //!
 //! ## Isolation model (session-local deltas)
 //!
@@ -315,6 +317,15 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
         (adapter.token_updates(), adapter.replacements())
     }
 
+    /// Frames stream `id` has run through the GNN stage since it was
+    /// registered or last restored: a probe for tests of incremental
+    /// scoring, kept out of [`ServeCounters`] because recovery compares
+    /// those bitwise and a recovered stream recomputes its rows.
+    #[doc(hidden)]
+    pub fn stream_gnn_frames(&self, id: StreamId) -> u64 {
+        self.slots[id].adapter.gnn_frames()
+    }
+
     /// A point-in-time view of one stream's adaptive state.
     pub fn stream_snapshot(&self, id: StreamId) -> StreamSnapshot {
         let slot = &self.slots[id];
@@ -447,7 +458,6 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
             "tick: the frames do not match the plans' ingest counts"
         );
         let n = self.slots.len();
-        let window_len = self.engine.model.config().window;
         // Phase 1 — ingest: `plan.ingest` frames per stream, embedded
         // through the stream's own RNG into its rolling buffer. No windows
         // are materialized: scoring borrows the buffers in place (phase 2),
@@ -472,31 +482,29 @@ impl<S: FrameSource> MultiStreamRuntime<S> {
             }
         }
         // Phase 2 — score the planned streams: cross-stream batches through
-        // the inference data plane with the runtime's shared workspace. One
-        // flat ref buffer carries a whole batch's windows (the j-th scored
-        // stream's window is `window_len` consecutive slices).
+        // the inference data plane with the runtime's shared workspace,
+        // incrementally — each adapter keeps its newest frames' GNN rows,
+        // so one GNN-stage call runs only the chunk's missing rows (one per
+        // stream when warm) and the temporal stage runs once over the
+        // chunk's windows (see `ContinuousAdapter::score_windows`).
         // A stream whose frames have all been rejected has no window yet —
         // it is skipped (`None`), not scored against nothing.
         let active: Vec<StreamId> =
             (0..n).filter(|&i| plans[i].score && self.slots[i].adapter.has_window()).collect();
         let mut scores: Vec<Option<f32>> = vec![None; n];
         for chunk in active.chunks(self.config.max_batch) {
-            let mut flat_refs: Vec<&[f32]> = Vec::with_capacity(chunk.len() * window_len);
-            let mut one: Vec<&[f32]> = Vec::with_capacity(window_len);
-            for &i in chunk {
-                self.slots[i].adapter.fill_window_refs(&self.engine, &mut one);
-                flat_refs.extend_from_slice(&one);
+            let (first, last) = (chunk[0], chunk[chunk.len() - 1]);
+            let mut wanted = chunk.iter().peekable();
+            let mut streams: Vec<(&mut ContinuousAdapter, &Session)> =
+                Vec::with_capacity(chunk.len());
+            for (i, slot) in (first..=last).zip(&mut self.slots[first..=last]) {
+                if wanted.next_if_eq(&&i).is_some() {
+                    streams.push((&mut slot.adapter, &slot.session));
+                }
             }
-            let batch: Vec<(&Session, &[&[f32]])> = chunk
-                .iter()
-                .enumerate()
-                .map(|(j, &i)| {
-                    let w = &flat_refs[j * window_len..(j + 1) * window_len];
-                    (&self.slots[i].session, w)
-                })
-                .collect();
-            self.engine.score_windows_batch_refs(
-                &batch,
+            ContinuousAdapter::score_windows(
+                &self.engine,
+                &mut streams,
                 &mut self.workspace,
                 &mut self.score_scratch,
             );
