@@ -36,7 +36,7 @@
 //! ([`DecisionModel::windows_logits`](crate::model::DecisionModel::windows_logits)).
 //! The trained rows are written back into the session's table overlay.
 
-use crate::engine::{Engine, Session};
+use crate::engine::{next_row, Engine, Session};
 use crate::loss::decision_loss_smoothed;
 use crate::model::{FrameGroup, NodeTemplate};
 use akg_eval::MeanShiftTracker;
@@ -537,10 +537,8 @@ impl ContinuousAdapter {
         session: &mut Session,
         frame: &akg_data::Frame,
     ) {
-        let embedding = engine.embed_frame(session, frame);
-        if self.buffer.len() == self.cfg.n_window {
-            self.buffer.pop_front();
-        }
+        let mut embedding = next_row(&mut self.buffer, self.cfg.n_window, engine.space.dim());
+        engine.embed_frame_into(session, frame, &mut embedding);
         self.buffer.push_back(embedding);
         self.ingested += 1;
     }

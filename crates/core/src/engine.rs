@@ -19,7 +19,7 @@ use crate::model::{DecisionModel, InferWindowItem, KgLayout};
 use crate::pipeline::akg_cost_dims::ModelDimsLike;
 use crate::pipeline::{SystemConfig, FRAME_NOISE_STD};
 use crate::tokenize::{TableRows, TokenTable, TokenizedKg};
-use akg_data::Frame;
+use akg_data::{Frame, GENERIC_CONCEPTS, NORMAL_CONCEPTS};
 use akg_embed::{BpeTokenizer, JointSpace, JointSpaceBuilder};
 use akg_kg::{generate_kg, AnomalyClass, Ontology, SyntheticOracle};
 use akg_tensor::{Workspace, WorkspaceStats};
@@ -261,6 +261,17 @@ fn layout_bytes(layout: &KgLayout) -> usize {
     bytes
 }
 
+/// The buffer for the next row of a rolling window that keeps `len` rows of
+/// width `dim`: a full window's evicted oldest row, so steady-state ingest
+/// allocates nothing, or a fresh row while it fills. Its contents are stale;
+/// the caller overwrites them.
+pub(crate) fn next_row(window: &mut VecDeque<Vec<f32>>, len: usize, dim: usize) -> Vec<f32> {
+    let evicted = if window.len() == len { window.pop_front() } else { None };
+    let mut row = evicted.unwrap_or_default();
+    row.resize(dim, 0.0);
+    row
+}
+
 /// 64-bit FNV-1a: a stable, dependency-free content digest (the engine
 /// fingerprint must agree across processes, so no randomly keyed hasher).
 struct Fnv1a(u64);
@@ -313,7 +324,11 @@ impl Engine {
                 space_builder = space_builder.anchor(word, class.index(), affinity);
             }
         }
-        let space = space_builder.build();
+        // Anchors are in the concept table already; the dataset's fixed
+        // unanchored words join it too, so every frame concept but its
+        // per-video scene background embeds by table lookup.
+        let fixed_words = NORMAL_CONCEPTS.iter().chain(GENERIC_CONCEPTS).copied();
+        let space = space_builder.precompute(fixed_words).build();
 
         let table = TokenTable::new(&tokenizer, &space, config.spare_rows);
 
@@ -414,8 +429,21 @@ impl Engine {
     /// Encodes a frame into the joint space through the session's private
     /// noise RNG (the `E_I(F_t)` of the paper for our synthetic frames).
     pub fn embed_frame(&self, session: &mut Session, frame: &Frame) -> Vec<f32> {
-        let activation = frame.activation();
-        self.space.embed_bag(&activation, FRAME_NOISE_STD, &mut session.frame_rng)
+        let mut embedding = vec![0.0; self.space.dim()];
+        self.embed_frame_into(session, frame, &mut embedding);
+        embedding
+    }
+
+    /// [`Engine::embed_frame`] written into `out`, a reused buffer of the
+    /// space's width (the rolling buffer recycles the row it evicts).
+    pub fn embed_frame_into(&self, session: &mut Session, frame: &Frame, out: &mut [f32]) {
+        self.embed_frame_with(frame, &mut session.frame_rng, out);
+    }
+
+    /// Encodes a frame's concept activation through `rng` into `out`.
+    fn embed_frame_with(&self, frame: &Frame, rng: &mut StdRng, out: &mut [f32]) {
+        let concepts = frame.concepts.iter().map(|(text, weight)| (text.as_str(), *weight));
+        self.space.embed_bag_into(concepts, FRAME_NOISE_STD, rng, out);
     }
 
     /// Scores one window of frame embeddings against a session's adaptive
@@ -586,10 +614,8 @@ impl Engine {
         let mut labels = Vec::with_capacity(video.len());
         let mut window: VecDeque<Vec<f32>> = VecDeque::with_capacity(window_len);
         for frame in &video.frames {
-            let emb = self.space.embed_bag(&frame.activation(), FRAME_NOISE_STD, &mut eval_rng);
-            if window.len() == window_len {
-                window.pop_front();
-            }
+            let mut emb = next_row(&mut window, window_len, self.space.dim());
+            self.embed_frame_with(frame, &mut eval_rng, &mut emb);
             window.push_back(emb);
             // Rolling pre-pad without data movement: the partial window is
             // front-padded by *borrowing* the oldest frame — no per-frame

@@ -141,11 +141,6 @@ impl Frame {
     pub fn is_anomalous(&self) -> bool {
         self.label.is_some()
     }
-
-    /// Borrowed view of the activation, for the frame encoder.
-    pub fn activation(&self) -> Vec<(&str, f32)> {
-        self.concepts.iter().map(|(c, w)| (c.as_str(), *w)).collect()
-    }
 }
 
 /// An untrimmed video: a frame sequence, possibly containing one anomaly

@@ -42,8 +42,10 @@ pub use vocab::{TokenId, Vocab};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Samples a standard normal value via Box–Muller (shared helper).
-pub(crate) fn gaussian(rng: &mut StdRng) -> f32 {
+/// Samples a standard normal value via Box–Muller: the frame encoder's
+/// observation noise ([`JointSpace::embed_bag`]) and the space's random
+/// directions.
+pub fn gaussian(rng: &mut StdRng) -> f32 {
     loop {
         let u1: f32 = rng.gen::<f32>();
         if u1 <= f32::MIN_POSITIVE {

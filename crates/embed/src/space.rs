@@ -9,15 +9,27 @@
 //! activation set into the same space — so frame embeddings land near the
 //! text concepts they depict, the one property of ImageBind the paper's
 //! mechanism actually relies on.
+//!
+//! A concept's text embedding is a constant of the space, as it is under
+//! the paper's frozen encoder, so [`JointSpaceBuilder::build`] computes it
+//! once into a *concept table*: one row, exactly [`JointSpace::embed_text`]
+//! of the key, for every anchor word and every text registered through
+//! [`JointSpaceBuilder::precompute`]. [`JointSpace::embed_bag`] reads a
+//! table hit as a borrowed row and embeds any other text (mixed-case
+//! spellings, multi-word phrases, per-video scene backgrounds, foreign
+//! words) through `embed_text` as before, so a bag embeds bitwise the same
+//! either way. Scene backgrounds stay on the slow path on purpose: they are
+//! unbounded in real footage, and the table holds only what the space is
+//! built with.
 
 use crate::vocab::Vocab;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap};
 
 /// Builder-configured joint embedding space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JointSpace {
     dim: usize,
     seed: u64,
@@ -25,9 +37,14 @@ pub struct JointSpace {
     /// word -> (per-class weight, affinity)
     anchors: HashMap<String, Anchor>,
     noise_scale: f32,
+    /// The concept table: text -> row index into `concept_rows`.
+    concept_index: HashMap<String, usize>,
+    /// Row-major `[concept_index.len() * dim]`; row `i` is `embed_text` of
+    /// its key.
+    concept_rows: Vec<f32>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Anchor {
     class_weights: Vec<(usize, f32)>,
     affinity: f32,
@@ -42,6 +59,7 @@ pub struct JointSpaceBuilder {
     anchors: HashMap<String, Anchor>,
     noise_scale: f32,
     correlations: Vec<(usize, usize, f32)>,
+    precomputed: BTreeSet<String>,
 }
 
 impl JointSpaceBuilder {
@@ -55,6 +73,7 @@ impl JointSpaceBuilder {
             anchors: HashMap::new(),
             noise_scale: 0.35,
             correlations: Vec::new(),
+            precomputed: BTreeSet::new(),
         }
     }
 
@@ -97,9 +116,20 @@ impl JointSpaceBuilder {
         self
     }
 
+    /// Adds `texts` to the concept table without anchoring them: their
+    /// embeddings stay where [`JointSpace::embed_text`] puts them, and
+    /// [`JointSpace::embed_bag`] reads them from the table instead of
+    /// recomputing them. Meant for a fixed vocabulary every frame draws on;
+    /// anchor words are in the table already.
+    pub fn precompute<'a>(mut self, texts: impl IntoIterator<Item = &'a str>) -> Self {
+        self.precomputed.extend(texts.into_iter().map(str::to_owned));
+        self
+    }
+
     /// Builds the space, sampling the class centers and applying requested
     /// correlations (each center is mixed toward its correlated peers, then
-    /// renormalized — pairwise cosines approximate the requested values).
+    /// renormalized — pairwise cosines approximate the requested values),
+    /// then fills the concept table.
     pub fn build(self) -> JointSpace {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut class_centers: Vec<Vec<f32>> =
@@ -116,13 +146,24 @@ impl JointSpaceBuilder {
                 .collect();
             class_centers[adjust] = normalize(adjusted);
         }
-        JointSpace {
+        let mut space = JointSpace {
             dim: self.dim,
             seed: self.seed,
             class_centers,
             anchors: self.anchors,
             noise_scale: self.noise_scale,
+            concept_index: HashMap::new(),
+            concept_rows: Vec::new(),
+        };
+        let mut keys = self.precomputed;
+        keys.extend(space.anchors.keys().cloned());
+        let mut rows = Vec::with_capacity(keys.len() * space.dim);
+        for key in &keys {
+            rows.extend(space.embed_text(key));
         }
+        space.concept_index = keys.into_iter().enumerate().map(|(i, key)| (key, i)).collect();
+        space.concept_rows = rows;
+        space
     }
 }
 
@@ -149,9 +190,14 @@ impl JointSpace {
     /// Deterministic embedding of a single word. Anchored words sit near
     /// their class centers; unknown words at hash-noise positions.
     pub fn word_vector(&self, word: &str) -> Vec<f32> {
-        let word = word.to_lowercase();
+        // Lower-case ASCII (every concept and token) is its own lowercase.
+        let word: Cow<'_, str> = if word.bytes().any(|b| !b.is_ascii() || b.is_ascii_uppercase()) {
+            Cow::Owned(word.to_lowercase())
+        } else {
+            Cow::Borrowed(word)
+        };
         let noise = hash_noise(&word, self.seed, self.dim);
-        match self.anchors.get(&word) {
+        match self.anchors.get(word.as_ref()) {
             Some(anchor) => {
                 let mut v = vec![0.0f32; self.dim];
                 let total: f32 = anchor.class_weights.iter().map(|(_, w)| w).sum();
@@ -178,20 +224,27 @@ impl JointSpace {
         self.word_vector(stripped)
     }
 
+    /// The concept table's row for `text` (exactly [`JointSpace::embed_text`]
+    /// of it), or `None` when the table does not hold `text` verbatim.
+    pub fn precomputed(&self, text: &str) -> Option<&[f32]> {
+        let row = *self.concept_index.get(text)?;
+        Some(&self.concept_rows[row * self.dim..(row + 1) * self.dim])
+    }
+
     /// Mean embedding of whitespace-separated text (a concept phrase).
     pub fn embed_text(&self, text: &str) -> Vec<f32> {
-        let words: Vec<&str> = text.split_whitespace().collect();
-        if words.is_empty() {
-            return vec![0.0; self.dim];
-        }
         let mut v = vec![0.0f32; self.dim];
-        for w in &words {
+        let mut words = 0usize;
+        for w in text.split_whitespace() {
+            words += 1;
             for (vi, wi) in v.iter_mut().zip(self.word_vector(w)) {
                 *vi += wi;
             }
         }
-        for vi in &mut v {
-            *vi /= words.len() as f32;
+        if words > 0 {
+            for vi in &mut v {
+                *vi /= words as f32;
+            }
         }
         v
     }
@@ -207,23 +260,43 @@ impl JointSpace {
     /// not provide.
     pub fn embed_bag(&self, items: &[(&str, f32)], noise_std: f32, rng: &mut StdRng) -> Vec<f32> {
         let mut v = vec![0.0f32; self.dim];
+        self.embed_bag_into(items.iter().copied(), noise_std, rng, &mut v);
+        v
+    }
+
+    /// [`JointSpace::embed_bag`] written into `out` (a reused buffer), over
+    /// any iterator of `(text, weight)` items. Concept-table hits are read
+    /// as borrowed rows; any other text is embedded on the spot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not the space's dimensionality.
+    pub fn embed_bag_into<'a>(
+        &self,
+        items: impl IntoIterator<Item = (&'a str, f32)>,
+        noise_std: f32,
+        rng: &mut StdRng,
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), self.dim, "embed_bag_into: buffer is not {} wide", self.dim);
+        out.fill(0.0);
         let mut total = 0.0f32;
-        for (word, weight) in items {
+        for (text, weight) in items {
             total += weight;
-            let wv = self.embed_text(word);
-            for (vi, wi) in v.iter_mut().zip(wv) {
-                *vi += weight * wi;
+            match self.precomputed(text) {
+                Some(row) => add_scaled(out, weight, row),
+                None => add_scaled(out, weight, &self.embed_text(text)),
             }
         }
         if total > 0.0 {
-            for vi in &mut v {
+            for vi in out.iter_mut() {
                 *vi /= total;
             }
         }
-        for vi in &mut v {
+        for vi in out.iter_mut() {
             *vi += noise_std * crate::gaussian(rng);
         }
-        normalize(v)
+        normalize_in_place(out);
     }
 
     /// The initial token-embedding table for a vocabulary, row-major
@@ -252,14 +325,25 @@ impl JointSpace {
     }
 }
 
+/// `acc += weight · v`, element-wise.
+fn add_scaled(acc: &mut [f32], weight: f32, v: &[f32]) {
+    for (a, x) in acc.iter_mut().zip(v) {
+        *a += weight * x;
+    }
+}
+
 fn normalize(mut v: Vec<f32>) -> Vec<f32> {
+    normalize_in_place(&mut v);
+    v
+}
+
+fn normalize_in_place(v: &mut [f32]) {
     let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 1e-12 {
-        for x in &mut v {
+        for x in v {
             *x /= norm;
         }
     }
-    v
 }
 
 fn random_unit(dim: usize, rng: &mut StdRng) -> Vec<f32> {
@@ -353,6 +437,57 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn word_vector_lowercases_non_ascii() {
+        let s = space();
+        assert_eq!(s.word_vector("ÉCLAIR"), s.word_vector("éclair"));
+    }
+
+    #[test]
+    fn concept_table_holds_anchors_and_precomputed_texts_verbatim() {
+        let s = JointSpaceBuilder::new(32, 3, 42)
+            .anchor("Stealing", 0, 0.9)
+            .precompute(["walking", "quiet street"])
+            .build();
+        for key in ["stealing", "walking", "quiet street"] {
+            assert_eq!(s.precomputed(key), Some(s.embed_text(key).as_slice()), "{key}");
+        }
+        assert_eq!(s.precomputed("Stealing"), None);
+        assert_eq!(s.precomputed("street"), None);
+    }
+
+    #[test]
+    fn precompute_changes_no_embedding() {
+        let plain = space();
+        let cached = JointSpaceBuilder::new(32, 3, 42)
+            .anchor("stealing", 0, 0.9)
+            .anchor("sneaky", 0, 0.8)
+            .anchor("robbery", 1, 0.9)
+            .anchor("firearm", 1, 0.8)
+            .anchor("explosion", 2, 0.9)
+            .anchor("person", 0, 0.4)
+            .anchor("person", 1, 0.4)
+            .precompute(["walking", "mystery"])
+            .build();
+        let bag = [("walking", 0.7), ("mystery", 0.2), ("stealing", 1.0), ("Walking", 0.1)];
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        assert_eq!(
+            plain.embed_bag(&bag, 0.05, &mut rng_a),
+            cached.embed_bag(&bag, 0.05, &mut rng_b)
+        );
+        assert_eq!(rng_a, rng_b);
+        assert_eq!(plain.word_vector("walking"), cached.word_vector("walking"));
+    }
+
+    #[test]
+    fn embed_bag_into_overwrites_a_stale_buffer() {
+        let s = space();
+        let bag = [("stealing", 1.0), ("mystery", 0.5)];
+        let mut out = vec![f32::NAN; s.dim()];
+        s.embed_bag_into(bag, 0.05, &mut StdRng::seed_from_u64(9), &mut out);
+        assert_eq!(out, s.embed_bag(&bag, 0.05, &mut StdRng::seed_from_u64(9)));
     }
 
     #[test]
