@@ -191,6 +191,12 @@ impl Session {
         TableRows::referenced(self.kgs.iter().zip(self.layouts.iter()))
     }
 
+    /// One inference-plane batch item: `window` against this session's
+    /// KGs, layouts and token table.
+    fn infer_item<'a>(&'a self, window: &'a [&'a [f32]]) -> InferWindowItem<'a> {
+        InferWindowItem { kgs: &self.kgs, layouts: &self.layouts, table: &self.table, window }
+    }
+
     /// Allocation counters of the session's inference workspace (the
     /// high-water mark stabilizes once every serving shape has been seen).
     pub fn workspace_stats(&self) -> WorkspaceStats {
@@ -463,13 +469,11 @@ impl Engine {
     /// embedding buffer.
     pub fn score_window_refs(&self, session: &Session, window: &[&[f32]]) -> f32 {
         let mut ws = session.workspace.borrow_mut();
-        self.model.anomaly_score_infer(
-            &session.kgs,
-            &session.layouts,
-            &session.table,
-            window,
-            &mut ws,
-        )
+        let mut probs = ws.lease_vec();
+        self.model.predict_probs_batch_infer(&[session.infer_item(window)], &mut ws, &mut probs);
+        let score = 1.0 - probs[0];
+        ws.release_vec(probs);
+        score
     }
 
     /// Class-probability prediction for one window (inference plane; see
@@ -478,14 +482,7 @@ impl Engine {
         let refs: Vec<&[f32]> = window.iter().map(Vec::as_slice).collect();
         let mut ws = session.workspace.borrow_mut();
         let mut out = Vec::new();
-        self.model.predict_infer(
-            &session.kgs,
-            &session.layouts,
-            &session.table,
-            &refs,
-            &mut ws,
-            &mut out,
-        );
+        self.model.predict_probs_batch_infer(&[session.infer_item(&refs)], &mut ws, &mut out);
         out
     }
 
@@ -508,15 +505,8 @@ impl Engine {
         windows: &[Vec<&[f32]>],
         out: &mut Vec<f32>,
     ) {
-        let items: Vec<InferWindowItem<'_>> = windows
-            .iter()
-            .map(|window| InferWindowItem {
-                kgs: &session.kgs,
-                layouts: &session.layouts,
-                table: &session.table,
-                window,
-            })
-            .collect();
+        let items: Vec<InferWindowItem<'_>> =
+            windows.iter().map(|window| session.infer_item(window)).collect();
         self.model.predict_probs_batch_infer(&items, &mut Workspace::new(), out);
     }
 
@@ -587,16 +577,13 @@ impl Engine {
         ws: &mut Workspace,
         out: &mut Vec<f32>,
     ) {
-        let items: Vec<InferWindowItem<'_>> = batch
-            .iter()
-            .map(|(session, window)| InferWindowItem {
-                kgs: &session.kgs,
-                layouts: &session.layouts,
-                table: &session.table,
-                window,
-            })
-            .collect();
-        self.model.anomaly_scores_batch_infer(&items, ws, out);
+        let items: Vec<InferWindowItem<'_>> =
+            batch.iter().map(|(session, window)| session.infer_item(window)).collect();
+        let mut probs = ws.lease_vec();
+        self.model.predict_probs_batch_infer(&items, ws, &mut probs);
+        out.clear();
+        out.extend(probs.chunks_exact(self.model.n_classes()).map(|p| 1.0 - p[0]));
+        ws.release_vec(probs);
     }
 
     /// Scores every frame of a video with a rolling window, returning

@@ -989,71 +989,6 @@ impl DecisionModel {
         ws.release_idx(lens);
         ws.release(joined);
     }
-
-    /// Inference-plane batched anomaly scores `p_A = 1 − p_N` into `out`
-    /// (cleared first), one per item — the serving entry point behind
-    /// `Engine::score_windows_batch`. Bit-identical per backend to
-    /// [`DecisionModel::anomaly_score`] on each window alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`DecisionModel::predict_probs_batch_infer`]'s
-    /// conditions.
-    pub fn anomaly_scores_batch_infer(
-        &self,
-        items: &[InferWindowItem<'_>],
-        ws: &mut Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let mut probs = ws.lease_vec();
-        self.predict_probs_batch_infer(items, ws, &mut probs);
-        let c = self.n_classes();
-        out.clear();
-        out.extend(probs.chunks_exact(c).map(|p| 1.0 - p[0]));
-        ws.release_vec(probs);
-    }
-
-    /// Inference-plane single-window anomaly score — a batch of one through
-    /// [`DecisionModel::anomaly_scores_batch_infer`]. Bit-identical per
-    /// backend to [`DecisionModel::anomaly_score`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty or shapes mismatch the model.
-    pub fn anomaly_score_infer(
-        &self,
-        kgs: &[TokenizedKg],
-        layouts: &[KgLayout],
-        table: &TokenTable,
-        window: &[&[f32]],
-        ws: &mut Workspace,
-    ) -> f32 {
-        let items = [InferWindowItem { kgs, layouts, table, window }];
-        let mut out = ws.lease_vec();
-        self.anomaly_scores_batch_infer(&items, ws, &mut out);
-        let score = out[0];
-        ws.release_vec(out);
-        score
-    }
-
-    /// Inference-plane single-window class probabilities — the serving form
-    /// of [`DecisionModel::predict`], written into `out` (cleared first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty or shapes mismatch the model.
-    pub fn predict_infer(
-        &self,
-        kgs: &[TokenizedKg],
-        layouts: &[KgLayout],
-        table: &TokenTable,
-        window: &[&[f32]],
-        ws: &mut Workspace,
-        out: &mut Vec<f32>,
-    ) {
-        let items = [InferWindowItem { kgs, layouts, table, window }];
-        self.predict_probs_batch_infer(&items, ws, out);
-    }
 }
 
 /// The frame-independent rows of one KG's node-feature matrix (see

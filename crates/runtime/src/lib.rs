@@ -65,7 +65,7 @@
 //! [`MultiStreamRuntime`] is single-core by design (tensors are `Rc`-based).
 //! [`ShardedRuntime`] (the [`shard`] module) partitions the streams across N
 //! worker threads — each running its own `MultiStreamRuntime` over its
-//! shard — wired by bounded [`spsc`] queues, with a test-enforced contract
+//! shard — wired by bounded `std::sync::mpsc` channels, with a test-enforced contract
 //! that sharding never changes any stream's results bit-for-bit.
 
 #![warn(missing_docs)]
@@ -75,7 +75,6 @@ pub mod fault;
 pub mod load;
 pub mod shard;
 pub mod slo;
-pub mod spsc;
 pub mod tier;
 
 /// One stream's recovery record is its session checkpoint (the name the

@@ -1,6 +1,6 @@
 //! Sharded multi-core serving: N worker threads, each owning an isolated
 //! shard of the deployment's streams, wired to an ingest front-end by
-//! bounded SPSC queues.
+//! bounded [`sync_channel`]s.
 //!
 //! ## Topology
 //!
@@ -9,8 +9,8 @@
 //!             │  sources (FrameSource per stream)       counters, drain    │
 //!             └──┬─────────────────┬─────────────────────▲────────▲────────┘
 //!  frames, plans │                 │                     │ scores │
-//!     (bounded   ▼                 ▼                     │ (bounded SPSC
-//!      SPSC)  ┌──────┐          ┌──────┐                 │  per shard)
+//!     (bounded   ▼                 ▼                     │ (bounded
+//!    channel) ┌──────┐          ┌──────┐                 │  channel per shard)
 //!             │shard0│          │shard1│  … one OS thread per shard,
 //!             │worker│          │worker│    each a MultiStreamRuntime
 //!             └──────┘          └──────┘    calling tick_frames: its own
@@ -21,7 +21,7 @@
 //! The front-end owns every [`FrameSource`], pulls one frame per stream per
 //! tick (or is handed the tick's frames by [`ShardedRuntime::tick_planned`])
 //! and splits the flat list by shard; each shard's frames and plans cross to
-//! it over a bounded SPSC queue (one message per shard per tick, so queue
+//! it over a bounded channel (one message per shard per tick, so queue
 //! traffic is O(shards), not O(frames)). The front-end does not validate
 //! frames. Each worker passes its message straight to
 //! [`MultiStreamRuntime::tick_frames`] over its subset of streams — a shard
@@ -56,7 +56,7 @@
 //!    chunk into dispatches is unobservable;
 //! 4. per-stream frame order is preserved end-to-end: assignment is stable
 //!    (stream id → shard, fixed at [`ShardedRuntime::add_stream`]), and the
-//!    SPSC queues are FIFO.
+//!    channels are FIFO.
 //!
 //! `tests/equivalence.rs` enforces the contract at shard counts {1, 2, 4}
 //! under both Scalar and SIMD backends across a mid-run trend shift;
@@ -78,8 +78,8 @@
 //!
 //! A worker thread dying (panic or clean exit — e.g. an injected
 //! [`crate::fault`] crash) used to panic the whole process. Now the
-//! front-end is a supervisor: death surfaces as a typed SPSC disconnect
-//! ([`spsc::RecvError`] / [`spsc::SendError`]), and the supervisor
+//! front-end is a supervisor: death surfaces as a channel disconnect
+//! ([`RecvError`] / [`std::sync::mpsc::SendError`]), and the supervisor
 //!
 //! 1. joins the dead thread and respawns the worker (generation + 1) — the
 //!    replica engine rebuilds deterministically from the same [`EngineSpec`];
@@ -106,7 +106,6 @@
 
 use crate::checkpoint::{RecoveryStats, ShardCheckpoint};
 use crate::fault::{corrupt_frame, CrashStyle, FaultPlan};
-use crate::spsc;
 use crate::{
     FrameSource, IdleSource, MultiStreamRuntime, RuntimeConfig, ServeCounters, StreamId, StreamPlan,
 };
@@ -117,6 +116,7 @@ use akg_data::Frame;
 use akg_kg::AnomalyClass;
 use akg_tensor::WorkspaceStats;
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -269,8 +269,8 @@ struct TickRecord {
 
 struct ShardHandle {
     /// `Some` until drop; dropping the sender is the shutdown signal.
-    commands: Option<spsc::Sender<ToShard>>,
-    results: spsc::Receiver<FromShard>,
+    commands: Option<SyncSender<ToShard>>,
+    results: Receiver<FromShard>,
     thread: Option<JoinHandle<()>>,
     /// Global [`StreamId`]s in this shard's local registration order.
     locals: Vec<StreamId>,
@@ -312,7 +312,7 @@ impl ShardHandle {
 }
 
 /// The sharded multi-core serving runtime: stream sources and shard workers
-/// wired by bounded SPSC queues (see the module docs for the topology and
+/// wired by bounded channels (see the module docs for the topology and
 /// the shard-equivalence contract).
 ///
 /// # Examples
@@ -702,7 +702,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
                 }
                 match self.shards[idx].results.recv() {
                     Ok(msg) => break msg,
-                    Err(spsc::RecvError) => self.recover_shard(idx),
+                    Err(RecvError) => self.recover_shard(idx),
                 }
             };
             match msg {
@@ -815,7 +815,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
                         replies.push(msg);
                         outstanding -= 1;
                     }
-                    Err(spsc::RecvError) => return None,
+                    Err(RecvError) => return None,
                 }
             }
             replayed_frames += rec.frames.len();
@@ -830,7 +830,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
                     replies.push(msg);
                     outstanding -= 1;
                 }
-                Err(spsc::RecvError) => return None,
+                Err(RecvError) => return None,
             }
         }
         let replayed_ticks = shard.replay.len();
@@ -878,7 +878,7 @@ impl<S: FrameSource> ShardedRuntime<S> {
                 match self.shards[idx].results.recv() {
                     Ok(FromShard::Snapshot(snap)) => break snap,
                     Ok(FromShard::Tick { .. }) => unreachable!("tick reply during snapshot"),
-                    Err(spsc::RecvError) => self.recover_shard(idx),
+                    Err(RecvError) => self.recover_shard(idx),
                 }
             })
             .collect()
@@ -935,11 +935,11 @@ fn spawn_shard_worker(
     shard_idx: usize,
     generation: usize,
     faults: &FaultPlan,
-) -> (spsc::Sender<ToShard>, spsc::Receiver<FromShard>, JoinHandle<()>) {
+) -> (SyncSender<ToShard>, Receiver<FromShard>, JoinHandle<()>) {
     // queue_depth ticks may be in flight, plus one slot of slack so a
     // control message never waits on a full tick pipeline.
-    let (cmd_tx, cmd_rx) = spsc::channel::<ToShard>(config.queue_depth + 1);
-    let (res_tx, res_rx) = spsc::channel::<FromShard>(config.queue_depth + 1);
+    let (cmd_tx, cmd_rx) = sync_channel::<ToShard>(config.queue_depth + 1);
+    let (res_tx, res_rx) = sync_channel::<FromShard>(config.queue_depth + 1);
     let setup = WorkerSetup {
         spec: spec.clone(),
         max_batch: config.max_batch,
@@ -960,11 +960,7 @@ fn spawn_shard_worker(
 /// Injected faults fire *before* a tick is processed, so a killed worker
 /// loses that tick and everything queued behind it — all of which the
 /// supervisor's replay buffer still holds.
-fn shard_worker(
-    setup: WorkerSetup,
-    commands: spsc::Receiver<ToShard>,
-    results: spsc::Sender<FromShard>,
-) {
+fn shard_worker(setup: WorkerSetup, commands: Receiver<ToShard>, results: SyncSender<FromShard>) {
     // Cap this thread's kernel pool *before* the engine build so even
     // build-time matmuls obey the shards × threads rule.
     akg_tensor::par::set_thread_cap(setup.inner_threads);
@@ -1004,8 +1000,8 @@ fn shard_worker(
                 if let Some(millis) =
                     setup.faults.stall_millis(setup.shard_idx, tick_no, setup.generation)
                 {
-                    // A stall is not a failure: the bounded queues apply
-                    // backpressure and no output bit changes.
+                    // A stall is not a failure: the front-end waits on the
+                    // reply and no output bit changes.
                     std::thread::sleep(std::time::Duration::from_millis(millis));
                 }
                 // A shard with no streams still acknowledges the round so

@@ -1,8 +1,8 @@
 //! Error-path tests for runtime misconfiguration: the documented panics of
 //! `ShardedRuntime::new`, the degenerate-topology behaviors (fewer streams
-//! than shards), zero-capacity SPSC channels, and the degrade-ladder
-//! policy's ordering invariants. Every panic asserted here is part of the
-//! public contract (documented on the constructor), not incidental.
+//! than shards), and the degrade-ladder policy's ordering invariants. Every
+//! panic asserted here is part of the public contract (documented on the
+//! constructor), not incidental.
 
 use akg_core::adapt::AdaptConfig;
 use akg_core::pipeline::SystemConfig;
@@ -54,12 +54,6 @@ fn sharded_runtime_rejects_zero_max_batch() {
         spec(),
         ShardedConfig { max_batch: 0, ..ShardedConfig::with_shards(1) },
     );
-}
-
-#[test]
-#[should_panic(expected = "capacity must be positive")]
-fn spsc_rejects_zero_capacity() {
-    let _ = akg_runtime::spsc::channel::<u32>(0);
 }
 
 /// Fewer streams than shards is a *documented-working* degenerate topology,

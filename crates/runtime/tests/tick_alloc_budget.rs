@@ -1,4 +1,4 @@
-//! The tick body's allocation budget: once warm, a `static` tick of
+//! The tick body's allocation budget: in the steady state, a `static` tick of
 //! `MultiStreamRuntime::tick_frames` over 16 streams — ingest validation,
 //! frame embedding, the rolling buffer, scoring and completion — spends at
 //! most [`ALLOC_BUDGET_PER_FRAME`] heap allocations per served frame, under
@@ -51,23 +51,23 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL_ALLOC: CountingAllocator = CountingAllocator;
 
-/// Allocations per served frame of a warm `static` tick.
+/// Allocations per served frame of a steady-state `static` tick.
 /// Each frame's ontology, normal-activity and generic concepts embed from
 /// the space's concept table without allocating; its per-video scene
 /// background is off the table, and `embed_text` of it allocates twice
-/// (the mean vector and the word's hash-noise vector). While the 64-frame
-/// rolling buffer is still filling, as it is over these 36 ticks, ingest
-/// allocates one embedding row per frame; once full it reuses the evicted
-/// row (2.50 then). The rest is a few per-tick and per-dispatch vectors,
-/// half an allocation per frame at 16 streams. The budget is the measured
-/// 3.500 under both backends, rounded up by 0.01.
-const ALLOC_BUDGET_PER_FRAME: f64 = 3.51;
+/// (the mean vector and the word's hash-noise vector). Every rolling
+/// buffer is full, so ingest embeds into the row it evicts. The rest is a
+/// few per-tick and per-dispatch vectors, half an allocation per frame at
+/// 16 streams. The budget is the measured 2.500 under both backends,
+/// rounded up by 0.01.
+const ALLOC_BUDGET_PER_FRAME: f64 = 2.51;
 
 /// Streams served per tick: one full runtime batch.
 const STREAMS: usize = 16;
 
-/// Ticks before measuring: every window full, every workspace shape seen.
-const WARM_TICKS: usize = 12;
+/// Ticks before measuring: past `AdaptConfig::default().n_window` (64), so
+/// every rolling buffer is full and every workspace shape has been seen.
+const WARM_TICKS: usize = 72;
 
 /// Measured ticks per backend.
 const TICKS: usize = 24;
@@ -77,6 +77,7 @@ const TICKS: usize = 24;
 /// process-wide).
 fn allocs_per_frame(b: Backend) -> f64 {
     let config = SystemConfig { backend: b, ..SystemConfig::default() };
+    assert!(WARM_TICKS > AdaptConfig::default().n_window, "warm-up must fill the rolling buffers");
     let engine = Engine::build(&[AnomalyClass::Stealing], &config);
     let mut rt = MultiStreamRuntime::new(engine, RuntimeConfig::default());
     for s in 0..STREAMS {
