@@ -1,7 +1,8 @@
 //! The kernel perf harness: times the `akg-tensor` hot-path kernels (the
 //! matmul family, the int8 matmul, fused softmax/layernorm, the GNN
-//! gather/scatter ops, and the GNN layer kernels and the temporal encoder's
-//! batched last-step call at the served shapes) and
+//! gather/scatter ops, the GNN layer kernels and the temporal encoder's
+//! batched last-step call at the served shapes, and the token update's
+//! narrow `matmul_nt` and attention node, forward and backward) and
 //! emits `BENCH_tensor.json`, the op-level record
 //! (see `docs/PERFORMANCE.md` for how to read it). End-to-end serving is
 //! measured by `perfbench/`, the benchmark of record.
@@ -22,7 +23,7 @@
 //! - `--out PATH`: where to write the JSON (default `BENCH_tensor.json`).
 
 use akg_tensor::backend::{cpu_features, effective_backend, set_backend, Backend};
-use akg_tensor::nn::attention::TransformerEncoder;
+use akg_tensor::nn::attention::{grouped_attention, TransformerEncoder};
 use akg_tensor::ops::kernels::{matmul_blocked, matmul_ikj, matmul_naive, matmul_nt};
 use akg_tensor::par::{effective_threads, set_parallelism, Parallelism};
 use akg_tensor::{inference, QuantizedMatrix, Tensor, Workspace};
@@ -234,8 +235,10 @@ fn bench_fused(rows: usize, cols: usize, reps: usize, ops: &mut Vec<OpResult>) {
 /// Times the GNN kernels at the shapes the served model runs: 72 frames of
 /// a 14-node KG at `gnn_dim` 8 (1,008 node rows) — the input `Linear`'s
 /// narrow `[1008, 32] × [32, 8]` product, ELU over the layer output, and
-/// the per-frame grouped instance norm. At these shapes per-element and
-/// per-call overhead, not arithmetic, sets the cost.
+/// the per-frame grouped instance norm; then the temporal encoder's
+/// serving call, and the token update's backward `matmul_nt` and attention
+/// node. At these shapes per-element and per-call overhead, not
+/// arithmetic, sets the cost.
 fn bench_served_shapes(reps: usize, ops: &mut Vec<OpResult>) {
     let (frames, nodes, embed, gd) = (72usize, 14usize, 32usize, 8usize);
     let rows = frames * nodes;
@@ -290,6 +293,37 @@ fn bench_served_shapes(reps: usize, ops: &mut Vec<OpResult>) {
         black_box(&last);
     });
     ops.push(OpResult { name: format!("temporal_last_{windows}x{t}x{d}"), ns_per_op: ns, reps });
+
+    // The token update's backward cells. The GNN input `Linear`'s
+    // `dA = G·Bᵀ`: `[1008, 8] × [32, 8]ᵀ`, a dot length of 8 per output.
+    let g = filled(rows * gd, 15);
+    let ns = time_median(reps, || {
+        black_box(matmul_nt(black_box(&g), black_box(&w), rows, gd, embed));
+    });
+    ops.push(OpResult { name: format!("matmul_nt_{rows}x{gd}x{embed}"), ns_per_op: ns, reps });
+
+    // The encoder's attention node as a token update runs it (last step
+    // only, 4 heads of d_k = 8 over 16 windows of T = 4), forward and
+    // backward.
+    let (heads, inner) = (4usize, 32usize);
+    let (qd, kd, vd) = (
+        filled(windows * inner, 16),
+        filled(windows * t * inner, 17),
+        filled(windows * t * inner, 18),
+    );
+    let seed = filled(windows * inner, 19);
+    let ns = time_median(reps, || {
+        let q = Tensor::from_vec(qd.clone(), &[windows, inner]).requires_grad(true);
+        let k = Tensor::from_vec(kd.clone(), &[windows * t, inner]).requires_grad(true);
+        let v = Tensor::from_vec(vd.clone(), &[windows * t, inner]).requires_grad(true);
+        grouped_attention(&q, &k, &v, windows, heads, true).backward_with(&seed);
+        black_box((q.grad(), k.grad(), v.grad()));
+    });
+    ops.push(OpResult {
+        name: format!("attention_node_fwd_bwd_{windows}x{t}x{}", inner / heads),
+        ns_per_op: ns,
+        reps,
+    });
 }
 
 fn main() {

@@ -607,9 +607,11 @@ impl ContinuousAdapter {
         let scores = self.tracker.window().scores();
         let offset = self.buffer.len().saturating_sub(scores.len());
         let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // Highest first, by `total_cmp`: a total order even with NaN scores
+        // (a comparator that calls NaN equal to everything may panic the
+        // sort), and for finite scores the `partial_cmp` order, since a
+        // score `1 − p` is never −0.
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
         // Confidence floor: a pseudo-anomaly must stand out from the current
         // score distribution (mean + ½σ). Right after a strong shift the
         // top-K is only weakly enriched in true anomalies; training on
@@ -1001,6 +1003,29 @@ mod tests {
         assert_ne!(table_before, session.table.to_dense_vec(), "token table unchanged");
         // the engine's template table is untouched by session adaptation
         assert_eq!(engine.table.to_dense_vec(), table_before);
+    }
+
+    /// A NaN score in the tracker window must not panic the token update:
+    /// `sort_by` with a comparator that calls NaN equal to everything is
+    /// not a total order, and the standard sort may panic on it.
+    #[test]
+    fn token_update_survives_nan_scores() {
+        let (engine, mut session, ds) = setup();
+        let cfg = AdaptConfig { n_window: 64, lag: 32, ..small_cfg() };
+        let mut adapter = ContinuousAdapter::attach(&engine, &mut session, cfg);
+        let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 5);
+        for _ in 0..64 {
+            let (f, _) = stream.next_frame();
+            adapter.ingest_frame(&engine, &mut session, &f);
+        }
+        adapter.tracker = {
+            let mut t = MeanShiftTracker::new(64, 32);
+            for i in 0..64 {
+                t.push(if i % 3 == 0 { f32::NAN } else { (i * 37 % 64) as f32 / 64.0 });
+            }
+            t
+        };
+        adapter.token_update(&engine, &mut session, 4);
     }
 
     #[test]

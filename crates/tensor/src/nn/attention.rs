@@ -13,13 +13,28 @@
 //! planes, per backend. The full-row forms (the autograd
 //! [`TransformerEncoder::forward`] and its inference twin) stay as the
 //! oracles and as the body of the non-last layers.
+//!
+//! Attention itself, per sequence and per head, is one function over plain
+//! slices (`attend`): the head's column slices, `Q·Kᵀ`, the fused scaled
+//! and masked softmax, `A·V`, and the head's columns of the output. The
+//! serving plane calls it on workspace buffers; the autograd plane calls it
+//! inside **one graph node** for all sequences and heads
+//! ([`grouped_attention`]), which keeps the softmax rows and runs the
+//! backward per sequence and head with the kernels the composed
+//! slice/`matmul_t`/softmax/`matmul`/concat chain ran, in its order. So a
+//! token update's encoder graph has the same few nodes at any window count,
+//! and its outputs and gradients are bitwise the composed chain's
+//! (`tests/attention_node.rs`).
 
 use crate::inference as inf;
 use crate::nn::norm::LayerNorm;
 use crate::nn::{FeedForward, Linear, Module};
+use crate::ops::kernels::{matmul_nt_into, matmul_tn_into};
+use crate::ops::simd;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
+use std::ops::Range;
 
 /// Multi-head scaled-dot-product self-attention over a `[T, D]` sequence,
 /// always causal: frame `t` may not attend to the future.
@@ -52,14 +67,8 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Applies self-attention to a `[T, D]` sequence.
-    ///
-    /// Per head, `Q·Kᵀ` runs through the transposed-input fast path
-    /// ([`Tensor::matmul_t`], no `Kᵀ` materialized) and the
-    /// scale-mask-normalize sequence is the single fused
-    /// [`Tensor::softmax_rows_scaled_masked`] node — together four fewer
-    /// graph nodes and four fewer `[T, T]`/`[T, d_k]` allocations per head
-    /// per forward than the composed formulation.
+    /// Applies self-attention to a `[T, D]` sequence: the four projections,
+    /// with attention over all heads as one [`grouped_attention`] node.
     ///
     /// # Panics
     ///
@@ -88,7 +97,8 @@ impl MultiHeadAttention {
     /// sequence's last row: the query projection runs on those rows alone,
     /// each attends once per head to its whole sequence with no mask (the
     /// causal mask's last row is all zeros), and the output is
-    /// `[windows, D]`.
+    /// `[windows, D]`. Attention itself is one graph node,
+    /// [`grouped_attention`].
     fn grouped(&self, x: &Tensor, windows: usize, last_only: bool) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 2, "MultiHeadAttention: expected [T, D] input");
@@ -97,56 +107,23 @@ impl MultiHeadAttention {
             "MultiHeadAttention: {} rows do not split into {windows} sequences",
             s[0]
         );
-        let t = s[0] / windows;
-        let (q, qt) = if last_only {
-            (self.wq.forward(&x.index_select_rows(&last_rows(windows, t))), 1)
+        let q = if last_only {
+            self.wq.forward(&x.index_select_rows(&last_rows(windows, s[0] / windows)))
         } else {
-            (self.wq.forward(x), t)
+            self.wq.forward(x)
         };
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
-        let mask = (!last_only).then(|| causal_mask(t));
-        let parts: Vec<Tensor> = (0..windows)
-            .map(|w| {
-                let (lo, hi) = (w * t, (w + 1) * t);
-                self.attend(
-                    &q.slice_rows(w * qt, (w + 1) * qt),
-                    &k.slice_rows(lo, hi),
-                    &v.slice_rows(lo, hi),
-                    mask.as_deref(),
-                )
-            })
-            .collect();
-        self.wo.forward(&Tensor::concat_rows(&parts))
-    }
-
-    /// Multi-head attention of one sequence's projected queries (`[T, inner]`,
-    /// or its last row alone) against its `[T, inner]` keys and values;
-    /// heads joined column-wise.
-    fn attend(&self, q: &Tensor, k: &Tensor, v: &Tensor, mask: Option<&[f32]>) -> Tensor {
-        let dk = self.inner_dim / self.heads;
-        let scale = 1.0 / (dk as f32).sqrt();
-        let head_outputs: Vec<Tensor> = (0..self.heads)
-            .map(|h| {
-                let (lo, hi) = (h * dk, (h + 1) * dk);
-                let attn = q
-                    .slice_cols(lo, hi)
-                    .matmul_t(&k.slice_cols(lo, hi))
-                    .softmax_rows_scaled_masked(scale, mask);
-                attn.matmul(&v.slice_cols(lo, hi))
-            })
-            .collect();
-        Tensor::concat_cols(&head_outputs)
+        self.wo.forward(&grouped_attention(&q, &k, &v, windows, self.heads, last_only))
     }
 
     /// Inference-plane form of [`MultiHeadAttention::grouped`] over a
     /// ragged batch: `x` is `[Σ lens, d_model]` (sequence `s` has
     /// `lens[s]` rows), `out` is `[Σ lens, d_model]`, or `[lens.len(),
     /// d_model]` when `last_only`. Workspace-leased buffers only — no graph
-    /// nodes, no steady-state allocation. Replicates the autograd op
-    /// op-for-op (same dispatching kernels, same fused softmax, same
-    /// per-head column slicing and concatenation), so it is bit-identical
-    /// per backend.
+    /// nodes, no steady-state allocation. The projections are the autograd
+    /// op's kernels and attention is the same [`attend`] core, so it is
+    /// bit-identical per backend.
     fn infer(
         &self,
         x: &[f32],
@@ -158,9 +135,7 @@ impl MultiHeadAttention {
         let rows: usize = lens.iter().sum();
         let b = lens.len();
         let inner = self.inner_dim;
-        let dk = inner / self.heads;
         let q_rows = if last_only { b } else { rows };
-        let t_max = lens.iter().copied().max().unwrap_or(0);
         let mut q = ws.lease(q_rows * inner);
         let mut k = ws.lease(rows * inner);
         let mut v = ws.lease(rows * inner);
@@ -174,54 +149,11 @@ impl MultiHeadAttention {
         }
         self.wk.forward_infer(x, rows, &mut k, ws);
         self.wv.forward_infer(x, rows, &mut v, ws);
-        let scale = 1.0 / (dk as f32).sqrt();
-        let mut causal = ws.lease(if last_only { 0 } else { t_max * t_max });
-        let mut qh = ws.lease(t_max * dk);
-        let mut kh = ws.lease(t_max * dk);
-        let mut vh = ws.lease(t_max * dk);
-        let mut attn = ws.lease(t_max * t_max);
-        let mut head = ws.lease(t_max * dk);
         let mut joined = ws.lease(q_rows * inner);
-        let mut r0 = 0usize; // the sequence's first key row
-        for (s, &t) in lens.iter().enumerate() {
-            // The sequence's query rows: all `t`, or its last row alone.
-            let (q0, nq) = if last_only { (s, 1) } else { (r0, t) };
-            let mask = if last_only {
-                None
-            } else {
-                let m = &mut causal[..t * t];
-                m.fill(0.0); // on/below the diagonal stays 0
-                for r in 0..t {
-                    m[r * t + r + 1..(r + 1) * t].fill(-1e9);
-                }
-                Some(&*m)
-            };
-            for h in 0..self.heads {
-                let lo = h * dk;
-                // Column slices of q/k/v, exactly `slice_cols(lo, lo + dk)`.
-                for r in 0..nq {
-                    let src = (q0 + r) * inner + lo;
-                    qh[r * dk..(r + 1) * dk].copy_from_slice(&q[src..src + dk]);
-                }
-                for r in 0..t {
-                    let src = (r0 + r) * inner + lo;
-                    kh[r * dk..(r + 1) * dk].copy_from_slice(&k[src..src + dk]);
-                    vh[r * dk..(r + 1) * dk].copy_from_slice(&v[src..src + dk]);
-                }
-                let scores = &mut attn[..nq * t];
-                inf::matmul_t_into(scores, &qh[..nq * dk], &kh[..t * dk], nq, dk, t);
-                inf::softmax_rows_scaled_masked_inplace(scores, nq, t, scale, mask);
-                inf::matmul_into(&mut head[..nq * dk], scores, &vh[..t * dk], nq, t, dk);
-                // concat_cols: head h occupies columns lo..lo+dk of `joined`.
-                for r in 0..nq {
-                    let dst = (q0 + r) * inner + lo;
-                    joined[dst..dst + dk].copy_from_slice(&head[r * dk..(r + 1) * dk]);
-                }
-            }
-            r0 += t;
-        }
+        let input = AttnInput { q: &q, k: &k, v: &v, lens, inner, last_only, heads: self.heads };
+        attend(&input, &mut joined, None, ws);
         self.wo.forward_infer(&joined, q_rows, out, ws);
-        for buf in [q, k, v, causal, qh, kh, vh, attn, head, joined] {
+        for buf in [q, k, v, joined] {
             ws.release(buf);
         }
     }
@@ -245,16 +177,256 @@ impl MultiHeadAttention {
     }
 }
 
-/// Additive causal mask: 0 on/below the diagonal, a large negative value
-/// above it.
-fn causal_mask(t: usize) -> Vec<f32> {
-    let mut mask = vec![0.0f32; t * t];
+/// Multi-head scaled-dot-product attention of `windows` equal-length
+/// sequences, as **one** autograd node. `k` and `v` are the sequences'
+/// projected keys and values, `[windows · T, inner]` (sequence `w` in rows
+/// `w·T .. (w+1)·T`); `q` holds their queries, `[windows · T, inner]`, or
+/// `[windows, inner]` with `last_only` (each sequence's last step alone).
+/// Head `h` owns columns `h·d_k .. (h+1)·d_k`, `d_k = inner / heads`. The
+/// full-row form is causal; the last-only form needs no mask (the causal
+/// mask's last row is all zeros). The output has `q`'s shape.
+///
+/// The forward is the core the serving plane runs (see the module docs).
+/// The node keeps the softmax rows and, like [`Tensor::matmul`], a copy of
+/// each operand a tracked parent's gradient reads (`v` for `dQ` and `dK`,
+/// `k` for `dQ`, `q` for `dK`), so writing an operand's data after the
+/// forward cannot change the gradients. Its backward runs, per sequence
+/// and head, the kernels of the composed chain
+/// (`slice_rows`, `slice_cols`, [`Tensor::matmul_t`],
+/// [`Tensor::softmax_rows_scaled_masked`], [`Tensor::matmul`],
+/// `concat_cols`, `concat_rows`) in the same order, so outputs and
+/// gradients are bitwise that chain's per backend
+/// (`tests/attention_node.rs`).
+///
+/// # Panics
+///
+/// Panics if an operand is not 2-D, the sequences are empty, `heads` does
+/// not divide `inner`, or the shapes disagree.
+pub fn grouped_attention(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    windows: usize,
+    heads: usize,
+    last_only: bool,
+) -> Tensor {
+    let (ks, qs) = (k.shape(), q.shape());
+    assert!(ks.len() == 2 && qs.len() == 2, "grouped_attention: operands must be 2-D");
+    let (rows, inner) = (ks[0], ks[1]);
+    assert!(
+        rows > 0 && windows > 0 && rows.is_multiple_of(windows),
+        "grouped_attention: {rows} rows do not split into {windows} non-empty sequences"
+    );
+    assert!(heads > 0 && inner.is_multiple_of(heads), "grouped_attention: bad head count {heads}");
+    let q_rows = if last_only { windows } else { rows };
+    assert_eq!(qs, [q_rows, inner], "grouped_attention: q has the wrong shape");
+    assert_eq!(v.shape(), ks, "grouped_attention: v and k disagree");
+    let t = rows / windows;
+    let lens = vec![t; windows];
+    let tracked = [q, k, v].map(Tensor::is_tracked);
+    let [need_q, need_k, _] = tracked;
+    let mut out = vec![0.0f32; q_rows * inner];
+    let mut probs = vec![0.0f32; if tracked.contains(&true) { heads * q_rows * t } else { 0 }];
+    let keep = (!probs.is_empty()).then_some(&mut probs[..]);
+    let mut ws = Workspace::new();
+    q.with_data(|qd| {
+        k.with_data(|kd| {
+            v.with_data(|vd| {
+                let input = AttnInput { q: qd, k: kd, v: vd, lens: &lens, inner, last_only, heads };
+                attend(&input, &mut out, keep, &mut ws);
+            })
+        })
+    });
+    let copy = |x: &Tensor, needed: bool| if needed { x.to_vec() } else { Vec::new() };
+    let (qc, kc, vc) = (copy(q, need_k), copy(k, need_q), copy(v, need_q || need_k));
+    Tensor::from_op(
+        out,
+        &[q_rows, inner],
+        vec![q.clone(), k.clone(), v.clone()],
+        Box::new(move |g| {
+            let input = AttnInput { q: &qc, k: &kc, v: &vc, lens: &lens, inner, last_only, heads };
+            attend_backward(&input, &probs, g, tracked).into()
+        }),
+    )
+}
+
+/// One attention call's operands: the projected queries, keys and values
+/// of a ragged batch of sequences (`lens`), and how many heads split their
+/// `inner` columns. `k` and `v` are `[Σ lens, inner]`; `q` is `[Σ lens,
+/// inner]`, or `[lens.len(), inner]` when `last_only` (each sequence's last
+/// step alone). In the backward, an operand no needed gradient reads may
+/// be empty.
+struct AttnInput<'a> {
+    q: &'a [f32],
+    k: &'a [f32],
+    v: &'a [f32],
+    lens: &'a [usize],
+    inner: usize,
+    last_only: bool,
+    heads: usize,
+}
+
+/// The per-sequence, per-head attention core both planes run. For each
+/// sequence and each head: the head's column slices of `q`, `k` and `v`,
+/// `Q_h·K_hᵀ` ([`inf::matmul_t_into`]), the fused scaled (and, over all
+/// rows, causally masked) softmax, `A·V_h` ([`inf::matmul_into`]), and the
+/// result into the head's columns of `out` (`q`'s shape). With `probs`,
+/// each (sequence, head)'s softmax rows are kept there, sequence-major
+/// (the autograd node's saved state).
+fn attend(input: &AttnInput, out: &mut [f32], mut probs: Option<&mut [f32]>, ws: &mut Workspace) {
+    let AttnInput { q, k, v, lens, inner, last_only, heads } = *input;
+    let dk = inner / heads;
+    let scale = 1.0 / (dk as f32).sqrt();
+    let t_max = lens.iter().copied().max().unwrap_or(0);
+    let mut causal = ws.lease(if last_only { 0 } else { t_max * t_max });
+    let mut qh = ws.lease(t_max * dk);
+    let mut kh = ws.lease(t_max * dk);
+    let mut vh = ws.lease(t_max * dk);
+    let mut attn = ws.lease(if probs.is_some() { 0 } else { t_max * t_max });
+    let mut head = ws.lease(t_max * dk);
+    let (mut r0, mut p0) = (0usize, 0usize); // the sequence's first key row; kept rows so far
+    for (s, &t) in lens.iter().enumerate() {
+        // The sequence's query rows: all `t`, or its last row alone.
+        let (q0, nq) = if last_only { (s, 1) } else { (r0, t) };
+        let mask = (!last_only).then(|| {
+            let m = &mut causal[..t * t];
+            fill_causal_mask(m, t);
+            &*m
+        });
+        for h in 0..heads {
+            let cols = h * dk..(h + 1) * dk;
+            gather_cols(&mut qh[..nq * dk], q, inner, q0, cols.clone());
+            gather_cols(&mut kh[..t * dk], k, inner, r0, cols.clone());
+            gather_cols(&mut vh[..t * dk], v, inner, r0, cols.clone());
+            let scores = match probs.as_deref_mut() {
+                Some(kept) => {
+                    p0 += nq * t;
+                    &mut kept[p0 - nq * t..p0]
+                }
+                None => &mut attn[..nq * t],
+            };
+            inf::matmul_t_into(scores, &qh[..nq * dk], &kh[..t * dk], nq, dk, t);
+            inf::softmax_rows_scaled_masked_inplace(scores, nq, t, scale, mask);
+            inf::matmul_into(&mut head[..nq * dk], scores, &vh[..t * dk], nq, t, dk);
+            scatter_cols(out, &head[..nq * dk], inner, q0, cols, false);
+        }
+        r0 += t;
+    }
+    for buf in [causal, qh, kh, vh, attn, head] {
+        ws.release(buf);
+    }
+}
+
+/// Fills the `[t, t]` additive causal mask: 0 on/below the diagonal, a
+/// large negative value above it.
+fn fill_causal_mask(mask: &mut [f32], t: usize) {
+    mask.fill(0.0);
     for r in 0..t {
-        for c in (r + 1)..t {
-            mask[r * t + c] = -1e9;
+        mask[r * t + r + 1..(r + 1) * t].fill(-1e9);
+    }
+}
+
+/// The backward of [`grouped_attention`]: given the output gradient `g`
+/// and the kept softmax rows, `[dQ, dK, dV]`, each empty for an operand
+/// that was untracked when the node was built. Per sequence and head it
+/// runs the composed chain's kernels in its order: `dA = G_h·V_hᵀ`
+/// ([`matmul_nt_into`]), `dV_h = Aᵀ·G_h` ([`matmul_tn_into`]), the fused
+/// softmax's row formula, `dQ_h = dS·K_h` ([`inf::matmul_into`], the
+/// dispatch of `Tensor::matmul_t`'s backward) and `dK_h = dSᵀ·Q_h`
+/// ([`matmul_tn_into`]).
+///
+/// The composed chain summed each operand's gradient from one zero-padded
+/// slice per (sequence, head); every element is then `0 + x`, which turns
+/// a `−0` into `+0`, unless there was a single slice. Accumulating into
+/// zeroed buffers, or copying when there is one (sequence, head) pair,
+/// gives the same bits.
+fn attend_backward(
+    input: &AttnInput,
+    probs: &[f32],
+    g: &[f32],
+    tracked: [bool; 3],
+) -> [Vec<f32>; 3] {
+    let AttnInput { q, k, v, lens, inner, last_only, heads } = *input;
+    let [need_q, need_k, need_v] = tracked;
+    let rows: usize = lens.iter().sum();
+    let dk = inner / heads;
+    let scale = 1.0 / (dk as f32).sqrt();
+    let t_max = lens.iter().copied().max().unwrap_or(0);
+    let add = lens.len() * heads > 1;
+    let zeroed = |need: bool, len: usize| if need { vec![0.0f32; len] } else { Vec::new() };
+    let (mut dq, mut dkv, mut dv) =
+        (zeroed(need_q, g.len()), zeroed(need_k, rows * inner), zeroed(need_v, rows * inner));
+    let [mut qh, mut kh, mut vh, mut gh, mut dh] = [(); 5].map(|_| vec![0.0f32; t_max * dk]);
+    let [mut da, mut ds] = [(); 2].map(|_| vec![0.0f32; t_max * t_max]);
+    let (mut r0, mut p0) = (0usize, 0usize);
+    for (s, &t) in lens.iter().enumerate() {
+        let (q0, nq) = if last_only { (s, 1) } else { (r0, t) };
+        for h in 0..heads {
+            let cols = h * dk..(h + 1) * dk;
+            let a = &probs[p0..p0 + nq * t];
+            p0 += nq * t;
+            let gh = &mut gh[..nq * dk];
+            gather_cols(gh, g, inner, q0, cols.clone());
+            if need_q || need_k {
+                let (da, ds) = (&mut da[..nq * t], &mut ds[..nq * t]);
+                gather_cols(&mut vh[..t * dk], v, inner, r0, cols.clone());
+                matmul_nt_into(da, gh, &vh[..t * dk], nq, dk, t);
+                for ((dsr, ar), dar) in
+                    ds.chunks_exact_mut(t).zip(a.chunks_exact(t)).zip(da.chunks_exact(t))
+                {
+                    let dot = simd::row_dot_nofma(dar, ar);
+                    simd::softmax_bwd_row(dsr, ar, dar, dot, scale);
+                }
+                if need_q {
+                    gather_cols(&mut kh[..t * dk], k, inner, r0, cols.clone());
+                    inf::matmul_into(&mut dh[..nq * dk], ds, &kh[..t * dk], nq, t, dk);
+                    scatter_cols(&mut dq, &dh[..nq * dk], inner, q0, cols.clone(), add);
+                }
+                if need_k {
+                    gather_cols(&mut qh[..nq * dk], q, inner, q0, cols.clone());
+                    matmul_tn_into(&mut dh[..t * dk], ds, &qh[..nq * dk], nq, t, dk);
+                    scatter_cols(&mut dkv, &dh[..t * dk], inner, r0, cols.clone(), add);
+                }
+            }
+            if need_v {
+                matmul_tn_into(&mut dh[..t * dk], a, gh, nq, t, dk);
+                scatter_cols(&mut dv, &dh[..t * dk], inner, r0, cols, add);
+            }
+        }
+        r0 += t;
+    }
+    [dq, dkv, dv]
+}
+
+/// Copies columns `cols` of rows `row0 ..` of the `inner`-wide matrix
+/// `src` into the contiguous `[rows, cols.len()]` block `dst`.
+fn gather_cols(dst: &mut [f32], src: &[f32], inner: usize, row0: usize, cols: Range<usize>) {
+    for (r, row) in dst.chunks_exact_mut(cols.len()).enumerate() {
+        let at = (row0 + r) * inner;
+        row.copy_from_slice(&src[at + cols.start..at + cols.end]);
+    }
+}
+
+/// Writes the contiguous `[rows, cols.len()]` block `src` into columns
+/// `cols` of rows `row0 ..` of the `inner`-wide matrix `dst`, adding to
+/// what is there when `add`.
+fn scatter_cols(
+    dst: &mut [f32],
+    src: &[f32],
+    inner: usize,
+    row0: usize,
+    cols: Range<usize>,
+    add: bool,
+) {
+    for (r, row) in src.chunks_exact(cols.len()).enumerate() {
+        let at = (row0 + r) * inner;
+        let out = &mut dst[at + cols.start..at + cols.end];
+        if add {
+            out.iter_mut().zip(row).for_each(|(o, x)| *o += x);
+        } else {
+            out.copy_from_slice(row);
         }
     }
-    mask
 }
 
 /// The row of each sequence's last step in `windows` equal-length
@@ -583,7 +755,8 @@ mod tests {
     #[test]
     #[allow(clippy::erasing_op, clippy::identity_op)] // row * cols + col index arithmetic
     fn causal_mask_blocks_future() {
-        let m = causal_mask(3);
+        let mut m = [0.5f32; 9];
+        fill_causal_mask(&mut m, 3);
         assert_eq!(m[0 * 3 + 0], 0.0);
         assert_eq!(m[0 * 3 + 2], -1e9);
         assert_eq!(m[2 * 3 + 0], 0.0);

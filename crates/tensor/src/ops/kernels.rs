@@ -9,9 +9,12 @@
 //! baseline target) and, on AVX2+FMA hardware, the explicit
 //! `std::arch` kernels in the private `ops::simd` module — an 8-wide FMA SAXPY for the
 //! `ikj`/`tn` family (with the output rows held in registers across `k`
-//! when `n` is 8, 16, 24 or 32, the served GNN widths) and a 6×16
-//! register-tiled microkernel inside the blocked fill. Dispatch is a single runtime check per kernel call; see
-//! `docs/PERFORMANCE.md` for the design and the measured effect.
+//! when `n` is 8, 16, 24 or 32, the served GNN widths), a 6×16
+//! register-tiled microkernel inside the blocked fill, and an `nt` kernel
+//! that computes eight outputs per vector when the dot length is 8
+//! (bitwise the per-element dot product it replaces). Dispatch is a
+//! single runtime check per kernel call; see `docs/PERFORMANCE.md` for the
+//! design and the measured effect.
 //!
 //! ## Determinism and accuracy
 //!
@@ -506,12 +509,33 @@ pub fn matmul_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32>
     assert_eq!(a.len(), m * k, "matmul_tn: lhs has {} elements, expected m*k = {}", a.len(), m * k);
     assert_eq!(b.len(), m * n, "matmul_tn: rhs has {} elements, expected m*n = {}", b.len(), m * n);
     let mut out = vec![0.0f32; k * n];
+    tn_fill(&mut out, a, b, m, k, n);
+    out
+}
+
+/// [`matmul_tn`] writing into a caller-provided `[k, n]` buffer (zeroed
+/// here) — the allocation-free form the attention node's backward uses.
+/// Bit-identical to the allocating form under either backend.
+///
+/// # Panics
+///
+/// Panics if `a.len() != m*k`, `b.len() != m*n`, or `out.len() != k*n`.
+pub(crate) fn matmul_tn_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "matmul_tn_into: lhs has {} elements, expected m*k", a.len());
+    assert_eq!(b.len(), m * n, "matmul_tn_into: rhs has {} elements, expected m*n", b.len());
+    check_out(out, k, n, "matmul_tn_into");
+    out.fill(0.0);
+    tn_fill(out, a, b, m, k, n);
+}
+
+/// The shared `tn` kernel body over a zeroed `[k, n]` output buffer.
+fn tn_fill(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     if k == 0 || n == 0 {
-        return out;
+        return;
     }
     // One backend resolution per call — see `matmul_blocked`.
     let use_simd = crate::backend::simd_active();
-    for_each_row_chunk(&mut out, k, n, MIN_ROWS_PER_THREAD, |p0, chunk| {
+    for_each_row_chunk(out, k, n, MIN_ROWS_PER_THREAD, |p0, chunk| {
         if simd::try_tn_fill(use_simd, a, b, m, k, n, p0, chunk) {
             return;
         }
@@ -531,7 +555,6 @@ pub fn matmul_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32>
             }
         }
     });
-    out
 }
 
 #[cfg(test)]

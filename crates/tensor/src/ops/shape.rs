@@ -147,8 +147,7 @@ impl Tensor {
         assert_eq!(s.len(), 2, "slice_rows: expected 2-D tensor");
         let (m, n) = (s[0], s[1]);
         assert!(start <= end && end <= m, "slice_rows: bad range {start}..{end} of {m}");
-        let a = self.to_vec();
-        let data = a[start * n..end * n].to_vec();
+        let data = self.with_data(|a| a[start * n..end * n].to_vec());
         let rows = end - start;
         Tensor::from_op(
             data,
@@ -173,11 +172,12 @@ impl Tensor {
         let (m, n) = (s[0], s[1]);
         assert!(start <= end && end <= n, "slice_cols: bad range {start}..{end} of {n}");
         let cols = end - start;
-        let a = self.to_vec();
         let mut data = vec![0.0f32; m * cols];
-        for r in 0..m {
-            data[r * cols..(r + 1) * cols].copy_from_slice(&a[r * n + start..r * n + end]);
-        }
+        self.with_data(|a| {
+            for r in 0..m {
+                data[r * cols..(r + 1) * cols].copy_from_slice(&a[r * n + start..r * n + end]);
+            }
+        });
         Tensor::from_op(
             data,
             &[m, cols],

@@ -960,7 +960,11 @@ mod avx {
     }
 
     /// Fills one row-chunk of `matmul_nt`: each element is [`dot_fma`] of
-    /// two contiguous rows.
+    /// two contiguous rows. A dot length of 8 (the GNN `Linear` backward's
+    /// `G·Bᵀ` at `gnn_dim` 8, and attention's `Q·Kᵀ` over all rows at `d_k`
+    /// = 8) runs [`nt_narrow8`], eight outputs per vector, bitwise the same. A
+    /// single row (the last-step query) keeps the per-element dots: there
+    /// is nothing to spread the narrow kernel's transpose over.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn nt_fill_fma(
         a: &[f32],
@@ -970,6 +974,9 @@ mod avx {
         row0: usize,
         chunk: &mut [f32],
     ) {
+        if k == 8 && chunk.len() > n {
+            return nt_narrow8(a, bt, n, row0, chunk);
+        }
         let rows = chunk.len() / n;
         for ii in 0..rows {
             let arow = &a[(row0 + ii) * k..(row0 + ii + 1) * k];
@@ -978,6 +985,107 @@ mod avx {
                 *o = dot_fma(arow, &bt[j * k..(j + 1) * k]);
             }
         }
+    }
+
+    /// `matmul_nt` row-chunk for a dot length of 8, eight outputs per
+    /// vector. Each block of eight `Bᵀ` rows is transposed into registers
+    /// once ([`transpose8`]: `panel[l]` lane `jj` holds element `l` of row
+    /// `j0 + jj`, zero past `n`), then each `A` row broadcasts its elements
+    /// against it. Lane `jj` replays [`dot_fma`] of the two rows exactly:
+    /// `c[l]` is its accumulator lane `l` (one FMA from zero), plus the
+    /// `+0` the three empty accumulators add, summed in [`hsum256`]'s tree
+    /// `((c0+c4)+(c2+c6))+((c1+c5)+(c3+c7))`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available (the lengths are asserted).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn nt_narrow8(a: &[f32], bt: &[f32], n: usize, row0: usize, chunk: &mut [f32]) {
+        let k = 8;
+        let rows = chunk.len() / n;
+        assert!(a.len() >= (row0 + rows) * k && bt.len() == n * k && chunk.len() == rows * n);
+        let zero = _mm256_setzero_ps();
+        let mut j0 = 0;
+        while j0 < n {
+            let w = (n - j0).min(8);
+            let mut panel = [zero; 8];
+            for (jj, row) in panel[..w].iter_mut().enumerate() {
+                *row = _mm256_loadu_ps(bt.as_ptr().add((j0 + jj) * k));
+            }
+            let panel = transpose8(panel);
+            // Lanes `0..w` of a store: the block's columns inside `n`.
+            let keep = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(w as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            for ii in 0..rows {
+                let ap = a.as_ptr().add((row0 + ii) * k);
+                let mut c = [zero; 8];
+                for (l, cl) in c.iter_mut().enumerate() {
+                    let acc = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(l)), panel[l], zero);
+                    // `dot_fma`'s `(acc0 + acc1) + (acc2 + acc3)`, with
+                    // `acc1..acc3` still zero.
+                    *cl = _mm256_add_ps(_mm256_add_ps(acc, zero), _mm256_add_ps(zero, zero));
+                }
+                let s = _mm256_add_ps(
+                    _mm256_add_ps(_mm256_add_ps(c[0], c[4]), _mm256_add_ps(c[2], c[6])),
+                    _mm256_add_ps(_mm256_add_ps(c[1], c[5]), _mm256_add_ps(c[3], c[7])),
+                );
+                let dst = chunk[ii * n + j0..ii * n + j0 + w].as_mut_ptr();
+                if w == 8 {
+                    _mm256_storeu_ps(dst, s);
+                } else {
+                    // Masked-off lanes are neither written nor faulted on.
+                    _mm256_maskstore_ps(dst, keep, s);
+                }
+            }
+            j0 += 8;
+        }
+    }
+
+    /// The 8×8 transpose of eight row vectors: lane `j` of output `l` is
+    /// lane `l` of input `j`. Shuffles only, so every value moves exactly.
+    ///
+    /// # Safety
+    ///
+    /// AVX must be available.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t = [
+            _mm256_unpacklo_ps(r[0], r[1]),
+            _mm256_unpackhi_ps(r[0], r[1]),
+            _mm256_unpacklo_ps(r[2], r[3]),
+            _mm256_unpackhi_ps(r[2], r[3]),
+            _mm256_unpacklo_ps(r[4], r[5]),
+            _mm256_unpackhi_ps(r[4], r[5]),
+            _mm256_unpacklo_ps(r[6], r[7]),
+            _mm256_unpackhi_ps(r[6], r[7]),
+        ];
+        // Columns 0–3 of rows 0–3 (and, in the high half, columns 4–7).
+        let lo = [
+            _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+            _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+            _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+            _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+        ];
+        // The same for rows 4–7.
+        let hi = [
+            _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+            _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+            _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+            _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+        ];
+        [
+            _mm256_permute2f128_ps::<0x20>(lo[0], hi[0]),
+            _mm256_permute2f128_ps::<0x20>(lo[1], hi[1]),
+            _mm256_permute2f128_ps::<0x20>(lo[2], hi[2]),
+            _mm256_permute2f128_ps::<0x20>(lo[3], hi[3]),
+            _mm256_permute2f128_ps::<0x31>(lo[0], hi[0]),
+            _mm256_permute2f128_ps::<0x31>(lo[1], hi[1]),
+            _mm256_permute2f128_ps::<0x31>(lo[2], hi[2]),
+            _mm256_permute2f128_ps::<0x31>(lo[3], hi[3]),
+        ]
     }
 
     /// Fixed-order horizontal sum of eight i32 lanes — exact under any
@@ -2083,6 +2191,62 @@ mod tests {
                 assert_eq!(bits(&fast), bits(&chain), "narrow ikj diverged at {m}x{k}x{n}");
             }
         }
+    }
+
+    #[test]
+    fn narrow_nt_is_bitwise_dot_fma_per_element() {
+        if !simd_available() {
+            return;
+        }
+        // Every output of the narrow kernel (dot length 8) must be `dot_fma`
+        // of its two rows bit for bit: odd and block-multiple row and
+        // column counts (a single row takes the per-element path itself),
+        // chunks that start past row 0, and operands salted with ±0,
+        // subnormals (products that round to −0 before the `+0`), ±inf and
+        // the NaNs their products make.
+        let special = [0.0, -0.0, 1e-40, -1e-40, 1e-30, -1e-30, f32::INFINITY, f32::NEG_INFINITY];
+        let salted = |len: usize, salt: usize| {
+            filled(len, |i| {
+                if (i * 7 + salt).is_multiple_of(5) {
+                    special[(i * 3 + salt) % special.len()]
+                } else {
+                    ((i * 31 + salt) % 23) as f32 * 0.07 - 0.8
+                }
+            })
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let k = 8;
+        for (m, n) in [(1, 1), (3, 7), (8, 8), (9, 17), (5, 32), (17, 13)] {
+            for row0 in [0, 1] {
+                let a = salted((m + row0) * k, k + n);
+                let bt = salted(n * k, m);
+                let mut fast = vec![f32::NAN; m * n];
+                // SAFETY: guarded by `simd_available`.
+                unsafe { avx::nt_fill_fma(&a, &bt, k, n, row0, &mut fast) };
+                let oracle: Vec<f32> = (0..m * n)
+                    .map(|e| {
+                        let (i, j) = (row0 + e / n, e % n);
+                        // SAFETY: guarded by `simd_available`.
+                        unsafe { avx::dot_fma(&a[i * k..(i + 1) * k], &bt[j * k..(j + 1) * k]) }
+                    })
+                    .collect();
+                assert_eq!(
+                    bits(&fast),
+                    bits(&oracle),
+                    "narrow nt diverged at m {m}, k {k}, n {n}, row0 {row0}"
+                );
+            }
+        }
+        // Every product underflows to −0: only `dot_fma`'s `+0` makes the
+        // sum +0.
+        let (a, bt) = (vec![-1e-30f32; 3 * k], vec![1e-30f32; 9 * k]);
+        let mut fast = vec![f32::NAN; 3 * 9];
+        // SAFETY: guarded by `simd_available`.
+        unsafe { avx::nt_fill_fma(&a, &bt, k, 9, 0, &mut fast) };
+        // SAFETY: guarded by `simd_available`.
+        let oracle = unsafe { avx::dot_fma(&a[..k], &bt[..k]) };
+        assert_eq!(oracle.to_bits(), 0, "dot_fma of underflowing products is +0");
+        assert_eq!(bits(&fast), vec![0u32; 3 * 9], "narrow nt lost the +0");
     }
 
     /// ULP distance between two non-negative floats (their bit patterns
