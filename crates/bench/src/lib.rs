@@ -12,8 +12,9 @@
 //! - `perf` (binary) — the kernel perf harness: op-level timings of the
 //!   hot-path kernels, emitted as `BENCH_tensor.json` (see
 //!   `docs/PERFORMANCE.md`). End-to-end serving is measured by `perfbench/`.
-//! - Criterion micro-benches (`benches/`) — component latencies and the
-//!   ablations called out in DESIGN.md.
+//! - `ablations` (binary) — the adaptation mechanism's design-choice
+//!   ablations (K rule, prune trigger, retrieval metric, adaptation lr),
+//!   printed as `[ablate_*]` lines.
 //!
 //! ## Reproducing the paper's evaluation
 //!
@@ -21,13 +22,11 @@
 //! cargo run --release --bin fig5_trend_shift -- --seeds 3 --scenario all
 //! cargo run --release --bin fig6_retrieval -- --seed 43
 //! cargo run --release --bin table1_cost -- --seed 43
-//! cargo bench --bench components   # Table I "Low (Real-time)" latencies
-//! cargo bench --bench ablations    # design-choice ablations + AUC printouts
-//! cargo bench --bench tensor_ops   # hot-path kernels: naive vs ikj vs blocked
-//! cargo run --release --bin perf   # kernel timings -> BENCH_tensor.json
+//! cargo run --release --bin ablations  # design-choice ablations, AUC printouts
+//! cargo run --release --bin perf       # kernel timings -> BENCH_tensor.json
 //! ```
 //!
-//! Every run is seeded and deterministic: the binaries accept `--seed`
+//! Every run is seeded and deterministic: the figure binaries accept `--seed`
 //! (or `--seeds N` for multi-seed averaging in Fig. 5) so that reported
 //! curves can be regenerated exactly.
 //!

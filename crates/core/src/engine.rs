@@ -476,20 +476,10 @@ impl Engine {
         score
     }
 
-    /// Class-probability prediction for one window (inference plane; see
-    /// [`Engine::score_window`]).
-    pub fn predict_window(&self, session: &Session, window: &[Vec<f32>]) -> Vec<f32> {
-        let refs: Vec<&[f32]> = window.iter().map(Vec::as_slice).collect();
-        let mut ws = session.workspace.borrow_mut();
-        let mut out = Vec::new();
-        self.model.predict_probs_batch_infer(&[session.infer_item(&refs)], &mut ws, &mut out);
-        out
-    }
-
     /// Class probabilities for several windows of one session in one
-    /// batched forward (inference plane), flattened
-    /// `[windows.len() · (n + 1)]` into `out` (cleared first). Each row is
-    /// bit-identical to [`Engine::predict_window`] on that window alone.
+    /// batched forward (inference plane; see [`Engine::score_window`]),
+    /// flattened `[windows.len() · (n + 1)]` into `out` (cleared first).
+    /// Each row is bit-identical to this call on that window alone.
     ///
     /// Scratch comes from a workspace dropped on return, not the session's:
     /// the batch size varies per call, and the session's exact-size pools
@@ -537,35 +527,14 @@ impl Engine {
     /// Scores a cross-stream batch — `(session, window)` pairs from up to
     /// `max_batch` different streams — in **one** batched forward: one
     /// matmul per GNN layer over all windows and frames, one head matmul
-    /// over all windows. Returns one anomaly score per pair, bit-identical
-    /// to calling [`Engine::score_window`] on each pair alone.
+    /// over all windows. Writes one anomaly score per pair into a
+    /// caller-reused `out` (cleared first), bit-identical to calling
+    /// [`Engine::score_window`] on each pair alone.
     ///
-    /// Runs on the inference data plane, scratch coming from the *first*
-    /// session's workspace (workspace contents never affect results).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is empty or any window is empty.
-    pub fn score_windows_batch(&self, batch: &[(&Session, &[Vec<f32>])]) -> Vec<f32> {
-        assert!(!batch.is_empty(), "score_windows_batch: empty batch");
-        let ref_windows: Vec<Vec<&[f32]>> =
-            batch.iter().map(|(_, window)| window.iter().map(Vec::as_slice).collect()).collect();
-        let ref_batch: Vec<(&Session, &[&[f32]])> = batch
-            .iter()
-            .zip(&ref_windows)
-            .map(|(&(session, _), refs)| (session, refs.as_slice()))
-            .collect();
-        let mut ws = batch[0].0.workspace.borrow_mut();
-        let mut out = Vec::with_capacity(batch.len());
-        self.score_windows_batch_refs(&ref_batch, &mut ws, &mut out);
-        out
-    }
-
-    /// The allocation-free core of [`Engine::score_windows_batch`]:
-    /// borrowed frame slices in, scores appended to a caller-reused `out`
-    /// (cleared first), scratch from a caller-held [`Workspace`]. Every
-    /// frame of every window runs through the GNNs, so this is the
-    /// uncached oracle of the runtime's incremental scoring
+    /// Runs on the inference data plane with borrowed frame slices and
+    /// scratch from a caller-held [`Workspace`] (workspace contents never
+    /// affect results). Every frame of every window runs through the GNNs,
+    /// so this is the uncached oracle of the runtime's incremental scoring
     /// ([`crate::adapt::ContinuousAdapter::score_windows`], bitwise equal).
     ///
     /// # Panics
@@ -715,10 +684,13 @@ mod tests {
                     .collect()
             })
             .collect();
-        let batch: Vec<(&Session, &[Vec<f32>])> =
-            sessions.iter().zip(&windows).map(|(s, w)| (s, w.as_slice())).collect();
-        let batched = engine.score_windows_batch(&batch);
-        for (i, (session, window)) in batch.iter().enumerate() {
+        let refs: Vec<Vec<&[f32]>> =
+            windows.iter().map(|w| w.iter().map(Vec::as_slice).collect()).collect();
+        let batch: Vec<(&Session, &[&[f32]])> =
+            sessions.iter().zip(&refs).map(|(s, w)| (s, w.as_slice())).collect();
+        let mut batched = Vec::new();
+        engine.score_windows_batch_refs(&batch, &mut Workspace::new(), &mut batched);
+        for (i, (session, window)) in sessions.iter().zip(&windows).enumerate() {
             let single = engine.score_window(session, window);
             assert_eq!(batched[i], single, "item {i} not bit-identical");
         }

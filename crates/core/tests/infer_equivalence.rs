@@ -1,6 +1,6 @@
 //! The data-plane/training-plane split's load-bearing contract: the
 //! inference plane (`DecisionModel::*_infer`, raw slices + workspace
-//! buffers, what `Engine::score_window` / `score_windows_batch` serve
+//! buffers, what `Engine::score_window` / `score_windows_batch_refs` serve
 //! through) must be **bit-identical** to the autograd plane's single-window
 //! path (`DecisionModel::predict` / `anomaly_score`) — batched ≡ single ≡
 //! autograd, per backend, at every batch size and over ragged batches. The
@@ -17,6 +17,7 @@ use akg_core::pipeline::SystemConfig;
 use akg_kg::AnomalyClass;
 use akg_tensor::backend::{backend, set_backend, Backend};
 use akg_tensor::nn::Module;
+use akg_tensor::Workspace;
 use proptest::prelude::*;
 use proptest::{run_property, ProptestConfig};
 use std::sync::{Mutex, MutexGuard};
@@ -63,6 +64,24 @@ fn make_window(engine: &Engine, salt: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// `Engine::score_windows_batch_refs` over owned windows.
+fn score_batch(engine: &Engine, batch: &[(&Session, &[Vec<f32>])]) -> Vec<f32> {
+    let refs: Vec<Vec<&[f32]>> =
+        batch.iter().map(|(_, window)| window.iter().map(Vec::as_slice).collect()).collect();
+    let ref_batch: Vec<(&Session, &[&[f32]])> =
+        batch.iter().zip(&refs).map(|(&(session, _), refs)| (session, refs.as_slice())).collect();
+    let mut out = Vec::new();
+    engine.score_windows_batch_refs(&ref_batch, &mut Workspace::new(), &mut out);
+    out
+}
+
+/// `Engine::predict_windows_refs` over one owned window.
+fn predict_one(engine: &Engine, session: &Session, window: &[Vec<f32>]) -> Vec<f32> {
+    let mut out = Vec::new();
+    engine.predict_windows_refs(session, &[window.iter().map(Vec::as_slice).collect()], &mut out);
+    out
+}
+
 /// The autograd plane's single-window score (the pre-split serving path).
 fn autograd_score(engine: &Engine, session: &Session, window: &[Vec<f32>]) -> f32 {
     let kgs: Vec<_> = session.kgs.iter().collect();
@@ -85,7 +104,7 @@ fn inference_plane_matches_autograd_plane_bitwise_at_batch_1_4_16() {
                 let batch: Vec<(&Session, &[Vec<f32>])> =
                     sessions.iter().zip(&windows).map(|(s, w)| (s, w.as_slice())).collect();
                 // Inference plane: the serving entry point.
-                let infer_batched = engine.score_windows_batch(&batch);
+                let infer_batched = score_batch(&engine, &batch);
                 for (i, (session, window)) in batch.iter().enumerate() {
                     let infer_single = engine.score_window(session, window);
                     let auto_single = autograd_score(&engine, session, window);
@@ -111,12 +130,15 @@ fn predict_window_matches_autograd_predict_bitwise() {
             let engine = build_engine(b);
             let session = engine.new_session(3);
             let window = make_window(&engine, 7);
-            let infer = engine.predict_window(&session, &window);
+            let infer = predict_one(&engine, &session, &window);
             let kgs: Vec<_> = session.kgs.iter().collect();
             let layouts: Vec<_> = session.layouts.iter().collect();
             let rows = session.table.view_rows(session.referenced_rows());
             let auto = engine.model.predict(&kgs, &layouts, &rows, &window);
-            assert_eq!(infer, auto, "predict_window diverged from autograd predict under {b:?}");
+            assert_eq!(
+                infer, auto,
+                "predict_windows_refs diverged from autograd predict under {b:?}"
+            );
             // The batched form adaptation labels through: each row is
             // bitwise the window scored alone.
             let windows: Vec<Vec<Vec<f32>>> = (0..5).map(|s| make_window(&engine, s)).collect();
@@ -126,7 +148,7 @@ fn predict_window_matches_autograd_predict_bitwise() {
             engine.predict_windows_refs(&session, &refs, &mut batched);
             let c = engine.model.n_classes();
             for (i, window) in windows.iter().enumerate() {
-                let alone = engine.predict_window(&session, window);
+                let alone = predict_one(&engine, &session, window);
                 assert_eq!(&batched[i * c..(i + 1) * c], &alone[..], "row {i} under {b:?}");
             }
         });
@@ -151,7 +173,7 @@ fn random_windows_property_inference_equals_autograd_bitwise() {
                         (0..4).map(|_| (0..w).map(|_| frame.generate(rng)).collect()).collect();
                     let batch: Vec<(&Session, &[Vec<f32>])> =
                         sessions.iter().zip(&windows).map(|(s, w)| (s, w.as_slice())).collect();
-                    let infer = engine.score_windows_batch(&batch);
+                    let infer = score_batch(&engine, &batch);
                     for (i, (session, window)) in batch.iter().enumerate() {
                         prop_assert_eq!(infer[i], engine.score_window(session, window));
                         prop_assert_eq!(infer[i], autograd_score(&engine, session, window));
@@ -181,7 +203,7 @@ fn ragged_batch_matches_per_window_full_row_oracle_bitwise() {
             assert!(windows.iter().any(|win| win.len() == 1), "no single-frame window");
             let batch: Vec<(&Session, &[Vec<f32>])> =
                 sessions.iter().zip(&windows).map(|(s, w)| (s, w.as_slice())).collect();
-            let infer = engine.score_windows_batch(&batch);
+            let infer = score_batch(&engine, &batch);
             for (i, (session, window)) in batch.iter().enumerate() {
                 let alone = engine.score_window(session, window);
                 assert_eq!(

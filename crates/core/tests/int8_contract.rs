@@ -27,7 +27,7 @@ use akg_data::{DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_tensor::backend::{backend, set_backend, Backend};
 use akg_tensor::nn::Module;
-use akg_tensor::Precision;
+use akg_tensor::{Precision, Workspace};
 use proptest::prelude::*;
 use proptest::{run_property, ProptestConfig};
 use std::sync::{Mutex, MutexGuard};
@@ -147,10 +147,13 @@ fn int8_batched_scoring_matches_single_bitwise() {
             let engine = build_engine(b, Precision::Int8);
             let sessions: Vec<Session> = (0..4).map(|i| engine.new_session(i as u64)).collect();
             let windows: Vec<Vec<Vec<f32>>> = (0..4).map(|s| make_window(&engine, s)).collect();
-            let batch: Vec<(&Session, &[Vec<f32>])> =
-                sessions.iter().zip(&windows).map(|(s, w)| (s, w.as_slice())).collect();
-            let batched = engine.score_windows_batch(&batch);
-            for (i, (session, window)) in batch.iter().enumerate() {
+            let refs: Vec<Vec<&[f32]>> =
+                windows.iter().map(|w| w.iter().map(Vec::as_slice).collect()).collect();
+            let batch: Vec<(&Session, &[&[f32]])> =
+                sessions.iter().zip(&refs).map(|(s, w)| (s, w.as_slice())).collect();
+            let mut batched = Vec::new();
+            engine.score_windows_batch_refs(&batch, &mut Workspace::new(), &mut batched);
+            for (i, (session, window)) in sessions.iter().zip(&windows).enumerate() {
                 let single = engine.score_window(session, window);
                 assert_eq!(
                     batched[i], single,

@@ -309,12 +309,15 @@ impl JointSpace {
         let tokens: Vec<&str> = vocab.iter().map(|(_, token)| token).collect();
         let mut table = vec![0.0f32; tokens.len() * self.dim];
         // ≥ 64 rows per thread: one row is a few µs of hashing + mixing, so
-        // smaller batches don't amortize the scoped-thread spawn.
+        // smaller batches don't amortize the scoped-thread spawn. A row is
+        // not a multiply-add count, so rather than estimate one, each row is
+        // charged 1/64 of `MIN_WORK_PER_THREAD`: that pins 64 rows per thread
+        // whatever the constant's value.
         akg_tensor::par::for_each_row_chunk(
             &mut table,
             tokens.len(),
             self.dim,
-            64,
+            akg_tensor::par::MIN_WORK_PER_THREAD / 64,
             |first, chunk| {
                 for (i, row) in chunk.chunks_mut(self.dim).enumerate() {
                     row.copy_from_slice(&self.token_vector(tokens[first + i]));

@@ -51,9 +51,12 @@
 //! 2. streams are share-nothing: a session's adaptation touches only its
 //!    own table fork and KG copies, so co-residence on a worker is
 //!    unobservable;
-//! 3. batch composition never changes results (`score_windows_batch` is
-//!    bit-identical per item — the PR 3 contract), so how a shard's streams
-//!    chunk into dispatches is unobservable;
+//! 3. batch composition never changes results: serving scores through
+//!    each adapter's incremental path
+//!    ([`akg_core::adapt::ContinuousAdapter::score_windows`]), and
+//!    `tests/incremental.rs` holds its two-stream dispatches bitwise equal
+//!    to one window scored at a time, so how a shard's streams chunk into
+//!    dispatches is unobservable;
 //! 4. per-stream frame order is preserved end-to-end: assignment is stable
 //!    (stream id → shard, fixed at [`ShardedRuntime::add_stream`]), and the
 //!    channels are FIFO.

@@ -50,10 +50,6 @@ pub(crate) const KC: usize = 128;
 /// set as the output row being accumulated; also a multiple of the SIMD
 /// microkernel's 16-column tile).
 pub(crate) const NC: usize = 192;
-/// Minimum output rows per worker thread; below this the ~10 µs scoped
-/// thread spawn costs more than the arithmetic it parallelizes.
-const MIN_ROWS_PER_THREAD: usize = 16;
-
 /// Flop-count threshold (`m·k·n`) at or above which
 /// [`crate::Tensor::matmul`] switches from the in-order `ikj` kernel to the
 /// blocked, threaded kernel.
@@ -251,7 +247,7 @@ fn blocked_fill(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: us
     // matmul must never mix SIMD and scalar arithmetic, even if another
     // thread re-configures the backend mid-call.
     let use_simd = crate::backend::simd_active();
-    for_each_row_chunk(out, m, n, MIN_ROWS_PER_THREAD, |row0, chunk| {
+    for_each_row_chunk(out, m, n, k * n, |row0, chunk| {
         if simd::try_blocked_fill(use_simd, a, b, k, n, row0, chunk) {
             return;
         }
@@ -363,7 +359,7 @@ fn nt_fill(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) 
     }
     // One backend resolution per call — see `matmul_blocked`.
     let use_simd = crate::backend::simd_active();
-    for_each_row_chunk(out, m, n, MIN_ROWS_PER_THREAD, |row0, chunk| {
+    for_each_row_chunk(out, m, n, k * n, |row0, chunk| {
         if simd::try_nt_fill(use_simd, a, b, k, n, row0, chunk) {
             return;
         }
@@ -438,7 +434,7 @@ pub fn matmul_q8_nt_into(
     }
     // One backend resolution per call — see `matmul_blocked`.
     let use_simd = crate::backend::simd_active();
-    for_each_row_chunk(out, m, n, MIN_ROWS_PER_THREAD, |row0, chunk| {
+    for_each_row_chunk(out, m, n, k * n, |row0, chunk| {
         if simd::try_q8_nt_fill(use_simd, qa, a_scales, qbt, b_scales, k, n, row0, chunk) {
             return;
         }
@@ -535,7 +531,7 @@ fn tn_fill(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) 
     }
     // One backend resolution per call — see `matmul_blocked`.
     let use_simd = crate::backend::simd_active();
-    for_each_row_chunk(out, k, n, MIN_ROWS_PER_THREAD, |p0, chunk| {
+    for_each_row_chunk(out, k, n, m * n, |p0, chunk| {
         if simd::try_tn_fill(use_simd, a, b, m, k, n, p0, chunk) {
             return;
         }
@@ -629,23 +625,29 @@ mod tests {
         assert_close(&matmul_tn(&a, &g, m, k, n), &matmul_naive(&at, &g, k, m, n), 1e-5);
     }
 
+    /// `m × k × n` for the thread-determinism tests: the kernels under test
+    /// charge `k · n` multiply-adds per output row, and `m · k · n` is at
+    /// least `7 · MIN_WORK_PER_THREAD`, so every thread count tried (2, 4, 7)
+    /// really splits the `m` rows into that many chunks.
+    const SPLIT_SHAPE: (usize, usize, usize) = (70, 160, 200);
+    const _: () = assert!(
+        SPLIT_SHAPE.0 * SPLIT_SHAPE.1 * SPLIT_SHAPE.2 >= 7 * crate::par::MIN_WORK_PER_THREAD
+    );
+
     #[test]
     fn blocked_is_deterministic_across_thread_counts() {
         use crate::par::{set_parallelism, Parallelism};
         let _guard = crate::backend::test_lock();
-        let (m, k, n) = (70, 40, 50);
+        let (m, k, n) = SPLIT_SHAPE;
         let a = filled(m * k, |i| ((i % 11) as f32 - 5.0) * 0.17);
         let b = filled(k * n, |i| ((i % 7) as f32 - 3.0) * 0.23);
         set_parallelism(Parallelism::Threads(1));
         let one = matmul_blocked(&a, &b, m, k, n);
+        let one_nt = matmul_nt(&a, &b, m, k, n);
         for t in [2, 4, 7] {
             set_parallelism(Parallelism::Threads(t));
             assert_eq!(one, matmul_blocked(&a, &b, m, k, n), "threads={t}");
-            assert_eq!(
-                matmul_nt(&a, &b, m, k, n),
-                matmul_nt(&a, &b, m, k, n),
-                "nt not reproducible at threads={t}"
-            );
+            assert_eq!(one_nt, matmul_nt(&a, &b, m, k, n), "nt threads={t}");
         }
         set_parallelism(Parallelism::Auto);
     }
@@ -704,7 +706,7 @@ mod tests {
     fn q8_nt_is_deterministic_across_thread_counts() {
         use crate::par::{set_parallelism, Parallelism};
         let _guard = crate::backend::test_lock();
-        let (m, k, n) = (70, 40, 50);
+        let (m, k, n) = SPLIT_SHAPE;
         let a = filled(m * k, |i| ((i % 11) as f32 - 5.0) * 0.17);
         let b = filled(k * n, |i| ((i % 7) as f32 - 3.0) * 0.23);
         let qb = crate::quant::QuantizedMatrix::from_row_major(&b, k, n);

@@ -143,15 +143,25 @@ pub fn effective_threads() -> usize {
     global.min(THREAD_CAP.with(Cell::get)).max(1)
 }
 
+/// Minimum work per worker thread, in multiply-adds: below this, the scoped
+/// thread spawn (10–20 µs) costs about as much as the arithmetic it
+/// parallelizes. A kernel with `rows` output rows of `work_per_row`
+/// multiply-adds each runs on at most `rows · work_per_row /
+/// MIN_WORK_PER_THREAD` threads, so a `[1008, 32]` output with a dot length
+/// of 8 (258k multiply-adds) stays on one thread while a 256³ matmul
+/// splits.
+pub const MIN_WORK_PER_THREAD: usize = 1 << 18;
+
 /// Splits `out` into contiguous chunks of whole rows (`row_len` elements
 /// each) and calls `fill(first_row, chunk)` for every chunk, using up to
 /// [`effective_threads`] scoped threads. `fill` must compute each row of its
 /// chunk independently of the others; chunks never overlap, so no
 /// synchronization is needed and results are deterministic.
 ///
-/// Falls back to a single inline call when one thread is configured, the
-/// work is too small to amortize thread spawns (`min_rows_per_thread`), or
-/// there are fewer rows than threads.
+/// `work_per_row` is the cost of one row in multiply-adds (or an estimate
+/// in the same unit). Falls back to a single inline call when one thread is
+/// configured or the call's total work does not give every thread
+/// [`MIN_WORK_PER_THREAD`].
 ///
 /// # Panics
 ///
@@ -175,14 +185,13 @@ pub fn for_each_row_chunk<F>(
     out: &mut [f32],
     rows: usize,
     row_len: usize,
-    min_rows_per_thread: usize,
+    work_per_row: usize,
     fill: F,
 ) where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     assert_eq!(out.len(), rows * row_len, "for_each_row_chunk: buffer is not rows * row_len");
-    let threads =
-        effective_threads().min(rows.checked_div(min_rows_per_thread).unwrap_or(rows)).max(1);
+    let threads = effective_threads().min(rows * work_per_row / MIN_WORK_PER_THREAD).max(1);
     if threads == 1 || rows == 0 {
         fill(0, out);
         return;
@@ -227,6 +236,16 @@ mod tests {
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// How many `fill` calls (chunks) one `for_each_row_chunk` call makes.
+    fn chunk_count(rows: usize, row_len: usize, work_per_row: usize) -> usize {
+        let calls = AtomicUsize::new(0);
+        let mut out = vec![0.0f32; rows * row_len];
+        for_each_row_chunk(&mut out, rows, row_len, work_per_row, |_, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        calls.into_inner()
+    }
+
     #[test]
     fn sequential_runs_inline() {
         let _guard = par_lock();
@@ -246,12 +265,13 @@ mod tests {
         let _guard = par_lock();
         set_parallelism(Parallelism::Threads(16));
         let mut out = vec![0.0f32; 3];
-        for_each_row_chunk(&mut out, 3, 1, 0, |first, chunk| {
+        for_each_row_chunk(&mut out, 3, 1, MIN_WORK_PER_THREAD, |first, chunk| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v = (first + i) as f32;
             }
         });
         assert_eq!(out, vec![0.0, 1.0, 2.0]);
+        assert_eq!(chunk_count(3, 1, MIN_WORK_PER_THREAD), 3, "expected one chunk per row");
         set_parallelism(Parallelism::Auto);
     }
 
@@ -261,7 +281,7 @@ mod tests {
         let run = |threads: usize| {
             set_parallelism(Parallelism::Threads(threads));
             let mut out = vec![0.0f32; 64 * 3];
-            for_each_row_chunk(&mut out, 64, 3, 0, |first, chunk| {
+            for_each_row_chunk(&mut out, 64, 3, MIN_WORK_PER_THREAD, |first, chunk| {
                 for (i, row) in chunk.chunks_mut(3).enumerate() {
                     let r = (first + i) as f32;
                     row.copy_from_slice(&[r, r * 0.5, r * r]);
@@ -277,17 +297,30 @@ mod tests {
     }
 
     #[test]
-    fn min_rows_per_thread_throttles() {
+    fn small_total_work_runs_inline() {
         let _guard = par_lock();
         set_parallelism(Parallelism::Threads(8));
-        // 4 rows with min 4 rows/thread -> 1 thread; just verify correctness.
+        // 4 rows holding one thread's work in total -> 1 chunk; twice that -> 2.
         let mut out = vec![0.0f32; 4];
-        for_each_row_chunk(&mut out, 4, 1, 4, |first, chunk| {
+        for_each_row_chunk(&mut out, 4, 1, MIN_WORK_PER_THREAD / 4, |first, chunk| {
+            assert_eq!((first, chunk.len()), (0, 4), "the call was split");
             for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (first + i) as f32;
+                *v = i as f32;
             }
         });
         assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(chunk_count(4, 1, MIN_WORK_PER_THREAD / 2), 2);
+        set_parallelism(Parallelism::Auto);
+    }
+
+    #[test]
+    fn split_is_gated_on_work_per_thread() {
+        let _guard = par_lock();
+        set_parallelism(Parallelism::Threads(2));
+        // `matmul_nt` at 1008×8×32: many rows, but 8·32 multiply-adds each.
+        assert_eq!(chunk_count(1008, 32, 8 * 32), 1, "a short-dot call was split");
+        // A 256³ matmul: 256·256 multiply-adds per row.
+        assert_eq!(chunk_count(256, 256, 256 * 256), 2, "a 256³ matmul ran on one thread");
         set_parallelism(Parallelism::Auto);
     }
 
@@ -339,7 +372,7 @@ mod tests {
         let out = std::thread::spawn(|| {
             set_thread_cap(2);
             let mut out = vec![0.0f32; 64 * 3];
-            for_each_row_chunk(&mut out, 64, 3, 0, |first, chunk| {
+            for_each_row_chunk(&mut out, 64, 3, MIN_WORK_PER_THREAD, |first, chunk| {
                 for (i, row) in chunk.chunks_mut(3).enumerate() {
                     let r = (first + i) as f32;
                     row.copy_from_slice(&[r, r * 0.5, r * r]);
@@ -351,7 +384,7 @@ mod tests {
         .expect("worker");
         set_parallelism(Parallelism::Sequential);
         let mut expect = vec![0.0f32; 64 * 3];
-        for_each_row_chunk(&mut expect, 64, 3, 0, |first, chunk| {
+        for_each_row_chunk(&mut expect, 64, 3, MIN_WORK_PER_THREAD, |first, chunk| {
             for (i, row) in chunk.chunks_mut(3).enumerate() {
                 let r = (first + i) as f32;
                 row.copy_from_slice(&[r, r * 0.5, r * r]);

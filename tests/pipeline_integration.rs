@@ -95,7 +95,8 @@ fn multi_mission_system_scores_all_classes() {
     assert_eq!(engine.model.n_classes(), 3);
     let frame = akg_data::Frame { concepts: vec![("walking".into(), 1.0)], label: None };
     let emb = engine.embed_frame(&mut session, &frame);
-    let probs = engine.predict_window(&session, &vec![emb; engine.config().window]);
+    let mut probs = Vec::new();
+    engine.predict_windows_refs(&session, &[vec![&emb[..]; engine.config().window]], &mut probs);
     assert_eq!(probs.len(), 3);
     assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-4);
 }

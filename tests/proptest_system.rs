@@ -27,7 +27,8 @@ proptest! {
         let score = engine.score_window(&session, &vec![emb; w]);
         prop_assert!((0.0..=1.0).contains(&score), "score {score}");
         let emb2 = engine.embed_frame(&mut session, &frame);
-        let probs = engine.predict_window(&session, &vec![emb2; w]);
+        let mut probs = Vec::new();
+        engine.predict_windows_refs(&session, &[vec![&emb2[..]; w]], &mut probs);
         let sum: f32 = probs.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-3, "probs sum {sum}");
     }
