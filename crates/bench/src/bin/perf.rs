@@ -18,8 +18,8 @@
 //!   features are recorded in the report, so trajectory diffs always say
 //!   which instruction set produced them. On SIMD hosts the int8 256-cubed
 //!   matmul must beat the f32 blocked kernel — the harness exits non-zero
-//!   otherwise (the quantization speed gate; both sizes are measured even
-//!   in smoke mode).
+//!   otherwise (the quantization speed gate; the two cells are timed as an
+//!   interleaved pair in every mode, smoke included).
 //! - `--out PATH`: where to write the JSON (default `BENCH_tensor.json`).
 
 use akg_tensor::backend::{cpu_features, effective_backend, set_backend, Backend};
@@ -107,13 +107,34 @@ fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
     for _ in 0..2 {
         f();
     }
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
+    median((0..reps).map(|_| time_ns(&mut f)).collect())
+}
+
+/// Medians of `reps` calls each of `f` and `g`, in nanoseconds, timed
+/// alternately (`f, g, f, g, …`) after two warm-up calls of each. Host
+/// drift over the run then lands on both sides alike, which a strict
+/// comparison of the two medians needs: two back-to-back [`time_median`]
+/// runs put any slow spell on one side only.
+fn time_median_pair(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
+    for _ in 0..2 {
+        f();
+        g();
+    }
+    let (mut fs, mut gs) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        fs.push(time_ns(&mut f));
+        gs.push(time_ns(&mut g));
+    }
+    (median(fs), median(gs))
+}
+
+fn time_ns(f: &mut impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64() * 1e9
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
@@ -136,35 +157,62 @@ fn bench_matmuls(sizes: &[usize], reps: usize, ops: &mut Vec<OpResult>) {
     }
 }
 
-/// Times the int8 integer matmul at square sizes: the weight side is
-/// pre-quantized (as the engine holds it), the activation side is
-/// dynamically per-row quantized inside the timed call — exactly the
+/// One int8 integer matmul call at `dim`³, as a closure to time: the
+/// weight side is pre-quantized (as the engine holds it), the activation
+/// side is dynamically per-row quantized inside the call — exactly the
 /// serving path's per-matmul work, scratch included.
-fn bench_q8_matmuls(sizes: &[usize], reps: usize, ops: &mut Vec<OpResult>) {
+fn q8_matmul_call(dim: usize) -> impl FnMut() {
     use akg_tensor::ops::kernels::matmul_q8_into;
+    let a = filled(dim * dim, 1);
+    let qb = QuantizedMatrix::from_row_major(&filled(dim * dim, 2), dim, dim);
+    let mut out = vec![0.0f32; dim * dim];
+    let mut qa = vec![0i8; dim * dim];
+    let mut scales = vec![0.0f32; dim];
+    move || {
+        matmul_q8_into(
+            black_box(&mut out),
+            black_box(&a),
+            qb.data(),
+            qb.scales(),
+            dim,
+            dim,
+            dim,
+            &mut qa,
+            &mut scales,
+        );
+        black_box(out.first().copied());
+    }
+}
+
+/// Times the int8 integer matmul at square sizes (see [`q8_matmul_call`]).
+fn bench_q8_matmuls(sizes: &[usize], reps: usize, ops: &mut Vec<OpResult>) {
     for &dim in sizes {
-        let a = filled(dim * dim, 1);
-        let b = filled(dim * dim, 2);
-        let qb = QuantizedMatrix::from_row_major(&b, dim, dim);
-        let mut out = vec![0.0f32; dim * dim];
-        let mut qa = vec![0i8; dim * dim];
-        let mut scales = vec![0.0f32; dim];
-        let ns = time_median(reps, || {
-            matmul_q8_into(
-                black_box(&mut out),
-                black_box(&a),
-                qb.data(),
-                qb.scales(),
-                dim,
-                dim,
-                dim,
-                &mut qa,
-                &mut scales,
-            );
-            black_box(out.first().copied());
-        });
+        let ns = time_median(reps, q8_matmul_call(dim));
         ops.push(OpResult { name: format!("matmul_q8_{dim}"), ns_per_op: ns, reps });
     }
+}
+
+/// Calls per side of the q8 gate's interleaved pair. At under 1 ms per pair
+/// at 256³ this costs tens of milliseconds; on a shared 2-vCPU VM, 40
+/// smoke runs failed the gate 0 times at this count against 2 times with
+/// two back-to-back 3-rep medians.
+const Q8_GATE_REPS: usize = 51;
+
+/// The quantization speed gate's pair, `matmul_blocked_256` and
+/// `matmul_q8_256`, timed interleaved (see [`time_median_pair`]) with the
+/// same per-call work as [`bench_matmuls`] and [`bench_q8_matmuls`].
+/// Returns `(blocked_ns, q8_ns)`.
+fn time_q8_gate_pair() -> (f64, f64) {
+    let dim = 256usize;
+    let a = filled(dim * dim, 1);
+    let b = filled(dim * dim, 2);
+    time_median_pair(
+        Q8_GATE_REPS,
+        || {
+            black_box(matmul_blocked(black_box(&a), black_box(&b), dim, dim, dim));
+        },
+        q8_matmul_call(dim),
+    )
 }
 
 /// Times the GNN message-passing index ops: `scatter_add_rows` (edge
@@ -369,18 +417,14 @@ fn main() {
 
     bench_matmuls(sizes, reps, &mut ops);
     bench_q8_matmuls(sizes, reps, &mut ops);
-    if smoke {
-        // The quantization speed gate compares the 256-cubed kernels, which
-        // the smoke sizes don't reach — measure exactly that pair at smoke
-        // reps so the gate runs in CI too.
-        let dim = 256usize;
-        let a = filled(dim * dim, 1);
-        let b = filled(dim * dim, 2);
-        let ns = time_median(reps, || {
-            black_box(matmul_blocked(black_box(&a), black_box(&b), dim, dim, dim));
-        });
-        ops.push(OpResult { name: format!("matmul_blocked_{dim}"), ns_per_op: ns, reps });
-        bench_q8_matmuls(&[dim], reps, &mut ops);
+    // The quantization speed gate compares the 256-cubed kernels, timed as
+    // an interleaved pair in every mode (so the gate runs in CI too, where
+    // the smoke sizes don't reach 256); these entries replace the
+    // sequential ones full mode took above.
+    let (blocked_256, q8_256) = time_q8_gate_pair();
+    for (name, ns) in [("matmul_blocked_256", blocked_256), ("matmul_q8_256", q8_256)] {
+        ops.retain(|o| o.name != name);
+        ops.push(OpResult { name: name.to_string(), ns_per_op: ns, reps: Q8_GATE_REPS });
     }
     let (rows, cols) = if smoke { (16, 16) } else { (64, 128) };
     bench_fused(rows, cols, reps.max(5), &mut ops);

@@ -14,9 +14,7 @@ use akg_core::adapt::{AdaptConfig, ContinuousAdapter};
 use akg_core::experiment::{run_trend_shift, TrendShiftParams};
 use akg_core::pipeline::MissionSystem;
 use akg_core::train::train_decision_model;
-use akg_cost::{
-    BaselineMeasurement, CloudBaseline, CostReport, EdgeDevice, EdgeMeasurement, KgDims, ModelDims,
-};
+use akg_cost::{BaselineMeasurement, CloudBaseline, CostReport, EdgeDevice, EdgeMeasurement};
 use akg_data::AdaptationStream;
 use akg_kg::AnomalyClass;
 use std::time::Instant;
@@ -54,25 +52,14 @@ fn main() {
         ds.train.iter().filter(|v| v.class.is_none() || v.class == Some(initial)).collect();
     train_decision_model(&mut sys, &train_videos, &params.train);
     let MissionSystem { engine, mut session } = sys;
-    let dims_like = engine.cost_dims(&session);
-    let dims = ModelDims {
-        kgs: dims_like.kgs,
-        kg: KgDims { nodes: dims_like.nodes, edges: dims_like.edges, levels: dims_like.levels },
-        embed_dim: dims_like.embed_dim,
-        gnn_dim: dims_like.gnn_dim,
-        window: dims_like.window,
-        temporal_inner: dims_like.temporal_inner,
-        heads: dims_like.heads,
-        temporal_layers: dims_like.temporal_layers,
-        classes: dims_like.classes,
-    };
+    let dims = engine.cost_dims(&session);
     let adapt_cfg = AdaptConfig::default();
     // One trigger: K pseudo-anomaly + 2K pseudo-normal windows over the
     // buffer, each distinct buffered frame through the GNNs once per epoch.
     let windows = 3 * adapt_cfg.max_k;
     let frames = (windows * dims.window).min(adapt_cfg.n_window);
     let flops_per_day = adapt_cfg.epochs_per_trigger as u64
-        * dims.adaptation_step_flops(frames, windows, dims_like.adapted_token_entries);
+        * dims.adaptation_step_flops(frames, windows, session.adapted_token_entries());
 
     // --- measured: wall-clock of one adaptation loop ------------------------
     // Engineer a genuine trigger: anchor the score reference on the trained

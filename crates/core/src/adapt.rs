@@ -51,18 +51,14 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
 
-/// Adaptation hyperparameters. `n_window` and `lag` are the paper's `N` and
-/// `t'` (validation-tuned); the divergence patience controls how many
-/// consecutive movement increases count as divergence.
+/// Adaptation hyperparameters. `n_window` is the paper's `N`; its reference
+/// time `t'` is anchored at deployment (see [`MeanShiftTracker`]). The
+/// divergence patience controls how many consecutive movement increases
+/// count as divergence.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AdaptConfig {
     /// Sliding-window size `N` over recent anomaly scores.
     pub n_window: usize,
-    /// Mean-shift reference lag `t'` (in frames, rolling-reference mode).
-    pub lag: usize,
-    /// Anchor the reference mean `m_{t'}` at deployment time instead of a
-    /// rolling lag; sustains adaptation while detection stays depressed.
-    pub anchored_reference: bool,
     /// Token-embedding learning rate.
     pub lr: f32,
     /// Run the adaptation check every this many observed frames.
@@ -94,8 +90,6 @@ impl Default for AdaptConfig {
     fn default() -> Self {
         AdaptConfig {
             n_window: 64,
-            lag: 32,
-            anchored_reference: true,
             lr: 0.01,
             interval: 32,
             min_k: 2,
@@ -260,13 +254,8 @@ impl ContinuousAdapter {
     pub fn attach(engine: &Engine, session: &mut Session, cfg: AdaptConfig) -> Self {
         assert!(cfg.interval > 0, "AdaptConfig::interval must be positive");
         engine.model.set_frozen(true);
-        let tracker = if cfg.anchored_reference {
-            MeanShiftTracker::anchored(cfg.n_window)
-        } else {
-            MeanShiftTracker::new(cfg.n_window, cfg.lag)
-        };
         let mut adapter = ContinuousAdapter {
-            tracker,
+            tracker: MeanShiftTracker::new(cfg.n_window),
             buffer: VecDeque::with_capacity(cfg.n_window),
             drift: HashMap::new(),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xADA7),
@@ -927,14 +916,7 @@ mod tests {
     }
 
     fn small_cfg() -> AdaptConfig {
-        AdaptConfig {
-            n_window: 24,
-            lag: 12,
-            interval: 8,
-            min_k: 1,
-            max_k: 4,
-            ..AdaptConfig::default()
-        }
+        AdaptConfig { n_window: 24, interval: 8, min_k: 1, max_k: 4, ..AdaptConfig::default() }
     }
 
     /// Adds `bump` to every value of the given token rows, through the same
@@ -987,8 +969,8 @@ mod tests {
         }
         // force an update regardless of trigger state
         adapter.tracker = {
-            let mut t = MeanShiftTracker::new(24, 12);
-            for _ in 0..12 {
+            let mut t = MeanShiftTracker::new(24);
+            for _ in 0..24 {
                 t.push(0.9);
             }
             for _ in 0..12 {
@@ -1011,7 +993,7 @@ mod tests {
     #[test]
     fn token_update_survives_nan_scores() {
         let (engine, mut session, ds) = setup();
-        let cfg = AdaptConfig { n_window: 64, lag: 32, ..small_cfg() };
+        let cfg = AdaptConfig { n_window: 64, ..small_cfg() };
         let mut adapter = ContinuousAdapter::attach(&engine, &mut session, cfg);
         let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 5);
         for _ in 0..64 {
@@ -1019,7 +1001,7 @@ mod tests {
             adapter.ingest_frame(&engine, &mut session, &f);
         }
         adapter.tracker = {
-            let mut t = MeanShiftTracker::new(64, 32);
+            let mut t = MeanShiftTracker::new(64);
             for i in 0..64 {
                 t.push(if i % 3 == 0 { f32::NAN } else { (i * 37 % 64) as f32 / 64.0 });
             }

@@ -16,9 +16,9 @@
 
 use crate::config::ModelConfig;
 use crate::model::{DecisionModel, InferWindowItem, KgLayout};
-use crate::pipeline::akg_cost_dims::ModelDimsLike;
 use crate::pipeline::{SystemConfig, FRAME_NOISE_STD};
 use crate::tokenize::{TableRows, TokenTable, TokenizedKg};
+use akg_cost::{KgDims, ModelDims};
 use akg_data::{Frame, GENERIC_CONCEPTS, NORMAL_CONCEPTS};
 use akg_embed::{BpeTokenizer, JointSpace, JointSpaceBuilder};
 use akg_kg::{generate_kg, AnomalyClass, Ontology, SyntheticOracle};
@@ -189,6 +189,12 @@ impl Session {
     /// reference (see [`TableRows::referenced`]).
     pub fn referenced_rows(&self) -> Vec<usize> {
         TableRows::referenced(self.kgs.iter().zip(self.layouts.iter()))
+    }
+
+    /// Token-table entries one token update trains: the rows the KGs
+    /// reference × dim (the cost model's adaptation-step size, Table I).
+    pub fn adapted_token_entries(&self) -> usize {
+        self.referenced_rows().len() * self.table.dim()
     }
 
     /// One inference-plane batch item: `window` against this session's
@@ -600,17 +606,15 @@ impl Engine {
     }
 
     /// Cost-model dimensions of the engine serving `session` (for Table I).
-    pub fn cost_dims(&self, session: &Session) -> ModelDimsLike {
+    pub fn cost_dims(&self, session: &Session) -> ModelDims {
         let kgs = &session.kgs;
         let nodes = kgs.iter().map(|t| t.kg.node_count()).max().unwrap_or(0);
         let edges = kgs.iter().map(|t| t.kg.edge_count()).max().unwrap_or(0);
         let levels = kgs.iter().map(|t| t.kg.total_levels()).max().unwrap_or(0);
         let config = self.model.config();
-        ModelDimsLike {
+        ModelDims {
             kgs: kgs.len(),
-            nodes,
-            edges,
-            levels,
+            kg: KgDims { nodes, edges, levels },
             embed_dim: config.embed_dim,
             gnn_dim: config.gnn_dim,
             window: config.window,
@@ -618,7 +622,6 @@ impl Engine {
             heads: config.heads,
             temporal_layers: config.temporal_layers,
             classes: self.model.n_classes(),
-            adapted_token_entries: session.referenced_rows().len() * session.table.dim(),
         }
     }
 }

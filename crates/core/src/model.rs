@@ -155,6 +155,39 @@ fn propagate_messages(
     kept.add(&averaged)
 }
 
+/// Stacks level `li` of every replica's plan into one block-diagonal plan
+/// over `B·|V|` rows, the message plan both batched forwards run: replica
+/// `b`'s edge endpoints, offset by `b·|V|`, replace the contents of
+/// `srcs`/`dsts`, and its per-row averages and passthrough keeps fill rows
+/// `b·|V| .. (b+1)·|V|` of `inv_counts`/`keep_mask`. An edgeless level
+/// passes `h` through unchanged on the single-graph path; all-ones keeps and
+/// zero averages reproduce that for the replica's rows.
+fn stack_level_plan(
+    layouts: &[&KgLayout],
+    li: usize,
+    srcs: &mut Vec<usize>,
+    dsts: &mut Vec<usize>,
+    inv_counts: &mut [f32],
+    keep_mask: &mut [f32],
+) {
+    srcs.clear();
+    dsts.clear();
+    let v = layouts[0].node_count();
+    for (bi, layout) in layouts.iter().enumerate() {
+        let plan = &layout.levels[li];
+        let off = bi * v;
+        if plan.srcs.is_empty() {
+            inv_counts[off..off + v].fill(0.0);
+            keep_mask[off..off + v].fill(1.0);
+        } else {
+            srcs.extend(plan.srcs.iter().map(|&s| s + off));
+            dsts.extend(plan.dsts.iter().map(|&d| d + off));
+            inv_counts[off..off + v].copy_from_slice(&plan.inv_counts);
+            keep_mask[off..off + v].copy_from_slice(&plan.keep_mask);
+        }
+    }
+}
+
 impl HierarchicalGnn {
     /// Creates the GNN for a KG of `depth` reasoning levels.
     ///
@@ -199,6 +232,25 @@ impl HierarchicalGnn {
         for l in &mut self.message_layers {
             f(&mut l.dense);
         }
+    }
+
+    /// Checks that `layouts` can run as one stacked batch through this
+    /// model — at least one replica, equal node counts, one level plan per
+    /// message layer — and returns `(B, |V|)`.
+    fn check_replicas(&self, layouts: &[&KgLayout], op: &str) -> (usize, usize) {
+        assert!(!layouts.is_empty(), "{op}: no replicas");
+        let v = layouts[0].node_count();
+        for layout in layouts {
+            assert_eq!(layout.node_count(), v, "{op}: node-count mismatch");
+            assert_eq!(
+                layout.levels.len(),
+                self.message_layers.len(),
+                "layout depth {} != model depth {}",
+                layout.levels.len(),
+                self.message_layers.len()
+            );
+        }
+        (layouts.len(), v)
     }
 
     /// Runs the hierarchical forward pass: `x0` is the `[|V|, embed_dim]`
@@ -274,19 +326,7 @@ impl HierarchicalGnn {
     /// Panics if `layouts` is empty, node/level counts disagree across
     /// replicas or with the model, or `x0` is not `[B·|V|, _]`.
     pub fn forward_batch(&self, layouts: &[&KgLayout], x0: &Tensor) -> Tensor {
-        assert!(!layouts.is_empty(), "forward_batch: no replicas");
-        let b = layouts.len();
-        let v = layouts[0].node_count();
-        for layout in layouts {
-            assert_eq!(layout.node_count(), v, "forward_batch: node-count mismatch");
-            assert_eq!(
-                layout.levels.len(),
-                self.message_layers.len(),
-                "layout depth {} != model depth {}",
-                layout.levels.len(),
-                self.message_layers.len()
-            );
-        }
+        let (b, v) = self.check_replicas(layouts, "forward_batch");
         assert_eq!(x0.shape()[0], b * v, "forward_batch: x0 must have B·|V| rows");
         let mut x = {
             let h = self.input_layer.dense.forward(x0);
@@ -294,30 +334,11 @@ impl HierarchicalGnn {
         };
         let mut srcs: Vec<usize> = Vec::new();
         let mut dsts: Vec<usize> = Vec::new();
-        let mut inv_counts: Vec<f32> = Vec::new();
-        let mut keep_mask: Vec<f32> = Vec::new();
+        let mut inv_counts = vec![0.0f32; b * v];
+        let mut keep_mask = vec![0.0f32; b * v];
         for (li, layer) in self.message_layers.iter().enumerate() {
             let h = layer.dense.forward(&x);
-            srcs.clear();
-            dsts.clear();
-            inv_counts.clear();
-            keep_mask.clear();
-            for (bi, layout) in layouts.iter().enumerate() {
-                let plan = &layout.levels[li];
-                let off = bi * v;
-                if plan.srcs.is_empty() {
-                    // An edgeless level passes `h` through unchanged on the
-                    // single path; all-ones keep + zero averages reproduce
-                    // that for this replica's rows.
-                    inv_counts.extend(std::iter::repeat_n(0.0, v));
-                    keep_mask.extend(std::iter::repeat_n(1.0, v));
-                } else {
-                    srcs.extend(plan.srcs.iter().map(|&s| s + off));
-                    dsts.extend(plan.dsts.iter().map(|&d| d + off));
-                    inv_counts.extend_from_slice(&plan.inv_counts);
-                    keep_mask.extend_from_slice(&plan.keep_mask);
-                }
-            }
+            stack_level_plan(layouts, li, &mut srcs, &mut dsts, &mut inv_counts, &mut keep_mask);
             let combined = if srcs.is_empty() {
                 h
             } else {
@@ -354,19 +375,7 @@ impl HierarchicalGnn {
         out: &mut [f32],
         ws: &mut Workspace,
     ) {
-        assert!(!layouts.is_empty(), "forward_batch_infer: no replicas");
-        let b = layouts.len();
-        let v = layouts[0].node_count();
-        for layout in layouts {
-            assert_eq!(layout.node_count(), v, "forward_batch_infer: node-count mismatch");
-            assert_eq!(
-                layout.levels.len(),
-                self.message_layers.len(),
-                "layout depth {} != model depth {}",
-                layout.levels.len(),
-                self.message_layers.len()
-            );
-        }
+        let (b, v) = self.check_replicas(layouts, "forward_batch_infer");
         let rows = b * v;
         let gd = self.gnn_dim;
         assert_eq!(
@@ -386,23 +395,7 @@ impl HierarchicalGnn {
         let mut keep_mask = ws.lease(rows);
         for (li, layer) in self.message_layers.iter().enumerate() {
             layer.dense.forward_infer(&x, rows, &mut h, ws); // Eq. 1
-            srcs.clear();
-            dsts.clear();
-            for (bi, layout) in layouts.iter().enumerate() {
-                let plan = &layout.levels[li];
-                let off = bi * v;
-                if plan.srcs.is_empty() {
-                    // Edgeless level: all-ones keep + zero averages pass `h`
-                    // through unchanged for this replica's rows.
-                    inv_counts[off..off + v].fill(0.0);
-                    keep_mask[off..off + v].fill(1.0);
-                } else {
-                    srcs.extend(plan.srcs.iter().map(|&s| s + off));
-                    dsts.extend(plan.dsts.iter().map(|&d| d + off));
-                    inv_counts[off..off + v].copy_from_slice(&plan.inv_counts);
-                    keep_mask[off..off + v].copy_from_slice(&plan.keep_mask);
-                }
-            }
+            stack_level_plan(layouts, li, &mut srcs, &mut dsts, &mut inv_counts, &mut keep_mask);
             if !srcs.is_empty() {
                 // The raw `propagate_messages`: gather both endpoints,
                 // multiply into edge messages, scatter-add, average, blend

@@ -28,8 +28,10 @@ use std::sync::Arc;
 
 /// The [`SessionCheckpoint`] layout [`checkpoint_session`] writes and
 /// [`restore_session`] accepts. Bump it whenever a field's meaning changes.
-/// (Version 0 is a checkpoint written before the field existed.)
-pub const SESSION_CHECKPOINT_FORMAT: u32 = 1;
+/// (Version 0 is a checkpoint written before the field existed; version 2
+/// dropped the mean-shift tracker's lagged-reference state and
+/// `AdaptConfig`'s `lag` and `anchored_reference`.)
+pub const SESSION_CHECKPOINT_FORMAT: u32 = 2;
 
 /// A session-granular checkpoint: everything that distinguishes one live
 /// serving stream from a freshly opened one against the *same immutable
@@ -329,14 +331,7 @@ mod tests {
     }
 
     fn adapt_cfg() -> AdaptConfig {
-        AdaptConfig {
-            n_window: 24,
-            lag: 12,
-            interval: 8,
-            min_k: 1,
-            max_k: 4,
-            ..AdaptConfig::default()
-        }
+        AdaptConfig { n_window: 24, interval: 8, min_k: 1, max_k: 4, ..AdaptConfig::default() }
     }
 
     #[test]

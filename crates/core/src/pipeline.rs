@@ -91,40 +91,6 @@ impl MissionSystem {
     }
 }
 
-/// A light mirror of `akg_cost::ModelDims` inputs so `akg-core` does not
-/// depend on `akg-cost` (the bench harness converts).
-pub mod akg_cost_dims {
-    /// Dimension summary consumed by the cost model.
-    #[derive(Debug, Clone, Copy)]
-    pub struct ModelDimsLike {
-        /// Number of mission KGs.
-        pub kgs: usize,
-        /// Max node count across KGs.
-        pub nodes: usize,
-        /// Max edge count across KGs.
-        pub edges: usize,
-        /// Max level count across KGs.
-        pub levels: usize,
-        /// Joint-embedding dimensionality.
-        pub embed_dim: usize,
-        /// GNN width.
-        pub gnn_dim: usize,
-        /// Temporal window.
-        pub window: usize,
-        /// Temporal inner dimensionality.
-        pub temporal_inner: usize,
-        /// Attention heads.
-        pub heads: usize,
-        /// Transformer layers.
-        pub temporal_layers: usize,
-        /// Decision classes.
-        pub classes: usize,
-        /// Token-table entries one token update trains: the rows the KGs
-        /// reference × dim.
-        pub adapted_token_entries: usize,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,9 +178,9 @@ mod tests {
     fn cost_dims_populated() {
         let sys = system();
         let dims = sys.engine.cost_dims(&sys.session);
-        assert!(dims.nodes > 0);
-        assert!(dims.edges > 0);
+        assert!(dims.kg.nodes > 0);
+        assert!(dims.kg.edges > 0);
         assert_eq!(dims.kgs, 1);
-        assert!(dims.adapted_token_entries > 0);
+        assert!(sys.session.adapted_token_entries() > 0);
     }
 }

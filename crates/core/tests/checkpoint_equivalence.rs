@@ -179,7 +179,6 @@ fn check_streams(engine: &Engine, ds: &SyntheticUcfCrime, label: &str) -> Vec<Ca
 fn adapt_cfg(stream: usize) -> AdaptConfig {
     AdaptConfig {
         n_window: 16,
-        lag: 8,
         interval: 8,
         min_k: 1,
         max_k: 4,
@@ -255,13 +254,7 @@ fn random_checkpoint_schedules_property_continuation_equals_uninterrupted() {
                     let shift_at = (8usize..frames).generate(rng);
                     let checkpoint_at = (1usize..frames).generate(rng);
                     let stream_seed = (0u64..1000).generate(rng);
-                    let cfg = AdaptConfig {
-                        n_window,
-                        lag: n_window / 2,
-                        interval,
-                        min_k: 1,
-                        ..Default::default()
-                    };
+                    let cfg = AdaptConfig { n_window, interval, min_k: 1, ..Default::default() };
                     let run =
                         |at| run_session(&engine, &ds, cfg, 7, stream_seed, frames, shift_at, at);
                     let (want, _) = run(None);

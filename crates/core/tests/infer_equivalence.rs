@@ -239,7 +239,7 @@ fn equivalence_holds_on_adapted_sessions() {
             let mut adapter = ContinuousAdapter::attach(
                 &engine,
                 &mut session,
-                AdaptConfig { n_window: 16, lag: 8, interval: 8, min_k: 1, ..Default::default() },
+                AdaptConfig { n_window: 16, interval: 8, min_k: 1, ..Default::default() },
             );
             let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.5, 21);
             for i in 0..48 {

@@ -13,9 +13,8 @@
 //! - [`stats`] — [`ScoreWindow`], a fixed-capacity rolling window of recent
 //!   anomaly scores, and [`MeanShiftTracker`], which maintains the paper's
 //!   mean-shift statistic `Δm = m_t − m_{t'}` and converts it into the
-//!   adaptation budget `K = |Δm| · N` (Sec. III-C). [`ReferenceMode`] picks
-//!   the reference time `t'`: a rolling lag or a frozen post-deployment
-//!   anchor.
+//!   adaptation budget `K = |Δm| · N` (Sec. III-C), with the reference
+//!   time `t'` anchored at deployment (the first full window).
 //! - [`confusion`] — threshold-based [`Confusion`] counts (TPR/FPR/precision)
 //!   for operating-point analysis beyond the threshold-free AUC.
 //!
@@ -35,7 +34,7 @@
 //!
 //! ```
 //! use akg_eval::MeanShiftTracker;
-//! let mut tracker = MeanShiftTracker::anchored(4);
+//! let mut tracker = MeanShiftTracker::new(4);
 //! for s in [0.9, 0.9, 0.9, 0.9] { tracker.push(s); }   // healthy reference
 //! for s in [0.4, 0.4, 0.4, 0.4] { tracker.push(s); }   // trend shift hits
 //! assert!(tracker.delta_m() < 0.0);
@@ -50,4 +49,4 @@ pub mod stats;
 
 pub use auc::{average_precision, roc_auc, roc_curve, RocPoint};
 pub use confusion::Confusion;
-pub use stats::{MeanShiftTracker, ReferenceMode, ScoreWindow};
+pub use stats::{MeanShiftTracker, ScoreWindow};

@@ -89,80 +89,37 @@ impl ScoreWindow {
     }
 }
 
-/// How the reference time `t'` of `Δm = m_t − m_{t'}` is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReferenceMode {
-    /// `m_{t'}` is the window mean recorded `lag` pushes ago (a rolling
-    /// reference — reacts to *recent* drops only).
-    Lagged(usize),
-    /// `m_{t'}` is frozen at the mean of the first full window after
-    /// deployment (the "healthy" post-training score distribution). `Δm`
-    /// then stays negative for as long as detection is depressed, which
-    /// sustains adaptation until recovery.
-    Anchored,
-}
-
 /// Tracks the anomaly-score mean over time and computes the paper's
 /// adaptation budget `K = |Δm| · N` where `Δm = m_t − m_{t'} < 0`.
 ///
 /// The reference `t'` is a validation-tuned hyperparameter in the paper;
-/// both a rolling and a deployment-anchored interpretation are provided
-/// (see [`ReferenceMode`]).
+/// here it is anchored at deployment: `m_{t'}` freezes at the mean of the
+/// first full window (the "healthy" post-training score distribution).
+/// `Δm` then stays negative for as long as detection is depressed, which
+/// sustains adaptation until recovery.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MeanShiftTracker {
     window: ScoreWindow,
-    mean_history: VecDeque<f32>,
-    mode: ReferenceMode,
     anchor: Option<f32>,
 }
 
 impl MeanShiftTracker {
-    /// Creates a tracker over a window of `n` scores with a rolling
-    /// reference lag `lag`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `lag == 0`.
-    pub fn new(n: usize, lag: usize) -> Self {
-        assert!(lag > 0, "MeanShiftTracker: lag must be positive");
-        MeanShiftTracker {
-            window: ScoreWindow::new(n),
-            mean_history: VecDeque::with_capacity(lag + 1),
-            mode: ReferenceMode::Lagged(lag),
-            anchor: None,
-        }
-    }
-
-    /// Creates a tracker whose reference mean freezes once the first window
-    /// fills (deployment-anchored `t'`).
+    /// Creates a tracker over a window of `n` scores whose reference mean
+    /// freezes once the first window fills.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn anchored(n: usize) -> Self {
-        MeanShiftTracker {
-            window: ScoreWindow::new(n),
-            mean_history: VecDeque::new(),
-            mode: ReferenceMode::Anchored,
-            anchor: None,
-        }
+    pub fn new(n: usize) -> Self {
+        MeanShiftTracker { window: ScoreWindow::new(n), anchor: None }
     }
 
-    /// Pushes a score and records the updated mean.
+    /// Pushes a score, anchoring the reference mean when the first window
+    /// fills.
     pub fn push(&mut self, score: f32) {
         self.window.push(score);
-        match self.mode {
-            ReferenceMode::Lagged(lag) => {
-                if self.mean_history.len() > lag {
-                    self.mean_history.pop_front();
-                }
-                self.mean_history.push_back(self.window.mean());
-            }
-            ReferenceMode::Anchored => {
-                if self.anchor.is_none() && self.window.is_full() {
-                    self.anchor = Some(self.window.mean());
-                }
-            }
+        if self.anchor.is_none() && self.window.is_full() {
+            self.anchor = Some(self.window.mean());
         }
     }
 
@@ -171,15 +128,10 @@ impl MeanShiftTracker {
         self.window.mean()
     }
 
-    /// The reference mean `m_{t'}` (current mean while history/anchor is
-    /// still warming up).
+    /// The reference mean `m_{t'}` (the current mean until the first window
+    /// fills).
     pub fn reference_mean(&self) -> f32 {
-        match self.mode {
-            ReferenceMode::Lagged(_) => {
-                self.mean_history.front().copied().unwrap_or_else(|| self.window.mean())
-            }
-            ReferenceMode::Anchored => self.anchor.unwrap_or_else(|| self.window.mean()),
-        }
+        self.anchor.unwrap_or_else(|| self.window.mean())
     }
 
     /// `Δm = m_t − m_{t'}`.
@@ -249,7 +201,7 @@ mod tests {
 
     #[test]
     fn k_zero_when_mean_rises() {
-        let mut t = MeanShiftTracker::new(10, 5);
+        let mut t = MeanShiftTracker::new(10);
         for i in 0..20 {
             t.push(i as f32 / 20.0); // rising scores
         }
@@ -259,7 +211,7 @@ mod tests {
 
     #[test]
     fn k_grows_with_mean_drop() {
-        let mut t = MeanShiftTracker::new(10, 5);
+        let mut t = MeanShiftTracker::new(10);
         for _ in 0..10 {
             t.push(0.9);
         }
@@ -275,8 +227,8 @@ mod tests {
     #[test]
     fn k_formula_matches_paper() {
         // engineered drop: window N=10 full of 1.0, then 10 zeros =>
-        // m_t = 0.0; reference (lag 10) was 1.0 => K = |−1.0|·10 = 10
-        let mut t = MeanShiftTracker::new(10, 10);
+        // m_t = 0.0; the anchored reference is 1.0 => K = |−1.0|·10 = 10
+        let mut t = MeanShiftTracker::new(10);
         for _ in 0..10 {
             t.push(1.0);
         }

@@ -663,7 +663,6 @@ mod tests {
         ));
         let adapt = |s: usize| AdaptConfig {
             n_window: 16,
-            lag: 8,
             interval: 8,
             min_k: 1,
             max_k: 4,

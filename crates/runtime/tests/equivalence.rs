@@ -49,7 +49,6 @@ fn dataset() -> Arc<SyntheticUcfCrime> {
 fn adapt_cfg(stream: usize) -> AdaptConfig {
     AdaptConfig {
         n_window: 16,
-        lag: 8,
         interval: 8,
         min_k: 1,
         max_k: 4,

@@ -40,7 +40,6 @@ fn counted_source(stream: usize) -> FnSource<impl FnMut() -> (Frame, bool)> {
 fn adapt_cfg(stream: usize) -> AdaptConfig {
     AdaptConfig {
         n_window: 8,
-        lag: 4,
         interval: 4,
         min_k: 1,
         max_k: 4,

@@ -45,7 +45,6 @@ fn counted_source(stream: usize) -> FnSource<impl FnMut() -> (Frame, bool)> {
 fn adapt_cfg(stream: usize) -> AdaptConfig {
     AdaptConfig {
         n_window: 16,
-        lag: 8,
         interval: 8,
         min_k: 1,
         max_k: 4,

@@ -52,7 +52,6 @@ fn dataset() -> Arc<SyntheticUcfCrime> {
 fn adapt_cfg(stream: usize) -> AdaptConfig {
     AdaptConfig {
         n_window: 16,
-        lag: 8,
         interval: 8,
         min_k: 1,
         max_k: 4,
@@ -411,7 +410,7 @@ fn soak_dataset() -> Arc<SyntheticUcfCrime> {
 }
 
 fn soak_adapt_cfg() -> AdaptConfig {
-    AdaptConfig { n_window: 32, lag: 16, interval: 16, min_k: 1, ..Default::default() }
+    AdaptConfig { n_window: 32, interval: 16, min_k: 1, ..Default::default() }
 }
 
 fn soak_load_cfg() -> LoadConfig {

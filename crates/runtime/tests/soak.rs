@@ -32,7 +32,7 @@ fn soak_dataset() -> Arc<SyntheticUcfCrime> {
 }
 
 fn soak_adapt_cfg() -> AdaptConfig {
-    AdaptConfig { n_window: 32, lag: 16, interval: 16, min_k: 1, ..Default::default() }
+    AdaptConfig { n_window: 32, interval: 16, min_k: 1, ..Default::default() }
 }
 
 fn add_soak_streams<F: FnMut(akg_data::OwnedAdaptationStream, u64, AdaptConfig)>(

@@ -12,15 +12,18 @@
 //! ## Numerics contract (load-bearing)
 //!
 //! Per backend, every function here is **bit-identical** to the autograd op
-//! it mirrors, because it either *is* the same code (the matmuls call the
-//! same dispatching kernels in [`crate::ops::kernels`]; the grouped
-//! batch-norm body is shared with `nn::norm`) or replicates the op's exact
-//! arithmetic: the same `ops::simd` primitives in the same order,
-//! so backend-sensitive reductions (`row_sum`, `row_dot_nofma`, the matmul
-//! accumulation chains) round identically, and everything else is
-//! per-lane-exact. The autograd plane remains the training/adaptation path
-//! *and* the equivalence oracle — `akg-core`'s inference-vs-autograd
-//! property suites assert bitwise equality under both backends.
+//! it mirrors, because both planes run one forward kernel per op: the
+//! matmuls call the same dispatching kernels in [`crate::ops::kernels`];
+//! ELU, GELU and layer norm call the slice kernels their autograd ops call
+//! (which, on the autograd side only, also save what the backward reads);
+//! and the autograd forwards of softmax, bias add, row scaling, gather,
+//! scatter-add and grouped instance norm call the functions in this module.
+//! No op's forward arithmetic is written twice, so backend-sensitive
+//! reductions (`row_sum`, `row_dot_nofma`, the matmul accumulation chains)
+//! round identically by construction. The autograd plane remains the
+//! training/adaptation path *and* the equivalence oracle — `akg-core`'s
+//! inference-vs-autograd property suites assert bitwise equality under both
+//! backends.
 //!
 //! Convention: output buffers are zeroed by the ops that need it (matmul
 //! accumulators, scatter-adds); "into" ops overwrite every element;
@@ -29,8 +32,9 @@
 use crate::ops::kernels::{
     matmul_blocked_into, matmul_ikj_into, matmul_nt_into, BLOCKED_DISPATCH_THRESHOLD,
 };
+use crate::ops::layernorm::layer_norm_slice;
 use crate::ops::simd;
-use crate::ops::unary::{elu_slice, gelu_scalar};
+use crate::ops::unary::{elu_slice, gelu_slice};
 
 /// Matrix product `[m,k] × [k,n] → [m,n]` into `out`, with the same
 /// problem-size dispatch as [`Tensor::matmul`](crate::Tensor::matmul)
@@ -107,8 +111,7 @@ pub fn matmul_q8_into(
 }
 
 /// Adds a length-`n` bias vector to every row of the `[rows, n]` matrix in
-/// `x` — the forward of [`Tensor::add_bias`](crate::Tensor::add_bias), same
-/// per-element arithmetic.
+/// `x` — the forward kernel of [`Tensor::add_bias`](crate::Tensor::add_bias).
 ///
 /// # Panics
 ///
@@ -116,6 +119,9 @@ pub fn matmul_q8_into(
 pub fn add_bias_rows(x: &mut [f32], bias: &[f32], n: usize) {
     assert_eq!(bias.len(), n, "add_bias_rows: bias must be [n]");
     assert!(x.len().is_multiple_of(n.max(1)), "add_bias_rows: x is not rows × n");
+    if n == 0 {
+        return; // zero-width rows: nothing to add
+    }
     for row in x.chunks_exact_mut(n) {
         for (o, b) in row.iter_mut().zip(bias) {
             *o += b;
@@ -124,13 +130,16 @@ pub fn add_bias_rows(x: &mut [f32], bias: &[f32], n: usize) {
 }
 
 /// Scales row `r` of the `[rows, n]` matrix in `x` by `factors[r]` — the
-/// forward of [`Tensor::scale_rows`](crate::Tensor::scale_rows).
+/// forward kernel of [`Tensor::scale_rows`](crate::Tensor::scale_rows).
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != factors.len() * n`.
 pub fn scale_rows_inplace(x: &mut [f32], factors: &[f32], n: usize) {
     assert_eq!(x.len(), factors.len() * n, "scale_rows_inplace: x is not factors.len() × n");
+    if n == 0 {
+        return; // zero-width rows: nothing to scale
+    }
     for (row, &f) in x.chunks_exact_mut(n).zip(factors) {
         for v in row.iter_mut() {
             *v *= f;
@@ -159,7 +168,8 @@ pub fn hadamard_into(dst: &mut [f32], a: &[f32], b: &[f32]) {
 }
 
 /// Gathers rows of the `[_, n]` matrix `x` by index into `out` — the
-/// forward of [`Tensor::index_select_rows`](crate::Tensor::index_select_rows).
+/// forward kernel of
+/// [`Tensor::index_select_rows`](crate::Tensor::index_select_rows).
 ///
 /// # Panics
 ///
@@ -167,13 +177,16 @@ pub fn hadamard_into(dst: &mut [f32], a: &[f32], b: &[f32]) {
 /// bounds of `x`.
 pub fn gather_rows_into(out: &mut [f32], x: &[f32], n: usize, indices: &[usize]) {
     assert_eq!(out.len(), indices.len() * n, "gather_rows_into: out is not indices × n");
+    if n == 0 {
+        return; // zero-width rows: nothing to copy
+    }
     for (o, &idx) in out.chunks_exact_mut(n).zip(indices) {
         o.copy_from_slice(&x[idx * n..(idx + 1) * n]);
     }
 }
 
 /// Scatter-adds the rows of the `[e, n]` matrix `src` into `out`
-/// (`out[dst[i]] += src[i]`, source order) — the forward of
+/// (`out[dst[i]] += src[i]`, source order) — the forward kernel of
 /// [`Tensor::scatter_add_rows`](crate::Tensor::scatter_add_rows). Zeroes
 /// `out` first.
 ///
@@ -184,6 +197,9 @@ pub fn gather_rows_into(out: &mut [f32], x: &[f32], n: usize, indices: &[usize])
 pub fn scatter_add_rows_into(out: &mut [f32], src: &[f32], n: usize, dst: &[usize]) {
     assert_eq!(src.len(), dst.len() * n, "scatter_add_rows_into: src is not dst × n");
     out.fill(0.0);
+    if n == 0 {
+        return; // zero-width rows: nothing to add
+    }
     for (row, &d) in src.chunks_exact(n).zip(dst) {
         simd::vadd_assign(&mut out[d * n..(d + 1) * n], row);
     }
@@ -199,19 +215,17 @@ pub fn elu_inplace(x: &mut [f32]) {
 }
 
 /// Applies the tanh-approximated GELU in place — the forward map of
-/// [`Tensor::gelu`](crate::Tensor::gelu), shared scalar function.
+/// [`Tensor::gelu`](crate::Tensor::gelu): both run the one slice kernel
+/// (libm `tanh` on both backends); serving computes no derivative.
 pub fn gelu_inplace(x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v = gelu_scalar(*v);
-    }
+    gelu_slice(x, None);
 }
 
 /// Fused `softmax(x · scale + mask)` over each row of the `[m, n]` matrix in
-/// `x`, in place — the forward of
-/// [`Tensor::softmax_rows_scaled_masked`](crate::Tensor::softmax_rows_scaled_masked),
-/// replicated primitive-for-primitive (scale and mask-add lane-exact, max
-/// exact, sequential scalar exp+sum, lane-exact divide), so it is
-/// bit-identical per backend.
+/// `x`, in place — the forward kernel of
+/// [`Tensor::softmax_rows_scaled_masked`](crate::Tensor::softmax_rows_scaled_masked)
+/// (scale and mask-add lane-exact, max exact, sequential scalar exp+sum,
+/// lane-exact divide, so it is bit-identical across backends).
 ///
 /// # Panics
 ///
@@ -246,9 +260,9 @@ pub fn softmax_rows_scaled_masked_inplace(
 }
 
 /// Fused layer normalization over each `n`-wide row of `x`, in place — the
-/// forward of [`Tensor::layer_norm`](crate::Tensor::layer_norm), replicated
-/// primitive-for-primitive (the same canonical `row_sum`/`row_dot_nofma`
-/// reductions), so it is bit-identical per backend.
+/// forward map of [`Tensor::layer_norm`](crate::Tensor::layer_norm): both
+/// run the one slice kernel, so the planes agree bitwise per backend;
+/// serving saves neither `x̂` nor `1/σ`.
 ///
 /// # Panics
 ///
@@ -259,16 +273,7 @@ pub fn layer_norm_rows_inplace(x: &mut [f32], n: usize, gamma: &[f32], beta: &[f
     assert!(x.len().is_multiple_of(n), "layer_norm_rows_inplace: x is not rows × n");
     assert_eq!(gamma.len(), n, "layer_norm_rows_inplace: gamma must be [n]");
     assert_eq!(beta.len(), n, "layer_norm_rows_inplace: beta must be [n]");
-    let inv_n = 1.0 / n as f32;
-    for row in x.chunks_exact_mut(n) {
-        let mean = simd::row_sum(row) * inv_n;
-        simd::inplace_add_scalar(row, -mean);
-        let var = simd::row_dot_nofma(row, row) * inv_n;
-        let inv_std = 1.0 / (var + eps).sqrt();
-        for (c, v) in row.iter_mut().enumerate() {
-            *v = (*v * inv_std) * gamma[c] + beta[c];
-        }
-    }
+    layer_norm_slice(x, n, gamma, beta, eps, None);
 }
 
 /// Grouped instance normalization into `out`: the `[groups · rows, n]`
@@ -468,6 +473,12 @@ mod tests {
         scatter_add_rows_into(&mut scattered, &gathered, n, &dst);
         let tg = Tensor::from_vec(gathered, &[idx.len(), n]);
         assert_eq!(scattered, tg.scatter_add_rows(&dst, rows).to_vec());
+        // The row kernels take zero-width matrices, as the ops they back do.
+        let empty = Tensor::zeros(&[3, 0]);
+        assert_eq!(empty.index_select_rows(&[0, 2]).shape(), vec![2, 0]);
+        assert_eq!(empty.scatter_add_rows(&[1, 0, 1], 2).shape(), vec![2, 0]);
+        assert_eq!(empty.add_bias(&Tensor::zeros(&[0])).shape(), vec![3, 0]);
+        assert_eq!(empty.scale_rows(&[1.0, 2.0, 3.0]).shape(), vec![3, 0]);
     }
 
     #[test]

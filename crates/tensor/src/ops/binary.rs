@@ -69,33 +69,6 @@ impl Tensor {
         )
     }
 
-    /// Elementwise division (`self / other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch. Division by zero follows IEEE semantics.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        assert_same_shape(self, other, "div");
-        let a = self.to_vec();
-        let b = other.to_vec();
-        let data = simd::vdiv(&a, &b);
-        let (ac, bc) = (a, b);
-        Tensor::from_op(
-            data,
-            &self.shape(),
-            vec![self.clone(), other.clone()],
-            Box::new(move |g| {
-                let da = simd::vdiv(g, &bc);
-                let db: Vec<f32> = g
-                    .iter()
-                    .zip(ac.iter().zip(&bc))
-                    .map(|(gi, (ai, bi))| -gi * ai / (bi * bi))
-                    .collect();
-                vec![da, db]
-            }),
-        )
-    }
-
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
         let data = simd::vadd_scalar(&self.to_vec(), s);
@@ -192,17 +165,6 @@ mod tests {
         c.backward();
         assert_eq!(a.grad().unwrap(), vec![5.0, 7.0]);
         assert_eq!(b.grad().unwrap(), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn div_quotient_rule() {
-        let a = leaf(vec![6.0]);
-        let b = leaf(vec![2.0]);
-        let c = a.div(&b);
-        assert_eq!(c.item(), 3.0);
-        c.backward();
-        assert_eq!(a.grad().unwrap(), vec![0.5]);
-        assert_eq!(b.grad().unwrap(), vec![-1.5]);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! gradient only if that parent was tracked when the op was built (a
 //! frozen bias or norm scale gets none). `*_col` variants broadcast a length-`m`
 //! vector across the columns (per-row), which layer normalization needs.
+//! The forwards of `add_bias` and `scale_rows` are the inference plane's
+//! [`add_bias_rows`] and [`scale_rows_inplace`] — one kernel for both
+//! planes.
 
+use crate::inference::{add_bias_rows, scale_rows_inplace};
 use crate::tensor::Tensor;
 
 fn check_2d(x: &Tensor, op: &str) -> (usize, usize) {
@@ -24,13 +28,7 @@ impl Tensor {
         let (m, n) = check_2d(self, "add_bias");
         assert_eq!(bias.shape(), vec![n], "add_bias: bias must be [n]");
         let mut data = self.to_vec();
-        bias.with_data(|b| {
-            for r in 0..m {
-                for c in 0..n {
-                    data[r * n + c] += b[c];
-                }
-            }
-        });
+        bias.with_data(|b| add_bias_rows(&mut data, b, n));
         let (x_tracked, b_tracked) = (self.is_tracked(), bias.is_tracked());
         Tensor::from_op(
             data,
@@ -181,11 +179,7 @@ impl Tensor {
         let (m, n) = check_2d(self, "scale_rows");
         assert_eq!(factors.len(), m, "scale_rows: factors must have length m");
         let mut data = self.to_vec();
-        for r in 0..m {
-            for c in 0..n {
-                data[r * n + c] *= factors[r];
-            }
-        }
+        scale_rows_inplace(&mut data, factors, n);
         let fc = factors.to_vec();
         Tensor::from_op(
             data,

@@ -1,11 +1,14 @@
 //! Row gathers and scatters: embedding lookups and the index plumbing behind
 //! the hierarchical message-passing layer.
 //!
-//! The accumulating sides (scatter-add forward, gather backward) add whole
-//! rows through the lane-exact SIMD primitive when the SIMD backend is
-//! active — bit-identical to the scalar loops, since each destination row
-//! still receives its contributions in the same source order.
+//! The forwards are the inference plane's [`gather_rows_into`] and
+//! [`scatter_add_rows_into`] — one kernel for both planes. The accumulating
+//! sides (scatter-add forward, gather backward) add whole rows through the
+//! lane-exact SIMD primitive when the SIMD backend is active — bit-identical
+//! to the scalar loops, since each destination row still receives its
+//! contributions in the same source order.
 
+use crate::inference::{gather_rows_into, scatter_add_rows_into};
 use crate::ops::simd;
 use crate::tensor::Tensor;
 
@@ -21,13 +24,11 @@ impl Tensor {
         let s = self.shape();
         assert_eq!(s.len(), 2, "index_select_rows: expected 2-D tensor");
         let (m, n) = (s[0], s[1]);
-        let mut data = Vec::with_capacity(indices.len() * n);
-        self.with_data(|a| {
-            for &idx in indices {
-                assert!(idx < m, "index_select_rows: index {idx} out of bounds for {m} rows");
-                data.extend_from_slice(&a[idx * n..(idx + 1) * n]);
-            }
-        });
+        for &idx in indices {
+            assert!(idx < m, "index_select_rows: index {idx} out of bounds for {m} rows");
+        }
+        let mut data = vec![0.0f32; indices.len() * n];
+        self.with_data(|a| gather_rows_into(&mut data, a, n, indices));
         let idx = indices.to_vec();
         let k = indices.len();
         Tensor::from_op(
@@ -57,12 +58,11 @@ impl Tensor {
         assert_eq!(s.len(), 2, "scatter_add_rows: expected 2-D tensor");
         let (e, n) = (s[0], s[1]);
         assert_eq!(dst.len(), e, "scatter_add_rows: dst length mismatch");
-        let a = self.to_vec();
-        let mut data = vec![0.0f32; out_rows * n];
-        for (i, &d) in dst.iter().enumerate() {
+        for &d in dst {
             assert!(d < out_rows, "scatter_add_rows: index {d} out of bounds for {out_rows}");
-            simd::vadd_assign(&mut data[d * n..(d + 1) * n], &a[i * n..(i + 1) * n]);
         }
+        let mut data = vec![0.0f32; out_rows * n];
+        self.with_data(|a| scatter_add_rows_into(&mut data, a, n, dst));
         let dst_c = dst.to_vec();
         Tensor::from_op(
             data,

@@ -20,6 +20,44 @@
 use crate::ops::simd;
 use crate::tensor::Tensor;
 
+/// Layer normalization over each `n`-wide row of `x`, in place — the one
+/// kernel behind both [`Tensor::layer_norm`] and the inference plane's
+/// [`layer_norm_rows_inplace`](crate::inference::layer_norm_rows_inplace),
+/// so the two planes are bit-identical per backend by construction. When
+/// `saved` is given it receives what the backward reads: the normalized
+/// activations `x̂` (`[rows, n]`) and each row's `1/σ` (`[rows]`); without
+/// it neither is stored.
+pub(crate) fn layer_norm_slice(
+    x: &mut [f32],
+    n: usize,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    mut saved: Option<(&mut [f32], &mut [f32])>,
+) {
+    let inv_n = 1.0 / n as f32;
+    for (r, row) in x.chunks_exact_mut(n).enumerate() {
+        let mean = simd::row_sum(row) * inv_n;
+        // x + (-mean) is bitwise x - mean, which lets the centering share
+        // the lane-exact add primitive.
+        simd::inplace_add_scalar(row, -mean);
+        let var = simd::row_dot_nofma(row, row) * inv_n;
+        let is = 1.0 / (var + eps).sqrt();
+        if let Some((xhat, inv_std)) = saved.as_mut() {
+            inv_std[r] = is;
+            let xhat = &mut xhat[r * n..(r + 1) * n];
+            for (c, v) in row.iter_mut().enumerate() {
+                xhat[c] = *v * is;
+                *v = xhat[c] * gamma[c] + beta[c];
+            }
+        } else {
+            for (c, v) in row.iter_mut().enumerate() {
+                *v = (*v * is) * gamma[c] + beta[c];
+            }
+        }
+    }
+}
+
 impl Tensor {
     /// Fused layer normalization over the columns of each row of an
     /// `[m, n]` tensor: `y = (x − μ_r) / √(σ²_r + eps) · gamma + beta`,
@@ -54,29 +92,14 @@ impl Tensor {
         let beta_v = beta.to_vec();
         let inv_n = 1.0 / n as f32;
         let mut data = self.to_vec();
-        let mut inv_std = vec![0.0f32; m];
 
         let tracked = self.is_tracked() || gamma.is_tracked() || beta.is_tracked();
-        // Normalized activations x̂ (pre-gamma/beta), captured for backward.
+        // Normalized activations x̂ (pre-gamma/beta) and each row's 1/σ,
+        // saved by the forward kernel for backward.
         let mut xhat = vec![0.0f32; if tracked { m * n } else { 0 }];
-
-        for r in 0..m {
-            let row = &mut data[r * n..(r + 1) * n];
-            let mean = simd::row_sum(row) * inv_n;
-            // x + (-mean) is bitwise x - mean, which lets the centering share
-            // the lane-exact add primitive.
-            simd::inplace_add_scalar(row, -mean);
-            let var = simd::row_dot_nofma(row, row) * inv_n;
-            let is = 1.0 / (var + eps).sqrt();
-            inv_std[r] = is;
-            for (c, v) in row.iter_mut().enumerate() {
-                let normalized = *v * is;
-                if tracked {
-                    xhat[r * n + c] = normalized;
-                }
-                *v = normalized * gamma_v[c] + beta_v[c];
-            }
-        }
+        let mut inv_std = vec![0.0f32; if tracked { m } else { 0 }];
+        let saved = tracked.then_some((&mut xhat[..], &mut inv_std[..]));
+        layer_norm_slice(&mut data, n, &gamma_v, &beta_v, eps, saved);
 
         Tensor::from_op(
             data,

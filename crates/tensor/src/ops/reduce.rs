@@ -100,11 +100,6 @@ impl Tensor {
         let n = self.shape()[1];
         self.sum_axis1().mul_scalar(1.0 / n as f32)
     }
-
-    /// Squared L2 norm of all elements, as a scalar tensor.
-    pub fn sq_norm(&self) -> Tensor {
-        self.square().sum_all()
-    }
 }
 
 #[cfg(test)]
@@ -144,11 +139,5 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0, 10.0], &[2]);
         x.sum_axis1().mul(&w).sum_all().backward();
         assert_eq!(x.grad().unwrap(), vec![1.0, 1.0, 10.0, 10.0]);
-    }
-
-    #[test]
-    fn sq_norm_value() {
-        let x = Tensor::from_vec(vec![3.0, 4.0], &[2]);
-        assert_eq!(x.sq_norm().item(), 25.0);
     }
 }

@@ -223,7 +223,6 @@ macro_rules! vbin {
 vbin!(vadd, vadd_fma, +);
 vbin!(vsub, vsub_fma, -);
 vbin!(vmul, vmul_fma, *);
-vbin!(vdiv, vdiv_fma, /);
 
 /// `x + s` elementwise (lane-exact).
 pub(crate) fn vadd_scalar(x: &[f32], s: f32) -> Vec<f32> {
@@ -243,17 +242,6 @@ pub(crate) fn vmul_scalar(x: &[f32], s: f32) -> Vec<f32> {
         return unsafe { avx::vmul_scalar_fma(x, s) };
     }
     x.iter().map(|v| v * s).collect()
-}
-
-/// `max(x, 0)` elementwise — the ReLU forward map (lane-exact on finite
-/// input).
-pub(crate) fn vrelu(x: &[f32]) -> Vec<f32> {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2+FMA were detected at runtime.
-        return unsafe { avx::vrelu_fma(x) };
-    }
-    x.iter().map(|v| v.max(0.0)).collect()
 }
 
 /// `|x|` elementwise (lane-exact).
@@ -1416,7 +1404,6 @@ mod avx {
     avx_bin!(vadd_fma, _mm256_add_ps, +);
     avx_bin!(vsub_fma, _mm256_sub_ps, -);
     avx_bin!(vmul_fma, _mm256_mul_ps, *);
-    avx_bin!(vdiv_fma, _mm256_div_ps, /);
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn vadd_scalar_fma(x: &[f32], s: f32) -> Vec<f32> {
@@ -1449,24 +1436,6 @@ mod avx {
         }
         while j < n {
             *op.add(j) = *xp.add(j) * s;
-            j += 1;
-        }
-        out
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn vrelu_fma(x: &[f32]) -> Vec<f32> {
-        let n = x.len();
-        let mut out = vec![0.0f32; n];
-        let zero = _mm256_setzero_ps();
-        let (xp, op) = (x.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 8 <= n {
-            _mm256_storeu_ps(op.add(j), _mm256_max_ps(_mm256_loadu_ps(xp.add(j)), zero));
-            j += 8;
-        }
-        while j < n {
-            *op.add(j) = (*xp.add(j)).max(0.0);
             j += 1;
         }
         out

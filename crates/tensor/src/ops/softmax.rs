@@ -1,11 +1,14 @@
 //! Row-wise softmax, log-softmax and cross-entropy loss.
 //!
-//! The fused kernel's scale, mask, max, and normalize steps run through the
-//! SIMD primitives when the SIMD backend is active. Every one of those steps
-//! is per-lane-exact (mul/add/max/div) and the exp+sum pass stays scalar, so
+//! The fused op's forward is the inference plane's
+//! [`softmax_rows_scaled_masked_inplace`] — one kernel for both planes. Its
+//! scale, mask, max, and normalize steps run through the SIMD primitives
+//! when the SIMD backend is active. Every one of those steps is
+//! per-lane-exact (mul/add/max/div) and the exp+sum pass stays scalar, so
 //! the softmax *forward* is bit-identical under both backends — only the
 //! backward's `Σ g·y` reduction reorders (within the property-tested 1e-4).
 
+use crate::inference::softmax_rows_scaled_masked_inplace;
 use crate::ops::simd;
 use crate::tensor::Tensor;
 
@@ -57,26 +60,8 @@ impl Tensor {
     /// ```
     pub fn softmax_rows_scaled_masked(&self, scale: f32, mask: Option<&[f32]>) -> Tensor {
         let (m, n) = check_2d(self, "softmax_rows_scaled_masked");
-        if let Some(mk) = mask {
-            assert_eq!(mk.len(), m * n, "softmax_rows_scaled_masked: mask must have m*n entries");
-        }
         let mut data = self.to_vec();
-        for r in 0..m {
-            let row = &mut data[r * n..(r + 1) * n];
-            if scale != 1.0 {
-                simd::inplace_scale(row, scale);
-            }
-            if let Some(mk) = mask {
-                simd::inplace_add(row, &mk[r * n..(r + 1) * n]);
-            }
-            let max = simd::row_max(row);
-            let mut sum = 0.0f32;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            simd::inplace_div_scalar(row, sum);
-        }
+        softmax_rows_scaled_masked_inplace(&mut data, m, n, scale, mask);
         // The backward closure needs the output; clone it only when gradients
         // can actually flow (eval-mode scoring skips the copy).
         let y = if self.is_tracked() { data.clone() } else { Vec::new() };

@@ -1,8 +1,8 @@
 //! Elementwise unary maps and activation functions.
 //!
-//! The polynomial maps (`relu`, `square`, `abs`) run their forward pass
-//! through the lane-exact SIMD primitives when the SIMD backend is active —
-//! identical results, wider execution.
+//! The polynomial maps (`square`, `abs`) run their forward pass through the
+//! lane-exact SIMD primitives when the SIMD backend is active — identical
+//! results, wider execution.
 //!
 //! ELU, the GNN activation (Eq. 4), runs through one slice kernel,
 //! `elu_slice`, on both planes. Under
@@ -11,8 +11,9 @@
 //! from Scalar ELU for `x ≤ 0` by that `exp`'s error: at most 1 ULP of
 //! `eˣ` against libm, swept over every non-positive `f32` (exact for
 //! `x > 0`; ±0, subnormals, `−∞ → −alpha` and NaN → NaN hold on both
-//! backends). The other transcendental maps (`exp`, `ln`, `tanh`,
-//! `sigmoid`, `gelu`) run libm on both backends.
+//! backends). The other transcendental maps (`exp`, `ln`, `gelu`) run libm
+//! on both backends; GELU, the temporal encoder's activation, also runs
+//! through one slice kernel, `gelu_slice`, on both planes.
 
 use crate::ops::simd;
 use crate::tensor::Tensor;
@@ -46,22 +47,38 @@ pub(crate) fn elu_slice(x: &mut [f32], alpha: f32, mut deriv: Option<&mut [f32]>
 }
 
 /// `sqrt(2/pi)` of the tanh-approximated GELU.
-pub(crate) const GELU_C: f32 = 0.797_884_6;
+const GELU_C: f32 = 0.797_884_6;
 
-/// The GELU forward map (tanh approximation) — shared by the autograd op
-/// and the inference data plane.
+/// The `tanh` term of the tanh-approximated GELU at `x` (libm on both
+/// backends).
 #[inline]
-pub(crate) fn gelu_scalar(x: f32) -> f32 {
-    gelu_with_deriv(x).0
+fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
 }
 
-/// GELU and its derivative at `x` from one `tanh`: the autograd op stores
-/// the derivative at forward time, so its backward calls no libm.
-#[inline]
-fn gelu_with_deriv(x: f32) -> (f32, f32) {
-    let t = (GELU_C * (x + 0.044715 * x * x * x)).tanh();
-    let dt = (1.0 - t * t) * GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
-    (0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * dt)
+/// GELU (tanh approximation) over a slice in place — the one kernel behind
+/// both [`Tensor::gelu`] and the inference plane's
+/// [`gelu_inplace`](crate::inference::gelu_inplace), so the two planes are
+/// bit-identical by construction. When `deriv` is given it receives the
+/// derivative from the same `tanh`, which is what lets the autograd op's
+/// backward call no libm; without it no derivative is computed.
+pub(crate) fn gelu_slice(x: &mut [f32], deriv: Option<&mut [f32]>) {
+    match deriv {
+        None => {
+            for v in x.iter_mut() {
+                *v = 0.5 * *v * (1.0 + gelu_tanh(*v));
+            }
+        }
+        Some(d) => {
+            assert_eq!(d.len(), x.len(), "gelu_slice: deriv length mismatch");
+            for (v, dv) in x.iter_mut().zip(d) {
+                let (xi, t) = (*v, gelu_tanh(*v));
+                let dt = (1.0 - t * t) * GELU_C * (1.0 + 3.0 * 0.044715 * xi * xi);
+                *dv = 0.5 * (1.0 + t) + 0.5 * xi * dt;
+                *v = 0.5 * xi * (1.0 + t);
+            }
+        }
+    }
 }
 
 /// Builds a unary elementwise op from a whole-slice forward map (so the
@@ -136,11 +153,6 @@ impl Tensor {
         })
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Tensor {
-        unary_from_slice(self, simd::vrelu, |x| if x > 0.0 { 1.0 } else { 0.0 })
-    }
-
     /// Exponential linear unit with `alpha = 1` (the activation used by the
     /// paper's GNN layers, Eq. 4).
     pub fn elu(&self) -> Tensor {
@@ -167,23 +179,6 @@ impl Tensor {
         )
     }
 
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        unary_from_input(
-            self,
-            |x| 1.0 / (1.0 + (-x).exp()),
-            |x| {
-                let s = 1.0 / (1.0 + (-x).exp());
-                s * (1.0 - s)
-            },
-        )
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Tensor {
-        unary_from_input(self, |x| x.tanh(), |x| 1.0 - x.tanh() * x.tanh())
-    }
-
     /// Gaussian error linear unit (tanh approximation), used by the temporal
     /// transformer's feed-forward block.
     ///
@@ -192,17 +187,11 @@ impl Tensor {
     pub fn gelu(&self) -> Tensor {
         let mut data = self.to_vec();
         if !self.is_tracked() {
-            data.iter_mut().for_each(|v| *v = gelu_scalar(*v));
+            gelu_slice(&mut data, None);
             return Tensor::from_vec(data, &self.shape());
         }
-        let deriv: Vec<f32> = data
-            .iter_mut()
-            .map(|v| {
-                let (y, dy) = gelu_with_deriv(*v);
-                *v = y;
-                dy
-            })
-            .collect();
+        let mut deriv = vec![0.0f32; data.len()];
+        gelu_slice(&mut data, Some(&mut deriv));
         Tensor::from_op(
             data,
             &self.shape(),
@@ -228,15 +217,6 @@ mod tests {
         let out = y.to_vec();
         assert!((out[0] - 0.5).abs() < 1e-6);
         assert!((out[1] - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn relu_gradient_gates() {
-        let x = leaf(vec![-2.0, 3.0]);
-        let y = x.relu().sum_all();
-        assert_eq!(y.item(), 3.0);
-        y.backward();
-        assert_eq!(x.grad().unwrap(), vec![0.0, 1.0]);
     }
 
     #[test]
@@ -343,15 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_range_and_grad() {
-        let x = leaf(vec![0.0]);
-        let y = x.sigmoid();
-        assert!((y.item() - 0.5).abs() < 1e-6);
-        y.backward();
-        assert!((x.grad().unwrap()[0] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
     fn sqrt_grad() {
         let x = leaf(vec![4.0]);
         let y = x.sqrt();
@@ -389,8 +360,10 @@ mod tests {
             .collect();
         let got: Vec<u32> = x.grad().unwrap().iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, expected);
-        let forward: Vec<u32> = xs.iter().map(|&x| gelu_scalar(x).to_bits()).collect();
-        assert_eq!(y.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), forward);
+        // The serving form (no derivative) computes the same forward bits.
+        let mut forward = xs;
+        gelu_slice(&mut forward, None);
+        assert_eq!(bits(&y.to_vec()), bits(&forward));
     }
 
     #[test]

@@ -15,37 +15,28 @@ pub trait Optimizer {
     fn params(&self) -> &[Tensor];
 }
 
-/// Stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent: `p −= lr · g`.
 #[derive(Debug)]
 pub struct Sgd {
     params: Vec<Tensor>,
     lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
     /// Creates an SGD optimizer over `params`.
     pub fn new(params: Vec<Tensor>, lr: f32) -> Self {
-        Self::with_momentum(params, lr, 0.0)
-    }
-
-    /// Creates an SGD optimizer with momentum.
-    pub fn with_momentum(params: Vec<Tensor>, lr: f32, momentum: f32) -> Self {
-        let velocity = params.iter().map(|p| vec![0.0; p.numel()]).collect();
-        Sgd { params, lr, momentum, velocity }
+        Sgd { params, lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self) {
-        for (p, v) in self.params.iter().zip(&mut self.velocity) {
+        for p in &self.params {
             let Some(g) = p.grad() else { continue };
-            let (lr, mu) = (self.lr, self.momentum);
+            let lr = self.lr;
             p.update_data(|data| {
-                for i in 0..data.len() {
-                    v[i] = mu * v[i] + g[i];
-                    data[i] -= lr * v[i];
+                for (d, gi) in data.iter_mut().zip(&g) {
+                    *d -= lr * gi;
                 }
             });
         }
@@ -167,25 +158,6 @@ mod tests {
             opt.step();
         }
         assert!((x.to_vec()[0] - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let x1 = Tensor::from_vec(vec![0.0], &[1]).requires_grad(true);
-        let x2 = Tensor::from_vec(vec![0.0], &[1]).requires_grad(true);
-        let mut plain = Sgd::new(vec![x1.clone()], 0.01);
-        let mut mom = Sgd::with_momentum(vec![x2.clone()], 0.01, 0.9);
-        for _ in 0..20 {
-            plain.zero_grad();
-            quadratic_loss(&x1).backward();
-            plain.step();
-            mom.zero_grad();
-            quadratic_loss(&x2).backward();
-            mom.step();
-        }
-        let e1 = (x1.to_vec()[0] - 3.0).abs();
-        let e2 = (x2.to_vec()[0] - 3.0).abs();
-        assert!(e2 < e1, "momentum {e2} should beat plain {e1}");
     }
 
     #[test]

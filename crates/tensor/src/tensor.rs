@@ -123,11 +123,6 @@ impl Tensor {
         Tensor::from_vec(vec![1.0; numel_of(shape)], shape)
     }
 
-    /// A tensor filled with `value`.
-    pub fn full(shape: &[usize], value: f32) -> Self {
-        Tensor::from_vec(vec![value; numel_of(shape)], shape)
-    }
-
     /// Internal: create an op output with recorded parents and backward fn.
     pub(crate) fn from_op(
         data: Vec<f32>,
@@ -193,15 +188,6 @@ impl Tensor {
         inner.data[0]
     }
 
-    /// Element at a row-major flat index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn at(&self, idx: usize) -> f32 {
-        self.inner.borrow().data[idx]
-    }
-
     /// Element of a 2-D tensor at `(row, col)`.
     ///
     /// # Panics
@@ -255,12 +241,6 @@ impl Tensor {
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
         self.inner.borrow_mut().grad = None;
-    }
-
-    /// Returns a new leaf tensor sharing no graph history with `self`.
-    pub fn detach(&self) -> Tensor {
-        let inner = self.inner.borrow();
-        Tensor::from_vec(inner.data.clone(), &inner.shape)
     }
 
     /// Overwrites the data in place without recording a graph operation.
@@ -445,14 +425,6 @@ mod tests {
         a.set_data(&[1.0, 2.0, 3.0]);
         assert_eq!(b.to_vec(), vec![1.0, 2.0, 3.0]);
         assert_eq!(a.id(), b.id());
-    }
-
-    #[test]
-    fn detach_cuts_history() {
-        let a = Tensor::ones(&[2]).requires_grad(true);
-        let b = a.detach();
-        assert!(!b.is_tracked());
-        assert_ne!(a.id(), b.id());
     }
 
     #[test]

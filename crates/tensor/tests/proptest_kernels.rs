@@ -20,7 +20,7 @@
 use akg_tensor::backend::{backend, set_backend, simd_available, Backend};
 use akg_tensor::ops::kernels::BLOCKED_DISPATCH_THRESHOLD;
 use akg_tensor::ops::kernels::{matmul_blocked, matmul_ikj, matmul_naive, matmul_nt, matmul_tn};
-use akg_tensor::par::{set_parallelism, Parallelism};
+use akg_tensor::par::{set_parallelism, Parallelism, MIN_WORK_PER_THREAD};
 use akg_tensor::{gradcheck, inference, QuantizedMatrix, Tensor, Workspace};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -106,12 +106,22 @@ proptest! {
         a in pool_strategy(), b in pool_strategy(),
     ) {
         let _guard = lock_backend();
-        let (a, b) = (&a[..m * k], &b[..k * n]);
-        set_parallelism(Parallelism::Threads(1));
-        let one = matmul_blocked(a, b, m, k, n);
-        for t in [2usize, 3, 8] {
-            set_parallelism(Parallelism::Threads(t));
-            prop_assert_eq!(&one, &matmul_blocked(a, b, m, k, n));
+        // The drawn shapes are far below `2 · MIN_WORK_PER_THREAD`
+        // multiply-adds, so they always run on one thread; the fixed
+        // 128×64×128 case, filled by cycling the same draws, splits into
+        // 2, 3 and 4 row chunks at `Threads(2)`, `Threads(3)` and `Threads(8)`.
+        let (sm, sk, sn) = (128, 64, 128);
+        assert!(sm * sk * sn >= 4 * MIN_WORK_PER_THREAD, "the fixed case must split");
+        let split_a: Vec<f32> = a.iter().cycle().take(sm * sk).copied().collect();
+        let split_b: Vec<f32> = b.iter().cycle().skip(7).take(sk * sn).copied().collect();
+        let cases = [(&a[..m * k], &b[..k * n], m, k, n), (&split_a[..], &split_b[..], sm, sk, sn)];
+        for (a, b, m, k, n) in cases {
+            set_parallelism(Parallelism::Threads(1));
+            let one = matmul_blocked(a, b, m, k, n);
+            for t in [2usize, 3, 8] {
+                set_parallelism(Parallelism::Threads(t));
+                prop_assert_eq!(&one, &matmul_blocked(a, b, m, k, n));
+            }
         }
         set_parallelism(Parallelism::Auto);
     }

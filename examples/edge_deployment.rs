@@ -9,9 +9,7 @@
 use akg_core::adapt::AdaptConfig;
 use akg_core::engine::Engine;
 use akg_core::pipeline::SystemConfig;
-use akg_cost::{
-    BaselineMeasurement, CloudBaseline, CostReport, EdgeDevice, EdgeMeasurement, KgDims, ModelDims,
-};
+use akg_cost::{BaselineMeasurement, CloudBaseline, CostReport, EdgeDevice, EdgeMeasurement};
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
 use akg_kg::AnomalyClass;
 use akg_runtime::{MultiStreamRuntime, RuntimeConfig};
@@ -62,21 +60,13 @@ fn serve_demo() {
 
 fn main() {
     let engine = Engine::build(&[AnomalyClass::Stealing], &SystemConfig::default());
-    let d = engine.cost_dims(&engine.new_session(0));
-    let dims = ModelDims {
-        kgs: d.kgs,
-        kg: KgDims { nodes: d.nodes, edges: d.edges, levels: d.levels },
-        embed_dim: d.embed_dim,
-        gnn_dim: d.gnn_dim,
-        window: d.window,
-        temporal_inner: d.temporal_inner,
-        heads: d.heads,
-        temporal_layers: d.temporal_layers,
-        classes: d.classes,
-    };
+    let session = engine.new_session(0);
+    let dims = engine.cost_dims(&session);
+    let token_entries = session.adapted_token_entries();
 
     println!("deployed model dimensions:");
-    println!("  {} KG(s), {} nodes, {} edges, {} levels", d.kgs, d.nodes, d.edges, d.levels);
+    let kg = dims.kg;
+    println!("  {} KG(s), {} nodes, {} edges, {} levels", dims.kgs, kg.nodes, kg.edges, kg.levels);
     println!("  ~{} parameters", dims.param_count());
     println!("  inference: {} FLOPs per frame window", dims.inference_flops());
 
@@ -86,11 +76,11 @@ fn main() {
     let windows = 3 * adapt.max_k;
     let frames = (windows * dims.window).min(adapt.n_window);
     let per_day = adapt.epochs_per_trigger as u64
-        * dims.adaptation_step_flops(frames, windows, d.adapted_token_entries);
+        * dims.adaptation_step_flops(frames, windows, token_entries);
     println!(
         "  one daily adaptation loop: {per_day} FLOPs ({} epochs over {windows} windows, \
          {frames} frames, {} token entries)",
-        adapt.epochs_per_trigger, d.adapted_token_entries
+        adapt.epochs_per_trigger, token_entries
     );
 
     let device = EdgeDevice::default();
