@@ -328,10 +328,10 @@ fn bench_served_shapes(reps: usize, ops: &mut Vec<OpResult>) {
     });
 
     // The temporal encoder as the serving plane calls it: one batched call
-    // over 16 windows of T = 4 at the fast config (d = 8, inner 32, 4 heads,
-    // one layer), whose last layer computes only each window's last step.
+    // over 16 windows of T = 4 at the fast config (d = 8, inner 32, 4 heads),
+    // which computes only each window's last step.
     let (windows, t, d) = (16usize, 4usize, gd);
-    let encoder = TransformerEncoder::new(d, 32, 4, 1, &mut StdRng::seed_from_u64(13));
+    let encoder = TransformerEncoder::new(d, 32, 4, &mut StdRng::seed_from_u64(13));
     let seqs = filled(windows * t * d, 14);
     let lens = vec![t; windows];
     let mut last = vec![0.0f32; windows * d];

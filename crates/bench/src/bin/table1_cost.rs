@@ -10,7 +10,7 @@
 //! Usage: `table1_cost [--seed N]`
 
 use akg_bench::experiment_dataset;
-use akg_core::adapt::{AdaptConfig, ContinuousAdapter};
+use akg_core::adapt::{AdaptConfig, ContinuousAdapter, EPOCHS_PER_TRIGGER};
 use akg_core::experiment::{run_trend_shift, TrendShiftParams};
 use akg_core::pipeline::MissionSystem;
 use akg_core::train::train_decision_model;
@@ -58,7 +58,7 @@ fn main() {
     // buffer, each distinct buffered frame through the GNNs once per epoch.
     let windows = 3 * adapt_cfg.max_k;
     let frames = (windows * dims.window).min(adapt_cfg.n_window);
-    let flops_per_day = adapt_cfg.epochs_per_trigger as u64
+    let flops_per_day = EPOCHS_PER_TRIGGER as u64
         * dims.adaptation_step_flops(frames, windows, session.adapted_token_entries());
 
     // --- measured: wall-clock of one adaptation loop ------------------------

@@ -37,10 +37,10 @@
 //! The trained rows are written back into the session's table overlay.
 
 use crate::engine::{next_row, Engine, Session};
-use crate::loss::decision_loss_smoothed;
+use crate::loss::{decision_loss_smoothed, LABEL_SMOOTHING, LAMBDA_SMT, LAMBDA_SPA};
 use crate::model::{FrameGroup, NodeTemplate};
 use akg_eval::MeanShiftTracker;
-use akg_kg::modify::{create_node, repair_connectivity, CreateConfig};
+use akg_kg::modify::{create_node, repair_connectivity};
 use akg_kg::NodeId;
 use akg_tensor::nn::Module;
 use akg_tensor::optim::{Optimizer, Sgd};
@@ -50,6 +50,14 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
+
+/// SGD passes over the selected batch per trigger (the paper performs a full
+/// backpropagation loop per adaptation).
+pub const EPOCHS_PER_TRIGGER: usize = 2;
+
+/// L2 clip on the token-table gradient per update (bounds per-update
+/// embedding movement regardless of batch-norm amplification).
+const MAX_GRAD_NORM: f32 = 1.0;
 
 /// Adaptation hyperparameters. `n_window` is the paper's `N`; its reference
 /// time `t'` is anchored at deployment (see [`MeanShiftTracker`]). The
@@ -67,12 +75,6 @@ pub struct AdaptConfig {
     pub min_k: usize,
     /// Cap on `K` per adaptation (bounds edge compute per loop).
     pub max_k: usize,
-    /// L2 clip on the token-table gradient per update (bounds per-update
-    /// embedding movement regardless of batch-norm amplification).
-    pub max_grad_norm: f32,
-    /// SGD passes over the selected batch per trigger (the paper performs
-    /// a full backpropagation loop per adaptation).
-    pub epochs_per_trigger: usize,
     /// Consecutive movement increases before a node is declared divergent.
     pub divergence_patience: usize,
     /// Ignore movements below this threshold when judging divergence.
@@ -80,8 +82,6 @@ pub struct AdaptConfig {
     /// Cap on structural replacements over the deployment's lifetime
     /// (bounded by the token table's spare rows anyway).
     pub max_replacements: usize,
-    /// Random-wiring bounds for created nodes.
-    pub create: CreateConfig,
     /// RNG seed (node creation wiring).
     pub seed: u64,
 }
@@ -94,12 +94,9 @@ impl Default for AdaptConfig {
             interval: 32,
             min_k: 2,
             max_k: 6,
-            max_grad_norm: 1.0,
-            epochs_per_trigger: 2,
             divergence_patience: 5,
             movement_epsilon: 2e-3,
             max_replacements: 4,
-            create: CreateConfig::default(),
             seed: 0,
         }
     }
@@ -684,8 +681,7 @@ impl ContinuousAdapter {
         let rows = session.table.leaf_rows(session.referenced_rows());
         let mut optimizer = Sgd::new(vec![rows.values().clone()], self.cfg.lr);
         let mut last_loss = 0.0;
-        let model_cfg = *engine.model.config();
-        for _ in 0..self.cfg.epochs_per_trigger.max(1) {
+        for _ in 0..EPOCHS_PER_TRIGGER {
             let logits = engine.model.windows_logits(
                 &session.kgs,
                 &session.layouts,
@@ -693,16 +689,11 @@ impl ContinuousAdapter {
                 &frames,
                 &windows,
             );
-            let loss = decision_loss_smoothed(
-                &logits,
-                &targets,
-                model_cfg.label_smoothing,
-                model_cfg.lambda_spa,
-                model_cfg.lambda_smt,
-            );
+            let loss =
+                decision_loss_smoothed(&logits, &targets, LABEL_SMOOTHING, LAMBDA_SPA, LAMBDA_SMT);
             optimizer.zero_grad();
             loss.backward();
-            rows.values().clip_grad_norm(self.cfg.max_grad_norm);
+            rows.values().clip_grad_norm(MAX_GRAD_NORM);
             optimizer.step();
             last_loss = loss.item();
         }
@@ -765,13 +756,9 @@ impl ContinuousAdapter {
         self.drift.remove(&(ki, id));
         self.adapted_node_counter += 1;
         let concept = format!("<adapted-{}>", self.adapted_node_counter);
-        let Ok(new_id) = create_node(
-            &mut session.kgs[ki].kg,
-            concept.clone(),
-            node.level,
-            &self.cfg.create,
-            &mut self.rng,
-        ) else {
+        let Ok(new_id) =
+            create_node(&mut session.kgs[ki].kg, concept.clone(), node.level, &mut self.rng)
+        else {
             session.rebuild_layout(ki);
             return;
         };
@@ -927,6 +914,36 @@ mod tests {
         let leaf = session.table.leaf_rows(rows);
         leaf.values().update_data(|data| data.iter_mut().for_each(|v| *v += bump));
         session.table.write_rows(&leaf);
+    }
+
+    /// A frame that passes `Frame::validate` but whose weights cancel to a
+    /// subnormal total embeds to a finite unit vector, and observing it
+    /// leaves the stream's Δm finite (one NaN score would poison the score
+    /// window's running sum and stop the stream adapting for good).
+    #[test]
+    fn cancelling_weights_embed_finite_and_keep_delta_m_finite() {
+        let (engine, mut session, ds) = setup();
+        let frame = akg_data::Frame {
+            concepts: vec![
+                ("walking".into(), 1e4),
+                ("running".into(), -1e4),
+                ("sitting".into(), 1e-40),
+            ],
+            label: None,
+        };
+        assert!(frame.validate().is_ok());
+        let emb = engine.embed_frame(&mut session, &frame);
+        assert!(emb.iter().all(|v| v.is_finite()), "embedding {emb:?}");
+        let norm = emb.iter().map(|v| v * v).sum::<f32>().sqrt();
+        assert!((norm - 1.0).abs() < 1e-5, "norm {norm}");
+        let mut adapter = ContinuousAdapter::attach(&engine, &mut session, AdaptConfig::default());
+        adapter.observe(&engine, &mut session, &frame);
+        let mut stream = AdaptationStream::new(&ds, AnomalyClass::Stealing, 0.0, 2);
+        for _ in 0..64 {
+            let (normal, _) = stream.next_frame();
+            adapter.observe(&engine, &mut session, &normal);
+        }
+        assert!(adapter.delta_m().is_finite(), "delta_m {}", adapter.delta_m());
     }
 
     #[test]

@@ -11,27 +11,12 @@ pub struct ModelConfig {
     /// synthetic joint space defaults to 64, preserving the geometry while
     /// staying laptop-fast).
     pub embed_dim: usize,
-    /// GNN layer width `D_l`. The paper uses 8 at every layer.
-    pub gnn_dim: usize,
     /// Short-term temporal window `T` (frames per transformer input).
     pub window: usize,
     /// Temporal model inner dimensionality. Paper: 128.
     pub temporal_inner: usize,
     /// Attention heads. Paper: 8.
     pub heads: usize,
-    /// Transformer encoder layers.
-    pub temporal_layers: usize,
-    /// Sparsity loss coefficient λ_spa. Paper: 0.001.
-    pub lambda_spa: f32,
-    /// Smoothness loss coefficient λ_smt. Paper: 0.001.
-    pub lambda_smt: f32,
-    /// Decaying threshold α_d for weakly-supervised pseudo-labelling.
-    /// Paper: 0.9999.
-    pub decay_threshold: f32,
-    /// Label smoothing ε of the training/adaptation objective. Keeps scores
-    /// calibrated; saturated scores would turn the adaptation trigger's
-    /// top-K selection into noise.
-    pub label_smoothing: f32,
     /// RNG seed for parameter initialization.
     pub seed: u64,
 }
@@ -40,19 +25,7 @@ impl ModelConfig {
     /// The paper's configuration (Sec. IV-A), with our joint space's
     /// 64-dimensional embeddings.
     pub fn paper() -> Self {
-        ModelConfig {
-            embed_dim: 64,
-            gnn_dim: 8,
-            window: 8,
-            temporal_inner: 128,
-            heads: 8,
-            temporal_layers: 1,
-            lambda_spa: 0.001,
-            lambda_smt: 0.001,
-            decay_threshold: 0.9999,
-            label_smoothing: 0.1,
-            seed: 0,
-        }
+        ModelConfig { embed_dim: 64, window: 8, temporal_inner: 128, heads: 8, seed: 0 }
     }
 
     /// A scaled-down profile for unit tests and fast experiment smoke runs:
@@ -60,11 +33,9 @@ impl ModelConfig {
     pub fn fast() -> Self {
         ModelConfig {
             embed_dim: 32,
-            gnn_dim: 8,
             window: 4,
             temporal_inner: 32,
             heads: 4,
-            temporal_layers: 1,
             ..ModelConfig::paper()
         }
     }
@@ -148,12 +119,12 @@ mod tests {
     #[test]
     fn paper_profile_matches_publication() {
         let m = ModelConfig::paper();
-        assert_eq!(m.gnn_dim, 8);
+        assert_eq!(crate::model::GNN_DIM, 8);
         assert_eq!(m.temporal_inner, 128);
         assert_eq!(m.heads, 8);
-        assert_eq!(m.lambda_spa, 0.001);
-        assert_eq!(m.lambda_smt, 0.001);
-        assert_eq!(m.decay_threshold, 0.9999);
+        assert_eq!(crate::loss::LAMBDA_SPA, 0.001);
+        assert_eq!(crate::loss::LAMBDA_SMT, 0.001);
+        assert_eq!(crate::train::DECAY_THRESHOLD, 0.9999);
         let t = TrainConfig::paper();
         assert_eq!(t.lr, 1e-5);
         assert_eq!(t.weight_decay, 1.0);

@@ -15,13 +15,13 @@
 //! `akg-runtime`).
 
 use crate::config::ModelConfig;
-use crate::model::{DecisionModel, InferWindowItem, KgLayout};
+use crate::model::{DecisionModel, InferWindowItem, KgLayout, GNN_DIM};
 use crate::pipeline::{SystemConfig, FRAME_NOISE_STD};
 use crate::tokenize::{TableRows, TokenTable, TokenizedKg};
 use akg_cost::{KgDims, ModelDims};
 use akg_data::{Frame, GENERIC_CONCEPTS, NORMAL_CONCEPTS};
 use akg_embed::{BpeTokenizer, JointSpace, JointSpaceBuilder};
-use akg_kg::{generate_kg, AnomalyClass, Ontology, SyntheticOracle};
+use akg_kg::{generate_kg, AnomalyClass, ErrorProfile, GeneratorConfig, Ontology, SyntheticOracle};
 use akg_tensor::{Workspace, WorkspaceStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,6 +30,11 @@ use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Vocabulary budget of the BPE tokenizer [`Engine::build`] trains.
+const VOCAB_BUDGET: usize = 700;
+/// Token-table rows [`Engine::build`] reserves for adaptation-created nodes.
+const SPARE_ROWS: usize = 32;
 
 /// The process-wide source of session state stamps (see
 /// [`Session::state_stamp`]).
@@ -308,14 +313,15 @@ impl Engine {
     /// Builds the engine for the given missions: trains the BPE tokenizer on
     /// the domain corpus, constructs the joint space with one cluster per
     /// anomaly class (anchoring every ontology concept), generates one
-    /// mission-specific KG per mission, tokenizes them, and initializes the
-    /// decision model.
+    /// mission-specific KG per mission ([`GeneratorConfig::default`] against
+    /// a [`ErrorProfile::realistic`] oracle), tokenizes them, and
+    /// initializes the decision model.
     pub fn build(missions: &[AnomalyClass], config: &SystemConfig) -> Self {
         akg_tensor::par::set_parallelism(config.parallelism);
         akg_tensor::backend::set_backend(config.backend);
         let ontology = Ontology::new();
         let corpus = ontology.corpus();
-        let tokenizer = BpeTokenizer::train(corpus.iter().map(String::as_str), config.vocab_budget);
+        let tokenizer = BpeTokenizer::train(corpus.iter().map(String::as_str), VOCAB_BUDGET);
 
         // One cluster per anomaly class. Normal-activity words are left
         // *unanchored*: their embeddings are scattered hash-noise
@@ -342,12 +348,13 @@ impl Engine {
         let fixed_words = NORMAL_CONCEPTS.iter().chain(GENERIC_CONCEPTS).copied();
         let space = space_builder.precompute(fixed_words).build();
 
-        let table = TokenTable::new(&tokenizer, &space, config.spare_rows);
+        let table = TokenTable::new(&tokenizer, &space, SPARE_ROWS);
 
         let mut kgs = Vec::with_capacity(missions.len());
         for (i, mission) in missions.iter().enumerate() {
-            let mut oracle = SyntheticOracle::new(config.oracle, config.seed ^ (i as u64 + 1));
-            let report = generate_kg(mission.name(), &config.generator, &mut oracle);
+            let mut oracle =
+                SyntheticOracle::new(ErrorProfile::realistic(), config.seed ^ (i as u64 + 1));
+            let report = generate_kg(mission.name(), &GeneratorConfig::default(), &mut oracle);
             let mission_embedding = space.embed_text(mission.name());
             kgs.push(TokenizedKg::new(report.kg, &tokenizer, mission_embedding));
         }
@@ -616,11 +623,12 @@ impl Engine {
             kgs: kgs.len(),
             kg: KgDims { nodes, edges, levels },
             embed_dim: config.embed_dim,
-            gnn_dim: config.gnn_dim,
+            gnn_dim: GNN_DIM,
             window: config.window,
             temporal_inner: config.temporal_inner,
             heads: config.heads,
-            temporal_layers: config.temporal_layers,
+            // The temporal model is one encoder layer.
+            temporal_layers: 1,
             classes: self.model.n_classes(),
         }
     }

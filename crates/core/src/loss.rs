@@ -4,6 +4,15 @@
 
 use akg_tensor::Tensor;
 
+/// Sparsity loss coefficient λ_spa. Paper: 0.001.
+pub const LAMBDA_SPA: f32 = 0.001;
+/// Smoothness loss coefficient λ_smt. Paper: 0.001.
+pub const LAMBDA_SMT: f32 = 0.001;
+/// Label smoothing ε of the training and adaptation objective. Keeps scores
+/// calibrated; saturated scores would turn the adaptation trigger's top-K
+/// selection into noise.
+pub const LABEL_SMOOTHING: f32 = 0.1;
+
 /// Differentiable anomaly scores `p_A = 1 − p_N` from a batch of logits
 /// `[m, n + 1]`, shape `[m, 1]`.
 pub fn anomaly_scores(logits: &Tensor) -> Tensor {
@@ -31,22 +40,9 @@ pub fn smoothness_loss(logits: &Tensor) -> Tensor {
     current.sub(&previous).square().mean_all()
 }
 
-/// The full objective `CE + λ_spa · L_spa + λ_smt · L_smt`.
-///
-/// # Panics
-///
-/// Panics if `targets.len()` mismatches the batch size.
-pub fn decision_loss(
-    logits: &Tensor,
-    targets: &[usize],
-    lambda_spa: f32,
-    lambda_smt: f32,
-) -> Tensor {
-    decision_loss_smoothed(logits, targets, 0.0, lambda_spa, lambda_smt)
-}
-
-/// [`decision_loss`] with label smoothing: the true class gets probability
-/// `1 − ε`, the rest share `ε`. Smoothing keeps the model's scores
+/// The full objective `CE + λ_spa · L_spa + λ_smt · L_smt`, with label
+/// smoothing: the true class gets probability `1 − ε`, the rest share `ε`
+/// (`ε = 0` is plain cross-entropy). Smoothing keeps the model's scores
 /// calibrated instead of saturating at 0/1 — saturated scores would make
 /// the adaptation trigger's top-K selection pure noise.
 ///
@@ -64,14 +60,14 @@ pub fn decision_loss_smoothed(
     assert!((0.0..1.0).contains(&smoothing), "smoothing must be in [0, 1)");
     let shape = logits.shape();
     let (m, c) = (shape[0], shape[1]);
-    assert_eq!(targets.len(), m, "decision_loss: need one target per row");
+    assert_eq!(targets.len(), m, "decision_loss_smoothed: need one target per row");
     let ce = if smoothing == 0.0 {
         logits.cross_entropy(targets)
     } else {
         let off = smoothing / (c - 1).max(1) as f32;
         let mut soft = vec![off; m * c];
         for (r, &t) in targets.iter().enumerate() {
-            assert!(t < c, "decision_loss: target {t} out of range");
+            assert!(t < c, "decision_loss_smoothed: target {t} out of range");
             soft[r * c + t] = 1.0 - smoothing;
         }
         logits.cross_entropy_soft(&Tensor::from_vec(soft, &[m, c]))
@@ -122,7 +118,7 @@ mod tests {
     #[test]
     fn full_loss_reduces_to_ce_with_zero_lambdas() {
         let logits = Tensor::from_vec(vec![0.3, 0.7, 0.1, 0.9], &[2, 2]);
-        let full = decision_loss(&logits, &[0, 1], 0.0, 0.0);
+        let full = decision_loss_smoothed(&logits, &[0, 1], 0.0, 0.0, 0.0);
         let ce = logits.cross_entropy(&[0, 1]);
         assert!((full.item() - ce.item()).abs() < 1e-6);
     }
@@ -130,7 +126,7 @@ mod tests {
     #[test]
     fn loss_differentiable() {
         let logits = Tensor::from_vec(vec![0.1, -0.1, 0.2, 0.0], &[2, 2]).requires_grad(true);
-        decision_loss(&logits, &[0, 1], 0.001, 0.001).backward();
+        decision_loss_smoothed(&logits, &[0, 1], 0.0, 0.001, 0.001).backward();
         assert!(logits.grad().is_some());
     }
 }

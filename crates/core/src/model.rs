@@ -116,6 +116,9 @@ struct GnnLayer {
     norm: BatchNorm1d,
 }
 
+/// GNN layer width `D_l`. The paper uses 8 at every layer.
+pub const GNN_DIM: usize = 8;
+
 /// The hierarchical GNN over one mission-specific KG.
 ///
 /// Layer 0 refines the raw joint-space embeddings into the GNN width; layers
@@ -125,7 +128,6 @@ struct GnnLayer {
 pub struct HierarchicalGnn {
     input_layer: GnnLayer,
     message_layers: Vec<GnnLayer>,
-    gnn_dim: usize,
 }
 
 /// The shared message-passing combine of Eqs. 2–3: gather source/destination
@@ -193,23 +195,18 @@ impl HierarchicalGnn {
     ///
     /// The per-layer BatchNorm normalizes across the graph's node rows with
     /// per-graph (instance) statistics: each forward pass is one graph.
-    pub fn new(depth: usize, embed_dim: usize, gnn_dim: usize, rng: &mut StdRng) -> Self {
+    pub fn new(depth: usize, embed_dim: usize, rng: &mut StdRng) -> Self {
         let input_layer = GnnLayer {
-            dense: Linear::new(embed_dim, gnn_dim, rng),
-            norm: BatchNorm1d::new(gnn_dim),
+            dense: Linear::new(embed_dim, GNN_DIM, rng),
+            norm: BatchNorm1d::new(GNN_DIM),
         };
         let message_layers = (0..=depth)
             .map(|_| GnnLayer {
-                dense: Linear::new(gnn_dim, gnn_dim, rng),
-                norm: BatchNorm1d::new(gnn_dim),
+                dense: Linear::new(GNN_DIM, GNN_DIM, rng),
+                norm: BatchNorm1d::new(GNN_DIM),
             })
             .collect();
-        HierarchicalGnn { input_layer, message_layers, gnn_dim }
-    }
-
-    /// GNN width `D_l`.
-    pub fn gnn_dim(&self) -> usize {
-        self.gnn_dim
+        HierarchicalGnn { input_layer, message_layers }
     }
 
     /// Number of parametrized layers (`d + 2`).
@@ -377,7 +374,7 @@ impl HierarchicalGnn {
     ) {
         let (b, v) = self.check_replicas(layouts, "forward_batch_infer");
         let rows = b * v;
-        let gd = self.gnn_dim;
+        let gd = GNN_DIM;
         assert_eq!(
             x0.len(),
             rows * self.input_layer.dense.in_features(),
@@ -467,18 +464,10 @@ impl DecisionModel {
     pub fn new(depths: &[usize], config: &ModelConfig) -> Self {
         assert!(!depths.is_empty(), "DecisionModel: need at least one mission KG");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let gnns: Vec<HierarchicalGnn> = depths
-            .iter()
-            .map(|&d| HierarchicalGnn::new(d, config.embed_dim, config.gnn_dim, &mut rng))
-            .collect();
-        let d = depths.len() * config.gnn_dim;
-        let temporal = TransformerEncoder::new(
-            d,
-            config.temporal_inner,
-            config.heads,
-            config.temporal_layers,
-            &mut rng,
-        );
+        let gnns: Vec<HierarchicalGnn> =
+            depths.iter().map(|&d| HierarchicalGnn::new(d, config.embed_dim, &mut rng)).collect();
+        let d = depths.len() * GNN_DIM;
+        let temporal = TransformerEncoder::new(d, config.temporal_inner, config.heads, &mut rng);
         let head = Linear::new(d, depths.len() + 1, &mut rng);
         DecisionModel {
             gnns,
@@ -572,7 +561,7 @@ impl DecisionModel {
 
     /// Reasoning embedding width `D = n · gnn_dim`.
     pub fn reasoning_dim(&self) -> usize {
-        self.n_missions * self.config.gnn_dim
+        self.n_missions * GNN_DIM
     }
 
     /// Decision classes (`n + 1`: normal + one per mission anomaly).
@@ -862,7 +851,7 @@ impl DecisionModel {
         if total == 0 {
             return;
         }
-        let gd = self.config.gnn_dim;
+        let gd = GNN_DIM;
         let dim = self.config.embed_dim;
         for i in 0..self.gnns.len() {
             let v = groups[0].layouts[i].node_count();
@@ -1153,7 +1142,7 @@ mod tests {
     fn gnn_layer_count_is_depth_plus_two() {
         let (tkg, _, _, config) = fixture();
         let mut rng = StdRng::seed_from_u64(0);
-        let gnn = HierarchicalGnn::new(tkg.kg.depth(), config.embed_dim, config.gnn_dim, &mut rng);
+        let gnn = HierarchicalGnn::new(tkg.kg.depth(), config.embed_dim, &mut rng);
         assert_eq!(gnn.layer_count(), tkg.kg.depth() + 2);
     }
 
@@ -1163,7 +1152,7 @@ mod tests {
         let model = DecisionModel::new(&[tkg.kg.depth()], &config);
         let frame = vec![0.1f32; config.embed_dim];
         let r = model.reasoning_embedding(&[&tkg], &[&layout], &rows, &frame);
-        assert_eq!(r.shape(), vec![config.gnn_dim]);
+        assert_eq!(r.shape(), vec![GNN_DIM]);
     }
 
     #[test]
@@ -1222,11 +1211,11 @@ mod tests {
         let t2 = TokenizedKg::new(kg2, &tokenizer, space.embed_text("robbery"));
         let (l1, l2) = (KgLayout::new(&t1), KgLayout::new(&t2));
         let model = DecisionModel::new(&[t1.kg.depth(), t2.kg.depth()], &config);
-        assert_eq!(model.reasoning_dim(), 2 * config.gnn_dim);
+        assert_eq!(model.reasoning_dim(), 2 * GNN_DIM);
         assert_eq!(model.n_classes(), 3);
         let frame = vec![0.1f32; config.embed_dim];
         let rows = table.view_rows(TableRows::referenced([(&t1, &l1), (&t2, &l2)]));
         let r = model.reasoning_embedding(&[&t1, &t2], &[&l1, &l2], &rows, &frame);
-        assert_eq!(r.shape(), vec![2 * config.gnn_dim]);
+        assert_eq!(r.shape(), vec![2 * GNN_DIM]);
     }
 }

@@ -32,14 +32,6 @@ pub struct MissionSystem {
 pub struct SystemConfig {
     /// Model dimensions.
     pub model: ModelConfig,
-    /// KG generation settings.
-    pub generator: akg_kg::GeneratorConfig,
-    /// Oracle error profile.
-    pub oracle: akg_kg::ErrorProfile,
-    /// BPE vocabulary budget.
-    pub vocab_budget: usize,
-    /// Spare token-table rows reserved for adaptation-created nodes.
-    pub spare_rows: usize,
     /// Kernel thread-pool policy. Applied process-wide when the system is
     /// built (tensors are `Rc`-based, so parallelism lives inside the raw
     /// kernels — see [`akg_tensor::par`]); every matmul in the training,
@@ -68,10 +60,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             model: ModelConfig::fast(),
-            generator: akg_kg::GeneratorConfig::default(),
-            oracle: akg_kg::ErrorProfile::realistic(),
-            vocab_budget: 700,
-            spare_rows: 32,
             parallelism: akg_tensor::Parallelism::Auto,
             backend: akg_tensor::Backend::Auto,
             precision: akg_tensor::Precision::F32,

@@ -4,7 +4,7 @@
 //! train with AdamW, cross-entropy, and the λ_spa/λ_smt regularizers.
 
 use crate::config::TrainConfig;
-use crate::loss::decision_loss_smoothed;
+use crate::loss::{decision_loss_smoothed, LABEL_SMOOTHING, LAMBDA_SMT, LAMBDA_SPA};
 use crate::pipeline::MissionSystem;
 use akg_data::Video;
 use akg_kg::AnomalyClass;
@@ -13,6 +13,10 @@ use akg_tensor::optim::{AdamW, AdamWConfig, Optimizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// Decaying threshold α_d of weakly-supervised pseudo-labelling: the
+/// threshold is multiplied by it every step. Paper: 0.9999.
+pub(crate) const DECAY_THRESHOLD: f32 = 0.9999;
 
 /// Outcome of a training run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -66,17 +70,10 @@ pub fn train_decision_model(
 
     sys.engine.model.set_frozen(false); // the table is never differentiated
     let params = sys.engine.model.params();
-    let mut opt = AdamW::new(
-        params,
-        AdamWConfig { lr: cfg.lr, weight_decay: cfg.weight_decay, ..AdamWConfig::default() },
-    );
+    let mut opt = AdamW::new(params, AdamWConfig { lr: cfg.lr, weight_decay: cfg.weight_decay });
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut loss_history = Vec::with_capacity(cfg.steps);
-    let alpha_d = sys.engine.model.config().decay_threshold;
     let mut threshold = 1.0f32;
-    let lambda_spa = sys.engine.model.config().lambda_spa;
-    let lambda_smt = sys.engine.model.config().lambda_smt;
-    let smoothing = sys.engine.model.config().label_smoothing;
 
     for _ in 0..cfg.steps {
         let mut batch: Vec<WindowSample> = Vec::with_capacity(cfg.batch_size);
@@ -95,7 +92,7 @@ pub fn train_decision_model(
         }
 
         if cfg.weakly_supervised {
-            threshold *= alpha_d;
+            threshold *= DECAY_THRESHOLD;
             relabel_weakly(sys, &mut batch, threshold, &missions);
         }
 
@@ -103,7 +100,8 @@ pub fn train_decision_model(
         let windows: Vec<&[Vec<f32>]> = batch.iter().map(|s| s.embeddings.as_slice()).collect();
         let targets: Vec<usize> = batch.iter().map(|s| s.target).collect();
         let logits = sys.engine.windows_logits(&sys.session, &windows);
-        let loss = decision_loss_smoothed(&logits, &targets, smoothing, lambda_spa, lambda_smt);
+        let loss =
+            decision_loss_smoothed(&logits, &targets, LABEL_SMOOTHING, LAMBDA_SPA, LAMBDA_SMT);
         opt.zero_grad();
         loss.backward();
         opt.step();

@@ -14,8 +14,8 @@
 //! `BACKEND_LOCK` discipline of `tensor/tests/proptest_kernels.rs`.
 
 use akg_core::engine::{Engine, Session};
-use akg_core::loss::decision_loss_smoothed;
-use akg_core::model::KgLayout;
+use akg_core::loss::{decision_loss_smoothed, LABEL_SMOOTHING, LAMBDA_SMT, LAMBDA_SPA};
+use akg_core::model::{KgLayout, GNN_DIM};
 use akg_core::pipeline::SystemConfig;
 use akg_core::tokenize::{TableRows, TokenizedKg};
 use akg_data::{AdaptationStream, DatasetConfig, SyntheticUcfCrime};
@@ -68,10 +68,10 @@ fn overlapping_windows() -> Vec<Vec<usize>> {
 fn threshold_crossing_windows(engine: &Engine, session: &Session) -> Vec<Vec<usize>> {
     let cfg = engine.model.config();
     let v = session.layouts[0].node_count();
-    let frames = BLOCKED_DISPATCH_THRESHOLD.div_ceil(v * cfg.embed_dim * cfg.gnn_dim);
+    let frames = BLOCKED_DISPATCH_THRESHOLD.div_ceil(v * cfg.embed_dim * GNN_DIM);
     let t = cfg.window;
     let runs = frames.div_ceil(t);
-    assert!(runs * t * v * cfg.embed_dim * cfg.gnn_dim >= BLOCKED_DISPATCH_THRESHOLD);
+    assert!(runs * t * v * cfg.embed_dim * GNN_DIM >= BLOCKED_DISPATCH_THRESHOLD);
     let mut windows: Vec<Vec<usize>> = (0..runs).map(|r| (r * t..(r + 1) * t).collect()).collect();
     windows.extend((0..runs - 1).step_by(7).map(|r| (r * t + t / 2..r * t + t / 2 + t).collect()));
     windows
@@ -81,10 +81,9 @@ fn targets(n: usize) -> Vec<usize> {
     (0..n).map(|i| [1, 1, 0, 0, 1, 0][i % 6]).collect()
 }
 
-fn loss(logits: &Tensor, engine: &Engine) -> Tensor {
-    let cfg = engine.model.config();
+fn loss(logits: &Tensor) -> Tensor {
     let targets = targets(logits.shape()[0]);
-    decision_loss_smoothed(logits, &targets, cfg.label_smoothing, cfg.lambda_spa, cfg.lambda_smt)
+    decision_loss_smoothed(logits, &targets, LABEL_SMOOTHING, LAMBDA_SPA, LAMBDA_SMT)
 }
 
 /// The per-frame composed path: every frame of every window through the
@@ -122,7 +121,7 @@ fn check(
 ) {
     let table = session.table.leaf_rows((0..session.table.capacity()).collect());
     let oracle = oracle_logits(engine, session, &table, pool, windows);
-    loss(&oracle, engine).backward();
+    loss(&oracle).backward();
     let oracle_grad = table.values().grad().expect("oracle table got no gradient");
 
     // the token update's path: one compact leaf, each frame once
@@ -133,7 +132,7 @@ fn check(
         engine.model.windows_logits(&session.kgs, &session.layouts, &rows, &frames, windows);
     let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&logits), bits(&oracle), "{b:?}: logits not bitwise equal");
-    loss(&logits, engine).backward();
+    loss(&logits).backward();
     let grad = rows.values().grad().expect("compact leaf got no gradient");
 
     let dim = session.table.dim();

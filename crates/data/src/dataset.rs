@@ -3,7 +3,7 @@
 //! normal + 140 anomalous; 13 anomaly classes), with a scale knob so unit
 //! tests stay fast.
 
-use crate::video::{generate_anomalous_video, generate_normal_video, Video, VideoConfig};
+use crate::video::{generate_anomalous_video, generate_normal_video, Video};
 use akg_kg::ontology::{AnomalyClass, Ontology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,8 +22,6 @@ pub struct DatasetConfig {
     pub test_anomalous: usize,
     /// Anomaly classes present (defaults to all 13).
     pub classes: Vec<AnomalyClass>,
-    /// Per-video generation parameters.
-    pub video: VideoConfig,
     /// RNG seed.
     pub seed: u64,
 }
@@ -37,7 +35,6 @@ impl Default for DatasetConfig {
             test_normal: 150,
             test_anomalous: 140,
             classes: AnomalyClass::ALL.to_vec(),
-            video: VideoConfig::default(),
             seed: 0,
         }
     }
@@ -90,18 +87,12 @@ impl SyntheticUcfCrime {
         let mut make = |count_normal: usize, count_anomalous: usize, rng: &mut StdRng| {
             let mut videos = Vec::with_capacity(count_normal + count_anomalous);
             for _ in 0..count_normal {
-                videos.push(generate_normal_video(next_id, &config.video, rng));
+                videos.push(generate_normal_video(next_id, rng));
                 next_id += 1;
             }
             for i in 0..count_anomalous {
                 let class = config.classes[i % config.classes.len()];
-                videos.push(generate_anomalous_video(
-                    next_id,
-                    class,
-                    &ontology,
-                    &config.video,
-                    rng,
-                ));
+                videos.push(generate_anomalous_video(next_id, class, &ontology, rng));
                 next_id += 1;
             }
             videos

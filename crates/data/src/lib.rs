@@ -31,4 +31,4 @@ pub mod video;
 
 pub use dataset::{DatasetConfig, SyntheticUcfCrime};
 pub use stream::{AdaptationStream, OwnedAdaptationStream, ShiftScenario};
-pub use video::{Frame, FrameError, Video, VideoConfig, GENERIC_CONCEPTS, NORMAL_CONCEPTS};
+pub use video::{Frame, FrameError, Video, GENERIC_CONCEPTS, NORMAL_CONCEPTS};

@@ -168,71 +168,45 @@ impl Video {
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
-
-    /// Iterates over `(frame, is_anomalous)` pairs.
-    pub fn labelled_frames(&self) -> impl Iterator<Item = (&Frame, bool)> {
-        self.frames.iter().map(|f| (f, f.is_anomalous()))
-    }
 }
 
-/// Controls synthetic video generation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct VideoConfig {
-    /// Minimum frames per video.
-    pub min_frames: usize,
-    /// Maximum frames per video.
-    pub max_frames: usize,
-    /// Fraction of an anomalous video covered by the anomaly segment.
-    pub anomaly_fraction: f32,
-    /// How many anomaly concepts activate per anomalous frame.
-    pub anomaly_concepts_per_frame: usize,
-    /// How many normal concepts activate per frame.
-    pub normal_concepts_per_frame: usize,
-    /// Strength of anomaly concept activations relative to normal ones.
-    pub anomaly_strength: f32,
-    /// Frames between resamples of the ongoing activity (temporal
-    /// coherence of the footage).
-    pub activity_period: usize,
-    /// Minimum per-video anomaly intensity multiplier (low-intensity
-    /// anomalies are genuinely ambiguous, keeping score distributions
-    /// spread out as in real footage).
-    pub min_intensity: f32,
-    /// Maximum per-video anomaly intensity multiplier.
-    pub max_intensity: f32,
-}
-
-impl Default for VideoConfig {
-    fn default() -> Self {
-        VideoConfig {
-            min_frames: 48,
-            max_frames: 96,
-            anomaly_fraction: 0.3,
-            anomaly_concepts_per_frame: 3,
-            normal_concepts_per_frame: 2,
-            anomaly_strength: 1.2,
-            activity_period: 8,
-            min_intensity: 0.5,
-            max_intensity: 1.25,
-        }
-    }
-}
+/// Fewest frames per video.
+const MIN_FRAMES: usize = 48;
+/// Most frames per video.
+const MAX_FRAMES: usize = 96;
+/// Fraction of an anomalous video covered by the anomaly segment.
+const ANOMALY_FRACTION: f32 = 0.3;
+/// How many anomaly concepts activate per anomalous frame.
+const ANOMALY_CONCEPTS_PER_FRAME: usize = 3;
+/// How many normal concepts activate per frame.
+const NORMAL_CONCEPTS_PER_FRAME: usize = 2;
+/// Strength of anomaly concept activations relative to normal ones.
+const ANOMALY_STRENGTH: f32 = 1.2;
+/// Frames between resamples of the ongoing activity (temporal coherence of
+/// the footage).
+const ACTIVITY_PERIOD: usize = 8;
+/// Range of the per-video anomaly intensity multiplier (low-intensity
+/// anomalies are genuinely ambiguous, keeping score distributions spread out
+/// as in real footage).
+const MIN_INTENSITY: f32 = 0.5;
+const MAX_INTENSITY: f32 = 1.25;
 
 /// Generates one normal (anomaly-free) video.
 ///
 /// Videos are *temporally coherent*, like real footage: the scene background
-/// persists for the whole video and the ongoing activity persists for
-/// [`VideoConfig::activity_period`] frames, with per-frame weight jitter.
+/// persists for the whole video and the ongoing activity persists for eight
+/// frames, with per-frame weight jitter.
 /// Without this coherence, anomaly segments would be the only temporally
 /// stable content and a detector could key on stability alone, defeating
 /// mission-specificity.
-pub fn generate_normal_video(id: usize, config: &VideoConfig, rng: &mut StdRng) -> Video {
-    let n = rng.gen_range(config.min_frames..=config.max_frames);
+pub fn generate_normal_video(id: usize, rng: &mut StdRng) -> Video {
+    let n = rng.gen_range(MIN_FRAMES..=MAX_FRAMES);
     let background = scene_background(rng);
-    let mut activity = sample_activity(config, rng);
+    let mut activity = sample_activity(rng);
     let mut frames = Vec::with_capacity(n);
     for i in 0..n {
-        if i > 0 && i % config.activity_period == 0 {
-            activity = sample_activity(config, rng);
+        if i > 0 && i % ACTIVITY_PERIOD == 0 {
+            activity = sample_activity(rng);
         }
         frames.push(compose_frame(&background, &activity, &[], None, rng));
     }
@@ -246,24 +220,23 @@ pub fn generate_anomalous_video(
     id: usize,
     class: AnomalyClass,
     ontology: &Ontology,
-    config: &VideoConfig,
     rng: &mut StdRng,
 ) -> Video {
-    let n = rng.gen_range(config.min_frames..=config.max_frames);
-    let seg_len = ((n as f32 * config.anomaly_fraction) as usize).clamp(1, n);
+    let n = rng.gen_range(MIN_FRAMES..=MAX_FRAMES);
+    let seg_len = ((n as f32 * ANOMALY_FRACTION) as usize).clamp(1, n);
     let start = rng.gen_range(0..=n - seg_len);
     let end = start + seg_len;
     let vocabulary: Vec<&str> = ontology.all_concepts(class);
     let background = scene_background(rng);
-    let mut activity = sample_activity(config, rng);
-    let mut anomaly_concepts = sample_anomaly_concepts(&vocabulary, config, rng);
-    let intensity = rng.gen_range(config.min_intensity..=config.max_intensity);
+    let mut activity = sample_activity(rng);
+    let mut anomaly_concepts = sample_anomaly_concepts(&vocabulary, rng);
+    let intensity = rng.gen_range(MIN_INTENSITY..=MAX_INTENSITY);
     let ramp = ((seg_len as f32 * 0.25) as usize).max(1);
     let mut frames = Vec::with_capacity(n);
     for i in 0..n {
-        if i > 0 && i % config.activity_period == 0 {
-            activity = sample_activity(config, rng);
-            anomaly_concepts = sample_anomaly_concepts(&vocabulary, config, rng);
+        if i > 0 && i % ACTIVITY_PERIOD == 0 {
+            activity = sample_activity(rng);
+            anomaly_concepts = sample_anomaly_concepts(&vocabulary, rng);
         }
         if (start..end).contains(&i) {
             // onset/offset ramps: anomalies build up and fade like real events
@@ -284,8 +257,8 @@ pub fn generate_anomalous_video(
 /// The persistent normal-activity concept set of one scene stretch: normal
 /// activity words plus, usually, a generic entity (people and vehicles are
 /// everywhere in surveillance footage).
-fn sample_activity(config: &VideoConfig, rng: &mut StdRng) -> Vec<String> {
-    let mut activity: Vec<String> = (0..config.normal_concepts_per_frame)
+fn sample_activity(rng: &mut StdRng) -> Vec<String> {
+    let mut activity: Vec<String> = (0..NORMAL_CONCEPTS_PER_FRAME)
         .map(|_| NORMAL_CONCEPTS[rng.gen_range(0..NORMAL_CONCEPTS.len())].to_string())
         .collect();
     if rng.gen_bool(0.7) {
@@ -296,15 +269,11 @@ fn sample_activity(config: &VideoConfig, rng: &mut StdRng) -> Vec<String> {
 
 /// The persistent anomaly concept set of one segment stretch
 /// (salience-weighted picks with their base strengths).
-fn sample_anomaly_concepts(
-    vocabulary: &[&str],
-    config: &VideoConfig,
-    rng: &mut StdRng,
-) -> Vec<(String, f32)> {
-    (0..config.anomaly_concepts_per_frame)
+fn sample_anomaly_concepts(vocabulary: &[&str], rng: &mut StdRng) -> Vec<(String, f32)> {
+    (0..ANOMALY_CONCEPTS_PER_FRAME)
         .map(|_| {
             let idx = salience_pick(vocabulary.len(), rng);
-            (vocabulary[idx].to_string(), config.anomaly_strength)
+            (vocabulary[idx].to_string(), ANOMALY_STRENGTH)
         })
         .collect()
 }
@@ -360,23 +329,17 @@ mod tests {
     #[test]
     fn normal_video_has_no_labels() {
         let mut rng = StdRng::seed_from_u64(0);
-        let v = generate_normal_video(0, &VideoConfig::default(), &mut rng);
+        let v = generate_normal_video(0, &mut rng);
         assert!(v.class.is_none());
         assert!(v.frames.iter().all(|f| !f.is_anomalous()));
-        assert!(v.len() >= VideoConfig::default().min_frames);
+        assert!(v.len() >= MIN_FRAMES);
     }
 
     #[test]
     fn anomalous_video_has_contiguous_segment() {
         let mut rng = StdRng::seed_from_u64(1);
         let ont = Ontology::new();
-        let v = generate_anomalous_video(
-            1,
-            AnomalyClass::Stealing,
-            &ont,
-            &VideoConfig::default(),
-            &mut rng,
-        );
+        let v = generate_anomalous_video(1, AnomalyClass::Stealing, &ont, &mut rng);
         let (start, end) = v.anomaly_range.unwrap();
         assert!(start < end && end <= v.len());
         for (i, f) in v.frames.iter().enumerate() {
@@ -388,13 +351,7 @@ mod tests {
     fn anomalous_frames_use_class_vocabulary() {
         let mut rng = StdRng::seed_from_u64(2);
         let ont = Ontology::new();
-        let v = generate_anomalous_video(
-            2,
-            AnomalyClass::Explosion,
-            &ont,
-            &VideoConfig::default(),
-            &mut rng,
-        );
+        let v = generate_anomalous_video(2, AnomalyClass::Explosion, &ont, &mut rng);
         let vocab: std::collections::HashSet<&str> =
             ont.all_concepts(AnomalyClass::Explosion).into_iter().collect();
         let anom = v.frames.iter().find(|f| f.is_anomalous()).unwrap();
@@ -416,13 +373,7 @@ mod tests {
         let ont = Ontology::new();
         let gen = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            generate_anomalous_video(
-                0,
-                AnomalyClass::Robbery,
-                &ont,
-                &VideoConfig::default(),
-                &mut rng,
-            )
+            generate_anomalous_video(0, AnomalyClass::Robbery, &ont, &mut rng)
         };
         assert_eq!(gen(9).frames, gen(9).frames);
     }

@@ -288,7 +288,13 @@ impl JointSpace {
                 None => add_scaled(out, weight, &self.embed_text(text)),
             }
         }
-        if total > 0.0 {
+        // A positive total below 1 (weights that nearly cancel, or a
+        // subnormal sum) can overflow the quotient: the bag is then kept
+        // undivided, as for a non-positive total, so the embedding stays
+        // finite. At or above 1 no quotient outgrows the undivided sum, and
+        // every frame divides exactly as it always has.
+        let sum_sq = |d: f32| out.iter().map(|&vi| (vi / d) * (vi / d)).sum::<f32>();
+        if total >= 1.0 || (total > 0.0 && sum_sq(total).is_finite()) {
             for vi in out.iter_mut() {
                 *vi /= total;
             }

@@ -7,22 +7,11 @@ use crate::graph::{KnowledgeGraph, NodeId};
 use crate::validate::KgError;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-/// Bounds on the random wiring of a freshly created node.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CreateConfig {
-    /// Maximum incoming edges to sample (at least 1 is always created).
-    pub max_in: usize,
-    /// Maximum outgoing edges to sample (at least 1 is always created).
-    pub max_out: usize,
-}
-
-impl Default for CreateConfig {
-    fn default() -> Self {
-        CreateConfig { max_in: 2, max_out: 2 }
-    }
-}
+/// Most incoming edges a created node is wired with (at least 1 always is).
+const MAX_IN: usize = 2;
+/// Most outgoing edges a created node is wired with (at least 1 always is).
+const MAX_OUT: usize = 2;
 
 /// Creates a node at `level` with random edge connections, the paper's *node
 /// creating* step: "a new node with a random token embedding is created at
@@ -30,9 +19,9 @@ impl Default for CreateConfig {
 /// (The random token embedding itself is owned by the model layer; here the
 /// structure is created.)
 ///
-/// Incoming edges come from random level-`level − 1` nodes (the sensor node
-/// when `level == 1`); outgoing edges go to random level-`level + 1` nodes
-/// (the embedding node when `level == depth`).
+/// One to two incoming edges come from random level-`level − 1` nodes (the
+/// sensor node when `level == 1`); one to two outgoing edges go to random
+/// level-`level + 1` nodes (the embedding node when `level == depth`).
 ///
 /// # Errors
 ///
@@ -46,7 +35,6 @@ pub fn create_node(
     kg: &mut KnowledgeGraph,
     concept: impl Into<String>,
     level: usize,
-    config: &CreateConfig,
     rng: &mut StdRng,
 ) -> Result<NodeId, KgError> {
     let upstream: Vec<NodeId> = if level == 1 {
@@ -67,8 +55,8 @@ pub fn create_node(
     }
 
     let id = kg.add_node(concept, level);
-    let n_in = 1 + rng.gen_range(0..config.max_in.max(1)).min(upstream.len() - 1);
-    let n_out = 1 + rng.gen_range(0..config.max_out.max(1)).min(downstream.len() - 1);
+    let n_in = 1 + rng.gen_range(0..MAX_IN).min(upstream.len() - 1);
+    let n_out = 1 + rng.gen_range(0..MAX_OUT).min(downstream.len() - 1);
     for &src in pick(&upstream, n_in, rng).iter() {
         let _ = kg.add_edge(src, id);
     }
@@ -76,25 +64,6 @@ pub fn create_node(
         let _ = kg.add_edge(id, dst);
     }
     Ok(id)
-}
-
-/// Prunes `old` and creates a replacement at the same level in one step —
-/// the combined prune-then-create transition of Fig. 4(B)→(C).
-///
-/// # Errors
-///
-/// Propagates errors from [`KnowledgeGraph::prune_node`] and
-/// [`create_node`]. If creation fails after the prune succeeded, the prune
-/// is *not* rolled back (matching the paper: pruning happens first).
-pub fn replace_node(
-    kg: &mut KnowledgeGraph,
-    old: NodeId,
-    concept: impl Into<String>,
-    config: &CreateConfig,
-    rng: &mut StdRng,
-) -> Result<NodeId, KgError> {
-    let pruned = kg.prune_node(old)?;
-    create_node(kg, concept, pruned.level, config, rng)
 }
 
 /// Repairs connectivity after structural edits: any reasoning node left
@@ -180,14 +149,7 @@ mod tests {
         let mut kg = sample_kg();
         let mut rng = StdRng::seed_from_u64(0);
         for level in 1..=kg.depth() {
-            let id = create_node(
-                &mut kg,
-                format!("adapted-{level}"),
-                level,
-                &CreateConfig::default(),
-                &mut rng,
-            )
-            .unwrap();
+            let id = create_node(&mut kg, format!("adapted-{level}"), level, &mut rng).unwrap();
             assert_eq!(kg.node(id).unwrap().level, level);
             assert!(kg.in_degree(id) >= 1);
             assert!(kg.out_degree(id) >= 1);
@@ -200,9 +162,8 @@ mod tests {
         let mut kg = sample_kg();
         let mut rng = StdRng::seed_from_u64(1);
         let victim = kg.node_ids_at_level(2)[0];
-        let new_id =
-            replace_node(&mut kg, victim, "replacement", &CreateConfig::default(), &mut rng)
-                .unwrap();
+        let level = kg.prune_node(victim).unwrap().level;
+        let new_id = create_node(&mut kg, "replacement", level, &mut rng).unwrap();
         assert!(kg.node(victim).is_none());
         assert_eq!(kg.node(new_id).unwrap().concept, "replacement");
         // replacement may leave other nodes dangling only if the victim was
@@ -215,7 +176,7 @@ mod tests {
     fn level_one_creation_wires_from_sensor() {
         let mut kg = sample_kg();
         let mut rng = StdRng::seed_from_u64(2);
-        let id = create_node(&mut kg, "fresh", 1, &CreateConfig::default(), &mut rng).unwrap();
+        let id = create_node(&mut kg, "fresh", 1, &mut rng).unwrap();
         let sensor = kg.sensor().unwrap();
         assert!(kg.edges().iter().any(|(s, d)| *s == sensor && *d == id));
     }
@@ -225,7 +186,7 @@ mod tests {
         let mut kg = sample_kg();
         let depth = kg.depth();
         let mut rng = StdRng::seed_from_u64(3);
-        let id = create_node(&mut kg, "fresh", depth, &CreateConfig::default(), &mut rng).unwrap();
+        let id = create_node(&mut kg, "fresh", depth, &mut rng).unwrap();
         let emb = kg.embedding_node().unwrap();
         assert!(kg.edges().iter().any(|(s, d)| *s == id && *d == emb));
     }
@@ -235,7 +196,7 @@ mod tests {
         let run = |seed| {
             let mut kg = sample_kg();
             let mut rng = StdRng::seed_from_u64(seed);
-            create_node(&mut kg, "x", 2, &CreateConfig::default(), &mut rng).unwrap();
+            create_node(&mut kg, "x", 2, &mut rng).unwrap();
             kg.to_json().unwrap()
         };
         assert_eq!(run(7), run(7));

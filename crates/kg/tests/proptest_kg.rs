@@ -3,7 +3,7 @@
 //! them.
 
 use akg_kg::generate::{generate_kg, GeneratorConfig};
-use akg_kg::modify::{create_node, replace_node, CreateConfig};
+use akg_kg::modify::create_node;
 use akg_kg::synthetic::{ErrorProfile, SyntheticOracle};
 use akg_kg::{AnomalyClass, NodeKind};
 use proptest::prelude::*;
@@ -55,8 +55,7 @@ proptest! {
         let cfg = GeneratorConfig { depth: 3, nodes_per_level: 4, max_correction_iters: 5 };
         let mut kg = generate_kg("robbery", &cfg, &mut oracle).kg;
         let mut rng = StdRng::seed_from_u64(seed);
-        let id = create_node(&mut kg, format!("new-{seed}"), level, &CreateConfig::default(), &mut rng)
-            .unwrap();
+        let id = create_node(&mut kg, format!("new-{seed}"), level, &mut rng).unwrap();
         prop_assert!(kg.validate().is_empty(), "{:?}", kg.validate());
         prop_assert_eq!(kg.node(id).unwrap().kind, NodeKind::Reasoning);
     }
@@ -70,7 +69,8 @@ proptest! {
         let level = 2usize;
         let victims = kg.node_ids_at_level(level);
         let before = victims.len();
-        let _ = replace_node(&mut kg, victims[0], "fresh", &CreateConfig::default(), &mut rng).unwrap();
+        kg.prune_node(victims[0]).unwrap();
+        create_node(&mut kg, "fresh", level, &mut rng).unwrap();
         prop_assert_eq!(kg.node_ids_at_level(level).len(), before);
     }
 

@@ -2,17 +2,17 @@
 //! short-term temporal model `T : R^{T×D} → R^D` (inner dimensionality 128,
 //! 8 heads in the paper's configuration).
 //!
-//! The model keeps only the last time step (`f'_t = T(F_t)`), so the
-//! encoder's **last layer computes only each sequence's last row**: LN1, K
-//! and V still run over every row (the last step attends to all of them),
-//! but the query, one attention row per head, the output projection, the
-//! residual, LN2 and the feed-forward block run on one row per sequence.
-//! Earlier layers keep all rows. Every row-wise kernel gives a row the same
-//! bits at any row count, and the causal mask's last row is all zeros, so
-//! the tail is bitwise equal to the full-row encoder's last row — on both
-//! planes, per backend. The full-row forms (the autograd
+//! The encoder is one pre-norm layer. The model keeps only the last time
+//! step (`f'_t = T(F_t)`), so the encoder **computes only each sequence's
+//! last row**: LN1, K and V still run over every row (the last step attends
+//! to all of them), but the query, one attention row per head, the output
+//! projection, the residual, LN2 and the feed-forward block run on one row
+//! per sequence. Every row-wise kernel gives a row the same bits at any row
+//! count, and the causal mask's last row is all zeros, so the tail is
+//! bitwise equal to the full-row encoder's last row — on both planes, per
+//! backend. The full-row forms (the autograd
 //! [`TransformerEncoder::forward`] and its inference twin) stay as the
-//! oracles and as the body of the non-last layers.
+//! oracles.
 //!
 //! Attention itself, per sequence and per head, is one function over plain
 //! slices (`attend`): the head's column slices, `Q·Kᵀ`, the fused scaled
@@ -74,27 +74,15 @@ impl MultiHeadAttention {
     ///
     /// Panics if the input is not 2-D.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_grouped(x, 1)
+        self.grouped(x, 1, false)
     }
 
     /// Self-attention over `windows` equal-length sequences stacked into one
-    /// `[windows · T, D]` matrix (sequence `w` in rows `w·T .. (w+1)·T`).
-    /// The Q/K/V and output projections each run once over all rows;
-    /// attention runs per sequence, so rows of different sequences never
-    /// attend to each other. Each sequence's rows are bit-identical to
-    /// [`MultiHeadAttention::forward`] on that sequence alone (projection
-    /// rows are independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 2-D or its rows do not split into
-    /// `windows` sequences.
-    pub fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
-        self.grouped(x, windows, false)
-    }
-
-    /// The grouped forward over all rows, or (`last_only`) only each
-    /// sequence's last row: the query projection runs on those rows alone,
+    /// `[windows · T, D]` matrix (sequence `w` in rows `w·T .. (w+1)·T`),
+    /// over all rows, or (`last_only`) only each sequence's last row. The
+    /// projections run once over all rows; attention runs per sequence, so
+    /// rows of different sequences never attend to each other. With
+    /// `last_only` the query projection runs on the last rows alone,
     /// each attends once per head to its whole sequence with no mask (the
     /// causal mask's last row is all zeros), and the output is
     /// `[windows, D]`. Attention itself is one graph node,
@@ -455,20 +443,27 @@ impl Module for MultiHeadAttention {
     }
 }
 
-/// One pre-norm transformer encoder layer: `x + MHA(LN(x))`, then
-/// `x + FFN(LN(x))`.
+/// The short-term temporal model: one pre-norm transformer encoder layer,
+/// `x + MHA(LN(x))`, then `x + FFN(LN(x))`. The production entry points
+/// return only the final time step's embedding, matching the paper's
+/// `f'_t = T(F_t)` which keeps the output aligned with the last input frame:
+/// [`TransformerEncoder::forward_last_grouped`] (autograd: adaptation and
+/// training) and [`TransformerEncoder::forward_last_batch_infer`] (serving:
+/// one call over a whole ragged batch). Both run the last-step tail (see the
+/// module docs); the full-row forms are their oracles.
 #[derive(Debug)]
-pub struct TransformerEncoderLayer {
+pub struct TransformerEncoder {
     attn: MultiHeadAttention,
     ffn: FeedForward,
     ln1: LayerNorm,
     ln2: LayerNorm,
 }
 
-impl TransformerEncoderLayer {
-    /// Creates one encoder layer.
+impl TransformerEncoder {
+    /// Creates the encoder. Its weights are drawn from `rng` in the order
+    /// q, k, v, o, then the feed-forward pair.
     pub fn new(model_dim: usize, inner_dim: usize, heads: usize, rng: &mut StdRng) -> Self {
-        TransformerEncoderLayer {
+        TransformerEncoder {
             attn: MultiHeadAttention::new(model_dim, inner_dim, heads, rng),
             ffn: FeedForward::new(model_dim, 2 * inner_dim, rng),
             ln1: LayerNorm::new(model_dim),
@@ -476,24 +471,18 @@ impl TransformerEncoderLayer {
         }
     }
 
-    /// Applies the layer to `[T, D]`.
+    /// Full sequence output `[T, D]`: every row, the oracle of
+    /// [`TransformerEncoder::forward_last_grouped`].
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_grouped(x, 1)
+        self.grouped(x, 1, false)
     }
 
-    /// Applies the layer to `windows` equal-length sequences stacked into
-    /// `[windows · T, D]`: the layer norms, projections and feed-forward run
-    /// once over all rows, attention per sequence
-    /// ([`MultiHeadAttention::forward_grouped`]). Bit-identical per sequence
-    /// to [`TransformerEncoderLayer::forward`].
-    pub fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
-        self.grouped(x, windows, false)
-    }
-
-    /// The grouped forward over all rows, or (`last_only`) the last-step
-    /// tail: LN1 over all rows (keys and values need them), then attention,
-    /// the residual, LN2 and the feed-forward block on each sequence's last
-    /// row alone, giving `[windows, D]`.
+    /// The forward over `windows` equal-length sequences stacked into
+    /// `[windows · T, D]`: all rows, or (`last_only`) the last-step tail —
+    /// LN1 over all rows (keys and values need them), then attention, the
+    /// residual, LN2 and the feed-forward block on each sequence's last row
+    /// alone, giving `[windows, D]`. Layer norms, projections and the
+    /// feed-forward run once over all rows, attention per sequence.
     fn grouped(&self, x: &Tensor, windows: usize, last_only: bool) -> Tensor {
         let attn = self.attn.grouped(&self.ln1.forward(x), windows, last_only);
         let residual = if last_only {
@@ -505,10 +494,11 @@ impl TransformerEncoderLayer {
         h.add(&self.ffn.forward(&self.ln2.forward(&h)))
     }
 
-    /// Inference-plane form of [`TransformerEncoderLayer::grouped`] over a
-    /// ragged batch (`x` is `[Σ lens, d]`; `out` is `[Σ lens, d]`, or
-    /// `[lens.len(), d]` when `last_only`), through the same pre-norm
-    /// residual structure — bit-identical per backend.
+    /// Inference-plane form of [`TransformerEncoder::grouped`] over a ragged
+    /// batch: `out` is `[Σ lens, model_dim]`, or `[lens.len(), model_dim]`
+    /// when `last_only`, through the same pre-norm residual structure. The
+    /// full-row form is the tail's oracle and is bit-identical per backend
+    /// to [`TransformerEncoder::forward`] per sequence (f32 weights).
     fn infer(
         &self,
         x: &[f32],
@@ -517,7 +507,13 @@ impl TransformerEncoderLayer {
         out: &mut [f32],
         ws: &mut Workspace,
     ) {
-        let d = self.attn.wq.in_features();
+        let d = self.model_dim();
+        assert!(!lens.is_empty(), "TransformerEncoder: empty batch");
+        assert!(lens.iter().all(|&t| t > 0), "TransformerEncoder: empty sequence");
+        let rows: usize = lens.iter().sum();
+        assert_eq!(x.len(), rows * d, "TransformerEncoder: x is not Σ lens × model_dim");
+        let out_rows = if last_only { lens.len() } else { rows };
+        assert_eq!(out.len(), out_rows * d, "TransformerEncoder: out has the wrong length");
         // out = x (all rows, or each sequence's last) + MHA(LN1(x))
         let mut normed = ws.lease(x.len());
         normed.copy_from_slice(x);
@@ -535,91 +531,20 @@ impl TransformerEncoderLayer {
         let mut normed = ws.lease(out.len());
         normed.copy_from_slice(out);
         self.ln2.forward_infer(&mut normed);
-        self.ffn.forward_infer(&normed, out.len() / d, &mut sub_out, ws);
+        self.ffn.forward_infer(&normed, out_rows, &mut sub_out, ws);
         inf::add_assign(out, &sub_out);
         ws.release(normed);
         ws.release(sub_out);
     }
 
-    /// Visits every linear layer in the block (attention projections, then
-    /// the feed-forward pair), in a stable order.
-    pub fn visit_linears(&self, f: &mut dyn FnMut(&Linear)) {
-        self.attn.visit_linears(f);
-        self.ffn.visit_linears(f);
-    }
-
-    /// Mutable form of [`TransformerEncoderLayer::visit_linears`].
-    pub fn visit_linears_mut(&mut self, f: &mut dyn FnMut(&mut Linear)) {
-        self.attn.visit_linears_mut(f);
-        self.ffn.visit_linears_mut(f);
-    }
-}
-
-impl Module for TransformerEncoderLayer {
-    fn params(&self) -> Vec<Tensor> {
-        let mut p = self.attn.params();
-        p.extend(self.ffn.params());
-        p.extend(self.ln1.params());
-        p.extend(self.ln2.params());
-        p
-    }
-}
-
-/// A stack of encoder layers. The production entry points return only the
-/// final time step's embedding, matching the paper's `f'_t = T(F_t)` which
-/// keeps the output aligned with the last input frame:
-/// [`TransformerEncoder::forward_last_grouped`]
-/// (autograd: adaptation and training) and
-/// [`TransformerEncoder::forward_last_batch_infer`] (serving: one call over a
-/// whole ragged batch). Both run the last layer as the last-step tail (see
-/// the module docs); the full-row forms are their oracles.
-#[derive(Debug)]
-pub struct TransformerEncoder {
-    layers: Vec<TransformerEncoderLayer>,
-    model_dim: usize,
-}
-
-impl TransformerEncoder {
-    /// Creates `n_layers` encoder layers.
-    pub fn new(
-        model_dim: usize,
-        inner_dim: usize,
-        heads: usize,
-        n_layers: usize,
-        rng: &mut StdRng,
-    ) -> Self {
-        let layers = (0..n_layers)
-            .map(|_| TransformerEncoderLayer::new(model_dim, inner_dim, heads, rng))
-            .collect();
-        TransformerEncoder { layers, model_dim }
-    }
-
-    /// Full sequence output `[T, D]`.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_grouped(x, 1)
-    }
-
-    /// Full output for `windows` equal-length sequences stacked into
-    /// `[windows · T, D]` (see [`TransformerEncoderLayer::forward_grouped`]):
-    /// every layer over every row. The oracle of
-    /// [`TransformerEncoder::forward_last_grouped`], whose last row per
-    /// sequence it equals bitwise.
-    fn forward_grouped(&self, x: &Tensor, windows: usize) -> Tensor {
-        let mut h = x.clone();
-        for layer in &self.layers {
-            h = layer.forward_grouped(&h, windows);
-        }
-        h
-    }
-
     /// The last time step of each of `windows` equal-length sequences
-    /// stacked into `[windows · T, D]`, as a `[windows, D]` matrix. Earlier
-    /// layers run over all rows; the last layer runs the last-step tail, so
-    /// the query, attention row, output projection, residual, LN2 and
-    /// feed-forward block (and their backward) cost one row per sequence.
-    /// Row `w` is bit-identical to the last row of sequence `w` through the
-    /// full-row encoder ([`TransformerEncoder::forward`]), and to this call
-    /// on sequence `w` alone.
+    /// stacked into `[windows · T, D]`, as a `[windows, D]` matrix. LN1, K
+    /// and V run over all rows; the query, attention row, output
+    /// projection, residual, LN2 and feed-forward block (and their
+    /// backward) cost one row per sequence. Row `w` is bit-identical to the
+    /// last row of sequence `w` through the full-row encoder
+    /// ([`TransformerEncoder::forward`]), and to this call on sequence `w`
+    /// alone.
     ///
     /// # Panics
     ///
@@ -632,22 +557,15 @@ impl TransformerEncoder {
             windows > 0 && rows.is_multiple_of(windows),
             "TransformerEncoder: {rows} rows do not split into {windows} sequences"
         );
-        let Some((last, init)) = self.layers.split_last() else {
-            return x.index_select_rows(&last_rows(windows, rows / windows));
-        };
-        let mut h = x.clone();
-        for layer in init {
-            h = layer.forward_grouped(&h, windows);
-        }
-        last.grouped(&h, windows, true)
+        self.grouped(x, windows, true)
     }
 
     /// The serving entry point: the last time step of every sequence of a
     /// ragged batch, in one call. `x` is `[Σ lens, model_dim]` (sequence `s`
     /// in the `lens[s]` rows after the sequences before it, oldest first);
     /// `out` receives `[lens.len(), model_dim]`. Row-wise ops run once over
-    /// all rows of the batch, attention per sequence, and the last layer
-    /// runs the last-step tail. Workspace-leased buffers only.
+    /// all rows of the batch, attention per sequence, and the tail runs on
+    /// the last step alone. Workspace-leased buffers only.
     ///
     /// Row `s` is bit-identical per backend to the last row of sequence `s`
     /// through the full-row inference form (its oracle, which the int8
@@ -668,74 +586,32 @@ impl TransformerEncoder {
         self.infer(x, lens, true, out, ws);
     }
 
-    /// The inference forward over a ragged batch: every layer over every
-    /// row (`out` `[Σ lens, model_dim]`), or with the last layer as the
-    /// last-step tail when `last_only` (`out` `[lens.len(), model_dim]`).
-    /// The full-row form is the tail's oracle and is bit-identical per
-    /// backend to [`TransformerEncoder::forward`] per sequence (f32
-    /// weights).
-    fn infer(
-        &self,
-        x: &[f32],
-        lens: &[usize],
-        last_only: bool,
-        out: &mut [f32],
-        ws: &mut Workspace,
-    ) {
-        let d = self.model_dim;
-        assert!(!lens.is_empty(), "TransformerEncoder: empty batch");
-        assert!(lens.iter().all(|&t| t > 0), "TransformerEncoder: empty sequence");
-        let rows: usize = lens.iter().sum();
-        assert_eq!(x.len(), rows * d, "TransformerEncoder: x is not Σ lens × model_dim");
-        let out_rows = if last_only { lens.len() } else { rows };
-        assert_eq!(out.len(), out_rows * d, "TransformerEncoder: out has the wrong length");
-        let Some((last, init)) = self.layers.split_last() else {
-            if last_only {
-                gather_last_rows(out, x, d, lens);
-            } else {
-                out.copy_from_slice(x);
-            }
-            return;
-        };
-        if init.is_empty() {
-            last.infer(x, lens, last_only, out, ws);
-            return;
-        }
-        let mut h = ws.lease(x.len());
-        let mut next = ws.lease(x.len());
-        h.copy_from_slice(x);
-        for layer in init {
-            layer.infer(&h, lens, false, &mut next, ws);
-            std::mem::swap(&mut h, &mut next);
-        }
-        last.infer(&h, lens, last_only, out, ws);
-        ws.release(h);
-        ws.release(next);
-    }
-
     /// Model dimensionality.
     pub fn model_dim(&self) -> usize {
-        self.model_dim
+        self.attn.wq.in_features()
     }
 
-    /// Visits every linear layer in the stack, in a stable order.
+    /// Visits every linear layer (attention projections, then the
+    /// feed-forward pair), in a stable order.
     pub fn visit_linears(&self, f: &mut dyn FnMut(&Linear)) {
-        for layer in &self.layers {
-            layer.visit_linears(f);
-        }
+        self.attn.visit_linears(f);
+        self.ffn.visit_linears(f);
     }
 
     /// Mutable form of [`TransformerEncoder::visit_linears`].
     pub fn visit_linears_mut(&mut self, f: &mut dyn FnMut(&mut Linear)) {
-        for layer in &mut self.layers {
-            layer.visit_linears_mut(f);
-        }
+        self.attn.visit_linears_mut(f);
+        self.ffn.visit_linears_mut(f);
     }
 }
 
 impl Module for TransformerEncoder {
     fn params(&self) -> Vec<Tensor> {
-        self.layers.iter().flat_map(Module::params).collect()
+        let mut p = self.attn.params();
+        p.extend(self.ffn.params());
+        p.extend(self.ln1.params());
+        p.extend(self.ln2.params());
+        p
     }
 }
 
@@ -783,7 +659,7 @@ mod tests {
     #[test]
     fn encoder_last_shape() {
         let mut rng = StdRng::seed_from_u64(2);
-        let enc = TransformerEncoder::new(8, 16, 4, 2, &mut rng);
+        let enc = TransformerEncoder::new(8, 16, 4, &mut rng);
         let x = Tensor::zeros(&[6, 8]);
         let last = enc.forward_last_grouped(&x, 2);
         assert_eq!(last.shape(), vec![2, 8]);
@@ -792,7 +668,7 @@ mod tests {
     #[test]
     fn encoder_grads_flow_to_all_params() {
         let mut rng = StdRng::seed_from_u64(3);
-        let enc = TransformerEncoder::new(4, 8, 2, 1, &mut rng);
+        let enc = TransformerEncoder::new(4, 8, 2, &mut rng);
         let x = Tensor::from_vec((0..12).map(|i| i as f32 * 0.1).collect(), &[3, 4])
             .requires_grad(true);
         enc.forward_last_grouped(&x, 1).sum_all().backward();
@@ -827,7 +703,7 @@ mod tests {
         let _guard = crate::backend::test_lock();
         let mut rng = StdRng::seed_from_u64(7);
         let (w, t, d) = (3, 4, 8);
-        let enc = TransformerEncoder::new(d, 16, 4, 2, &mut rng);
+        let enc = TransformerEncoder::new(d, 16, 4, &mut rng);
         let data: Vec<f32> = (0..w * t * d).map(|i| ((i * 11 % 29) as f32 - 14.0) * 0.05).collect();
         let grouped = enc.forward_last_grouped(&Tensor::from_vec(data.clone(), &[w * t, d]), w);
         assert_eq!(grouped.shape(), vec![w, d]);
@@ -844,7 +720,7 @@ mod tests {
         let _guard = crate::backend::test_lock();
         let mut rng = StdRng::seed_from_u64(5);
         let (t, d) = (5, 8);
-        let enc = TransformerEncoder::new(d, 16, 4, 2, &mut rng);
+        let enc = TransformerEncoder::new(d, 16, 4, &mut rng);
         let data = filled(t * d, 0);
         let seq = Tensor::from_vec(data.clone(), &[t, d]);
         let mut ws = Workspace::new();
@@ -888,9 +764,9 @@ mod tests {
     }
 
     /// The serving tail over a ragged batch equals its full-row oracle's
-    /// last rows, bitwise: 1- and 2-layer encoders, Scalar and Simd, f32 and
-    /// int8 weights. Each row also equals the sequence scored alone, and
-    /// (f32) the autograd encoder on it.
+    /// last rows, bitwise: Scalar and Simd, f32 and int8 weights. Each row
+    /// also equals the sequence scored alone, and (f32) the autograd encoder
+    /// on it.
     #[test]
     fn ragged_inference_tail_matches_full_row_oracle_bitwise() {
         let _guard = crate::backend::test_lock();
@@ -898,85 +774,54 @@ mod tests {
         let rows: usize = RAGGED.iter().sum();
         let x = filled(rows * d, 2);
         for_each_backend(|b| {
-            for layers in [1, 2] {
-                for int8 in [false, true] {
-                    let mut rng = StdRng::seed_from_u64(8 + layers as u64);
-                    let mut enc = TransformerEncoder::new(d, 32, 4, layers, &mut rng);
-                    if int8 {
-                        enc.visit_linears_mut(&mut |l| l.quantize_int8());
+            for int8 in [false, true] {
+                let mut enc = TransformerEncoder::new(d, 32, 4, &mut StdRng::seed_from_u64(9));
+                if int8 {
+                    enc.visit_linears_mut(&mut |l| l.quantize_int8());
+                }
+                let what = format!("{b:?}, int8 {int8}");
+                let mut ws = Workspace::new();
+                let mut tail = vec![0.0f32; RAGGED.len() * d];
+                enc.forward_last_batch_infer(&x, &RAGGED, &mut tail, &mut ws);
+                let mut full = vec![0.0f32; rows * d];
+                enc.infer(&x, &RAGGED, false, &mut full, &mut ws);
+                let mut oracle = vec![0.0f32; RAGGED.len() * d];
+                gather_last_rows(&mut oracle, &full, d, &RAGGED);
+                assert_eq!(tail, oracle, "{what}: tail diverged from the full-row oracle");
+                let mut r0 = 0;
+                for (s, &t) in RAGGED.iter().enumerate() {
+                    let seq = &x[r0 * d..(r0 + t) * d];
+                    let mut alone = vec![0.0f32; d];
+                    enc.forward_last_batch_infer(seq, &[t], &mut alone, &mut ws);
+                    let row = &tail[s * d..(s + 1) * d];
+                    assert_eq!(row, &alone[..], "{what}: sequence {s} batched vs alone");
+                    if !int8 {
+                        let auto =
+                            enc.forward_last_grouped(&Tensor::from_vec(seq.to_vec(), &[t, d]), 1);
+                        assert_eq!(row, &auto.to_vec()[..], "{what}: sequence {s} vs autograd");
                     }
-                    let what = format!("{b:?}, {layers} layer(s), int8 {int8}");
-                    let mut ws = Workspace::new();
-                    let mut tail = vec![0.0f32; RAGGED.len() * d];
-                    enc.forward_last_batch_infer(&x, &RAGGED, &mut tail, &mut ws);
-                    let mut full = vec![0.0f32; rows * d];
-                    enc.infer(&x, &RAGGED, false, &mut full, &mut ws);
-                    let mut oracle = vec![0.0f32; RAGGED.len() * d];
-                    gather_last_rows(&mut oracle, &full, d, &RAGGED);
-                    assert_eq!(tail, oracle, "{what}: tail diverged from the full-row oracle");
-                    let mut r0 = 0;
-                    for (s, &t) in RAGGED.iter().enumerate() {
-                        let seq = &x[r0 * d..(r0 + t) * d];
-                        let mut alone = vec![0.0f32; d];
-                        enc.forward_last_batch_infer(seq, &[t], &mut alone, &mut ws);
-                        let row = &tail[s * d..(s + 1) * d];
-                        assert_eq!(row, &alone[..], "{what}: sequence {s} batched vs alone");
-                        if !int8 {
-                            let auto = enc
-                                .forward_last_grouped(&Tensor::from_vec(seq.to_vec(), &[t, d]), 1);
-                            assert_eq!(row, &auto.to_vec()[..], "{what}: sequence {s} vs autograd");
-                        }
-                        r0 += t;
-                    }
+                    r0 += t;
                 }
             }
         });
     }
 
     /// The autograd tail equals the full-row encoder's last rows bitwise,
-    /// 1- and 2-layer, Scalar and Simd, one and several windows.
+    /// Scalar and Simd, one and several windows.
     #[test]
     fn autograd_tail_matches_full_row_oracle_bitwise() {
         let _guard = crate::backend::test_lock();
         let (t, d) = (4, 8);
         for_each_backend(|b| {
-            for layers in [1, 2] {
-                let mut rng = StdRng::seed_from_u64(20 + layers as u64);
-                let enc = TransformerEncoder::new(d, 32, 4, layers, &mut rng);
-                for windows in [1, 5] {
-                    let x = Tensor::from_vec(filled(windows * t * d, windows), &[windows * t, d]);
-                    let tail = enc.forward_last_grouped(&x, windows);
-                    assert_eq!(tail.shape(), vec![windows, d]);
-                    let oracle =
-                        enc.forward_grouped(&x, windows).index_select_rows(&last_rows(windows, t));
-                    assert_eq!(
-                        tail.to_vec(),
-                        oracle.to_vec(),
-                        "{b:?}, {layers} layer(s), {windows} window(s)"
-                    );
-                }
+            let enc = TransformerEncoder::new(d, 32, 4, &mut StdRng::seed_from_u64(21));
+            for windows in [1, 5] {
+                let x = Tensor::from_vec(filled(windows * t * d, windows), &[windows * t, d]);
+                let tail = enc.forward_last_grouped(&x, windows);
+                assert_eq!(tail.shape(), vec![windows, d]);
+                let oracle =
+                    enc.grouped(&x, windows, false).index_select_rows(&last_rows(windows, t));
+                assert_eq!(tail.to_vec(), oracle.to_vec(), "{b:?}, {windows} window(s)");
             }
         });
-    }
-
-    #[test]
-    fn empty_encoder_tail_picks_last_rows() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let enc = TransformerEncoder::new(4, 8, 2, 0, &mut rng);
-        let x = filled(6 * 4, 0);
-        let mut out = vec![0.0f32; 2 * 4];
-        enc.forward_last_batch_infer(&x, &[2, 4], &mut out, &mut Workspace::new());
-        assert_eq!(&out[..4], &x[4..8]);
-        assert_eq!(&out[4..], &x[20..]);
-        let auto = enc.forward_last_grouped(&Tensor::from_vec(x.clone(), &[6, 4]), 2).to_vec();
-        assert_eq!(auto, [&x[8..12], &x[20..]].concat());
-    }
-
-    #[test]
-    fn encoder_param_count_scales_with_layers() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let e1 = TransformerEncoder::new(8, 16, 4, 1, &mut rng);
-        let e2 = TransformerEncoder::new(8, 16, 4, 2, &mut rng);
-        assert_eq!(e2.param_count(), 2 * e1.param_count());
     }
 }

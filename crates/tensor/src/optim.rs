@@ -53,25 +53,27 @@ impl Optimizer for Sgd {
     }
 }
 
+/// [`AdamW`]'s first-moment decay β₁.
+const ADAMW_BETA1: f32 = 0.9;
+/// [`AdamW`]'s second-moment decay β₂.
+const ADAMW_BETA2: f32 = 0.999;
+/// [`AdamW`]'s numerical-stability epsilon.
+const ADAMW_EPS: f32 = 1e-8;
+
 /// Configuration for [`AdamW`].
 #[derive(Debug, Clone, Copy)]
 pub struct AdamWConfig {
     /// Learning rate.
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
     /// Decoupled weight decay coefficient.
     pub weight_decay: f32,
 }
 
 impl Default for AdamWConfig {
-    /// The paper's settings: lr 1e-5, wd 1.0, β₁ 0.9, β₂ 0.999, ε 1e-8.
+    /// The paper's settings: lr 1e-5, wd 1.0 (and the fixed β₁ 0.9, β₂
+    /// 0.999, ε 1e-8).
     fn default() -> Self {
-        AdamWConfig { lr: 1e-5, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 1.0 }
+        AdamWConfig { lr: 1e-5, weight_decay: 1.0 }
     }
 }
 
@@ -110,19 +112,20 @@ impl Optimizer for AdamW {
         self.step_count += 1;
         let t = self.step_count as f32;
         let c = self.cfg;
-        let bias1 = 1.0 - c.beta1.powf(t);
-        let bias2 = 1.0 - c.beta2.powf(t);
+        let bias1 = 1.0 - ADAMW_BETA1.powf(t);
+        let bias2 = 1.0 - ADAMW_BETA2.powf(t);
         for ((p, m), v) in self.params.iter().zip(&mut self.m).zip(&mut self.v) {
             let Some(g) = p.grad() else { continue };
             p.update_data(|data| {
                 for i in 0..data.len() {
-                    m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g[i];
-                    v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g[i] * g[i];
+                    m[i] = ADAMW_BETA1 * m[i] + (1.0 - ADAMW_BETA1) * g[i];
+                    v[i] = ADAMW_BETA2 * v[i] + (1.0 - ADAMW_BETA2) * g[i] * g[i];
                     let m_hat = m[i] / bias1;
                     let v_hat = v[i] / bias2;
                     // Decoupled decay: applied directly to the weights, not
                     // folded into the gradient (AdamW, not Adam+L2).
-                    data[i] -= c.lr * (m_hat / (v_hat.sqrt() + c.eps) + c.weight_decay * data[i]);
+                    data[i] -=
+                        c.lr * (m_hat / (v_hat.sqrt() + ADAMW_EPS) + c.weight_decay * data[i]);
                 }
             });
         }
@@ -163,7 +166,7 @@ mod tests {
     #[test]
     fn adamw_converges_on_quadratic() {
         let x = Tensor::from_vec(vec![0.0], &[1]).requires_grad(true);
-        let cfg = AdamWConfig { lr: 0.1, weight_decay: 0.0, ..AdamWConfig::default() };
+        let cfg = AdamWConfig { lr: 0.1, weight_decay: 0.0 };
         let mut opt = AdamW::new(vec![x.clone()], cfg);
         for _ in 0..300 {
             opt.zero_grad();
@@ -177,7 +180,7 @@ mod tests {
     fn adamw_weight_decay_shrinks_weights() {
         // With zero gradient signal, decay alone must shrink the weight.
         let x = Tensor::from_vec(vec![1.0], &[1]).requires_grad(true);
-        let cfg = AdamWConfig { lr: 0.01, weight_decay: 1.0, ..AdamWConfig::default() };
+        let cfg = AdamWConfig { lr: 0.01, weight_decay: 1.0 };
         let mut opt = AdamW::new(vec![x.clone()], cfg);
         for _ in 0..10 {
             opt.zero_grad();
@@ -202,8 +205,8 @@ mod tests {
         let cfg = AdamWConfig::default();
         assert_eq!(cfg.lr, 1e-5);
         assert_eq!(cfg.weight_decay, 1.0);
-        assert_eq!(cfg.beta1, 0.9);
-        assert_eq!(cfg.beta2, 0.999);
-        assert_eq!(cfg.eps, 1e-8);
+        assert_eq!(ADAMW_BETA1, 0.9);
+        assert_eq!(ADAMW_BETA2, 0.999);
+        assert_eq!(ADAMW_EPS, 1e-8);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example edge_deployment`
 
-use akg_core::adapt::AdaptConfig;
+use akg_core::adapt::{AdaptConfig, EPOCHS_PER_TRIGGER};
 use akg_core::engine::Engine;
 use akg_core::pipeline::SystemConfig;
 use akg_cost::{BaselineMeasurement, CloudBaseline, CostReport, EdgeDevice, EdgeMeasurement};
@@ -75,12 +75,12 @@ fn main() {
     // buffer, each distinct buffered frame through the GNNs once per epoch.
     let windows = 3 * adapt.max_k;
     let frames = (windows * dims.window).min(adapt.n_window);
-    let per_day = adapt.epochs_per_trigger as u64
-        * dims.adaptation_step_flops(frames, windows, token_entries);
+    let per_day =
+        EPOCHS_PER_TRIGGER as u64 * dims.adaptation_step_flops(frames, windows, token_entries);
     println!(
         "  one daily adaptation loop: {per_day} FLOPs ({} epochs over {windows} windows, \
          {frames} frames, {} token entries)",
-        adapt.epochs_per_trigger, token_entries
+        EPOCHS_PER_TRIGGER, token_entries
     );
 
     let device = EdgeDevice::default();
